@@ -11,9 +11,9 @@
 //! (`max_batch = 1`) pinned to the reference scalar kernel at f32; the
 //! **modern f32 path**: SoA micro-batching (`max_batch = N`, default 8)
 //! on the dispatched kernel backend (AVX2 under `--features simd`,
-//! otherwise the blocked scalar kernel; the `HGPCN_KERNEL` env override
-//! is honoured); and the **int8 throughput tier**: the same batched
-//! configuration with every dense layer running the calibrated i8 GEMM
+//! otherwise the blocked scalar kernel); and the **int8 throughput
+//! tier**: the same batched configuration with every dense layer
+//! running the calibrated i8 GEMM
 //! — and the **telemetry tax point**: the batched f32 configuration
 //! once more with `TelemetryMode::On`, so the recording hot path's
 //! wall-clock cost is measured on every CI run — all on the **same**
@@ -55,7 +55,8 @@
 //!   on that side, the dispatched stage set's GMAC-equivalent composite
 //!   preproc throughput on representative per-frame shapes, and that
 //!   throughput as a same-host multiple of the all-scalar anchor set's
-//!   (plus one vs-scalar multiple per stage for attribution). The
+//!   (plus one vs-scalar multiple for each of the two stages that have
+//!   an optimized backend, sampling and gather, for attribution). The
 //!   serial yardstick is pinned to `StageBackends::anchor()` exactly as
 //!   it is pinned to the reference matmul kernel, so `speedup` keeps
 //!   meaning "what the modern path buys over the original one" as the
@@ -68,11 +69,8 @@
 //!   hit/miss tally (`hit_rate` is the cache hit-rate). The latencies
 //!   come from the deterministic cost models, so the ratio is
 //!   bit-reproducible anywhere and CI holds both a tolerance band and
-//!   an absolute floor (`bench_gate --min-warm-vs-cold`) under it. The
-//!   measurement honours the process-wide `HGPCN_PREPROC_REUSE`
-//!   policy: under `off` the warm side *is* the cold side, the ratio
-//!   pins to 1.0 and the tally stays empty — the degradation shows in
-//!   the JSON rather than hiding. Schema version 6 added this pair.
+//!   an absolute floor (`bench_gate --min-warm-vs-cold`) under it.
+//!   Schema version 6 added this pair.
 
 use std::time::Instant;
 
@@ -89,7 +87,7 @@ use hgpcn_runtime::{
     StreamSpec, SyntheticSource, TelemetryMode,
 };
 use hgpcn_sampling::ois;
-use hgpcn_system::{reuse, PreprocReuse, PreprocessingEngine, StreamPreprocContext};
+use hgpcn_system::{PreprocessingEngine, StreamPreprocContext};
 
 const TARGET: usize = 512;
 
@@ -406,11 +404,9 @@ fn preproc_gmacs(w: &PreprocWorkload, stages: StageBackends) -> f64 {
     equiv / best.max(1e-12) / 1e9
 }
 
-/// The stream-context reuse trajectory for the JSON: the active policy,
-/// the measured warm-over-cold speedup, and the measurement stream's
-/// hit/miss tally.
+/// The stream-context reuse trajectory for the JSON: the measured
+/// warm-over-cold speedup and the measurement stream's hit/miss tally.
 struct ReuseMeasurement {
-    policy: &'static str,
     warm_vs_cold: f64,
     hits: u64,
     misses: u64,
@@ -430,12 +426,7 @@ struct ReuseMeasurement {
 /// models, making the ratio bit-reproducible anywhere — the sampling
 /// stage is deliberately excluded (reuse leaves its cost untouched, and
 /// including it would only dilute the gated signal).
-///
-/// Honours the process-wide policy: under `off` no context exists, the
-/// warm side is the cold side and the ratio pins to 1.0 with an empty
-/// tally — a degraded env override shows up in the JSON, never hides.
 fn reuse_warm_vs_cold() -> ReuseMeasurement {
-    let policy = reuse::active();
     let scene = DriftingScene::new(
         DriftingSceneConfig {
             objects: 2,
@@ -446,7 +437,7 @@ fn reuse_warm_vs_cold() -> ReuseMeasurement {
         9,
     );
     let engine = PreprocessingEngine::prototype();
-    let sampling = hgpcn_sampling::stage::active();
+    let sampling = hgpcn_sampling::SamplingKernel::default();
     let mut ctx = StreamPreprocContext::new();
     let frames = 8;
     let (mut warm, mut cold) = (Latency::ZERO, Latency::ZERO);
@@ -455,30 +446,23 @@ fn reuse_warm_vs_cold() -> ReuseMeasurement {
         let cold_out = engine
             .run_using(&frame, TARGET, 7, sampling)
             .expect("cold preproc succeeds");
-        let warm_cost = if policy == PreprocReuse::On {
-            let out = engine
-                .run_with_context(&frame, TARGET, 7, sampling, &mut ctx)
-                .expect("warm preproc succeeds");
-            // The context is an accelerator, never a result change: the
-            // warm frame must pick bit-identical samples.
-            assert_eq!(
-                out.sampled_sfc, cold_out.sampled_sfc,
-                "reuse changed frame {i}'s samples"
-            );
-            let cost = out.build_latency + out.transfer_latency;
-            ctx.recycle(out);
-            cost
-        } else {
-            cold_out.build_latency + cold_out.transfer_latency
-        };
+        let out = engine
+            .run_with_context(&frame, TARGET, 7, sampling, &mut ctx)
+            .expect("warm preproc succeeds");
+        // The context is an accelerator, never a result change: the
+        // warm frame must pick bit-identical samples.
+        assert_eq!(
+            out.sampled_sfc, cold_out.sampled_sfc,
+            "reuse changed frame {i}'s samples"
+        );
         if i > 0 {
-            warm += warm_cost;
+            warm += out.build_latency + out.transfer_latency;
             cold += cold_out.build_latency + cold_out.transfer_latency;
         }
+        ctx.recycle(out);
     }
     let (hits, misses) = (ctx.hits(), ctx.misses());
     ReuseMeasurement {
-        policy: policy.name(),
         warm_vs_cold: cold.secs() / warm.secs().max(1e-12),
         hits,
         misses,
@@ -527,9 +511,8 @@ fn main() {
     // scalar kernel *and* the all-scalar anchor stage backends, so the
     // metric keeps meaning "what did batching + kernel dispatch + stage
     // dispatch buy over the original path". The candidate: the batched
-    // path on the dispatched (auto or HGPCN_KERNEL / HGPCN_STAGE_*
-    // forced) backends. Same seed, and all backends are bit-identical,
-    // so the two nets produce identical per-frame results.
+    // path on the default backends. Same seed, and all backends are
+    // bit-identical, so the two nets produce identical per-frame results.
     let config = PointNetConfig::semantic_segmentation(TARGET);
     let net_serial = PointNet::new(config.clone(), 1)
         .with_kernel(LinearKernel::Reference)
@@ -688,8 +671,8 @@ fn main() {
     // The preproc-stage mirror of the kernel pair: composite
     // GMAC-equivalent throughput of the dispatched stage set, its
     // same-host multiple over the all-scalar anchor set (the gated
-    // ratio), and one multiple per stage — each measured with the other
-    // two stages held at the anchor — for attribution.
+    // ratio), and one multiple per optimized stage — each measured with
+    // the other stages held at the anchor — for attribution.
     let stages_active = net_modern.stage_backends();
     let workload = preproc_workload();
     let anchor_gmacs = preproc_gmacs(&workload, StageBackends::anchor());
@@ -702,10 +685,6 @@ fn main() {
     });
     let gather_vs_scalar = one_stage(StageBackends {
         gather: stages_active.gather,
-        ..StageBackends::anchor()
-    });
-    let interpolate_vs_scalar = one_stage(StageBackends {
-        interpolate: stages_active.interpolate,
         ..StageBackends::anchor()
     });
     // The reuse seam's counterpart pair: modeled (deterministic), so the
@@ -739,7 +718,6 @@ fn main() {
             "  \"preproc_gmacs_vs_anchor\": {:.4},\n",
             "  \"stage_sampling_vs_scalar\": {:.4},\n",
             "  \"stage_gather_vs_scalar\": {:.4},\n",
-            "  \"stage_interpolate_vs_scalar\": {:.4},\n",
             "  \"preproc_warm_vs_cold\": {:.4},\n",
             "  \"preproc_reuse\": {{\n",
             "    \"policy\": \"{}\",\n",
@@ -774,9 +752,8 @@ fn main() {
         pre_vs_anchor,
         sampling_vs_scalar,
         gather_vs_scalar,
-        interpolate_vs_scalar,
         reuse.warm_vs_cold,
-        reuse.policy,
+        batched.preproc_reuse,
         reuse.hits,
         reuse.misses,
         reuse.hit_rate,
@@ -818,13 +795,12 @@ fn main() {
     );
     println!(
         "  stages : {} at {pre_gmacs:.2} GMAC-equiv/s preproc ({pre_vs_anchor:.2}x the anchor set; \
-         sampling {sampling_vs_scalar:.2}x, gather {gather_vs_scalar:.2}x, \
-         interpolate {interpolate_vs_scalar:.2}x)",
+         sampling {sampling_vs_scalar:.2}x, gather {gather_vs_scalar:.2}x)",
         batched.stage_backends
     );
     println!(
         "  reuse  : policy {}, warm build+table {:.2}x cheaper than cold ({} hits / {} misses, hit rate {:.2})",
-        reuse.policy, reuse.warm_vs_cold, reuse.hits, reuse.misses, reuse.hit_rate
+        batched.preproc_reuse, reuse.warm_vs_cold, reuse.hits, reuse.misses, reuse.hit_rate
     );
     println!(
         "  traced : {traced_s:.3} s wall, {traced_fps:.2} frames/s ({:.1}% of untraced, {} events)",

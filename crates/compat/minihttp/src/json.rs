@@ -1,9 +1,9 @@
 //! JSON tree, strict parser, deterministic serializer.
 //!
-//! Grown from the repository tools' `minijson.rs` parser with the
-//! hardening a network-facing layer needs: a nesting-depth cap (a
-//! `[[[[…` bomb fails with [`ParseError`] instead of overflowing the
-//! stack), strict number validation, and a serializer (`Display`) whose
+//! Shared by the serving front end and the repository tools
+//! (`bench_gate`, `trace_check`), with the hardening a network-facing
+//! layer needs: a nesting-depth cap (a `[[[[…` bomb fails with
+//! [`ParseError`] instead of overflowing the stack), strict number validation, and a serializer (`Display`) whose
 //! output is deterministic — objects are `BTreeMap`s, so two equal
 //! trees render byte-identically.
 
@@ -409,6 +409,7 @@ mod tests {
         assert_eq!(j.num("a.b"), Some(1.5));
         assert_eq!(j.num("d"), Some(-300.0));
         assert_eq!(j.str_at("s"), Some("x\ny"));
+        assert_eq!(j.path("s"), Some(&Json::Str("x\ny".to_owned())));
         assert_eq!(j.bool_at("t"), Some(true));
         assert_eq!(j.arr("a.c").map(<[Json]>::len), Some(2));
         assert_eq!(j.usize_at("a.b"), None, "1.5 is not integral");
@@ -423,6 +424,27 @@ mod tests {
         assert!(parse("").is_err());
         assert!(parse("+-").is_err());
         assert!(parse("1e999").is_err(), "non-finite numbers are rejected");
+    }
+
+    #[test]
+    fn parses_the_bench_schema() {
+        let j = parse(
+            r#"{
+  "bench": "runtime_batching",
+  "schema_version": 1,
+  "serial": {"frames": 32, "wall_fps": 24.0, "p95_service_ms": 3.17, "kernel_backend": "reference"},
+  "batched": {"frames": 32, "wall_fps": 35.0, "p95_service_ms": 3.17, "kernel_backend": "avx2"},
+  "kernel_backend": "avx2",
+  "kernel_gmacs": 21.7,
+  "kernel_gmacs_vs_reference": 2.6,
+  "speedup": 1.45
+}"#,
+        )
+        .unwrap();
+        assert_eq!(j.num("speedup"), Some(1.45));
+        assert_eq!(j.num("batched.p95_service_ms"), Some(3.17));
+        assert_eq!(j.num("kernel_gmacs"), Some(21.7));
+        assert_eq!(j.str_at("kernel_backend"), Some("avx2"));
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! so the API is its own, kept deliberately tiny:
 //!
 //! * [`json`]: a JSON tree ([`json::Json`]), a strict recursive-descent
-//!   parser with a nesting-depth cap ([`json::parse`], grown from
-//!   `tools/minijson.rs`), and a deterministic serializer
+//!   parser with a nesting-depth cap ([`json::parse`], also the
+//!   parser behind `tools/`), and a deterministic serializer
 //!   (`Display`; `BTreeMap` objects render in key order).
 //! * [`http`]: a bounded, thread-per-connection HTTP/1.1 server
 //!   ([`http::Server`]) with keep-alive and graceful stop, plus the

@@ -27,7 +27,7 @@ use hgpcn_octree::{Octree, OctreeConfig, OctreeError};
 
 use crate::kdtree::KdTree;
 use crate::veg::{self, VegConfig};
-use crate::{knn, stage, GatherError, GatherKernel, GatherResult};
+use crate::{knn, GatherError, GatherKernel, GatherResult};
 
 /// A neighbor index over one point cloud: built once, queried many times.
 ///
@@ -261,12 +261,12 @@ impl VegIndex {
             perm,
             inverse,
             config,
-            kernel: stage::active(),
+            kernel: GatherKernel::default(),
         })
     }
 
     /// Pins queries from this index to a specific [`GatherKernel`]
-    /// backend instead of the process-wide [`stage::active`] choice.
+    /// backend instead of the default ([`GatherKernel::default`]).
     /// All backends are bit-identical, so this changes host speed only
     /// — it exists so a harness (or a runtime honoring a per-run
     /// `stage_backends` override) can run an anchor yardstick and an

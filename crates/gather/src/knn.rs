@@ -8,7 +8,7 @@
 use hgpcn_geometry::PointCloud;
 use hgpcn_memsim::OpCounts;
 
-use crate::{sorter, stage, GatherError, GatherKernel, GatherResult};
+use crate::{sorter, GatherError, GatherKernel, GatherResult};
 
 fn validate(cloud: &PointCloud, center: usize, k: usize) -> Result<(), GatherError> {
     if cloud.is_empty() {
@@ -39,11 +39,11 @@ fn validate(cloud: &PointCloud, center: usize, k: usize) -> Result<(), GatherErr
 ///
 /// See [`GatherError`] for the rejected inputs.
 pub fn gather(cloud: &PointCloud, center: usize, k: usize) -> Result<GatherResult, GatherError> {
-    gather_with(cloud, center, k, stage::active())
+    gather_with(cloud, center, k, GatherKernel::default())
 }
 
 /// [`gather`] on a specific [`GatherKernel`] backend instead of the
-/// process-wide [`stage::active`] selection. All backends are
+/// default ([`GatherKernel::default`]). All backends are
 /// bit-identical, so this changes host speed only; equivalence tests and
 /// benches sweep it.
 ///

@@ -25,8 +25,7 @@
 //!   VEG/octree) built **once** per cloud and shared by every center
 //!   query, amortizing the build the way §VII-B amortizes the octree;
 //! * [`stage`] — the [`GatherKernel`] dispatch seam: interchangeable,
-//!   bit-identical top-K selection backends behind the
-//!   `HGPCN_STAGE_GATHER` override.
+//!   bit-identical top-K selection backends.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

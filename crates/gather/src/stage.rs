@@ -1,5 +1,4 @@
-//! The neighbor-gather stage kernel: pluggable top-K selection backends
-//! with one-time runtime dispatch.
+//! The neighbor-gather stage kernel: pluggable top-K selection backends.
 //!
 //! Every gather method that ranks candidates by distance funnels through
 //! one primitive — *select the K nearest of a scored candidate list, in
@@ -16,19 +15,14 @@
 //! > operation counts are charged by the cost formulas of the calling
 //! > gatherer and never depend on the backend.
 //!
-//! Selection policy is decided once per process: [`active`] reads the
-//! `HGPCN_STAGE_GATHER` environment variable on first use (`auto`/empty
-//! picks [`fastest_supported`]); unrecognized names **degrade to the
-//! scalar anchor** with a warning instead of refusing to serve — a stage
-//! backend is an optimization hint, and a typo in a fleet rollout must
-//! not take serving down (`HGPCN_KERNEL`, which gates *numerics-critical*
-//! GEMM dispatch, panics instead; see `ARCHITECTURE.md`).
-
-use std::sync::OnceLock;
+//! The selection is a constant: [`GatherKernel::default`] is the
+//! partition-then-sort backend (portable, so always available). Tests
+//! and yardsticks pin the anchor programmatically through the `*_with`
+//! entry points or a `StageBackends` selection (see `ARCHITECTURE.md`).
 
 /// A top-K candidate-selection backend. All variants are bit-identical
 /// in results; they differ only in speed. See the [module docs](self).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum GatherKernel {
     /// The anchor: sort the full candidate list with the canonical
@@ -42,26 +36,17 @@ pub enum GatherKernel {
     /// index)` key is a *total order with no duplicate keys* (indices
     /// are unique), so the K-smallest set — and after the final sort,
     /// the order — is identical to the anchor's.
+    #[default]
     Blocked,
 }
 
 impl GatherKernel {
     /// Stable lower-case name, as reported in `RuntimeReport` and
-    /// `BENCH_runtime.json` and accepted back by
-    /// [`GatherKernel::from_name`].
+    /// `BENCH_runtime.json`.
     pub fn name(&self) -> &'static str {
         match self {
             GatherKernel::Scalar => "scalar",
             GatherKernel::Blocked => "blocked",
-        }
-    }
-
-    /// Parses a backend name. Returns `None` for unknown names.
-    pub fn from_name(name: &str) -> Option<GatherKernel> {
-        match name {
-            "scalar" => Some(GatherKernel::Scalar),
-            "blocked" => Some(GatherKernel::Blocked),
-            _ => None,
         }
     }
 
@@ -120,41 +105,6 @@ impl GatherKernel {
     }
 }
 
-/// The fastest backend this build supports: the partition-then-sort
-/// [`GatherKernel::Blocked`] selection (portable, so always available).
-pub fn fastest_supported() -> GatherKernel {
-    GatherKernel::Blocked
-}
-
-/// Resolves an override request (the `HGPCN_STAGE_GATHER` value) to a
-/// runnable backend. Empty / `auto` selects [`fastest_supported`];
-/// an unrecognized name **degrades to the scalar anchor** with a
-/// warning on stderr, so a forced configuration still serves (all
-/// backends are bit-identical — degrading can never change results).
-pub fn resolve_override(request: &str) -> GatherKernel {
-    match request {
-        "" | "auto" => fastest_supported(),
-        other => GatherKernel::from_name(other).unwrap_or_else(|| {
-            eprintln!(
-                "HGPCN_STAGE_GATHER: unknown backend {other:?} \
-                 (expected auto | scalar | blocked); degrading to the scalar anchor"
-            );
-            GatherKernel::Scalar
-        }),
-    }
-}
-
-static ACTIVE: OnceLock<GatherKernel> = OnceLock::new();
-
-/// The process-wide gather backend. Decided once, on first use: the
-/// `HGPCN_STAGE_GATHER` override if set, otherwise [`fastest_supported`].
-pub fn active() -> GatherKernel {
-    *ACTIVE.get_or_init(|| {
-        let request = std::env::var("HGPCN_STAGE_GATHER").unwrap_or_default();
-        resolve_override(&request)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,29 +149,5 @@ mod tests {
             });
             assert_eq!(a[0], (1.0, 3));
         }
-    }
-
-    #[test]
-    fn names_round_trip() {
-        for k in GatherKernel::all() {
-            assert_eq!(GatherKernel::from_name(k.name()), Some(*k));
-            assert!(k.is_supported());
-        }
-        assert_eq!(GatherKernel::from_name("bitonic"), None);
-    }
-
-    #[test]
-    fn override_resolution_degrades_gracefully() {
-        assert_eq!(resolve_override(""), fastest_supported());
-        assert_eq!(resolve_override("auto"), fastest_supported());
-        assert_eq!(resolve_override("scalar"), GatherKernel::Scalar);
-        assert_eq!(resolve_override("blocked"), GatherKernel::Blocked);
-        // Typos degrade to the anchor instead of refusing to serve.
-        assert_eq!(resolve_override("bogus-backend"), GatherKernel::Scalar);
-    }
-
-    #[test]
-    fn active_is_stable() {
-        assert_eq!(active(), active());
     }
 }

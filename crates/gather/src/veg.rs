@@ -26,7 +26,7 @@
 use hgpcn_memsim::OpCounts;
 use hgpcn_octree::{neighbor, Octree};
 
-use crate::{sorter, stage, GatherError, GatherKernel, GatherResult, VegStats};
+use crate::{sorter, GatherError, GatherKernel, GatherResult, VegStats};
 
 /// Neighbor-selection behaviour of the final shell.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -91,11 +91,11 @@ pub fn gather(
     k: usize,
     config: &VegConfig,
 ) -> Result<GatherResult, GatherError> {
-    gather_with(octree, center, k, config, stage::active())
+    gather_with(octree, center, k, config, GatherKernel::default())
 }
 
 /// [`gather`] on a specific [`GatherKernel`] backend instead of the
-/// process-wide [`stage::active`] selection. The kernel only changes how
+/// default ([`GatherKernel::default`]). The kernel only changes how
 /// the final shell's candidates are *selected on the host* — neighbor
 /// sets, modeled counts and [`VegStats`] are bit-identical across
 /// backends.

@@ -50,75 +50,9 @@ impl Octree {
     ///   m-code limit;
     /// * [`OctreeError::InvalidGeometry`] if any coordinate is non-finite.
     pub fn build(cloud: &PointCloud, config: OctreeConfig) -> Result<Octree, OctreeError> {
-        if cloud.is_empty() {
-            return Err(OctreeError::EmptyCloud);
-        }
-        if !config.is_supported() {
-            return Err(OctreeError::DepthTooLarge {
-                requested: config.max_depth,
-                max: MAX_LEVEL,
-            });
-        }
-        cloud.validate_finite()?;
-
-        let bounds = cloud.bounds().expect("non-empty cloud has bounds");
-        // Inflate a hair so boundary points never fall outside after f32
-        // rounding, then cubify so each level halves the voxel edge.
-        let margin = (bounds.diagonal() * 1e-6).max(f32::MIN_POSITIVE);
-        let root_bounds = bounds.inflate(margin).cubified();
-
-        let mut stats = BuildStats {
-            points: cloud.len(),
-            ..BuildStats::default()
-        };
-
-        // Single pass: one m-code per point (the per-point octant walk).
-        let raw_codes: Vec<MortonCode> = cloud
-            .iter()
-            .map(|p| MortonCode::encode(p, &root_bounds, config.max_depth))
-            .collect();
-        stats.code_computations = cloud.len();
-        stats.point_reads = cloud.len();
-
-        // Host-memory pre-configuration: stable SFC sort + reorganized copy.
-        let comparisons = Cell::new(0usize);
-        let mut permutation: Vec<usize> = (0..cloud.len()).collect();
-        permutation.sort_by(|&a, &b| {
-            comparisons.set(comparisons.get() + 1);
-            raw_codes[a].cmp(&raw_codes[b])
-        });
-        stats.sort_comparisons = comparisons.get();
-        stats.dirty_points = cloud.len();
-        let points = cloud.permuted(&permutation);
-        stats.point_writes = cloud.len();
-        let codes: Vec<MortonCode> = permutation.iter().map(|&i| raw_codes[i]).collect();
-
-        // Node construction over the sorted code array; each voxel's points
-        // are a contiguous range, so children partition the parent range.
-        let mut nodes = Vec::new();
-        let mut max_level = 0u8;
-        let root = Self::build_node(
-            &codes,
-            MortonCode::root(),
-            0..cloud.len() as u32,
-            &config,
-            &mut nodes,
-            &mut max_level,
-        );
-        stats.nodes_created = nodes.len();
-        stats.nodes_dirty = nodes.len();
-        stats.achieved_depth = max_level;
-
-        Ok(Octree {
-            root_bounds,
-            nodes,
-            root,
-            points,
-            permutation,
-            codes,
-            config,
-            stats,
-        })
+        // Stateless = one build through a throwaway scratch: a fresh
+        // scratch has no cached grid, so this is always the cold path.
+        Octree::build_with_scratch(cloud, config, &mut OctreeScratch::new())
     }
 
     /// Builds an octree over `cloud`, reusing `scratch`'s buffers and — when
@@ -162,6 +96,8 @@ impl Octree {
 
         let n = cloud.len();
         let bounds = cloud.bounds().expect("non-empty cloud has bounds");
+        // Inflate a hair so boundary points never fall outside after f32
+        // rounding, then cubify so each level halves the voxel edge.
         let margin = (bounds.diagonal() * 1e-6).max(f32::MIN_POSITIVE);
         let root_bounds = bounds.inflate(margin).cubified();
 
@@ -209,6 +145,9 @@ impl Octree {
             stats.dirty_points = dirty;
             stats.reused = true;
         } else {
+            // Host-memory pre-configuration: stable SFC sort. This cold
+            // branch is the reference the warm-path proptests compare
+            // against.
             permutation.extend(0..n);
             let raw_codes = &scratch.raw_codes;
             let comparisons = Cell::new(0usize);
@@ -228,6 +167,8 @@ impl Octree {
         codes.clear();
         codes.extend(permutation.iter().map(|&i| scratch.raw_codes[i]));
 
+        // Node construction over the sorted code array; each voxel's points
+        // are a contiguous range, so children partition the parent range.
         let mut nodes = std::mem::take(&mut scratch.spare_nodes);
         nodes.clear();
         let mut max_level = 0u8;

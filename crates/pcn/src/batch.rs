@@ -133,14 +133,14 @@ impl Batch {
 
     /// One weight traversal for the whole batch:
     /// `self × weights + bias` (optionally fused ReLU) over every stacked
-    /// row, keeping the segment table. Dispatches to the process-wide
-    /// [`kernel::active`] backend.
+    /// row, keeping the segment table. Dispatches to the
+    /// [`kernel::fastest_supported`] backend.
     ///
     /// # Panics
     ///
     /// Panics on shape mismatch.
     pub fn linear_fused(&self, weights: &Matrix, bias: &[f32], relu: bool) -> Batch {
-        self.linear_fused_with(kernel::active(), weights, bias, relu)
+        self.linear_fused_with(kernel::fastest_supported(), weights, bias, relu)
     }
 
     /// [`Batch::linear_fused`] on an explicitly chosen backend — the

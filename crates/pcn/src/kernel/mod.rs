@@ -1,4 +1,4 @@
-//! Pluggable matmul kernel backends with one-time runtime dispatch.
+//! Pluggable matmul kernel backends selected by build features and CPUID.
 //!
 //! Every dense layer in the workspace funnels through a single
 //! primitive: `y = x · w + bias`, applied row-wise with an optional
@@ -21,17 +21,12 @@
 //! That contract is what lets the whole test suite stay anchored on one
 //! reference path while ISA-specific backends slot in underneath — in
 //! the spirit of a microkernel decomposition, mechanism (the MAC loops)
-//! is separated from policy (which loop to run), and the policy is
-//! decided **once** per process:
-//!
-//! * [`active`] picks the fastest supported backend on first use
-//!   (runtime CPU-feature detection via `is_x86_feature_detected!`) and
-//!   caches it for the lifetime of the process;
-//! * the `HGPCN_KERNEL` environment variable force-overrides the choice
-//!   (`auto`, `reference`, `blocked`, `simd`/`avx2`) for tests, CI
-//!   feature-matrix runs, and performance triage. Forcing a backend the
-//!   platform cannot run degrades to the best scalar backend instead of
-//!   refusing to serve.
+//! is separated from policy (which loop to run), and the policy is a
+//! function of the build and the CPU alone: [`fastest_supported`] picks
+//! AVX2 when the `simd` feature is compiled in and runtime detection
+//! (`is_x86_feature_detected!`) succeeds, the blocked scalar kernel
+//! otherwise. Tests and yardsticks pin a backend programmatically with
+//! [`PointNet::with_kernel`](crate::PointNet::with_kernel).
 //!
 //! The AVX2 backend only exists under the `simd` cargo feature; without
 //! it the crate compiles with no unsafe code at all.
@@ -39,9 +34,8 @@
 //! The quantized inference path plugs in through the same seam: an
 //! [`Int8Kernel`] owns the i32-accumulating i8 GEMM primitive behind
 //! the [`crate::quant`] module (scalar always, AVX2 `vpmaddwd` under
-//! `simd`), and [`active_int8`] derives its selection from the **same**
-//! process-wide decision — one `HGPCN_KERNEL` override steers both
-//! precisions, forced fallbacks included.
+//! `simd`), and [`Int8Kernel::for_linear`] derives its selection from
+//! the **same** decision — one `with_kernel` pin steers both precisions.
 
 mod int8;
 mod scalar;
@@ -51,8 +45,6 @@ mod avx2;
 
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 mod int8_avx2;
-
-use std::sync::OnceLock;
 
 use crate::Matrix;
 
@@ -101,26 +93,13 @@ pub enum LinearKernel {
 
 impl LinearKernel {
     /// Stable lower-case name, as reported in `RuntimeReport` and
-    /// `BENCH_runtime.json` and accepted back by [`LinearKernel::from_name`].
+    /// `BENCH_runtime.json`.
     pub fn name(&self) -> &'static str {
         match self {
             LinearKernel::Reference => "reference",
             LinearKernel::Blocked => "blocked",
             #[cfg(feature = "simd")]
             LinearKernel::Avx2 => "avx2",
-        }
-    }
-
-    /// Parses a backend name (`reference`, `blocked`, `simd`/`avx2`).
-    /// Returns `None` for unknown names and for backends compiled out
-    /// (e.g. `avx2` without the `simd` feature).
-    pub fn from_name(name: &str) -> Option<LinearKernel> {
-        match name {
-            "reference" => Some(LinearKernel::Reference),
-            "blocked" => Some(LinearKernel::Blocked),
-            #[cfg(feature = "simd")]
-            "simd" | "avx2" => Some(LinearKernel::Avx2),
-            _ => None,
         }
     }
 
@@ -210,7 +189,7 @@ impl LinearKernel {
                     assert!(
                         avx2_detected(),
                         "the AVX2 kernel was invoked on a CPU without AVX2; \
-                         use kernel::active() for checked dispatch"
+                         use kernel::fastest_supported() for checked dispatch"
                     );
                     avx2::run(task, y);
                 }
@@ -297,10 +276,9 @@ impl Int8Kernel {
     }
 
     /// The int8 backend riding on a given f32 backend selection — the
-    /// single `HGPCN_KERNEL` / [`PointNet::with_kernel`] knob steers
-    /// both precisions: a forced scalar f32 backend (`reference`,
-    /// `blocked`) forces the scalar int8 backend, and a SIMD request
-    /// that degrades on the f32 side degrades identically here.
+    /// single [`PointNet::with_kernel`] pin steers both precisions: a
+    /// scalar f32 backend (`reference`, `blocked`) selects the scalar
+    /// int8 backend, AVX2 selects AVX2.
     ///
     /// [`PointNet::with_kernel`]: crate::PointNet::with_kernel
     pub fn for_linear(kernel: LinearKernel) -> Int8Kernel {
@@ -327,7 +305,8 @@ impl Int8Kernel {
                     assert!(
                         avx2_detected(),
                         "the AVX2 int8 kernel was invoked on a CPU without AVX2; \
-                         use Int8Kernel::for_linear(kernel::active()) for checked dispatch"
+                         use Int8Kernel::for_linear(kernel::fastest_supported()) \
+                         for checked dispatch"
                     );
                     int8_avx2::run(task, y);
                 }
@@ -336,14 +315,6 @@ impl Int8Kernel {
             }
         }
     }
-}
-
-/// The process-wide int8 backend: [`Int8Kernel::for_linear`] applied to
-/// [`active`], so one `HGPCN_KERNEL` override steers both precisions
-/// (and a forced-but-unavailable SIMD request degrades to the scalar
-/// int8 backend, mirroring the f32 fallback).
-pub fn active_int8() -> Int8Kernel {
-    Int8Kernel::for_linear(active())
 }
 
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
@@ -358,54 +329,17 @@ fn avx2_detected() -> bool {
 
 /// The fastest backend the build *and* the running CPU support:
 /// AVX2 when the `simd` feature is compiled in and detection succeeds,
-/// otherwise the blocked scalar kernel.
+/// otherwise the blocked scalar kernel. This is the backend every
+/// [`Matrix::linear`] / [`Matrix::linear_fused`] call and every freshly
+/// constructed [`PointNet`](crate::PointNet) dispatches to (the
+/// detection result is cached by `std`, so calling it per GEMM is one
+/// relaxed load).
 pub fn fastest_supported() -> LinearKernel {
     #[cfg(feature = "simd")]
     if LinearKernel::Avx2.is_supported() {
         return LinearKernel::Avx2;
     }
     LinearKernel::Blocked
-}
-
-/// Resolves an override request (the `HGPCN_KERNEL` value) to a
-/// runnable backend. Empty / `auto` selects [`fastest_supported`];
-/// naming a backend the platform cannot run (e.g. `simd` without the
-/// feature or without AVX2 hardware) **degrades to the best scalar
-/// backend** so a forced configuration still serves.
-///
-/// # Panics
-///
-/// Panics on names that are not `auto`, `reference`, `blocked`, `simd`
-/// or `avx2` — a typo in CI must fail loudly, not silently serve the
-/// wrong backend.
-pub fn resolve_override(request: &str) -> LinearKernel {
-    match request {
-        "" | "auto" => fastest_supported(),
-        "reference" => LinearKernel::Reference,
-        "blocked" => LinearKernel::Blocked,
-        "simd" | "avx2" => match LinearKernel::from_name(request) {
-            Some(k) if k.is_supported() => k,
-            // Compiled out or CPU lacks AVX2: degrade, don't refuse.
-            _ => LinearKernel::Blocked,
-        },
-        other => panic!(
-            "HGPCN_KERNEL: unknown backend {other:?} \
-             (expected auto | reference | blocked | simd | avx2)"
-        ),
-    }
-}
-
-static ACTIVE: OnceLock<LinearKernel> = OnceLock::new();
-
-/// The process-wide backend every [`Matrix::linear`] /
-/// [`Matrix::linear_fused`] call dispatches to. Decided once, on first
-/// use: the `HGPCN_KERNEL` override if set, otherwise
-/// [`fastest_supported`] via runtime CPU-feature detection.
-pub fn active() -> LinearKernel {
-    *ACTIVE.get_or_init(|| {
-        let request = std::env::var("HGPCN_KERNEL").unwrap_or_default();
-        resolve_override(&request)
-    })
 }
 
 #[cfg(test)]
@@ -455,35 +389,8 @@ mod tests {
     }
 
     #[test]
-    fn names_round_trip() {
-        for k in LinearKernel::all() {
-            assert_eq!(LinearKernel::from_name(k.name()), Some(*k));
-        }
-        assert_eq!(LinearKernel::from_name("mmx"), None);
-    }
-
-    #[test]
-    fn override_resolution() {
-        assert_eq!(resolve_override("reference"), LinearKernel::Reference);
-        assert_eq!(resolve_override("blocked"), LinearKernel::Blocked);
-        assert_eq!(resolve_override(""), fastest_supported());
-        assert_eq!(resolve_override("auto"), fastest_supported());
-        // A forced SIMD request always resolves to something runnable.
-        assert!(resolve_override("simd").is_supported());
-        assert!(resolve_override("avx2").is_supported());
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown backend")]
-    fn unknown_override_panics() {
-        let _ = resolve_override("sse9");
-    }
-
-    #[test]
-    fn active_is_stable_and_supported() {
-        let first = active();
-        assert!(first.is_supported());
-        assert_eq!(active(), first, "selection is decided once per process");
+    fn fastest_supported_is_runnable() {
+        assert!(fastest_supported().is_supported());
     }
 
     #[test]
@@ -544,10 +451,6 @@ mod tests {
         );
         #[cfg(feature = "simd")]
         assert_eq!(Int8Kernel::for_linear(LinearKernel::Avx2), Int8Kernel::Avx2);
-        // The process-wide int8 choice is runnable and consistent with
-        // the f32 choice (including any HGPCN_KERNEL forced fallback).
-        let k = active_int8();
-        assert!(k.is_supported());
-        assert_eq!(k, Int8Kernel::for_linear(active()));
+        assert!(Int8Kernel::for_linear(fastest_supported()).is_supported());
     }
 }

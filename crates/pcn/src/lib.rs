@@ -20,9 +20,9 @@
 //!
 //! The matmul itself is pluggable too: every dense layer dispatches to a
 //! [`kernel::LinearKernel`] backend (reference scalar, cache-blocked
-//! scalar, explicit AVX2 under the `simd` feature), selected once per
-//! process by runtime CPU detection and overridable via `HGPCN_KERNEL`
-//! or [`PointNet::with_kernel`]. All backends are bit-identical by
+//! scalar, explicit AVX2 under the `simd` feature), selected by build
+//! features and runtime CPU detection and pinnable with
+//! [`PointNet::with_kernel`]. All backends are bit-identical by
 //! contract, so the kernel choice moves host speed, never results — see
 //! the [`kernel`] module docs.
 //!
@@ -35,8 +35,8 @@
 //!
 //! [`stage`] generalizes that seam to the rest of the frame pipeline:
 //! every preproc stage (sampling, gather, FP interpolation) dispatches
-//! to a bit-identical backend pair behind its own `HGPCN_STAGE_*`
-//! override, bundled per run as a [`stage::StageBackends`] selection.
+//! to a backend bit-identical to its anchor, bundled per run as a
+//! [`stage::StageBackends`] selection.
 
 // `deny` rather than `forbid`: the explicit-SIMD backend in
 // `kernel::avx2` (compiled only under the `simd` feature) carries the

@@ -162,14 +162,14 @@ impl PointNet {
             stage_weights,
             fp_weights,
             head_weights,
-            kernel: kernel::active(),
+            kernel: kernel::fastest_supported(),
             stages: StageBackends::active(),
             quant: None,
         }
     }
 
     /// Pins this network to a specific matmul backend instead of the
-    /// process-wide [`kernel::active`] choice. All backends are
+    /// [`kernel::fastest_supported`] choice. All backends are
     /// bit-identical, so this changes host speed only — it exists so a
     /// harness can run e.g. a reference-kernel yardstick and a SIMD
     /// candidate side by side in one process (`perf_smoke` does exactly
@@ -196,7 +196,7 @@ impl PointNet {
     }
 
     /// Pins this network to a specific set of preproc-stage backends
-    /// instead of the process-wide [`StageBackends::active`] selection.
+    /// instead of the default [`StageBackends::active`] selection.
     /// Every stage backend is bit-identical to its scalar anchor, so —
     /// exactly like [`PointNet::with_kernel`] — this moves host speed
     /// only, never results; `perf_smoke` uses it to run an all-anchor

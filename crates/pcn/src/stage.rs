@@ -6,27 +6,24 @@
 //! behind [`crate::kernel::LinearKernel`]. This module generalizes it to
 //! the rest of the frame pipeline, microkernel-style: mechanism (the
 //! stage loops) lives in each stage's crate, policy (which loop to run)
-//! is decided once per process per stage:
+//! is one [`StageBackends`] value threaded through every engine call:
 //!
 //! * **sampling** — [`SamplingKernel`] (OIS scoreboard scans,
-//!   `hgpcn_sampling::stage`), override `HGPCN_STAGE_SAMPLING`;
+//!   `hgpcn_sampling::stage`);
 //! * **gather** — [`GatherKernel`] (top-K neighbor selection,
-//!   `hgpcn_gather::stage`), override `HGPCN_STAGE_GATHER`;
+//!   `hgpcn_gather::stage`);
 //! * **interpolate** — [`InterpolateKernel`] (FP-stage 3-NN feature
-//!   interpolation, this module), override `HGPCN_STAGE_INTERPOLATE`.
+//!   interpolation, this module).
 //!
 //! Every stage has a portable scalar **anchor** (the original loop, kept
-//! byte-for-byte) plus at least one optimized backend, and every backend
-//! is **bit-identical** to its anchor — same outputs, same modeled
-//! operation counts — so switching backends can change host speed only,
-//! never results or committed latency quantiles. Unlike `HGPCN_KERNEL`
-//! (which panics on typos), unrecognized stage names **degrade to the
-//! anchor** with a warning: stage backends are optimization hints, and a
-//! misspelled override must not take serving down. See `ARCHITECTURE.md`
-//! for the full seam table.
+//! byte-for-byte), and every optimized backend is **bit-identical** to
+//! its anchor — same outputs, same modeled operation counts — so a
+//! selection can change host speed only, never results or committed
+//! latency quantiles. The default selection is a constant (each stage's
+//! `Default`); tests and yardsticks pin [`StageBackends::anchor`]
+//! programmatically. See `ARCHITECTURE.md` for the full seam table.
 
 use std::cmp::Ordering;
-use std::sync::OnceLock;
 
 use hgpcn_geometry::Point3;
 use hgpcn_memsim::OpCounts;
@@ -36,55 +33,27 @@ pub use hgpcn_sampling::stage::SamplingKernel;
 
 use crate::Matrix;
 
-/// A feature-propagation interpolation backend. All variants are
-/// bit-identical in results; they differ only in speed. See the
-/// [module docs](self).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+/// The feature-propagation interpolation backend. One variant: the
+/// split-pass SoA alternative measured 1.009× and was pruned; the enum
+/// and its `interpolate=` identity key stay because the JSON-RPC stats
+/// objects, `/metrics` and `benchmark/` read them.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum InterpolateKernel {
-    /// The anchor: per fine point, one fused loop over the coarse
-    /// points that computes each squared distance and immediately
-    /// insertion-sorts it into the running top-3 — the original loop,
-    /// kept byte-for-byte.
+    /// Per fine point, one fused loop over the coarse points that
+    /// computes each squared distance and immediately insertion-sorts
+    /// it into the running top-3.
+    #[default]
     Scalar,
-    /// Split passes over an SoA copy of the coarse coordinates: an
-    /// allocation-free elementwise distance loop (reused buffer,
-    /// autovectorizable, same `sub/mul/add` expression per element — no
-    /// FMA contraction, so bit-identical), then the identical top-3
-    /// insertion scan over the buffered distances.
-    Vectorized,
 }
 
 impl InterpolateKernel {
     /// Stable lower-case name, as reported in `RuntimeReport` and
-    /// `BENCH_runtime.json` and accepted back by
-    /// [`InterpolateKernel::from_name`].
+    /// `BENCH_runtime.json`.
     pub fn name(&self) -> &'static str {
         match self {
             InterpolateKernel::Scalar => "scalar",
-            InterpolateKernel::Vectorized => "vectorized",
         }
-    }
-
-    /// Parses a backend name. Returns `None` for unknown names.
-    pub fn from_name(name: &str) -> Option<InterpolateKernel> {
-        match name {
-            "scalar" => Some(InterpolateKernel::Scalar),
-            "vectorized" => Some(InterpolateKernel::Vectorized),
-            _ => None,
-        }
-    }
-
-    /// Whether the running CPU can execute this backend — always `true`
-    /// (both backends are portable scalar code); kept for congruence
-    /// with the `LinearKernel` surface.
-    pub fn is_supported(&self) -> bool {
-        true
-    }
-
-    /// Every backend compiled into this build, fastest-last.
-    pub fn all() -> &'static [InterpolateKernel] {
-        &[InterpolateKernel::Scalar, InterpolateKernel::Vectorized]
     }
 
     /// Inverse-distance 3-NN interpolation of `coarse` features onto the
@@ -92,9 +61,8 @@ impl InterpolateKernel {
     /// cost into `counts`. This is the loop every segmentation forward
     /// pass runs `fine × coarse` times per FP layer.
     ///
-    /// NaN coordinates follow the anchor's comparator exactly: a NaN
-    /// distance compares `Equal` under `partial_cmp`, so it never
-    /// displaces a finite candidate on any backend.
+    /// A NaN distance compares `Equal` under `partial_cmp`, so it never
+    /// displaces a finite candidate.
     ///
     /// ```
     /// use hgpcn_geometry::Point3;
@@ -106,12 +74,10 @@ impl InterpolateKernel {
     /// let coarse = vec![Point3::ORIGIN, Point3::splat(1.0), Point3::new(4.0, 0.0, 0.0)];
     /// let feats = Matrix::from_vec(3, 1, vec![10.0, 20.0, 30.0]);
     ///
-    /// let mut c1 = OpCounts::default();
-    /// let mut c2 = OpCounts::default();
-    /// let a = InterpolateKernel::Scalar.apply(&fine, &coarse, &feats, &mut c1);
-    /// let b = InterpolateKernel::Vectorized.apply(&fine, &coarse, &feats, &mut c2);
-    /// assert_eq!(a, b);   // bit-identical features on every backend
-    /// assert_eq!(c1, c2); // and identical modeled costs
+    /// let mut counts = OpCounts::default();
+    /// let out = InterpolateKernel::Scalar.apply(&fine, &coarse, &feats, &mut counts);
+    /// assert!((out.row(0)[0] - 10.0).abs() < 1e-3); // a coincident coarse point dominates
+    /// assert_eq!(counts.distance_computations, 6); // fine × coarse
     /// ```
     pub fn apply(
         &self,
@@ -120,127 +86,47 @@ impl InterpolateKernel {
         coarse_feats: &Matrix,
         counts: &mut OpCounts,
     ) -> Matrix {
-        match self {
-            InterpolateKernel::Scalar => apply_scalar(fine, coarse, coarse_feats, counts),
-            InterpolateKernel::Vectorized => apply_vectorized(fine, coarse, coarse_feats, counts),
+        let dim = coarse_feats.cols();
+        let mut out = Matrix::zeros(fine.len(), dim);
+        for (r, &p) in fine.iter().enumerate() {
+            // Distances to every coarse point; keep the best three. A new
+            // candidate starts at the back and slides left past strictly
+            // greater entries — exactly where a stable sort of the appended
+            // list would place it (NaN distances compare `Equal` and thus
+            // never displace anything, as before).
+            let mut best = [(0.0f32, 0usize); 3];
+            let mut blen = 0usize;
+            for (ci, &c) in coarse.iter().enumerate() {
+                counts.distance_computations += 1;
+                counts.comparisons += 1;
+                let d = p.distance_sq(c);
+                if blen < 3 {
+                    best[blen] = (d, ci);
+                    blen += 1;
+                } else if best[2].0.partial_cmp(&d) == Some(Ordering::Greater) {
+                    // Would displace the current third-best; the old
+                    // third-best is what truncate(3) used to drop.
+                    best[2] = (d, ci);
+                } else {
+                    continue;
+                }
+                let mut j = blen - 1;
+                while j > 0 && best[j - 1].0.partial_cmp(&best[j].0) == Some(Ordering::Greater) {
+                    best.swap(j - 1, j);
+                    j -= 1;
+                }
+            }
+            counts.mem_reads += coarse.len() as u64;
+            counts.bytes_read += coarse.len() as u64 * 12;
+            accumulate_row(&best, blen, coarse_feats, out.row_mut(r));
         }
+        out
     }
 }
 
-/// The anchor interpolation loop, kept byte-for-byte.
-///
-/// The top-3 selection is an allocation-free insertion into a fixed
-/// array, equivalent element-for-element to the original
-/// push / stable-sort / truncate loop (same comparator —
-/// `partial_cmp(..).unwrap_or(Equal)` — same stable tie-break, same
-/// resulting candidate *order*, hence bit-identical interpolation
-/// weights).
-fn apply_scalar(
-    fine: &[Point3],
-    coarse: &[Point3],
-    coarse_feats: &Matrix,
-    counts: &mut OpCounts,
-) -> Matrix {
-    let dim = coarse_feats.cols();
-    let mut out = Matrix::zeros(fine.len(), dim);
-    for (r, &p) in fine.iter().enumerate() {
-        // Distances to every coarse point; keep the best three. A new
-        // candidate starts at the back and slides left past strictly
-        // greater entries — exactly where a stable sort of the appended
-        // list would place it (NaN distances compare `Equal` and thus
-        // never displace anything, as before).
-        let mut best = [(0.0f32, 0usize); 3];
-        let mut blen = 0usize;
-        for (ci, &c) in coarse.iter().enumerate() {
-            counts.distance_computations += 1;
-            counts.comparisons += 1;
-            let d = p.distance_sq(c);
-            if blen < 3 {
-                best[blen] = (d, ci);
-                blen += 1;
-            } else if best[2].0.partial_cmp(&d) == Some(Ordering::Greater) {
-                // Would displace the current third-best; the old
-                // third-best is what truncate(3) used to drop.
-                best[2] = (d, ci);
-            } else {
-                continue;
-            }
-            let mut j = blen - 1;
-            while j > 0 && best[j - 1].0.partial_cmp(&best[j].0) == Some(Ordering::Greater) {
-                best.swap(j - 1, j);
-                j -= 1;
-            }
-        }
-        counts.mem_reads += coarse.len() as u64;
-        counts.bytes_read += coarse.len() as u64 * 12;
-        accumulate_row(&best, blen, coarse_feats, out.row_mut(r));
-    }
-    out
-}
-
-/// The vectorized backend: SoA coarse coordinates, a reused distance
-/// buffer filled by a branch-free elementwise loop, then the anchor's
-/// top-3 insertion scan over the buffer. Each distance is the same
-/// `(p - c)` then `dx·dx + dy·dy + dz·dz` expression as
-/// `Point3::distance_sq` (rustc performs no FMA contraction), so every
-/// buffered value — and therefore every selected index and weight — is
-/// bit-identical to the anchor's.
-fn apply_vectorized(
-    fine: &[Point3],
-    coarse: &[Point3],
-    coarse_feats: &Matrix,
-    counts: &mut OpCounts,
-) -> Matrix {
-    let dim = coarse_feats.cols();
-    let mut out = Matrix::zeros(fine.len(), dim);
-    let n = coarse.len();
-    let mut cx = Vec::with_capacity(n);
-    let mut cy = Vec::with_capacity(n);
-    let mut cz = Vec::with_capacity(n);
-    for &c in coarse {
-        cx.push(c.x);
-        cy.push(c.y);
-        cz.push(c.z);
-    }
-    let mut d2 = vec![0.0f32; n];
-    for (r, &p) in fine.iter().enumerate() {
-        for i in 0..n {
-            let dx = p.x - cx[i];
-            let dy = p.y - cy[i];
-            let dz = p.z - cz[i];
-            d2[i] = dx * dx + dy * dy + dz * dz;
-        }
-        let mut best = [(0.0f32, 0usize); 3];
-        let mut blen = 0usize;
-        for (ci, &d) in d2.iter().enumerate() {
-            if blen < 3 {
-                best[blen] = (d, ci);
-                blen += 1;
-            } else if best[2].0.partial_cmp(&d) == Some(Ordering::Greater) {
-                best[2] = (d, ci);
-            } else {
-                continue;
-            }
-            let mut j = blen - 1;
-            while j > 0 && best[j - 1].0.partial_cmp(&best[j].0) == Some(Ordering::Greater) {
-                best.swap(j - 1, j);
-                j -= 1;
-            }
-        }
-        // Charged per fine point, exactly as the anchor's in-loop
-        // increments sum to.
-        counts.distance_computations += n as u64;
-        counts.comparisons += n as u64;
-        counts.mem_reads += n as u64;
-        counts.bytes_read += n as u64 * 12;
-        accumulate_row(&best, blen, coarse_feats, out.row_mut(r));
-    }
-    out
-}
-
-/// The shared weight/accumulate tail: inverse-distance weights over the
+/// The weight/accumulate tail: inverse-distance weights over the
 /// selected candidates in their selection order, one multiply-add chain
-/// per feature column — identical float sequence on both backends.
+/// per feature column.
 fn accumulate_row(best: &[(f32, usize); 3], blen: usize, coarse_feats: &Matrix, row: &mut [f32]) {
     let mut wsum = 0.0f32;
     let mut weights = [(0.0f32, 0usize); 3];
@@ -259,41 +145,6 @@ fn accumulate_row(best: &[(f32, usize); 3], blen: usize, coarse_feats: &Matrix, 
     }
 }
 
-/// The fastest backend this build supports: the SoA
-/// [`InterpolateKernel::Vectorized`] loop (portable, always available).
-pub fn fastest_supported() -> InterpolateKernel {
-    InterpolateKernel::Vectorized
-}
-
-/// Resolves an override request (the `HGPCN_STAGE_INTERPOLATE` value)
-/// to a runnable backend. Empty / `auto` selects [`fastest_supported`];
-/// an unrecognized name **degrades to the scalar anchor** with a
-/// warning on stderr, so a forced configuration still serves.
-pub fn resolve_override(request: &str) -> InterpolateKernel {
-    match request {
-        "" | "auto" => fastest_supported(),
-        other => InterpolateKernel::from_name(other).unwrap_or_else(|| {
-            eprintln!(
-                "HGPCN_STAGE_INTERPOLATE: unknown backend {other:?} \
-                 (expected auto | scalar | vectorized); degrading to the scalar anchor"
-            );
-            InterpolateKernel::Scalar
-        }),
-    }
-}
-
-static ACTIVE: OnceLock<InterpolateKernel> = OnceLock::new();
-
-/// The process-wide interpolation backend. Decided once, on first use:
-/// the `HGPCN_STAGE_INTERPOLATE` override if set, otherwise
-/// [`fastest_supported`].
-pub fn active() -> InterpolateKernel {
-    *ACTIVE.get_or_init(|| {
-        let request = std::env::var("HGPCN_STAGE_INTERPOLATE").unwrap_or_default();
-        resolve_override(&request)
-    })
-}
-
 /// One backend selection per pipeline stage — the unit the runtime
 /// resolves once per run, threads through every engine call, and
 /// reports in `RuntimeReport::stage_backends`.
@@ -305,30 +156,26 @@ pub fn active() -> InterpolateKernel {
 /// assert_eq!(anchor.sampling.name(), "scalar");
 /// assert_eq!(anchor.gather.name(), "scalar");
 /// assert_eq!(anchor.interpolate.name(), "scalar");
-/// // The process-wide selection honors the HGPCN_STAGE_* overrides.
+/// // The default selection is each stage's optimized backend.
 /// let active = StageBackends::active();
-/// assert!(active.sampling.is_supported());
+/// assert_eq!(active.sampling.name(), "batched");
+/// assert_eq!(active.gather.name(), "blocked");
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct StageBackends {
-    /// OIS scoreboard-scan backend (`HGPCN_STAGE_SAMPLING`).
+    /// OIS scoreboard-scan backend.
     pub sampling: SamplingKernel,
-    /// Neighbor top-K selection backend (`HGPCN_STAGE_GATHER`).
+    /// Neighbor top-K selection backend.
     pub gather: GatherKernel,
-    /// FP-stage interpolation backend (`HGPCN_STAGE_INTERPOLATE`).
+    /// FP-stage interpolation backend.
     pub interpolate: InterpolateKernel,
 }
 
 impl StageBackends {
-    /// The process-wide selection: each stage's `active()` choice,
-    /// i.e. the per-stage `HGPCN_STAGE_*` override if set, otherwise
-    /// the fastest supported backend.
+    /// The selection every engine uses unless pinned: each stage's
+    /// `Default` backend (the same value as `StageBackends::default()`).
     pub fn active() -> StageBackends {
-        StageBackends {
-            sampling: hgpcn_sampling::stage::active(),
-            gather: hgpcn_gather::stage::active(),
-            interpolate: active(),
-        }
+        StageBackends::default()
     }
 
     /// Every stage pinned to its portable scalar anchor — the
@@ -343,117 +190,9 @@ impl StageBackends {
     }
 }
 
-impl Default for StageBackends {
-    /// Defaults to [`StageBackends::active`], matching how a freshly
-    /// constructed [`crate::PointNet`] selects its matmul kernel.
-    fn default() -> StageBackends {
-        StageBackends::active()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn clouds() -> (Vec<Point3>, Vec<Point3>, Matrix) {
-        let fine: Vec<Point3> = (0..37)
-            .map(|i| {
-                let f = i as f32;
-                Point3::new(
-                    (f * 0.618).fract() * 3.0,
-                    (f * 0.414).fract() * 3.0,
-                    (f * 0.732).fract() * 3.0,
-                )
-            })
-            .collect();
-        let coarse: Vec<Point3> = (0..11)
-            .map(|i| {
-                let f = i as f32 + 0.5;
-                Point3::new(
-                    (f * 0.317).fract() * 3.0,
-                    (f * 0.553).fract() * 3.0,
-                    (f * 0.871).fract() * 3.0,
-                )
-            })
-            .collect();
-        let feats = Matrix::from_vec(
-            11,
-            5,
-            (0..55).map(|i| (i as f32 * 0.37).sin() * 2.0).collect(),
-        );
-        (fine, coarse, feats)
-    }
-
-    #[test]
-    fn backends_are_bit_identical_with_identical_counts() {
-        let (fine, coarse, feats) = clouds();
-        let mut c1 = OpCounts::default();
-        let mut c2 = OpCounts::default();
-        let a = InterpolateKernel::Scalar.apply(&fine, &coarse, &feats, &mut c1);
-        let b = InterpolateKernel::Vectorized.apply(&fine, &coarse, &feats, &mut c2);
-        let same = a
-            .as_slice()
-            .iter()
-            .zip(b.as_slice())
-            .all(|(x, y)| x.to_bits() == y.to_bits());
-        assert!(same);
-        assert_eq!(c1, c2);
-    }
-
-    #[test]
-    fn backends_agree_on_degenerate_coarse_sets() {
-        // Fewer than 3 coarse points, duplicates, and NaN coordinates.
-        let configs: Vec<Vec<Point3>> = vec![
-            vec![Point3::ORIGIN],
-            vec![Point3::ORIGIN, Point3::ORIGIN],
-            vec![
-                Point3::new(f32::NAN, 0.0, 0.0),
-                Point3::ORIGIN,
-                Point3::splat(1.0),
-                Point3::ORIGIN,
-            ],
-        ];
-        let fine = vec![Point3::splat(0.3), Point3::new(f32::NAN, 1.0, 0.0)];
-        for coarse in configs {
-            let feats = Matrix::from_vec(
-                coarse.len(),
-                2,
-                (0..coarse.len() * 2).map(|i| i as f32 * 0.5).collect(),
-            );
-            let mut c1 = OpCounts::default();
-            let mut c2 = OpCounts::default();
-            let a = InterpolateKernel::Scalar.apply(&fine, &coarse, &feats, &mut c1);
-            let b = InterpolateKernel::Vectorized.apply(&fine, &coarse, &feats, &mut c2);
-            let same = a
-                .as_slice()
-                .iter()
-                .zip(b.as_slice())
-                .all(|(x, y)| x.to_bits() == y.to_bits());
-            assert!(same, "coarse={}", coarse.len());
-            assert_eq!(c1, c2);
-        }
-    }
-
-    #[test]
-    fn names_round_trip() {
-        for k in InterpolateKernel::all() {
-            assert_eq!(InterpolateKernel::from_name(k.name()), Some(*k));
-            assert!(k.is_supported());
-        }
-        assert_eq!(InterpolateKernel::from_name("gpu"), None);
-    }
-
-    #[test]
-    fn override_resolution_degrades_gracefully() {
-        assert_eq!(resolve_override(""), fastest_supported());
-        assert_eq!(resolve_override("auto"), fastest_supported());
-        assert_eq!(resolve_override("scalar"), InterpolateKernel::Scalar);
-        assert_eq!(
-            resolve_override("vectorized"),
-            InterpolateKernel::Vectorized
-        );
-        assert_eq!(resolve_override("cuda"), InterpolateKernel::Scalar);
-    }
 
     #[test]
     fn registry_bundles_all_three_stages() {
@@ -463,5 +202,6 @@ mod tests {
         assert_eq!(anchor.interpolate, InterpolateKernel::Scalar);
         let active = StageBackends::active();
         assert_eq!(active, StageBackends::default());
+        assert_ne!(active, anchor, "the default selection is the optimized set");
     }
 }

@@ -100,7 +100,7 @@ impl Matrix {
     /// `self × weights + bias`, applied row-wise: `weights` is
     /// `cols × out`, `bias` has length `out`.
     ///
-    /// Dispatches to the process-wide [`kernel::active`] backend; every
+    /// Dispatches to the [`kernel::fastest_supported`] backend; every
     /// backend is bit-identical to [`LinearKernel::Reference`]
     /// (ascending input index, zero inputs skipped), so results do not
     /// depend on which backend serves the call.
@@ -111,12 +111,12 @@ impl Matrix {
     ///
     /// Panics on shape mismatch.
     pub fn linear(&self, weights: &Matrix, bias: &[f32]) -> Matrix {
-        kernel::active().apply(self, weights, bias, false)
+        kernel::fastest_supported().apply(self, weights, bias, false)
     }
 
     /// `self × weights + bias` with an optional fused ReLU — the batched
-    /// path's tile primitive, dispatched to the process-wide
-    /// [`kernel::active`] backend exactly like [`Matrix::linear`].
+    /// path's tile primitive, dispatched to the
+    /// [`kernel::fastest_supported`] backend exactly like [`Matrix::linear`].
     ///
     /// Accumulation order per output element is identical to
     /// [`Matrix::linear`] on every backend, so the result is
@@ -127,7 +127,7 @@ impl Matrix {
     ///
     /// Panics on shape mismatch.
     pub fn linear_fused(&self, weights: &Matrix, bias: &[f32], relu: bool) -> Matrix {
-        kernel::active().apply(self, weights, bias, relu)
+        kernel::fastest_supported().apply(self, weights, bias, relu)
     }
 
     /// In-place ReLU.

@@ -101,15 +101,14 @@ pub struct RuntimeConfig {
     /// interpolation) for every worker of the run. `None` (the default)
     /// defers to the served network's pinned
     /// [`stage_backends`](hgpcn_pcn::PointNet::stage_backends) — which
-    /// itself defaults to the process-wide `HGPCN_STAGE_*` resolution.
+    /// itself defaults to [`StageBackends::default`].
     /// Every backend is bit-identical to its scalar anchor, so this knob
     /// moves host speed only, never results or modeled latencies; the
     /// resolved selection is reported in
     /// [`RuntimeReport::stage_backends`](crate::RuntimeReport::stage_backends).
     pub stage_backends: Option<StageBackends>,
     /// Preprocessing state policy for every stream of the run. `None`
-    /// (the default) defers to the process-wide `HGPCN_PREPROC_REUSE`
-    /// resolution ([`hgpcn_system::reuse::active`]). With
+    /// (the default) means [`PreprocReuse::default`], i.e. `On`. With
     /// [`PreprocReuse::On`] each stream owns a
     /// [`StreamPreprocContext`](hgpcn_system::StreamPreprocContext):
     /// scratch buffers persist across its frames and consecutive frames
@@ -224,9 +223,9 @@ impl RuntimeConfig {
         self
     }
 
-    /// Pins the preprocessing state policy for the run, overriding the
-    /// process-wide `HGPCN_PREPROC_REUSE` resolution (bit-identical
-    /// results either way — a modeled-cost and host-speed knob).
+    /// Pins the preprocessing state policy for the run instead of the
+    /// default `On` (bit-identical results either way — a modeled-cost
+    /// and host-speed knob).
     pub fn preproc_reuse(mut self, policy: PreprocReuse) -> Self {
         self.preproc_reuse = Some(policy);
         self

@@ -301,7 +301,7 @@ struct SessionCore {
     started: Instant,
     traced: bool,
     /// Resolved once per session: the config pin if set, else the
-    /// process-wide `HGPCN_PREPROC_REUSE` policy.
+    /// default policy (`On`).
     reuse: PreprocReuse,
     /// Per-stream preprocessing contexts (warm caches + turn state).
     contexts: CtxRegistry,
@@ -332,9 +332,7 @@ impl SessionCore {
             serving,
             started,
             traced,
-            reuse: config
-                .preproc_reuse
-                .unwrap_or_else(hgpcn_system::reuse::active),
+            reuse: config.preproc_reuse.unwrap_or_default(),
             contexts: CtxRegistry::new(),
             ingress: BoundedQueue::new(config.queue_capacity),
             stage: BoundedQueue::new(config.queue_capacity),
@@ -829,32 +827,8 @@ fn inference_worker(core: &SessionCore, pipeline: &E2ePipeline, net: &PointNet, 
                 job.frame_index,
                 job.virtual_preproc_done_s,
             );
-            let seed = frame_seed(core.config.seed, job.stream_id, job.frame_index);
-            let precision = job.precision;
-            let wall0 = Instant::now();
-            match pipeline.inference.run_with_precision_using(
-                &job.sampled,
-                net,
-                seed,
-                precision,
-                core.stages,
-            ) {
-                Ok(inf) => {
-                    complete_frame(
-                        core,
-                        job,
-                        ticket,
-                        &inf,
-                        &mut vclock,
-                        wall0.elapsed().as_secs_f64(),
-                        &mut recorder,
-                    );
-                }
-                Err(err) => {
-                    if core.frame_failed(job.stream_id, job.frame_index, err) {
-                        break;
-                    }
-                }
+            if infer_serially(core, pipeline, net, job, ticket, &mut vclock, &mut recorder) {
+                break;
             }
         }
         core.submit_recorder(recorder);
@@ -972,37 +946,44 @@ fn inference_worker(core: &SessionCore, pipeline: &E2ePipeline, net: &PointNet, 
             // resolve the culprit — per frame in serving mode, aborting
             // the run in batch mode.
             for (job, ticket) in batch {
-                let seed = frame_seed(core.config.seed, job.stream_id, job.frame_index);
-                let precision = job.precision;
-                let wall0 = Instant::now();
-                match pipeline.inference.run_with_precision_using(
-                    &job.sampled,
-                    net,
-                    seed,
-                    precision,
-                    core.stages,
-                ) {
-                    Ok(inf) => {
-                        complete_frame(
-                            core,
-                            job,
-                            ticket,
-                            &inf,
-                            &mut vclock,
-                            wall0.elapsed().as_secs_f64(),
-                            &mut recorder,
-                        );
-                    }
-                    Err(err) => {
-                        if core.frame_failed(job.stream_id, job.frame_index, err) {
-                            break 'work;
-                        }
-                    }
+                if infer_serially(core, pipeline, net, job, ticket, &mut vclock, &mut recorder) {
+                    break 'work;
                 }
             }
         }
     }
     core.submit_recorder(recorder);
+}
+
+/// Runs one frame through the per-frame engine call and completes it —
+/// the `max_batch == 1` path and the failure-attribution re-run of a
+/// failed micro-batch. Returns `true` when the frame failed and the
+/// session's failure policy says the worker must stop.
+fn infer_serially(
+    core: &SessionCore,
+    pipeline: &E2ePipeline,
+    net: &PointNet,
+    job: StageJob,
+    ticket: u64,
+    vclock: &mut f64,
+    recorder: &mut SpanRecorder,
+) -> bool {
+    let seed = frame_seed(core.config.seed, job.stream_id, job.frame_index);
+    let wall0 = Instant::now();
+    match pipeline.inference.run_with_precision_using(
+        &job.sampled,
+        net,
+        seed,
+        job.precision,
+        core.stages,
+    ) {
+        Ok(inf) => {
+            let wall_infer_s = wall0.elapsed().as_secs_f64();
+            complete_frame(core, job, ticket, &inf, vclock, wall_infer_s, recorder);
+            false
+        }
+        Err(err) => core.frame_failed(job.stream_id, job.frame_index, err),
+    }
 }
 
 /// Advances the worker's virtual clock past `job`, records its journey,

@@ -30,8 +30,7 @@
 //! (the Sampled-Point-Table) and the [`hgpcn_memsim::OpCounts`] it cost.
 //!
 //! [`stage`] holds the [`SamplingKernel`] dispatch seam: interchangeable,
-//! bit-identical scoreboard scan backends behind the
-//! `HGPCN_STAGE_SAMPLING` override.
+//! bit-identical scoreboard scan backends.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

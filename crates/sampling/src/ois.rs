@@ -28,7 +28,7 @@ use hgpcn_geometry::MortonCode;
 use hgpcn_memsim::{HostMemory, OpCounts};
 use hgpcn_octree::{Octree, OctreeTable};
 
-use crate::{stage, SampleResult, SamplingError, SamplingKernel};
+use crate::{SampleResult, SamplingError, SamplingKernel};
 
 /// Upper bound on the voxel scoreboard. The scoreboard starts as a coarse
 /// octree cut and *refines* — when a pick lands in a voxel, that voxel is
@@ -521,11 +521,11 @@ pub fn sample(
     k: usize,
     seed: u64,
 ) -> Result<SampleResult, SamplingError> {
-    sample_inner(octree, table, mem, k, seed, None, stage::active(), None)
+    sample_with(octree, table, mem, k, seed, SamplingKernel::default())
 }
 
 /// [`sample`] on a specific [`SamplingKernel`] backend instead of the
-/// process-wide [`stage::active`] selection. All backends pick
+/// default ([`SamplingKernel::default`]). All backends pick
 /// bit-identical indices and charge identical counts; this knob exists
 /// so a harness (or a runtime honoring a per-run `stage_backends`
 /// override) can run an anchor yardstick and an optimized candidate
@@ -586,7 +586,7 @@ pub fn approx_sample(
         k,
         seed,
         Some(stop_levels),
-        stage::active(),
+        SamplingKernel::default(),
         None,
     )
 }

@@ -1,5 +1,4 @@
-//! The sampling stage kernel: pluggable OIS scoreboard-scan backends
-//! with one-time runtime dispatch.
+//! The sampling stage kernel: pluggable OIS scoreboard-scan backends.
 //!
 //! OIS spends its per-pick time in two scans over the voxel scoreboard
 //! (score every voxel against the new pick; select the farthest voxel
@@ -15,19 +14,15 @@
 //! > Modeled operation counts are identical by construction — both
 //! > backends charge one scoreboard op per voxel per scan.
 //!
-//! Selection policy is decided once per process: [`active`] reads the
-//! `HGPCN_STAGE_SAMPLING` environment variable on first use
-//! (`auto`/empty picks [`fastest_supported`]); unrecognized names
-//! **degrade to the scalar anchor** with a warning instead of refusing
-//! to serve, matching the other `HGPCN_STAGE_*` seams (see
-//! `ARCHITECTURE.md`).
-
-use std::sync::OnceLock;
+//! The selection is a constant: [`SamplingKernel::default`] is the
+//! batched scan (portable, so always available). Tests and yardsticks
+//! pin the anchor programmatically through the `*_with` entry points or
+//! a `StageBackends` selection (see `ARCHITECTURE.md`).
 
 /// An OIS scoreboard-scan backend. All variants are bit-identical in
 /// the samples they pick; they differ only in speed. See the
 /// [module docs](self).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum SamplingKernel {
     /// The anchor: the original per-voxel loops (branching Chebyshev
@@ -39,33 +34,17 @@ pub enum SamplingKernel {
     /// counts from a scoreboard-resident cache instead of chasing
     /// Octree-Table rows. Integer arithmetic is exact, so equivalence
     /// to the anchor is structural, not approximate.
+    #[default]
     Batched,
 }
 
 impl SamplingKernel {
     /// Stable lower-case name, as reported in `RuntimeReport` and
-    /// `BENCH_runtime.json` and accepted back by
-    /// [`SamplingKernel::from_name`].
+    /// `BENCH_runtime.json`.
     pub fn name(&self) -> &'static str {
         match self {
             SamplingKernel::Scalar => "scalar",
             SamplingKernel::Batched => "batched",
-        }
-    }
-
-    /// Parses a backend name. Returns `None` for unknown names.
-    ///
-    /// ```
-    /// use hgpcn_sampling::SamplingKernel;
-    ///
-    /// assert_eq!(SamplingKernel::from_name("batched"), Some(SamplingKernel::Batched));
-    /// assert_eq!(SamplingKernel::from_name("fpga"), None);
-    /// ```
-    pub fn from_name(name: &str) -> Option<SamplingKernel> {
-        match name {
-            "scalar" => Some(SamplingKernel::Scalar),
-            "batched" => Some(SamplingKernel::Batched),
-            _ => None,
         }
     }
 
@@ -79,69 +58,5 @@ impl SamplingKernel {
     /// Every backend compiled into this build, fastest-last.
     pub fn all() -> &'static [SamplingKernel] {
         &[SamplingKernel::Scalar, SamplingKernel::Batched]
-    }
-}
-
-/// The fastest backend this build supports: the branchless SoA
-/// [`SamplingKernel::Batched`] scan (portable, so always available).
-pub fn fastest_supported() -> SamplingKernel {
-    SamplingKernel::Batched
-}
-
-/// Resolves an override request (the `HGPCN_STAGE_SAMPLING` value) to a
-/// runnable backend. Empty / `auto` selects [`fastest_supported`]; an
-/// unrecognized name **degrades to the scalar anchor** with a warning
-/// on stderr, so a forced configuration still serves (all backends are
-/// bit-identical — degrading can never change results).
-pub fn resolve_override(request: &str) -> SamplingKernel {
-    match request {
-        "" | "auto" => fastest_supported(),
-        other => SamplingKernel::from_name(other).unwrap_or_else(|| {
-            eprintln!(
-                "HGPCN_STAGE_SAMPLING: unknown backend {other:?} \
-                 (expected auto | scalar | batched); degrading to the scalar anchor"
-            );
-            SamplingKernel::Scalar
-        }),
-    }
-}
-
-static ACTIVE: OnceLock<SamplingKernel> = OnceLock::new();
-
-/// The process-wide sampling backend. Decided once, on first use: the
-/// `HGPCN_STAGE_SAMPLING` override if set, otherwise
-/// [`fastest_supported`].
-pub fn active() -> SamplingKernel {
-    *ACTIVE.get_or_init(|| {
-        let request = std::env::var("HGPCN_STAGE_SAMPLING").unwrap_or_default();
-        resolve_override(&request)
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn names_round_trip() {
-        for k in SamplingKernel::all() {
-            assert_eq!(SamplingKernel::from_name(k.name()), Some(*k));
-            assert!(k.is_supported());
-        }
-        assert_eq!(SamplingKernel::from_name("bitonic"), None);
-    }
-
-    #[test]
-    fn override_resolution_degrades_gracefully() {
-        assert_eq!(resolve_override(""), fastest_supported());
-        assert_eq!(resolve_override("auto"), fastest_supported());
-        assert_eq!(resolve_override("scalar"), SamplingKernel::Scalar);
-        assert_eq!(resolve_override("batched"), SamplingKernel::Batched);
-        assert_eq!(resolve_override("no-such-unit"), SamplingKernel::Scalar);
-    }
-
-    #[test]
-    fn active_is_stable() {
-        assert_eq!(active(), active());
     }
 }

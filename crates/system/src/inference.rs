@@ -107,10 +107,9 @@ impl InferenceEngine {
     /// [`InferenceEngine::run_with_precision`] with an explicit
     /// stage-backend selection: the gather backend is pinned into the
     /// frame's VEG gatherer and the interpolate backend into the forward
-    /// pass, overriding both the process-wide and the network-pinned
-    /// choices. Bit-identity across backends makes this a host-speed
-    /// knob only — the runtime uses it to honor a per-run
-    /// `StageBackends` selection.
+    /// pass, overriding the network-pinned choice. Bit-identity across
+    /// backends makes this a host-speed knob only — the runtime uses it
+    /// to honor a per-run `StageBackends` selection.
     ///
     /// # Errors
     ///

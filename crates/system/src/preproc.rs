@@ -1,5 +1,5 @@
 use hgpcn_geometry::PointCloud;
-use hgpcn_memsim::{DeviceProfile, HostMemory, Latency, OpCounts};
+use hgpcn_memsim::{DeviceProfile, Latency, OpCounts};
 use hgpcn_octree::{BuildStats, Octree, OctreeConfig, OctreeTable};
 use hgpcn_sampling::hw::DownsamplingUnit;
 use hgpcn_sampling::{ois, SamplingKernel};
@@ -144,13 +144,13 @@ impl PreprocessingEngine {
         target: usize,
         seed: u64,
     ) -> Result<PreprocessOutput, SystemError> {
-        self.run_inner(frame, target, seed, None, hgpcn_sampling::stage::active())
+        self.run_using(frame, target, seed, SamplingKernel::default())
     }
 
     /// [`PreprocessingEngine::run`] with an explicit scoreboard-scan
-    /// backend instead of the process-wide choice. All backends pick
-    /// bit-identical samples with identical modeled counts, so this is
-    /// a host-speed knob only — the runtime uses it to honor a per-run
+    /// backend instead of the default. All backends pick bit-identical
+    /// samples with identical modeled counts, so this is a host-speed
+    /// knob only — the runtime uses it to honor a per-run
     /// `StageBackends` selection.
     ///
     /// # Errors
@@ -163,7 +163,10 @@ impl PreprocessingEngine {
         seed: u64,
         sampling: SamplingKernel,
     ) -> Result<PreprocessOutput, SystemError> {
-        self.run_inner(frame, target, seed, None, sampling)
+        // Stateless = one frame through a throwaway context: a fresh
+        // context is always cold, so this is the anchor pricing.
+        let mut ctx = StreamPreprocContext::new();
+        self.run_frame(frame, target, seed, None, sampling, &mut ctx)
     }
 
     /// Runs OIS entirely in software on the host CPU (the "OIS-on-CPU"
@@ -178,12 +181,14 @@ impl PreprocessingEngine {
         target: usize,
         seed: u64,
     ) -> Result<PreprocessOutput, SystemError> {
-        self.run_inner(
+        let mut ctx = StreamPreprocContext::new();
+        self.run_frame(
             frame,
             target,
             seed,
             Some(self.cpu),
-            hgpcn_sampling::stage::active(),
+            SamplingKernel::default(),
+            &mut ctx,
         )
     }
 
@@ -217,7 +222,22 @@ impl PreprocessingEngine {
         sampling: SamplingKernel,
         ctx: &mut StreamPreprocContext,
     ) -> Result<PreprocessOutput, SystemError> {
-        // CPU: octree build through the stream's scratch (warm or cold).
+        self.run_frame(frame, target, seed, None, sampling, ctx)
+    }
+
+    /// The one body that prices a pre-processing frame. `sample_device`
+    /// is `Some` only for the OIS-on-CPU configuration: sampling is then
+    /// priced on that device and nothing crosses the MMIO link.
+    fn run_frame(
+        &self,
+        frame: &PointCloud,
+        target: usize,
+        seed: u64,
+        sample_device: Option<DeviceProfile>,
+        sampling: SamplingKernel,
+        ctx: &mut StreamPreprocContext,
+    ) -> Result<PreprocessOutput, SystemError> {
+        // CPU: octree build through the context's scratch (warm or cold).
         let octree = Octree::build_with_scratch(frame, self.octree_config, &mut ctx.octree)?;
         let stats = octree.build_stats();
         let b_counts = if stats.reused {
@@ -227,15 +247,21 @@ impl PreprocessingEngine {
         };
         let build_latency = self.cpu.latency(&b_counts);
 
-        // MMIO: ship the Octree-Table to the FPGA. On a warm build only the
-        // dirty rows cross the link — the table is BRAM-resident across a
-        // stream's frames, so clean rows from the previous frame stay put.
+        // MMIO: ship the Octree-Table to the FPGA (skipped on-CPU). On a
+        // warm build only the dirty rows cross the link — the table is
+        // BRAM-resident across a stream's frames, so clean rows from the
+        // previous frame stay put.
         let table = OctreeTable::from_octree(&octree);
-        let mut transfer_bytes = table.size_bits() as u64 / 8;
-        if stats.reused && stats.nodes_created > 0 {
-            transfer_bytes = transfer_bytes * stats.nodes_dirty as u64 / stats.nodes_created as u64;
-        }
-        let transfer_latency = self.unit.device_profile().transfer(transfer_bytes);
+        let transfer_latency = if sample_device.is_some() {
+            Latency::ZERO
+        } else {
+            let mut transfer_bytes = table.size_bits() as u64 / 8;
+            if stats.reused && stats.nodes_created > 0 {
+                transfer_bytes =
+                    transfer_bytes * stats.nodes_dirty as u64 / stats.nodes_created as u64;
+            }
+            self.unit.device_profile().transfer(transfer_bytes)
+        };
 
         // Down-sampling via OIS, through the context's buffers.
         ctx.mem.reload_cloud(octree.points());
@@ -248,7 +274,10 @@ impl PreprocessingEngine {
             sampling,
             &mut ctx.ois,
         )?;
-        let sample_latency = self.unit.latency(&result.counts);
+        let sample_latency = match sample_device {
+            Some(dev) => dev.latency(&result.counts),
+            None => self.unit.latency(&result.counts),
+        };
 
         let sampled = octree.points().gather(&result.indices);
         if stats.reused {
@@ -266,53 +295,6 @@ impl PreprocessingEngine {
             transfer_latency,
             sample_latency,
             reused: stats.reused,
-            octree,
-        })
-    }
-
-    fn run_inner(
-        &self,
-        frame: &PointCloud,
-        target: usize,
-        seed: u64,
-        sample_device: Option<DeviceProfile>,
-        sampling: SamplingKernel,
-    ) -> Result<PreprocessOutput, SystemError> {
-        // CPU: single-pass octree build + SFC reorganization.
-        let octree = Octree::build(frame, self.octree_config)?;
-        let stats = octree.build_stats();
-        let b_counts = build_counts(&stats, octree.depth());
-        let build_latency = self.cpu.latency(&b_counts);
-
-        // MMIO: ship the Octree-Table to the FPGA (skipped on-CPU).
-        let table = OctreeTable::from_octree(&octree);
-        let transfer_latency = match sample_device {
-            Some(_) => Latency::ZERO,
-            None => self
-                .unit
-                .device_profile()
-                .transfer(table.size_bits() as u64 / 8),
-        };
-
-        // Down-sampling via OIS.
-        let mut mem = HostMemory::from_cloud(octree.points());
-        let result = ois::sample_with(&octree, &table, &mut mem, target, seed, sampling)?;
-        let sample_latency = match sample_device {
-            Some(dev) => dev.latency(&result.counts),
-            None => self.unit.latency(&result.counts),
-        };
-
-        let sampled = octree.points().gather(&result.indices);
-        Ok(PreprocessOutput {
-            table,
-            sampled,
-            sampled_sfc: result.indices,
-            build_counts: b_counts,
-            sample_counts: result.counts,
-            build_latency,
-            transfer_latency,
-            sample_latency,
-            reused: false,
             octree,
         })
     }

@@ -18,18 +18,13 @@
 //! equal to a cold rebuild by construction and by proptest — so, like the
 //! stage kernels, this knob trades speed and modeled cost, never results.
 //!
-//! Selection policy matches the other `HGPCN_*` seams: decided once per
-//! process by [`active`] from the `HGPCN_PREPROC_REUSE` environment
-//! variable (`auto`/empty selects [`fastest_supported`], i.e. `on`);
-//! unrecognized values **degrade to the stateless anchor** with a warning
-//! instead of refusing to serve. A `RuntimeConfig` pin beats the
-//! environment. The active identity is surfaced in
+//! The default policy is a constant ([`PreprocReuse::default`] is `on`);
+//! a `RuntimeConfig::preproc_reuse` pin selects the stateless anchor for
+//! tests and yardsticks. The session's policy is surfaced in
 //! `RuntimeReport`/`StreamReport` and the `hgpcn_preproc_reuse_info`
-//! metric — a forced fall-back is visible, never silent.
+//! metric.
 //!
 //! [`PreprocessingEngine::run_with_context`]: crate::PreprocessingEngine::run_with_context
-
-use std::sync::OnceLock;
 
 use hgpcn_memsim::HostMemory;
 use hgpcn_octree::OctreeScratch;
@@ -38,7 +33,7 @@ use hgpcn_sampling::ois::OisScratch;
 /// The preprocessing state policy: stateless per frame, or stream-scoped
 /// with temporal-coherence reuse. Both produce bit-identical outputs; see
 /// the [module docs](self).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum PreprocReuse {
     /// The anchor: stateless preprocessing, a cold octree build and fresh
@@ -46,92 +41,31 @@ pub enum PreprocReuse {
     Off,
     /// Stream-scoped contexts: per-stream scratch reuse plus the warm
     /// adaptive-merge path when consecutive frames share a root grid.
+    #[default]
     On,
 }
 
 impl PreprocReuse {
     /// Stable lower-case name, as reported in `RuntimeReport` and
-    /// `BENCH_runtime.json` and accepted back by
-    /// [`PreprocReuse::from_name`].
+    /// `BENCH_runtime.json`.
     pub fn name(&self) -> &'static str {
         match self {
             PreprocReuse::Off => "off",
             PreprocReuse::On => "on",
         }
     }
-
-    /// Parses a policy name. Returns `None` for unknown names.
-    ///
-    /// ```
-    /// use hgpcn_system::PreprocReuse;
-    ///
-    /// assert_eq!(PreprocReuse::from_name("on"), Some(PreprocReuse::On));
-    /// assert_eq!(PreprocReuse::from_name("warm"), None);
-    /// ```
-    pub fn from_name(name: &str) -> Option<PreprocReuse> {
-        match name {
-            "off" => Some(PreprocReuse::Off),
-            "on" => Some(PreprocReuse::On),
-            _ => None,
-        }
-    }
-
-    /// Whether this build can run the policy — always `true` (the warm
-    /// path is portable safe Rust); kept for congruence with the kernel
-    /// seams.
-    pub fn is_supported(&self) -> bool {
-        true
-    }
-
-    /// Every policy compiled into this build, fastest-last.
-    pub fn all() -> &'static [PreprocReuse] {
-        &[PreprocReuse::Off, PreprocReuse::On]
-    }
-}
-
-/// The fastest supported policy: [`PreprocReuse::On`] (always available).
-pub fn fastest_supported() -> PreprocReuse {
-    PreprocReuse::On
-}
-
-/// Resolves an override request (the `HGPCN_PREPROC_REUSE` value) to a
-/// runnable policy. Empty / `auto` selects [`fastest_supported`]; an
-/// unrecognized name **degrades to the stateless anchor** with a warning
-/// on stderr, so a forced configuration still serves (policies are
-/// bit-identical — degrading can never change results).
-pub fn resolve_override(request: &str) -> PreprocReuse {
-    match request {
-        "" | "auto" => fastest_supported(),
-        other => PreprocReuse::from_name(other).unwrap_or_else(|| {
-            eprintln!(
-                "HGPCN_PREPROC_REUSE: unknown policy {other:?} \
-                 (expected auto | off | on); degrading to the stateless anchor"
-            );
-            PreprocReuse::Off
-        }),
-    }
-}
-
-static ACTIVE: OnceLock<PreprocReuse> = OnceLock::new();
-
-/// The process-wide reuse policy. Decided once, on first use: the
-/// `HGPCN_PREPROC_REUSE` override if set, otherwise [`fastest_supported`].
-pub fn active() -> PreprocReuse {
-    *ACTIVE.get_or_init(|| {
-        let request = std::env::var("HGPCN_PREPROC_REUSE").unwrap_or_default();
-        resolve_override(&request)
-    })
 }
 
 /// Stream-scoped preprocessing state: everything one stream's frames share
 /// across the preprocessing phase.
 ///
 /// Owned by the runtime, one per open stream (following the stream's shard
-/// pinning, reclaimed on stream close). Carries the octree build scratch
-/// with its temporal-coherence cache, the OIS sampling scratch, a reusable
+/// pinning; there is no `close_stream` yet, so contexts are freed when the
+/// runtime shuts down). Carries the octree build scratch with its
+/// temporal-coherence cache, the OIS sampling scratch, a reusable
 /// host-memory image, and the stream's warm-hit/miss tally. The context is
 /// a pure accelerator: results are bit-identical whether frames run
-/// through a fresh context, a warm one, or none at all.
+/// through a fresh context or a warm one.
 #[derive(Clone, Debug)]
 pub struct StreamPreprocContext {
     pub(crate) octree: OctreeScratch,
@@ -184,34 +118,5 @@ impl StreamPreprocContext {
 impl Default for StreamPreprocContext {
     fn default() -> StreamPreprocContext {
         StreamPreprocContext::new()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn names_round_trip() {
-        for p in PreprocReuse::all() {
-            assert_eq!(PreprocReuse::from_name(p.name()), Some(*p));
-            assert!(p.is_supported());
-        }
-        assert_eq!(PreprocReuse::from_name("warm"), None);
-        assert_eq!(PreprocReuse::from_name("auto"), None);
-    }
-
-    #[test]
-    fn override_resolution_degrades_gracefully() {
-        assert_eq!(resolve_override(""), fastest_supported());
-        assert_eq!(resolve_override("auto"), fastest_supported());
-        assert_eq!(resolve_override("off"), PreprocReuse::Off);
-        assert_eq!(resolve_override("on"), PreprocReuse::On);
-        assert_eq!(resolve_override("bogus"), PreprocReuse::Off);
-    }
-
-    #[test]
-    fn active_is_stable() {
-        assert_eq!(active(), active());
     }
 }

@@ -26,20 +26,19 @@ pub struct VegGatherer {
 
 impl VegGatherer {
     /// Creates a gatherer with the given VEG behaviour, dispatching
-    /// top-K selection to the process-wide
-    /// [`hgpcn_gather::stage::active`] backend.
+    /// top-K selection to the default [`GatherKernel`] backend.
     pub fn new(config: VegConfig) -> VegGatherer {
         VegGatherer {
             config,
             octree_config: OctreeConfig::default(),
-            kernel: hgpcn_gather::stage::active(),
+            kernel: GatherKernel::default(),
             counts: OpCounts::default(),
             results: Vec::new(),
         }
     }
 
     /// Pins the top-K selection backend for every index this gatherer
-    /// builds, overriding the process-wide choice. All backends are
+    /// builds, overriding the default. All backends are
     /// bit-identical, so this is a host-speed knob only — the runtime
     /// uses it to honor a per-run `StageBackends` selection.
     #[must_use]

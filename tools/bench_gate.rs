@@ -55,7 +55,7 @@
 //!   set's GMAC-equivalent throughput as a same-host multiple of the
 //!   all-anchor (scalar) set. Machine-relative like
 //!   `kernel_gmacs_vs_reference`, so a drop beyond the tolerance means
-//!   a stage backend regressed or the `HGPCN_STAGE_*` dispatch silently
+//!   a stage backend regressed or the default selection silently
 //!   fell back to scalar. The per-stage `stage_*_vs_scalar` ratios and
 //!   the absolute `preproc_gmacs` are printed for the record but never
 //!   gated (individual stages are too small/noisy to band tightly; the
@@ -65,9 +65,9 @@
 //!   pass on a coherent drifting-scene stream. Both sides come from the
 //!   deterministic cost models, so this is banded tightly like the
 //!   modeled p95s; a collapse to ≈1.0 means the warm path stopped
-//!   engaging (env override degraded to `off`, or the cache never
-//!   hits). The `preproc_reuse.{policy,hits,misses,hit_rate}` block is
-//!   printed for the record but never gated.
+//!   engaging (the cache never hits). The
+//!   `preproc_reuse.{policy,hits,misses,hit_rate}` block is printed
+//!   for the record but never gated.
 //! * with `--min-speedup X`, additionally requires `speedup >= X`;
 //!   with `--min-int8-vs-f32 X`, requires
 //!   `int8_gmacs_vs_f32_blocked >= X` (the absolute floor behind the
@@ -87,20 +87,16 @@
 //! Absolute `wall_fps` values are printed for the record but never gated
 //! (a faster or slower runner generation would otherwise break CI).
 //!
-//! No dependencies: JSON parsing comes from the shared `minijson`
-//! module next to this file.
-
-#[path = "minijson.rs"]
-#[allow(dead_code)] // each tool uses a different slice of the parser API
-mod minijson;
+//! No crates.io dependencies: JSON parsing comes from the in-tree
+//! `minihttp::json` module.
 
 use std::process::ExitCode;
 
-use minijson::{parse_json, Json};
+use minihttp::json::{self, Json};
 
 fn load(path: &str) -> Result<Json, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    parse_json(&text).map_err(|e| format!("{path}: {e}"))
+    json::parse(&text).map_err(|e| format!("{path}: {e}"))
 }
 
 fn main() -> ExitCode {
@@ -414,7 +410,6 @@ fn main() -> ExitCode {
         "preproc_gmacs",
         "stage_sampling_vs_scalar",
         "stage_gather_vs_scalar",
-        "stage_interpolate_vs_scalar",
         "preproc_reuse.hits",
         "preproc_reuse.misses",
         "preproc_reuse.hit_rate",

@@ -4,7 +4,7 @@
 //! trace_check --trace trace.json --prom metrics.prom
 //! ```
 //!
-//! Validates, with no dependencies beyond the shared `minijson` module:
+//! Validates, with no dependencies beyond the in-tree `minihttp::json`:
 //!
 //! * **Chrome trace-event JSON** (`--trace`): the file parses, carries a
 //!   non-empty `traceEvents` array, every event has `name`/`ph`/`pid`/
@@ -21,14 +21,10 @@
 //! Exit code 0 when every check passes, 1 otherwise — CI runs this over
 //! the artifacts the `traced_serving` example writes.
 
-#[path = "minijson.rs"]
-#[allow(dead_code)] // each tool uses a different slice of the parser API
-mod minijson;
-
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-use minijson::parse_json;
+use minihttp::json;
 
 /// Back-to-back spans meet exactly on the virtual clock, but `ts` and
 /// `dur` are each rendered rounded to 3 decimals (nanosecond
@@ -51,7 +47,7 @@ impl Checker {
 }
 
 fn check_trace(text: &str, c: &mut Checker) {
-    let root = match parse_json(text) {
+    let root = match json::parse(text) {
         Ok(v) => v,
         Err(e) => {
             c.check(false, &format!("trace: {e}"));
