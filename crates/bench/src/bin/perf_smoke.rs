@@ -7,8 +7,9 @@
 //! ```
 //!
 //! Runs the same synthetic fleet through the serving runtime at four
-//! sweep points — the **legacy yardstick**: the serial inference path
-//! (`max_batch = 1`) pinned to the reference scalar kernel at f32; the
+//! sweep points — the **yardstick**: every frame a batch of one
+//! (`max_batch = 1`), pinned to the reference scalar kernel and the
+//! all-scalar stage anchors at f32; the
 //! **modern f32 path**: SoA micro-batching (`max_batch = N`, default 8)
 //! on the dispatched kernel backend (AVX2 under `--features simd`,
 //! otherwise the blocked scalar kernel); and the **int8 throughput
@@ -31,8 +32,8 @@
 //! Three kinds of numbers land in the JSON:
 //!
 //! * `wall_fps` / `speedup` — host wall-clock throughput. Machine
-//!   dependent; CI gates only on the *ratio* (batched-modern over
-//!   serial-legacy), which is stable across runner generations and is
+//!   dependent; CI gates only on the *ratio* (batched-modern over the
+//!   batch-of-one yardstick), which is stable across runner generations and is
 //!   exactly the metric the committed baseline has tracked since the
 //!   batching PR.
 //! * `p95_service_ms` — the modeled per-frame service latency from the
@@ -507,7 +508,7 @@ fn quantized(net: PointNet) -> PointNet {
 
 fn main() {
     let args = parse_args();
-    // The yardstick: the legacy serial engine, pinned to the reference
+    // The yardstick: a batch of one per frame, pinned to the reference
     // scalar kernel *and* the all-scalar anchor stage backends, so the
     // metric keeps meaning "what did batching + kernel dispatch + stage
     // dispatch buy over the original path". The candidate: the batched

@@ -66,20 +66,14 @@ pub struct RuntimeConfig {
     /// [`frame_seed`](crate::frame_seed).
     pub seed: u64,
     /// Largest micro-batch an inference worker may coalesce from the
-    /// stage queue. `1` (the default) keeps the legacy serial execution;
-    /// `>= 2` routes frames through the SoA batched path
-    /// ([`InferenceEngine::run_batch`](hgpcn_system::InferenceEngine::run_batch)),
-    /// which produces bit-identical per-frame results with one weight
-    /// traversal per layer for the whole batch.
+    /// stage queue (default `1`). Every frame runs the SoA batched engine
+    /// call
+    /// ([`InferenceEngine::run_batch_with_precision_using`](hgpcn_system::InferenceEngine::run_batch_with_precision_using));
+    /// this is only the ceiling on how many already-queued frames share
+    /// one call — and so one weight traversal per layer. A lone frame is
+    /// a batch of one, and per-frame results are bit-identical at every
+    /// value.
     pub max_batch: usize,
-    /// Deadline awareness of the coalescer: the modeled virtual-time
-    /// budget (seconds) a micro-batch may occupy the inference engine.
-    /// Workers cap each batch at `batch_deadline_s / est` frames, where
-    /// `est` is their running estimate of per-frame modeled inference
-    /// latency — so under a tight deadline a backlogged queue degrades
-    /// to smaller batches instead of head-of-line blocking the oldest
-    /// frame. `f64::INFINITY` (the default) disables the cap.
-    pub batch_deadline_s: f64,
     /// Default arithmetic precision of the inference stage
     /// ([`Precision::F32`] unless overridden). Individual streams can
     /// override it via
@@ -132,7 +126,6 @@ impl Default for RuntimeConfig {
             target_points: 1024,
             seed: 0x5EED,
             max_batch: 1,
-            batch_deadline_s: f64::INFINITY,
             precision: Precision::F32,
             telemetry: TelemetryMode::Auto,
             stage_backends: None,
@@ -196,13 +189,6 @@ impl RuntimeConfig {
         self
     }
 
-    /// Sets the virtual-time budget one micro-batch may occupy the
-    /// inference engine (deadline-aware batch sizing).
-    pub fn batch_deadline_s(mut self, s: f64) -> Self {
-        self.batch_deadline_s = s;
-        self
-    }
-
     /// Sets the default inference precision (streams may override it
     /// per [`StreamSpec`](crate::StreamSpec)).
     pub fn precision(mut self, precision: Precision) -> Self {
@@ -261,11 +247,6 @@ impl RuntimeConfig {
         if self.max_batch == 0 {
             return Err(RuntimeError::InvalidConfig("max_batch must be >= 1".into()));
         }
-        if self.batch_deadline_s.is_nan() || self.batch_deadline_s <= 0.0 {
-            return Err(RuntimeError::InvalidConfig(
-                "batch_deadline_s must be positive".into(),
-            ));
-        }
         Ok(())
     }
 }
@@ -291,7 +272,6 @@ mod tests {
             .target_points(256)
             .seed(42)
             .max_batch(8)
-            .batch_deadline_s(0.25)
             .precision(Precision::Int8)
             .telemetry(TelemetryMode::On)
             .stage_backends(StageBackends::anchor())
@@ -305,7 +285,6 @@ mod tests {
         assert_eq!(cfg.target_points, 256);
         assert_eq!(cfg.seed, 42);
         assert_eq!(cfg.max_batch, 8);
-        assert_eq!(cfg.batch_deadline_s, 0.25);
         assert_eq!(cfg.precision, Precision::Int8);
         assert_eq!(cfg.telemetry, TelemetryMode::On);
         assert_eq!(cfg.stage_backends, Some(StageBackends::anchor()));
@@ -335,14 +314,6 @@ mod tests {
             .validate()
             .is_err());
         assert!(RuntimeConfig::default().max_batch(0).validate().is_err());
-        assert!(RuntimeConfig::default()
-            .batch_deadline_s(0.0)
-            .validate()
-            .is_err());
-        assert!(RuntimeConfig::default()
-            .batch_deadline_s(f64::NAN)
-            .validate()
-            .is_err());
         assert!(RuntimeConfig::default().max_batch(16).validate().is_ok());
     }
 }

@@ -18,17 +18,17 @@
 //! and policy (admission order, backpressure) is separated from
 //! mechanism (queues and worker pools).
 //!
-//! With [`RuntimeConfig::max_batch`] ≥ 2, inference workers coalesce
-//! queued frames into **micro-batches** and execute them through the SoA
-//! batched engine path
-//! ([`InferenceEngine::run_batch`](hgpcn_system::InferenceEngine::run_batch)):
-//! one weight traversal per MLP layer serves the whole batch. Coalescing
-//! never waits for frames (only already-queued work is drained), honours
-//! a deadline-aware ceiling ([`RuntimeConfig::batch_deadline_s`]), and
-//! preserves both per-stream FIFO order and per-frame `frame_seed`
-//! determinism — batched results are bit-identical to the serial path,
-//! only host throughput changes ([`RuntimeReport::wall_speedup_over`],
-//! [`BatchingStats`]).
+//! Inference workers run one loop: each dequeued frame, plus up to
+//! [`RuntimeConfig::max_batch`]` − 1` frames already queued behind it,
+//! forms a **micro-batch** executed through the one SoA batched engine
+//! call
+//! ([`InferenceEngine::run_batch_with_precision_using`](hgpcn_system::InferenceEngine::run_batch_with_precision_using)):
+//! one weight traversal per MLP layer serves the whole batch, and a lone
+//! frame is a batch of one. Coalescing never waits for frames (only
+//! already-queued work is drained) and preserves both per-stream FIFO
+//! order and per-frame `frame_seed` determinism — per-frame results are
+//! bit-identical at every `max_batch`, only host throughput changes
+//! ([`RuntimeReport::wall_speedup_over`], [`BatchingStats`]).
 //!
 //! Latency accounting runs on a *virtual clock*: workers advance their
 //! own virtual time by the modeled latency of the work they actually

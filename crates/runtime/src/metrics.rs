@@ -408,6 +408,77 @@ impl WorkerUtilization {
     }
 }
 
+/// The run-level figures every [`RuntimeReport`] derives from its
+/// records alone — one derivation shared by a session's live and final
+/// reports and by the cross-shard aggregate.
+pub(crate) struct RunSummary {
+    pub(crate) virtual_makespan_s: f64,
+    pub(crate) modeled_pipelined_fps: f64,
+    pub(crate) breakdown: StageBreakdown,
+    pub(crate) utilization: WorkerUtilization,
+    pub(crate) ingress_depth: QueueDepthStats,
+    pub(crate) stage_depth: QueueDepthStats,
+}
+
+impl RunSummary {
+    /// Summarizes `records` as served by pools of the given sizes.
+    pub(crate) fn from_records(
+        records: &[FrameRecord],
+        preproc_workers: usize,
+        inference_workers: usize,
+    ) -> RunSummary {
+        let earliest_arrival = records
+            .iter()
+            .map(|r| r.virtual_arrival_s)
+            .fold(f64::INFINITY, f64::min);
+        let latest_done = records
+            .iter()
+            .map(|r| r.virtual_done_s)
+            .fold(0.0f64, f64::max);
+        let virtual_makespan_s = if records.is_empty() {
+            0.0
+        } else {
+            (latest_done - earliest_arrival).max(0.0)
+        };
+        let modeled_pipelined_fps = if virtual_makespan_s > 1e-12 {
+            records.len() as f64 / virtual_makespan_s
+        } else {
+            0.0
+        };
+        let breakdown = StageBreakdown::from_records(records);
+        let utilization = if virtual_makespan_s > 1e-12 {
+            WorkerUtilization {
+                preproc_busy: breakdown.virtual_preproc_busy_s
+                    / (virtual_makespan_s * preproc_workers as f64),
+                infer_busy: breakdown.virtual_infer_busy_s
+                    / (virtual_makespan_s * inference_workers as f64),
+            }
+        } else {
+            WorkerUtilization::default()
+        };
+        let ingress_depth = QueueDepthStats::from_deltas(
+            records
+                .iter()
+                .flat_map(|r| [(r.virtual_arrival_s, 1), (r.virtual_preproc_start_s, -1)])
+                .collect(),
+        );
+        let stage_depth = QueueDepthStats::from_deltas(
+            records
+                .iter()
+                .flat_map(|r| [(r.virtual_preproc_done_s, 1), (r.virtual_infer_start_s, -1)])
+                .collect(),
+        );
+        RunSummary {
+            virtual_makespan_s,
+            modeled_pipelined_fps,
+            breakdown,
+            utilization,
+            ingress_depth,
+            stage_depth,
+        }
+    }
+}
+
 /// The optional telemetry payload of a traced run: the merged frame
 /// lifecycle trace and the populated metrics registry.
 #[derive(Clone, Debug)]
@@ -424,10 +495,11 @@ pub struct TelemetrySnapshot {
 
 /// Micro-batching behaviour of one run's inference stage.
 ///
-/// Populated only when the run executed the SoA batched path
-/// (`max_batch >= 2`); a legacy serial run reports zero `batches` and a
-/// `mean_batch_size` of 1. Comparing a batched run's throughput against
-/// an unbatched one is [`RuntimeReport::wall_speedup_over`].
+/// Every completed frame is counted in exactly one micro-batch (one
+/// single-tier engine call): at `max_batch 1`, or whenever nothing else
+/// was queued, that is a batch of one, so only a run that completed no
+/// frame reports zero `batches`. Comparing a coalescing run's throughput
+/// against a `max_batch 1` one is [`RuntimeReport::wall_speedup_over`].
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct BatchingStats {
     /// Configured micro-batch ceiling.
@@ -436,7 +508,7 @@ pub struct BatchingStats {
     pub batches: usize,
     /// Largest micro-batch actually coalesced.
     pub largest_batch: usize,
-    /// Mean frames per micro-batch (1.0 for a serial run).
+    /// Mean frames per micro-batch (1.0 when no batch ran).
     pub mean_batch_size: f64,
     /// Frames that shared a micro-batch with at least one other frame.
     pub coalesced_frames: usize,
@@ -535,11 +607,11 @@ impl RuntimeReport {
         self.total_frames as f64 / self.wall_elapsed.as_secs_f64().max(1e-12)
     }
 
-    /// Batched-vs-unbatched throughput: this run's host throughput over
-    /// `baseline`'s. Run the same fleet twice — once with `max_batch: 1`,
-    /// once batched — and this is the single-machine speedup the SoA
-    /// path delivers (per-frame modeled results are identical by
-    /// construction, so only wall time differs).
+    /// Coalescing-vs-singleton throughput: this run's host throughput
+    /// over `baseline`'s. Run the same fleet twice — once with
+    /// `max_batch: 1`, once with a higher ceiling — and this is the
+    /// single-machine speedup coalescing delivers (per-frame modeled
+    /// results are identical by construction, so only wall time differs).
     pub fn wall_speedup_over(&self, baseline: &RuntimeReport) -> f64 {
         self.wall_fps() / baseline.wall_fps().max(1e-12)
     }
@@ -663,6 +735,8 @@ impl RuntimeReport {
                 busy,
             );
         }
+        // Absent only until the first frame completes: every frame runs
+        // in a micro-batch, a lone one in a batch of one.
         if self.batching.batches > 0 {
             reg.counter_add(
                 "hgpcn_micro_batches_total",

@@ -34,7 +34,6 @@ use std::thread;
 use std::time::Instant;
 
 use hgpcn_geometry::PointCloud;
-use hgpcn_memsim::{Latency, OpCounts};
 use hgpcn_pcn::{InferenceOutput, PointNet, Precision, StageBackends};
 use hgpcn_system::{
     E2ePipeline, E2eReport, InferenceReport, PhaseReport, PreprocReuse, StreamPreprocContext,
@@ -44,8 +43,8 @@ use hgpcn_telemetry::{EventKind, SpanRecorder, TraceCollector, WorkerId};
 
 use crate::config::{ArrivalModel, BackpressurePolicy, RuntimeConfig};
 use crate::metrics::{
-    BatchingStats, FrameRecord, LatencySummary, QueueDepthStats, QueueStats, RuntimeReport,
-    StageBackendNames, StageBreakdown, StreamReport, TelemetrySnapshot, WorkerUtilization,
+    BatchingStats, FrameRecord, LatencySummary, QueueStats, RunSummary, RuntimeReport,
+    StageBackendNames, StageBreakdown, StreamReport, TelemetrySnapshot,
 };
 use crate::queue::BoundedQueue;
 use crate::scheduler::Scheduler;
@@ -578,37 +577,13 @@ impl SessionCore {
     /// `telemetry` field stays `None` — the trace is only merged once,
     /// at shutdown.
     fn snapshot(&self) -> RuntimeReport {
-        let streams = self
-            .streams
-            .lock()
-            .expect("stream registry poisoned")
-            .clone();
-        let mut records = self.records.lock().expect("record sink poisoned").clone();
-        records.sort_by_key(|r| (r.stream_id, r.frame_index));
+        let records = self.records.lock().expect("record sink poisoned").clone();
         let sizes = self
             .batch_sizes
             .lock()
             .expect("batch stats poisoned")
             .clone();
-        assemble_report(
-            &self.config,
-            self.kernel_backend,
-            StageBackendNames::from(self.stages),
-            self.reuse,
-            &self.contexts.counts(),
-            &streams,
-            records,
-            QueueStats {
-                high_water: self.ingress.high_water(),
-                dropped: self.ingress.dropped(),
-            },
-            QueueStats {
-                high_water: self.stage.high_water(),
-                dropped: self.stage.dropped(),
-            },
-            BatchingStats::from_sizes(self.config.max_batch, &sizes),
-            self.started.elapsed(),
-        )
+        self.report(records, &sizes)
     }
 
     /// Assembles the final report after every worker has exited. Called
@@ -625,33 +600,9 @@ impl SessionCore {
             )
         };
         self.submit_recorder(recorder);
-        let streams = self
-            .streams
-            .lock()
-            .expect("stream registry poisoned")
-            .clone();
-        let mut records = std::mem::take(&mut *self.records.lock().expect("record sink poisoned"));
-        records.sort_by_key(|r| (r.stream_id, r.frame_index));
+        let records = std::mem::take(&mut *self.records.lock().expect("record sink poisoned"));
         let sizes = std::mem::take(&mut *self.batch_sizes.lock().expect("batch stats poisoned"));
-        let mut report = assemble_report(
-            &self.config,
-            self.kernel_backend,
-            StageBackendNames::from(self.stages),
-            self.reuse,
-            &self.contexts.counts(),
-            &streams,
-            records,
-            QueueStats {
-                high_water: self.ingress.high_water(),
-                dropped: self.ingress.dropped(),
-            },
-            QueueStats {
-                high_water: self.stage.high_water(),
-                dropped: self.stage.dropped(),
-            },
-            BatchingStats::from_sizes(self.config.max_batch, &sizes),
-            self.started.elapsed(),
-        );
+        let mut report = self.report(records, &sizes);
         if self.traced {
             let collector = self
                 .collector
@@ -664,6 +615,109 @@ impl SessionCore {
             report.telemetry = Some(TelemetrySnapshot { trace, metrics });
         }
         Ok(report)
+    }
+
+    /// Report assembly, shared by live snapshots and the final report.
+    fn report(&self, mut records: Vec<FrameRecord>, batch_sizes: &[usize]) -> RuntimeReport {
+        use hgpcn_memsim::Latency;
+
+        records.sort_by_key(|r| (r.stream_id, r.frame_index));
+        let streams = self
+            .streams
+            .lock()
+            .expect("stream registry poisoned")
+            .clone();
+        let stage_backends = StageBackendNames::from(self.stages);
+        let reuse_counts = self.contexts.counts();
+        let mut reports = Vec::with_capacity(streams.len());
+        for (id, state) in streams.iter().enumerate() {
+            let mine: Vec<&FrameRecord> = records.iter().filter(|r| r.stream_id == id).collect();
+            let service: Vec<Latency> = mine.iter().map(|r| r.modeled.total()).collect();
+            let sojourn: Vec<Latency> = mine
+                .iter()
+                .map(|r| Latency::from_secs((r.virtual_done_s - r.virtual_arrival_s).max(0.0)))
+                .collect();
+            let achieved_fps = match mine.first() {
+                Some(first) => {
+                    let span = mine
+                        .iter()
+                        .map(|r| r.virtual_done_s)
+                        .fold(f64::NEG_INFINITY, f64::max)
+                        - first.virtual_arrival_s;
+                    if span > 1e-12 {
+                        mine.len() as f64 / span
+                    } else {
+                        0.0
+                    }
+                }
+                None => 0.0,
+            };
+            reports.push(StreamReport {
+                stream_id: id,
+                shard: 0,
+                name: state.name.clone(),
+                offered: state.offered,
+                completed: mine.len(),
+                dropped: state.dropped,
+                sensor_fps: state.nominal_fps,
+                precision: state.precision.name(),
+                stage_backends,
+                preproc_reuse: self.reuse.name(),
+                preproc_reuse_hits: reuse_counts.get(id).map_or(0, |c| c.0),
+                preproc_reuse_misses: reuse_counts.get(id).map_or(0, |c| c.1),
+                achieved_fps,
+                service: LatencySummary::from_samples(&service),
+                sojourn: LatencySummary::from_samples(&sojourn),
+                breakdown: StageBreakdown::from_records(mine.iter().copied()),
+            });
+        }
+
+        let run = RunSummary::from_records(
+            &records,
+            self.config.preproc_workers,
+            self.config.inference_workers,
+        );
+
+        let precision = {
+            let tiers: Vec<Precision> = streams.iter().map(|s| s.precision).collect();
+            match tiers.as_slice() {
+                [] => Precision::F32.name(),
+                [first, rest @ ..] if rest.iter().all(|p| p == first) => first.name(),
+                _ => "mixed",
+            }
+        };
+
+        RuntimeReport {
+            streams: reports,
+            total_frames: records.len(),
+            total_dropped: streams.iter().map(|s| s.dropped).sum(),
+            preproc_workers: self.config.preproc_workers,
+            inference_workers: self.config.inference_workers,
+            ingress_queue: QueueStats {
+                high_water: self.ingress.high_water(),
+                dropped: self.ingress.dropped(),
+            },
+            stage_queue: QueueStats {
+                high_water: self.stage.high_water(),
+                dropped: self.stage.dropped(),
+            },
+            virtual_makespan_s: run.virtual_makespan_s,
+            modeled_pipelined_fps: run.modeled_pipelined_fps,
+            wall_elapsed: self.started.elapsed(),
+            kernel_backend: self.kernel_backend,
+            stage_backends,
+            preproc_reuse: self.reuse.name(),
+            preproc_reuse_hits: reuse_counts.iter().map(|c| c.0).sum(),
+            preproc_reuse_misses: reuse_counts.iter().map(|c| c.1).sum(),
+            precision,
+            batching: BatchingStats::from_sizes(self.config.max_batch, batch_sizes),
+            breakdown: run.breakdown,
+            utilization: run.utilization,
+            ingress_depth: run.ingress_depth,
+            stage_depth: run.stage_depth,
+            telemetry: None,
+            records,
+        }
     }
 }
 
@@ -695,69 +749,56 @@ fn preproc_worker(core: &SessionCore, pipeline: &E2ePipeline, w: usize) {
             virtual_arrival_s,
         );
         let seed = frame_seed(core.config.seed, frame.stream_id, frame.frame_index);
-        // Both branches produce `(sampled, latency, counts, reused,
-        // wall_secs)`; the warm branch runs under the stream's context
-        // turn so cache state — and therefore modeled cost — is a pure
-        // function of submission order at any worker count. Wall time is
-        // measured around the engine call only, excluding the turn wait.
-        let processed: Result<(PointCloud, Latency, OpCounts, bool, f64), SystemError> =
-            if core.reuse == PreprocReuse::On {
-                let slot = core.contexts.slot(frame.stream_id);
-                let mut inner = slot.inner.lock().expect("preproc context poisoned");
-                while inner.next != frame.frame_index && !core.contexts.is_aborted() {
-                    inner = slot.turn.wait(inner).expect("preproc context poisoned");
-                }
-                let wall0 = Instant::now();
-                let result = pipeline
-                    .preproc
-                    .run_with_context(
-                        &frame.cloud,
-                        core.config.target_points,
-                        seed,
-                        core.stages.sampling,
-                        &mut inner.ctx,
-                    )
-                    .map(|mut out| {
-                        let latency = out.total_latency();
-                        let counts = out.total_counts();
-                        let reused = out.reused;
-                        let sampled = std::mem::replace(&mut out.sampled, PointCloud::new());
-                        inner.ctx.recycle(out);
-                        (
-                            sampled,
-                            latency,
-                            counts,
-                            reused,
-                            wall0.elapsed().as_secs_f64(),
-                        )
-                    });
-                // Pass the turn whether the frame succeeded or failed;
-                // successors must not wait on a frame that already
-                // resolved.
-                slot.advance_locked(&mut inner, frame.frame_index);
-                result
-            } else {
-                let wall0 = Instant::now();
-                pipeline
-                    .preproc
-                    .run_using(
-                        &frame.cloud,
-                        core.config.target_points,
-                        seed,
-                        core.stages.sampling,
-                    )
-                    .map(|out| {
-                        let latency = out.total_latency();
-                        let counts = out.total_counts();
-                        (
-                            out.sampled,
-                            latency,
-                            counts,
-                            false,
-                            wall0.elapsed().as_secs_f64(),
-                        )
-                    })
-            };
+        // `On`: the frame runs through its stream's context under the
+        // context turn, so cache state — and therefore modeled cost — is
+        // a pure function of submission order at any worker count.
+        // `Off`: a throwaway context outside the turn discipline (a fresh
+        // context is always cold — the anchor pricing).
+        let slot = core.contexts.slot(frame.stream_id);
+        let mut turn = (core.reuse == PreprocReuse::On).then(|| {
+            let mut inner = slot.inner.lock().expect("preproc context poisoned");
+            while inner.next != frame.frame_index && !core.contexts.is_aborted() {
+                inner = slot.turn.wait(inner).expect("preproc context poisoned");
+            }
+            inner
+        });
+        let mut throwaway = StreamPreprocContext::new();
+        let ctx = match &mut turn {
+            Some(inner) => &mut inner.ctx,
+            None => &mut throwaway,
+        };
+        // Wall time is measured around the engine call only, excluding
+        // the turn wait.
+        let wall0 = Instant::now();
+        let processed = pipeline
+            .preproc
+            .run_with_context(
+                &frame.cloud,
+                core.config.target_points,
+                seed,
+                core.stages.sampling,
+                ctx,
+            )
+            .map(|mut out| {
+                let latency = out.total_latency();
+                let counts = out.total_counts();
+                let reused = out.reused;
+                let sampled = std::mem::replace(&mut out.sampled, PointCloud::new());
+                ctx.recycle(out);
+                (
+                    sampled,
+                    latency,
+                    counts,
+                    reused,
+                    wall0.elapsed().as_secs_f64(),
+                )
+            });
+        if let Some(inner) = &mut turn {
+            // Pass the turn whether the frame succeeded or failed;
+            // successors must not wait on a frame that already resolved.
+            slot.advance_locked(inner, frame.frame_index);
+        }
+        drop(turn);
         match processed {
             Ok((sampled, latency, counts, preproc_reused, wall_preproc_s)) => {
                 let start = vclock.max(virtual_arrival_s);
@@ -808,9 +849,9 @@ fn preproc_worker(core: &SessionCore, pipeline: &E2ePipeline, w: usize) {
     core.submit_recorder(recorder);
 }
 
-// `max_batch == 1` runs the legacy per-frame engine call; `>= 2`
-// coalesces micro-batches into the SoA path, whose per-frame results
-// are bit-identical by construction.
+// One loop at every `max_batch`: a frame dequeued with nothing else
+// queued runs as a batch of one — bit-identical to its slot in any
+// larger batch by construction.
 fn inference_worker(core: &SessionCore, pipeline: &E2ePipeline, net: &PointNet, w: usize) {
     let _guard = PanicGuard {
         ingress: &core.ingress,
@@ -819,57 +860,24 @@ fn inference_worker(core: &SessionCore, pipeline: &E2ePipeline, net: &PointNet, 
     };
     let mut recorder = SpanRecorder::new(WorkerId::inference(w), core.started, core.traced);
     let mut vclock = 0.0f64;
-    if core.config.max_batch <= 1 {
-        while let Some((job, ticket)) = core.stage.pop() {
+    while let Some(first) = core.stage.pop() {
+        // The first frame is taken blocking; the rest of the micro-batch
+        // only drains whatever is already queued, up to `max_batch` — a
+        // frame never waits for companions.
+        let mut batch = vec![first];
+        while batch.len() < core.config.max_batch {
+            match core.stage.try_pop() {
+                Some(next) => batch.push(next),
+                None => break,
+            }
+        }
+        for (job, _) in &batch {
             recorder.record(
                 EventKind::Dequeue,
                 job.stream_id,
                 job.frame_index,
                 job.virtual_preproc_done_s,
             );
-            if infer_serially(core, pipeline, net, job, ticket, &mut vclock, &mut recorder) {
-                break;
-            }
-        }
-        core.submit_recorder(recorder);
-        return;
-    }
-
-    // Running estimate of per-frame modeled inference latency, for the
-    // deadline cap.
-    let mut est_latency_s = 0.0f64;
-    'work: while let Some(first) = core.stage.pop() {
-        recorder.record(
-            EventKind::Dequeue,
-            first.0.stream_id,
-            first.0.frame_index,
-            first.0.virtual_preproc_done_s,
-        );
-        // The first frame is taken blocking; the rest of the micro-batch
-        // only drains whatever is already queued, up to the
-        // deadline-aware ceiling — a frame never waits for companions.
-        let allowed = if !core.config.batch_deadline_s.is_finite() {
-            core.config.max_batch
-        } else if est_latency_s <= 0.0 {
-            1 // prime the estimator on one frame
-        } else {
-            ((core.config.batch_deadline_s / est_latency_s) as usize)
-                .clamp(1, core.config.max_batch)
-        };
-        let mut batch = vec![first];
-        while batch.len() < allowed {
-            match core.stage.try_pop() {
-                Some(next) => {
-                    recorder.record(
-                        EventKind::Dequeue,
-                        next.0.stream_id,
-                        next.0.frame_index,
-                        next.0.virtual_preproc_done_s,
-                    );
-                    batch.push(next);
-                }
-                None => break,
-            }
         }
         recorder.record_detail(
             EventKind::BatchCoalesce,
@@ -878,119 +886,107 @@ fn inference_worker(core: &SessionCore, pipeline: &E2ePipeline, net: &PointNet, 
             batch[0].0.virtual_preproc_done_s,
             batch.len() as u32,
         );
-
-        // Partition the drained micro-batch by effective precision: each
-        // engine call is single-tier (the SoA GEMMs cannot mix operand
-        // widths), but frames still finish — and advance the virtual
-        // clock — in dequeue order, so mixing tiers never reorders a
-        // stream.
-        let mut reports: Vec<Option<InferenceReport>> = batch.iter().map(|_| None).collect();
-        // Per-frame share of the tier call's host wall time (split
-        // evenly — the SoA path serves the whole sub-batch in one pass).
-        let mut walls: Vec<f64> = vec![0.0; batch.len()];
-        let mut tier_failed = false;
-        for tier in [Precision::F32, Precision::Int8] {
-            let idxs: Vec<usize> = (0..batch.len())
-                .filter(|&i| batch[i].0.precision == tier)
-                .collect();
-            if idxs.is_empty() {
-                continue;
-            }
-            let inputs: Vec<&PointCloud> = idxs.iter().map(|&i| &batch[i].0.sampled).collect();
-            let seeds: Vec<u64> = idxs
-                .iter()
-                .map(|&i| {
-                    let j = &batch[i].0;
-                    frame_seed(core.config.seed, j.stream_id, j.frame_index)
-                })
-                .collect();
-            let wall0 = Instant::now();
-            match pipeline.inference.run_batch_with_precision_using(
-                &inputs,
-                net,
-                &seeds,
-                tier,
-                core.stages,
-            ) {
-                Ok(rs) => {
-                    let share = wall0.elapsed().as_secs_f64() / idxs.len() as f64;
-                    core.batch_sizes
-                        .lock()
-                        .expect("batch stats poisoned")
-                        .push(idxs.len());
-                    for (slot, r) in idxs.into_iter().zip(rs) {
-                        walls[slot] = share;
-                        reports[slot] = Some(r);
-                    }
-                }
-                Err(_) => {
-                    tier_failed = true;
-                    break;
-                }
-            }
-        }
-        if !tier_failed {
-            for (i, ((job, ticket), inf)) in batch.into_iter().zip(&reports).enumerate() {
-                let inf = inf.as_ref().expect("every tier ran or we bailed");
-                let lat = inf.total_latency().secs();
-                est_latency_s = if est_latency_s <= 0.0 {
-                    lat
-                } else {
-                    0.5 * (est_latency_s + lat)
-                };
-                complete_frame(core, job, ticket, inf, &mut vclock, walls[i], &mut recorder);
-            }
-        } else {
-            // Attribute the failure: re-run the batch serially
-            // (deterministic, so healthy frames reproduce exactly) and
-            // resolve the culprit — per frame in serving mode, aborting
-            // the run in batch mode.
-            for (job, ticket) in batch {
-                if infer_serially(core, pipeline, net, job, ticket, &mut vclock, &mut recorder) {
-                    break 'work;
-                }
-            }
+        if infer_batch(core, pipeline, net, batch, &mut vclock, &mut recorder) {
+            break;
         }
     }
     core.submit_recorder(recorder);
 }
 
-/// Runs one frame through the per-frame engine call and completes it —
-/// the `max_batch == 1` path and the failure-attribution re-run of a
-/// failed micro-batch. Returns `true` when the frame failed and the
+/// Runs one micro-batch through the batched engine call and completes
+/// its frames in dequeue order. A failed call is attributed by re-running
+/// the batch one frame at a time through this same function
+/// (deterministic, so healthy frames reproduce exactly); a failing batch
+/// of one is its own culprit. Returns `true` when a frame failed and the
 /// session's failure policy says the worker must stop.
-fn infer_serially(
+fn infer_batch(
     core: &SessionCore,
     pipeline: &E2ePipeline,
     net: &PointNet,
-    job: StageJob,
-    ticket: u64,
+    batch: Vec<(StageJob, u64)>,
     vclock: &mut f64,
     recorder: &mut SpanRecorder,
 ) -> bool {
-    let seed = frame_seed(core.config.seed, job.stream_id, job.frame_index);
-    let wall0 = Instant::now();
-    match pipeline.inference.run_with_precision_using(
-        &job.sampled,
-        net,
-        seed,
-        job.precision,
-        core.stages,
-    ) {
-        Ok(inf) => {
-            let wall_infer_s = wall0.elapsed().as_secs_f64();
-            complete_frame(core, job, ticket, &inf, vclock, wall_infer_s, recorder);
+    // Partition the micro-batch by effective precision: each engine call
+    // is single-tier (the SoA GEMMs cannot mix operand widths), but
+    // frames still finish — and advance the virtual clock — in dequeue
+    // order, so mixing tiers never reorders a stream.
+    let mut reports: Vec<Option<InferenceReport>> = batch.iter().map(|_| None).collect();
+    // Per-frame share of the tier call's host wall time (split evenly —
+    // the SoA path serves the whole sub-batch in one pass).
+    let mut walls: Vec<f64> = vec![0.0; batch.len()];
+    let mut sizes = Vec::new();
+    let mut failure = None;
+    for tier in [Precision::F32, Precision::Int8] {
+        let idxs: Vec<usize> = (0..batch.len())
+            .filter(|&i| batch[i].0.precision == tier)
+            .collect();
+        if idxs.is_empty() {
+            continue;
+        }
+        let inputs: Vec<&PointCloud> = idxs.iter().map(|&i| &batch[i].0.sampled).collect();
+        let seeds: Vec<u64> = idxs
+            .iter()
+            .map(|&i| {
+                let j = &batch[i].0;
+                frame_seed(core.config.seed, j.stream_id, j.frame_index)
+            })
+            .collect();
+        let wall0 = Instant::now();
+        match pipeline.inference.run_batch_with_precision_using(
+            &inputs,
+            net,
+            &seeds,
+            tier,
+            core.stages,
+        ) {
+            Ok(rs) => {
+                let share = wall0.elapsed().as_secs_f64() / idxs.len() as f64;
+                sizes.push(idxs.len());
+                for (slot, r) in idxs.into_iter().zip(rs) {
+                    walls[slot] = share;
+                    reports[slot] = Some(r);
+                }
+            }
+            Err(err) => {
+                failure = Some(err);
+                break;
+            }
+        }
+    }
+    match failure {
+        None => {
+            // Counted only once every tier ran: the frames of a failed
+            // batch are counted by their one-frame re-runs instead.
+            core.batch_sizes
+                .lock()
+                .expect("batch stats poisoned")
+                .extend(sizes);
+            for (i, ((job, ticket), inf)) in batch.into_iter().zip(&reports).enumerate() {
+                let inf = inf.as_ref().expect("every tier ran");
+                complete_frame(core, job, ticket, inf, vclock, walls[i], recorder);
+            }
             false
         }
-        Err(err) => core.frame_failed(job.stream_id, job.frame_index, err),
+        Some(err) if batch.len() == 1 => {
+            let job = &batch[0].0;
+            core.frame_failed(job.stream_id, job.frame_index, err)
+        }
+        Some(_) => {
+            for frame in batch {
+                if infer_batch(core, pipeline, net, vec![frame], vclock, recorder) {
+                    return true;
+                }
+            }
+            false
+        }
     }
 }
 
 /// Advances the worker's virtual clock past `job`, records its journey,
-/// and — in serving mode — resolves its ticket with the output. Shared
-/// by the serial and batched inference paths: within a micro-batch,
-/// frames advance the clock in dequeue order, so the modeled timeline of
-/// a batched run matches the serial one exactly.
+/// and — in serving mode — resolves its ticket with the output. Within a
+/// micro-batch, frames advance the clock in dequeue order, so the modeled
+/// timeline is the same at every `max_batch`.
 fn complete_frame(
     core: &SessionCore,
     job: StageJob,
@@ -1417,147 +1413,5 @@ impl StreamHandle {
             .ok_or(RuntimeError::UnknownStream {
                 stream_id: self.stream_id,
             })
-    }
-}
-
-// ---------------------------------------------------------------------
-// Report assembly (shared by live snapshots and final reports).
-// ---------------------------------------------------------------------
-
-#[allow(clippy::too_many_arguments)]
-fn assemble_report(
-    config: &RuntimeConfig,
-    kernel_backend: &'static str,
-    stage_backends: StageBackendNames,
-    reuse: PreprocReuse,
-    reuse_counts: &[(u64, u64)],
-    streams: &[StreamState],
-    records: Vec<FrameRecord>,
-    ingress_queue: QueueStats,
-    stage_queue: QueueStats,
-    batching: BatchingStats,
-    wall_elapsed: std::time::Duration,
-) -> RuntimeReport {
-    use hgpcn_memsim::Latency;
-
-    let mut reports = Vec::with_capacity(streams.len());
-    for (id, state) in streams.iter().enumerate() {
-        let mine: Vec<&FrameRecord> = records.iter().filter(|r| r.stream_id == id).collect();
-        let service: Vec<Latency> = mine.iter().map(|r| r.modeled.total()).collect();
-        let sojourn: Vec<Latency> = mine
-            .iter()
-            .map(|r| Latency::from_secs((r.virtual_done_s - r.virtual_arrival_s).max(0.0)))
-            .collect();
-        let achieved_fps = match mine.first() {
-            Some(first) => {
-                let span = mine
-                    .iter()
-                    .map(|r| r.virtual_done_s)
-                    .fold(f64::NEG_INFINITY, f64::max)
-                    - first.virtual_arrival_s;
-                if span > 1e-12 {
-                    mine.len() as f64 / span
-                } else {
-                    0.0
-                }
-            }
-            None => 0.0,
-        };
-        reports.push(StreamReport {
-            stream_id: id,
-            shard: 0,
-            name: state.name.clone(),
-            offered: state.offered,
-            completed: mine.len(),
-            dropped: state.dropped,
-            sensor_fps: state.nominal_fps,
-            precision: state.precision.name(),
-            stage_backends,
-            preproc_reuse: reuse.name(),
-            preproc_reuse_hits: reuse_counts.get(id).map_or(0, |c| c.0),
-            preproc_reuse_misses: reuse_counts.get(id).map_or(0, |c| c.1),
-            achieved_fps,
-            service: LatencySummary::from_samples(&service),
-            sojourn: LatencySummary::from_samples(&sojourn),
-            breakdown: StageBreakdown::from_records(mine.iter().copied()),
-        });
-    }
-
-    let earliest_arrival = records
-        .iter()
-        .map(|r| r.virtual_arrival_s)
-        .fold(f64::INFINITY, f64::min);
-    let latest_done = records
-        .iter()
-        .map(|r| r.virtual_done_s)
-        .fold(0.0f64, f64::max);
-    let virtual_makespan_s = if records.is_empty() {
-        0.0
-    } else {
-        (latest_done - earliest_arrival).max(0.0)
-    };
-    let modeled_pipelined_fps = if virtual_makespan_s > 1e-12 {
-        records.len() as f64 / virtual_makespan_s
-    } else {
-        0.0
-    };
-
-    let precision = {
-        let tiers: Vec<Precision> = streams.iter().map(|s| s.precision).collect();
-        match tiers.as_slice() {
-            [] => Precision::F32.name(),
-            [first, rest @ ..] if rest.iter().all(|p| p == first) => first.name(),
-            _ => "mixed",
-        }
-    };
-
-    let breakdown = StageBreakdown::from_records(&records);
-    let utilization = if virtual_makespan_s > 1e-12 {
-        WorkerUtilization {
-            preproc_busy: breakdown.virtual_preproc_busy_s
-                / (virtual_makespan_s * config.preproc_workers as f64),
-            infer_busy: breakdown.virtual_infer_busy_s
-                / (virtual_makespan_s * config.inference_workers as f64),
-        }
-    } else {
-        WorkerUtilization::default()
-    };
-    let ingress_depth = QueueDepthStats::from_deltas(
-        records
-            .iter()
-            .flat_map(|r| [(r.virtual_arrival_s, 1), (r.virtual_preproc_start_s, -1)])
-            .collect(),
-    );
-    let stage_depth = QueueDepthStats::from_deltas(
-        records
-            .iter()
-            .flat_map(|r| [(r.virtual_preproc_done_s, 1), (r.virtual_infer_start_s, -1)])
-            .collect(),
-    );
-
-    RuntimeReport {
-        streams: reports,
-        total_frames: records.len(),
-        total_dropped: streams.iter().map(|s| s.dropped).sum(),
-        preproc_workers: config.preproc_workers,
-        inference_workers: config.inference_workers,
-        ingress_queue,
-        stage_queue,
-        virtual_makespan_s,
-        modeled_pipelined_fps,
-        wall_elapsed,
-        kernel_backend,
-        stage_backends,
-        preproc_reuse: reuse.name(),
-        preproc_reuse_hits: reuse_counts.iter().map(|c| c.0).sum(),
-        preproc_reuse_misses: reuse_counts.iter().map(|c| c.1).sum(),
-        precision,
-        batching,
-        breakdown,
-        utilization,
-        ingress_depth,
-        stage_depth,
-        telemetry: None,
-        records,
     }
 }

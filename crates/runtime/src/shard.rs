@@ -31,10 +31,7 @@ use hgpcn_pcn::PointNet;
 use hgpcn_telemetry::Registry;
 
 use crate::config::RuntimeConfig;
-use crate::metrics::{
-    BatchingStats, QueueDepthStats, QueueStats, RuntimeReport, StageBreakdown, StreamReport,
-    WorkerUtilization,
-};
+use crate::metrics::{BatchingStats, QueueStats, RunSummary, RuntimeReport, StreamReport};
 use crate::service::StreamService;
 use crate::session::{FrameStatus, FrameTicket, ServingRuntime};
 use crate::stream::StreamProfile;
@@ -606,25 +603,6 @@ fn aggregate_reports(reports: Vec<RuntimeReport>) -> RuntimeReport {
     streams.sort_by_key(|s| s.stream_id);
     records.sort_by_key(|r| (r.stream_id, r.frame_index));
 
-    let earliest_arrival = records
-        .iter()
-        .map(|r| r.virtual_arrival_s)
-        .fold(f64::INFINITY, f64::min);
-    let latest_done = records
-        .iter()
-        .map(|r| r.virtual_done_s)
-        .fold(0.0f64, f64::max);
-    let virtual_makespan_s = if records.is_empty() {
-        0.0
-    } else {
-        (latest_done - earliest_arrival).max(0.0)
-    };
-    let modeled_pipelined_fps = if virtual_makespan_s > 1e-12 {
-        records.len() as f64 / virtual_makespan_s
-    } else {
-        0.0
-    };
-
     let preproc_workers: usize = reports.iter().map(|r| r.preproc_workers).sum();
     let inference_workers: usize = reports.iter().map(|r| r.inference_workers).sum();
 
@@ -666,29 +644,7 @@ fn aggregate_reports(reports: Vec<RuntimeReport>) -> RuntimeReport {
         coalesced_frames: reports.iter().map(|r| r.batching.coalesced_frames).sum(),
     };
 
-    let breakdown = StageBreakdown::from_records(&records);
-    let utilization = if virtual_makespan_s > 1e-12 {
-        WorkerUtilization {
-            preproc_busy: breakdown.virtual_preproc_busy_s
-                / (virtual_makespan_s * preproc_workers as f64),
-            infer_busy: breakdown.virtual_infer_busy_s
-                / (virtual_makespan_s * inference_workers as f64),
-        }
-    } else {
-        WorkerUtilization::default()
-    };
-    let ingress_depth = QueueDepthStats::from_deltas(
-        records
-            .iter()
-            .flat_map(|r| [(r.virtual_arrival_s, 1), (r.virtual_preproc_start_s, -1)])
-            .collect(),
-    );
-    let stage_depth = QueueDepthStats::from_deltas(
-        records
-            .iter()
-            .flat_map(|r| [(r.virtual_preproc_done_s, 1), (r.virtual_infer_start_s, -1)])
-            .collect(),
-    );
+    let run = RunSummary::from_records(&records, preproc_workers, inference_workers);
 
     RuntimeReport {
         total_frames: records.len(),
@@ -698,8 +654,8 @@ fn aggregate_reports(reports: Vec<RuntimeReport>) -> RuntimeReport {
         inference_workers,
         ingress_queue: queue(|r| r.ingress_queue),
         stage_queue: queue(|r| r.stage_queue),
-        virtual_makespan_s,
-        modeled_pipelined_fps,
+        virtual_makespan_s: run.virtual_makespan_s,
+        modeled_pipelined_fps: run.modeled_pipelined_fps,
         wall_elapsed: reports
             .iter()
             .map(|r| r.wall_elapsed)
@@ -715,10 +671,10 @@ fn aggregate_reports(reports: Vec<RuntimeReport>) -> RuntimeReport {
         preproc_reuse_misses: reports.iter().map(|r| r.preproc_reuse_misses).sum(),
         precision,
         batching,
-        breakdown,
-        utilization,
-        ingress_depth,
-        stage_depth,
+        breakdown: run.breakdown,
+        utilization: run.utilization,
+        ingress_depth: run.ingress_depth,
+        stage_depth: run.stage_depth,
         telemetry: None,
         records,
     }

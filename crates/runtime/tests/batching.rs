@@ -1,9 +1,13 @@
-//! Micro-batched execution must change host throughput only: per-frame
-//! modeled results, per-stream FIFO order and the virtual timeline all
-//! stay bit-identical to the serial path.
+//! The `max_batch` ceiling must change host throughput only: per-frame
+//! modeled results, per-stream FIFO order and the virtual timeline are
+//! bit-identical whether every frame runs as a batch of one or frames
+//! coalesce.
 
-use hgpcn_pcn::{PointNet, PointNetConfig};
-use hgpcn_runtime::{ArrivalModel, Runtime, RuntimeConfig, StreamSpec, SyntheticSource};
+use hgpcn_pcn::{PointNet, PointNetConfig, Precision};
+use hgpcn_runtime::{
+    ArrivalModel, FrameStatus, Runtime, RuntimeConfig, ServingRuntime, StreamProfile, StreamSpec,
+    SyntheticSource,
+};
 
 const TARGET: usize = 512;
 
@@ -39,19 +43,35 @@ fn batched_run_is_bit_identical_to_serial_run() {
 
     assert_eq!(serial.total_frames, 16);
     assert_eq!(batched.total_frames, 16);
+    // Single-worker pools: every deterministic field of every record —
+    // modeled results, the whole virtual timeline, the dequeue tickets —
+    // is identical; within a micro-batch frames advance the clock in
+    // dequeue order. (Only the host wall fields differ.)
     for (a, b) in serial.records.iter().zip(&batched.records) {
         assert_eq!((a.stream_id, a.frame_index), (b.stream_id, b.frame_index));
-        // Modeled per-frame results: identical to the bit.
         assert_eq!(
-            a.modeled.inference.latency, b.modeled.inference.latency,
+            a.modeled, b.modeled,
             "frame ({}, {})",
             a.stream_id, a.frame_index
         );
-        assert_eq!(a.modeled.inference.counts, b.modeled.inference.counts);
-        assert_eq!(a.modeled.preprocess.latency, b.modeled.preprocess.latency);
-        // Single-worker pools: the virtual timeline is also identical —
-        // within a micro-batch frames advance the clock in dequeue order.
+        assert_eq!(a.sensor_ts_s.to_bits(), b.sensor_ts_s.to_bits());
+        assert_eq!(a.virtual_arrival_s.to_bits(), b.virtual_arrival_s.to_bits());
+        assert_eq!(
+            a.virtual_preproc_start_s.to_bits(),
+            b.virtual_preproc_start_s.to_bits()
+        );
+        assert_eq!(
+            a.virtual_preproc_done_s.to_bits(),
+            b.virtual_preproc_done_s.to_bits()
+        );
+        assert_eq!(
+            a.virtual_infer_start_s.to_bits(),
+            b.virtual_infer_start_s.to_bits()
+        );
         assert_eq!(a.virtual_done_s.to_bits(), b.virtual_done_s.to_bits());
+        assert_eq!(a.preproc_ticket, b.preproc_ticket);
+        assert_eq!(a.inference_ticket, b.inference_ticket);
+        assert_eq!(a.preproc_reused, b.preproc_reused);
     }
     assert_eq!(
         serial.modeled_pipelined_fps.to_bits(),
@@ -63,8 +83,10 @@ fn batched_run_is_bit_identical_to_serial_run() {
     assert!(batched.batching.largest_batch >= 2);
     assert!(batched.batching.largest_batch <= 8);
     assert!(batched.batching.mean_batch_size > 1.0);
-    // The serial run reports no SoA batches.
-    assert_eq!(serial.batching.batches, 0);
+    // The `max_batch 1` run ran the same loop: every frame a batch of one.
+    assert_eq!(serial.batching.batches, serial.total_frames);
+    assert_eq!(serial.batching.largest_batch, 1);
+    assert_eq!(serial.batching.coalesced_frames, 0);
     assert_eq!(serial.batching.mean_batch_size, 1.0);
 }
 
@@ -111,25 +133,6 @@ fn batching_preserves_per_stream_fifo_under_many_workers() {
 }
 
 #[test]
-fn tight_deadline_caps_batches_at_one() {
-    // Per-frame modeled inference latency is on the order of
-    // milliseconds; a nanosecond budget can never fit two frames, so
-    // after the estimator primes, every batch must be a singleton.
-    let net = PointNet::new(PointNetConfig::semantic_segmentation(TARGET), 1);
-    let report = Runtime::new(base_config().max_batch(8).batch_deadline_s(1e-9))
-        .unwrap()
-        .run(fleet(2, 5), &net)
-        .unwrap();
-    assert_eq!(report.total_frames, 10);
-    assert!(report.batching.batches >= report.total_frames);
-    assert_eq!(
-        report.batching.largest_batch, 1,
-        "deadline-capped batches must stay singletons"
-    );
-    assert_eq!(report.batching.coalesced_frames, 0);
-}
-
-#[test]
 fn frame_failure_in_a_batch_is_attributed_to_its_frame() {
     // target_points(8) passes preprocessing but starves the net, so
     // every frame fails inference; the batched path must attribute the
@@ -150,4 +153,56 @@ fn frame_failure_in_a_batch_is_attributed_to_its_frame() {
         }) => assert_eq!(frame_index, 0, "first frame fails first"),
         other => panic!("expected a frame error, got {other:?}"),
     }
+}
+
+/// Serves an unquantized net at `max_batch`: one f32 stream and one int8
+/// stream, frames submitted interleaved before any is awaited so they can
+/// share a micro-batch. Returns the f32 stream's logits in frame order.
+fn serve_f32_beside_failing_int8(max_batch: usize) -> Vec<hgpcn_pcn::Matrix> {
+    const FRAMES: usize = 4;
+    let net = PointNet::new(PointNetConfig::semantic_segmentation(TARGET), 1);
+    let serving = ServingRuntime::start(base_config().max_batch(max_batch), net).unwrap();
+    let healthy = serving.open_stream(StreamProfile::new("f32")).unwrap();
+    let doomed = serving
+        .open_stream(StreamProfile::new("int8").precision(Precision::Int8))
+        .unwrap();
+    let source = SyntheticSource::new(1400, 10.0, FRAMES, 7);
+    let mut tickets = Vec::new();
+    for i in 0..FRAMES {
+        let ts = i as f64 / 10.0;
+        tickets.push((
+            healthy.submit(ts, source.frame_cloud(i)).unwrap(),
+            doomed.submit(ts, source.frame_cloud(i)).unwrap(),
+        ));
+    }
+    let mut logits = Vec::new();
+    for (good, bad) in tickets {
+        match serving.wait(good).unwrap() {
+            FrameStatus::Done(result) => logits.push(result.output.logits),
+            other => panic!("f32 frame {good:?} resolved {other:?}"),
+        }
+        match serving.wait(bad).unwrap() {
+            FrameStatus::Failed(err) => {
+                assert_eq!(err.code().as_str(), "frame_failed");
+                assert_eq!(err.frame_stage(), Some("pcn"));
+            }
+            other => panic!("int8 frame {bad:?} on an unquantized net resolved {other:?}"),
+        }
+    }
+    let report = serving.shutdown().unwrap();
+    assert_eq!(report.total_frames, FRAMES, "exactly the f32 frames count");
+    assert_eq!(report.streams[0].completed, FRAMES);
+    assert_eq!(report.streams[1].completed, 0);
+    logits
+}
+
+#[test]
+fn failure_inside_a_live_micro_batch_spares_its_batch_mates() {
+    // Whether or not f32 and int8 frames happened to coalesce, every
+    // int8 ticket fails as itself and every f32 frame completes with the
+    // logits a batch-of-one session produces.
+    assert_eq!(
+        serve_f32_beside_failing_int8(4),
+        serve_f32_beside_failing_int8(1)
+    );
 }

@@ -103,6 +103,9 @@ fn cmd_serve(mut flags: Flags) -> Result<(), String> {
     let addr: String = flags.take("--addr")?.unwrap_or("127.0.0.1:7870".into());
     let seed: u64 = flags.take_parsed("--seed", 7)?;
     let shards: usize = flags.take_parsed("--shards", 1)?;
+    if shards == 0 {
+        return Err("--shards must be >= 1".into());
+    }
     let placement = match flags.take("--placement")?.as_deref() {
         None | Some("hash") => PlacementPolicy::ConsistentHash,
         Some("least-loaded") => PlacementPolicy::LeastLoaded,
@@ -125,7 +128,7 @@ fn cmd_serve(mut flags: Flags) -> Result<(), String> {
     // `--shards 1` keeps the plain single-runtime app (identical wire
     // output to every previous release); `--shards N` fronts N replicas
     // of the same config sharing one copy of the weights.
-    let handle = if shards <= 1 {
+    let handle = if shards == 1 {
         App::new(config, default_net(seed))
             .map_err(|e| e.to_string())?
             .serve(&addr)

@@ -80,40 +80,24 @@ impl InferenceEngine {
         net: &PointNet,
         seed: u64,
     ) -> Result<InferenceReport, SystemError> {
-        self.run_with_precision(input, net, seed, Precision::F32)
+        self.run_with_precision_using(input, net, seed, Precision::F32, net.stage_backends())
     }
 
     /// [`InferenceEngine::run`] at a chosen arithmetic precision — the
-    /// serving-tier knob. The DLA-style cost models are
+    /// serving-tier knob — and with an explicit stage-backend selection:
+    /// the gather backend is pinned into the frame's VEG gatherer and the
+    /// interpolate backend into the forward pass, overriding the
+    /// network-pinned choice. The DLA-style cost models are
     /// precision-independent (the systolic array executes the same MAC
     /// schedule either way), so modeled latencies and op counts are
     /// identical across tiers; only the logits (and host speed) change.
+    /// Bit-identity across backends makes `stages` a host-speed knob only.
     ///
     /// # Errors
     ///
     /// As [`InferenceEngine::run`], plus
     /// [`hgpcn_pcn::PcnError::NotQuantized`] (as [`SystemError::Pcn`])
     /// when int8 is requested on an unquantized network.
-    pub fn run_with_precision(
-        &self,
-        input: &PointCloud,
-        net: &PointNet,
-        seed: u64,
-        precision: Precision,
-    ) -> Result<InferenceReport, SystemError> {
-        self.run_with_precision_using(input, net, seed, precision, net.stage_backends())
-    }
-
-    /// [`InferenceEngine::run_with_precision`] with an explicit
-    /// stage-backend selection: the gather backend is pinned into the
-    /// frame's VEG gatherer and the interpolate backend into the forward
-    /// pass, overriding the network-pinned choice. Bit-identity across
-    /// backends makes this a host-speed knob only — the runtime uses it
-    /// to honor a per-run `StageBackends` selection.
-    ///
-    /// # Errors
-    ///
-    /// As [`InferenceEngine::run_with_precision`].
     pub fn run_with_precision_using(
         &self,
         input: &PointCloud,
@@ -138,58 +122,16 @@ impl InferenceEngine {
     /// weights once for the whole batch. Each frame keeps its own VEG
     /// gatherer seeded by its own `seeds[i]`, so per-frame outputs,
     /// gather costs and modeled latencies are **bit-identical** to
-    /// per-frame [`InferenceEngine::run`] calls — batching changes host
-    /// throughput, never results.
+    /// per-frame [`InferenceEngine::run_with_precision_using`] calls —
+    /// batching changes host throughput, never results. The whole
+    /// micro-batch runs at one tier: a runtime serving a mixed-precision
+    /// fleet partitions its batches by precision first.
     ///
     /// # Errors
     ///
-    /// Propagates the first frame's failure as [`SystemError::Pcn`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs` and `seeds` have different lengths.
-    pub fn run_batch(
-        &self,
-        inputs: &[&PointCloud],
-        net: &PointNet,
-        seeds: &[u64],
-    ) -> Result<Vec<InferenceReport>, SystemError> {
-        self.run_batch_with_precision(inputs, net, seeds, Precision::F32)
-    }
-
-    /// [`InferenceEngine::run_batch`] at a chosen arithmetic precision.
-    /// The whole micro-batch runs at one tier — a runtime serving a
-    /// mixed-precision fleet partitions its batches by precision first
-    /// (per-frame results are unaffected: both tiers are bit-identical
-    /// between serial and batched execution).
-    ///
-    /// # Errors
-    ///
-    /// As [`InferenceEngine::run_batch`], plus
-    /// [`hgpcn_pcn::PcnError::NotQuantized`] (as [`SystemError::Pcn`])
-    /// when int8 is requested on an unquantized network.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs` and `seeds` have different lengths.
-    pub fn run_batch_with_precision(
-        &self,
-        inputs: &[&PointCloud],
-        net: &PointNet,
-        seeds: &[u64],
-        precision: Precision,
-    ) -> Result<Vec<InferenceReport>, SystemError> {
-        self.run_batch_with_precision_using(inputs, net, seeds, precision, net.stage_backends())
-    }
-
-    /// [`InferenceEngine::run_batch_with_precision`] with an explicit
-    /// stage-backend selection — the batched counterpart of
-    /// [`InferenceEngine::run_with_precision_using`], carrying the same
-    /// bit-identity contract.
-    ///
-    /// # Errors
-    ///
-    /// As [`InferenceEngine::run_batch_with_precision`].
+    /// Propagates the first frame's failure as [`SystemError::Pcn`] —
+    /// including [`hgpcn_pcn::PcnError::NotQuantized`] when int8 is
+    /// requested on an unquantized network.
     ///
     /// # Panics
     ///
@@ -325,7 +267,15 @@ mod tests {
         let frames = [input(1024), input(1100), input(1050)];
         let seeds = [5u64, 6, 7];
         let refs: Vec<&PointCloud> = frames.iter().collect();
-        let batched = engine.run_batch(&refs, &net, &seeds).unwrap();
+        let batched = engine
+            .run_batch_with_precision_using(
+                &refs,
+                &net,
+                &seeds,
+                Precision::F32,
+                net.stage_backends(),
+            )
+            .unwrap();
         assert_eq!(batched.len(), 3);
         for ((frame, &seed), b) in frames.iter().zip(&seeds).zip(&batched) {
             let serial = engine.run(frame, &net, seed).unwrap();

@@ -6,8 +6,8 @@
 //! ```
 //!
 //! Runs one synthetic 8-stream fleet through the serving runtime twice
-//! on the same 2+2 worker pool — once with the legacy per-frame path
-//! (`max_batch = 1`), once with SoA micro-batching — verifies the
+//! on the same 2+2 worker pool — once with every frame a batch of one
+//! (`max_batch = 1`), once coalescing queued frames — verifies the
 //! per-frame modeled results are bit-identical, and prints the
 //! host-throughput speedup batching delivered.
 
