@@ -51,13 +51,11 @@
 //!   acceptance claim that the quantized path out-runs the f32
 //!   `blocked` kernel on dense GEMM throughput.
 //! * `stage_backends` (per side) / `preproc_gmacs` /
-//!   `preproc_gmacs_vs_anchor` / `stage_*_vs_scalar` — which backend
-//!   each preproc stage (sampling / gather / interpolate) dispatched to
-//!   on that side, the dispatched stage set's GMAC-equivalent composite
-//!   preproc throughput on representative per-frame shapes, and that
-//!   throughput as a same-host multiple of the all-scalar anchor set's
-//!   (plus one vs-scalar multiple for each of the two stages that have
-//!   an optimized backend, sampling and gather, for attribution). The
+//!   `preproc_gmacs_vs_anchor` — which backend each preproc stage
+//!   (sampling / gather / interpolate) dispatched to on that side, the
+//!   dispatched stage set's GMAC-equivalent composite preproc
+//!   throughput on representative per-frame shapes, and that throughput
+//!   as a same-host multiple of the all-scalar anchor set's. The
 //!   serial yardstick is pinned to `StageBackends::anchor()` exactly as
 //!   it is pinned to the reference matmul kernel, so `speedup` keeps
 //!   meaning "what the modern path buys over the original one" as the
@@ -405,8 +403,9 @@ fn preproc_gmacs(w: &PreprocWorkload, stages: StageBackends) -> f64 {
     equiv / best.max(1e-12) / 1e9
 }
 
-/// The stream-context reuse trajectory for the JSON: the measured
-/// warm-over-cold speedup and the measurement stream's hit/miss tally.
+/// The stream-context reuse trajectory for the JSON: the modeled
+/// cold-over-warm latency ratio and the measurement stream's hit/miss
+/// tally.
 struct ReuseMeasurement {
     warm_vs_cold: f64,
     hits: u64,
@@ -450,8 +449,8 @@ fn reuse_warm_vs_cold() -> ReuseMeasurement {
         let out = engine
             .run_with_context(&frame, TARGET, 7, sampling, &mut ctx)
             .expect("warm preproc succeeds");
-        // The context is an accelerator, never a result change: the
-        // warm frame must pick bit-identical samples.
+        // The context changes pricing, never results: the warm frame
+        // must pick bit-identical samples.
         assert_eq!(
             out.sampled_sfc, cold_out.sampled_sfc,
             "reuse changed frame {i}'s samples"
@@ -672,22 +671,12 @@ fn main() {
     // The preproc-stage mirror of the kernel pair: composite
     // GMAC-equivalent throughput of the dispatched stage set, its
     // same-host multiple over the all-scalar anchor set (the gated
-    // ratio), and one multiple per optimized stage — each measured with
-    // the other stages held at the anchor — for attribution.
+    // ratio).
     let stages_active = net_modern.stage_backends();
     let workload = preproc_workload();
     let anchor_gmacs = preproc_gmacs(&workload, StageBackends::anchor());
     let pre_gmacs = preproc_gmacs(&workload, stages_active);
     let pre_vs_anchor = pre_gmacs / anchor_gmacs.max(1e-12);
-    let one_stage = |s: StageBackends| preproc_gmacs(&workload, s) / anchor_gmacs.max(1e-12);
-    let sampling_vs_scalar = one_stage(StageBackends {
-        sampling: stages_active.sampling,
-        ..StageBackends::anchor()
-    });
-    let gather_vs_scalar = one_stage(StageBackends {
-        gather: stages_active.gather,
-        ..StageBackends::anchor()
-    });
     // The reuse seam's counterpart pair: modeled (deterministic), so the
     // gate bands it tightly and holds an absolute floor under it.
     let reuse = reuse_warm_vs_cold();
@@ -696,7 +685,7 @@ fn main() {
         concat!(
             "{{\n",
             "  \"bench\": \"runtime_batching\",\n",
-            "  \"schema_version\": 6,\n",
+            "  \"schema_version\": 7,\n",
             "  \"config\": {{\n",
             "    \"streams\": {},\n",
             "    \"frames_per_stream\": {},\n",
@@ -717,8 +706,6 @@ fn main() {
             "  \"int8_gmacs_vs_f32_blocked\": {:.4},\n",
             "  \"preproc_gmacs\": {:.4},\n",
             "  \"preproc_gmacs_vs_anchor\": {:.4},\n",
-            "  \"stage_sampling_vs_scalar\": {:.4},\n",
-            "  \"stage_gather_vs_scalar\": {:.4},\n",
             "  \"preproc_warm_vs_cold\": {:.4},\n",
             "  \"preproc_reuse\": {{\n",
             "    \"policy\": \"{}\",\n",
@@ -751,8 +738,6 @@ fn main() {
         int8_vs_blocked,
         pre_gmacs,
         pre_vs_anchor,
-        sampling_vs_scalar,
-        gather_vs_scalar,
         reuse.warm_vs_cold,
         batched.preproc_reuse,
         reuse.hits,
@@ -795,12 +780,11 @@ fn main() {
         int8_kernel.name()
     );
     println!(
-        "  stages : {} at {pre_gmacs:.2} GMAC-equiv/s preproc ({pre_vs_anchor:.2}x the anchor set; \
-         sampling {sampling_vs_scalar:.2}x, gather {gather_vs_scalar:.2}x)",
+        "  stages : {} at {pre_gmacs:.2} GMAC-equiv/s preproc ({pre_vs_anchor:.2}x the anchor set)",
         batched.stage_backends
     );
     println!(
-        "  reuse  : policy {}, warm build+table {:.2}x cheaper than cold ({} hits / {} misses, hit rate {:.2})",
+        "  reuse  : policy {}, warm build+table modeled {:.2}x cheaper than cold ({} hits / {} misses, hit rate {:.2})",
         batched.preproc_reuse, reuse.warm_vs_cold, reuse.hits, reuse.misses, reuse.hit_rate
     );
     println!(

@@ -5,8 +5,8 @@
 //! heavily — objects move, the world does not — so the scene keeps its
 //! root AABB **bit-stable** across frames (a static shell of boundary
 //! returns pins it) while every object's points translate between
-//! frames. That is exactly the shape the temporal-coherence warm path
-//! exploits: same root grid, near-sorted Morton order, small dirty set.
+//! frames. That is exactly the shape the §V-A temporal-coherence delta
+//! pricing rewards: same root grid, small dirty set.
 //!
 //! Unlike [`kitti::FrameStream`](crate::kitti), frames here are a pure
 //! function of `(scene, frame index)`: any frame can be generated in any

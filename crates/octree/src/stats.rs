@@ -13,7 +13,10 @@ pub struct BuildStats {
     pub point_reads: usize,
     /// Point writes performed (the reorganized SFC copy in host memory).
     pub point_writes: usize,
-    /// Comparisons spent sorting points into SFC order.
+    /// Comparisons the one host SFC sort performed. The frame cost model
+    /// never prices it (`hgpcn_system::build_counts` charges the build
+    /// from `code_computations`); only the gather index's own stateless
+    /// build (`VegIndex::build_counts`) does.
     pub sort_comparisons: usize,
     /// Morton-code computations (one octant walk per point).
     pub code_computations: usize,
@@ -22,19 +25,19 @@ pub struct BuildStats {
     /// Depth of the deepest leaf actually created. Depends on the frame's
     /// spatial non-uniformity (the MN.piano vs MN.plant effect in Fig. 11).
     pub achieved_depth: u8,
-    /// `true` when this build ran the temporal-coherence warm path
-    /// (adaptive merge over a cached near-sorted order) instead of a cold
-    /// full sort. The arena is bit-identical either way; only the cost
-    /// model differs.
+    /// `true` when the frame landed on the scratch's cached root grid, so
+    /// the build is *priced* as the §V-A delta pass. The host runs the
+    /// same sort and node construction either way; only the cost model
+    /// differs.
     pub reused: bool,
     /// Points whose Morton code changed relative to the cached previous
-    /// frame (warm path), or all points on a cold build. This is the "n"
-    /// of the delta pass the warm cost model charges.
+    /// frame (`reused`), or all points otherwise. This is the "n" of the
+    /// delta pass the warm cost model charges.
     pub dirty_points: usize,
     /// Octree-Table rows whose content (code, point range, or children)
     /// may have changed relative to the cached previous frame: nodes
     /// whose sorted-position range touches a changed position. Equals
-    /// `nodes_created` on a cold build. A conservative (never
+    /// `nodes_created` when not `reused`. A conservative (never
     /// undercounting) estimate — the quantity the §V-A incremental
     /// table update re-emits while clean rows persist in BRAM.
     pub nodes_dirty: usize,

@@ -51,28 +51,22 @@ impl Octree {
     /// * [`OctreeError::InvalidGeometry`] if any coordinate is non-finite.
     pub fn build(cloud: &PointCloud, config: OctreeConfig) -> Result<Octree, OctreeError> {
         // Stateless = one build through a throwaway scratch: a fresh
-        // scratch has no cached grid, so this is always the cold path.
+        // scratch has no cached frame, so the stats record a full build.
         Octree::build_with_scratch(cloud, config, &mut OctreeScratch::new())
     }
 
-    /// Builds an octree over `cloud`, reusing `scratch`'s buffers and — when
-    /// the frame lands on the cached grid — the previous frame's near-sorted
-    /// Morton order.
+    /// Builds an octree over `cloud` through `scratch`'s recycled buffers,
+    /// and diffs the frame against the one the scratch last built.
     ///
-    /// The result is **bit-identical** to [`Octree::build`] in every
+    /// There is one host build path: every frame runs the same stable SFC
+    /// sort, so the result is **bit-identical** to [`Octree::build`] in every
     /// geometric respect (`root_bounds`, nodes, point codes, permutation,
-    /// reorganized points); only [`BuildStats`] differs, because it records
-    /// what the build actually did (`reused`, `dirty_points`, merge vs full
-    /// sort comparisons). The warm path sorts by the strict key
-    /// `(code, raw index)`, which is exactly the order the cold stable
-    /// code-only sort realizes, so the permutation is identical no matter
-    /// what order the cache supplies — a stale or even scrambled cache can
-    /// cost time, never correctness.
-    ///
-    /// The warm path engages only when the computed root grid (cubified,
-    /// inflated AABB) is bit-equal to the cached one and the config matches;
-    /// any drift falls back to a cold full sort (still through the reused
-    /// buffers) and refreshes the cache.
+    /// reorganized points). Only [`BuildStats`] differs: when the computed
+    /// root grid (cubified, inflated AABB) is bit-equal to the cached one and
+    /// the config matches, `reused` is set and `dirty_points` /
+    /// `nodes_dirty` count what moved since the cached frame — the inputs
+    /// the §V-A delta pass is *priced* from. Any grid drift records a full
+    /// build and refreshes the cache.
     ///
     /// # Errors
     ///
@@ -116,48 +110,31 @@ impl Octree {
         stats.code_computations = n;
         stats.point_reads = n;
 
+        // A frame on the cached grid is diffed against the cached frame:
+        // the points whose code moved are the "n" the §V-A delta pass is
+        // priced for. Off the grid everything is new.
         let warm = scratch.grid == Some((root_bounds, config));
+        stats.reused = warm;
+        stats.dirty_points = if warm {
+            let prev = &scratch.prev_codes;
+            (0..n)
+                .filter(|&i| i >= prev.len() || scratch.raw_codes[i] != prev[i])
+                .count()
+        } else {
+            n
+        };
+
+        // Host-memory pre-configuration: stable SFC sort.
         let mut permutation = std::mem::take(&mut scratch.spare_perm);
         permutation.clear();
-        if warm {
-            // Delta pass: count points whose code moved since the cached
-            // frame (the quantity the §V-A warm cost model charges for).
-            let prev = &scratch.prev_codes;
-            let dirty = (0..n)
-                .filter(|&i| i >= prev.len() || scratch.raw_codes[i] != prev[i])
-                .count();
-            // Seed with the cached order (dropping raw indices past this
-            // frame's length, appending any new ones), then finish with an
-            // adaptive natural merge on the strict (code, index) key.
-            permutation.extend(scratch.prev_perm.iter().copied().filter(|&i| i < n));
-            permutation.extend(scratch.prev_codes.len()..n);
-            debug_assert_eq!(permutation.len(), n);
-            let mut comparisons = 0usize;
-            adaptive_merge_by_code(
-                &mut permutation,
-                &scratch.raw_codes,
-                &mut scratch.merge_buf,
-                &mut scratch.runs,
-                &mut scratch.runs_next,
-                &mut comparisons,
-            );
-            stats.sort_comparisons = comparisons;
-            stats.dirty_points = dirty;
-            stats.reused = true;
-        } else {
-            // Host-memory pre-configuration: stable SFC sort. This cold
-            // branch is the reference the warm-path proptests compare
-            // against.
-            permutation.extend(0..n);
-            let raw_codes = &scratch.raw_codes;
-            let comparisons = Cell::new(0usize);
-            permutation.sort_by(|&a, &b| {
-                comparisons.set(comparisons.get() + 1);
-                raw_codes[a].cmp(&raw_codes[b])
-            });
-            stats.sort_comparisons = comparisons.get();
-            stats.dirty_points = n;
-        }
+        permutation.extend(0..n);
+        let raw_codes = &scratch.raw_codes;
+        let comparisons = Cell::new(0usize);
+        permutation.sort_by(|&a, &b| {
+            comparisons.set(comparisons.get() + 1);
+            raw_codes[a].cmp(&raw_codes[b])
+        });
+        stats.sort_comparisons = comparisons.get();
 
         let mut points = std::mem::take(&mut scratch.spare_points);
         cloud.gather_into(&permutation, &mut points);
@@ -194,12 +171,10 @@ impl Octree {
             nodes.len()
         };
 
-        // Refresh the cache: this frame's raw-order codes and final
-        // permutation become the next frame's warm seed.
+        // Refresh the cache: the next frame is diffed against this one.
         scratch.grid = Some((root_bounds, config));
         std::mem::swap(&mut scratch.prev_codes, &mut scratch.raw_codes);
-        scratch.prev_perm.clear();
-        scratch.prev_perm.extend_from_slice(&permutation);
+        scratch.prev_perm.clone_from(&permutation);
 
         Ok(Octree {
             root_bounds,
@@ -475,23 +450,22 @@ fn partition_end(codes: &[MortonCode], range: Range<u32>, child_code: MortonCode
 /// Carries two kinds of state across the frames of one stream:
 ///
 /// * **scratch capacity** — every buffer [`Octree::build`] would otherwise
-///   allocate per frame (raw/sorted code arrays, permutation, merge
-///   workspace, and — via [`OctreeScratch::recycle`] — the node arena and
-///   reorganized cloud of a consumed tree);
-/// * **the warm cache** — the previous frame's root grid, raw-order Morton
-///   codes, and permutation, which lets
-///   [`Octree::build_with_scratch`] replace the full SFC sort with an
-///   adaptive merge over a near-sorted order when consecutive frames share
-///   a grid (§V-A temporal coherence).
+///   allocate per frame (raw/sorted code arrays, permutation, and — via
+///   [`OctreeScratch::recycle`] — the node arena and reorganized cloud of a
+///   consumed tree);
+/// * **the previous frame** — its root grid, raw-order Morton codes and
+///   permutation, which [`Octree::build_with_scratch`] diffs a frame on
+///   the same grid against to fill the [`BuildStats`] the §V-A delta pass
+///   is priced from (`reused`, `dirty_points`, `nodes_dirty`).
 ///
-/// The cache is a pure accelerator: build results are bit-identical whether
-/// it is fresh, stale, or absent. Sharing one scratch across *unrelated*
-/// streams is therefore safe but defeats the warm path; give each stream
-/// its own.
+/// The cache feeds pricing only: every build runs the same sort, so the
+/// tree is bit-identical whatever the cache holds. Sharing one scratch
+/// across *unrelated* streams is therefore safe but prices every frame
+/// against a stranger; give each stream its own.
 #[derive(Clone, Debug, Default)]
 pub struct OctreeScratch {
     /// Root grid of the cached frame; `None` until the first successful
-    /// build or after [`OctreeScratch::invalidate`].
+    /// build.
     grid: Option<(Aabb, OctreeConfig)>,
     /// Cached permutation (SFC position → raw index) of the previous frame.
     prev_perm: Vec<usize>,
@@ -499,11 +473,8 @@ pub struct OctreeScratch {
     prev_codes: Vec<MortonCode>,
     /// Working buffer: this frame's codes in raw point order.
     raw_codes: Vec<MortonCode>,
-    merge_buf: Vec<usize>,
-    runs: Vec<(usize, usize)>,
-    runs_next: Vec<(usize, usize)>,
     /// Working buffer: prefix counts of changed sorted positions (for the
-    /// warm path's dirty-node estimate).
+    /// dirty-node estimate).
     dirty_prefix: Vec<u32>,
     spare_nodes: Vec<Node>,
     spare_codes: Vec<MortonCode>,
@@ -517,38 +488,7 @@ impl OctreeScratch {
         OctreeScratch::default()
     }
 
-    /// `true` if a build over `cloud` with `config` would take the warm
-    /// path: the cloud's computed root grid is bit-equal to the cached one.
-    /// Exposed so callers can price the build before running it.
-    pub fn is_warm_for(&self, cloud: &PointCloud, config: OctreeConfig) -> bool {
-        let Some((cached_bounds, cached_config)) = self.grid else {
-            return false;
-        };
-        if cached_config != config {
-            return false;
-        }
-        let Some(bounds) = cloud.bounds() else {
-            return false;
-        };
-        let margin = (bounds.diagonal() * 1e-6).max(f32::MIN_POSITIVE);
-        bounds.inflate(margin).cubified() == cached_bounds
-    }
-
-    /// Root grid of the cached frame, if any.
-    #[inline]
-    pub fn cached_grid(&self) -> Option<(Aabb, OctreeConfig)> {
-        self.grid
-    }
-
-    /// Drops the warm cache (e.g. on a stream discontinuity) while keeping
-    /// all buffer capacity. The next build runs cold.
-    pub fn invalidate(&mut self) {
-        self.grid = None;
-        self.prev_perm.clear();
-        self.prev_codes.clear();
-    }
-
-    /// Reclaims the heap buffers of a tree this scratch (or a cold build)
+    /// Reclaims the heap buffers of a tree this scratch (or [`Octree::build`])
     /// produced, once the caller is done with it. Purely a capacity
     /// optimization — skipping it never affects results, it just makes the
     /// next build allocate.
@@ -615,69 +555,6 @@ fn dirty_nodes(
             prefix[(hi + 1).min(n)] > prefix[lo]
         })
         .count()
-}
-
-/// Sorts `perm` by the strict key `(codes[i], i)` with a bottom-up natural
-/// merge: detect the maximal ascending runs already present, then merge
-/// adjacent runs pairwise until one remains. On an already-sorted seed this
-/// is a single `n - 1`-comparison verification pass; on a near-sorted seed
-/// the run count — and so the merge work — scales with the disorder, not
-/// with `n log n`. `comparisons` is incremented once per key comparison.
-fn adaptive_merge_by_code(
-    perm: &mut [usize],
-    codes: &[MortonCode],
-    buf: &mut Vec<usize>,
-    runs: &mut Vec<(usize, usize)>,
-    runs_next: &mut Vec<(usize, usize)>,
-    comparisons: &mut usize,
-) {
-    let n = perm.len();
-    if n < 2 {
-        return;
-    }
-    let key = |i: usize| (codes[i], i);
-
-    runs.clear();
-    let mut start = 0;
-    for i in 1..n {
-        *comparisons += 1;
-        if key(perm[i - 1]) > key(perm[i]) {
-            runs.push((start, i));
-            start = i;
-        }
-    }
-    runs.push((start, n));
-
-    while runs.len() > 1 {
-        runs_next.clear();
-        let mut k = 0;
-        while k + 1 < runs.len() {
-            let (a0, a1) = runs[k];
-            let (b0, b1) = runs[k + 1];
-            debug_assert_eq!(a1, b0);
-            buf.clear();
-            let (mut i, mut j) = (a0, b0);
-            while i < a1 && j < b1 {
-                *comparisons += 1;
-                if key(perm[i]) <= key(perm[j]) {
-                    buf.push(perm[i]);
-                    i += 1;
-                } else {
-                    buf.push(perm[j]);
-                    j += 1;
-                }
-            }
-            buf.extend_from_slice(&perm[i..a1]);
-            buf.extend_from_slice(&perm[j..b1]);
-            perm[a0..b1].copy_from_slice(buf);
-            runs_next.push((a0, b1));
-            k += 2;
-        }
-        if k < runs.len() {
-            runs_next.push(runs[k]);
-        }
-        std::mem::swap(runs, runs_next);
-    }
 }
 
 #[cfg(test)]
@@ -864,13 +741,10 @@ mod tests {
         assert!(!first.build_stats().reused, "no cache on the first frame");
         assert_trees_bit_identical(&first, &Octree::build(&cloud, cfg).unwrap());
 
-        assert!(scratch.is_warm_for(&cloud, cfg));
         let second = Octree::build_with_scratch(&cloud, cfg, &mut scratch).unwrap();
         let stats = second.build_stats();
-        assert!(stats.reused, "identical frame must take the warm path");
+        assert!(stats.reused, "identical frame lands on the cached grid");
         assert_eq!(stats.dirty_points, 0, "no code moved");
-        // Already-sorted seed: one verification pass, no merges.
-        assert_eq!(stats.sort_comparisons, cloud.len() - 1);
         assert_trees_bit_identical(&second, &Octree::build(&cloud, cfg).unwrap());
     }
 
@@ -905,7 +779,7 @@ mod tests {
         scratch.recycle(a);
         let b = Octree::build_with_scratch(&frame_b, cfg, &mut scratch).unwrap();
         let stats = b.build_stats();
-        assert!(stats.reused, "same AABB frame must take the warm path");
+        assert!(stats.reused, "same AABB frame lands on the cached grid");
         assert!(stats.dirty_points > 0, "drift must dirty some codes");
         assert_trees_bit_identical(&b, &Octree::build(&frame_b, cfg).unwrap());
     }
@@ -919,13 +793,13 @@ mod tests {
 
         let mut grown = grid_cloud(3);
         grown.push(Point3::splat(50.0));
-        assert!(!scratch.is_warm_for(&grown, cfg));
         let tree = Octree::build_with_scratch(&grown, cfg, &mut scratch).unwrap();
         assert!(!tree.build_stats().reused, "AABB growth must rebuild cold");
         assert_eq!(tree.build_stats().dirty_points, grown.len());
         assert_trees_bit_identical(&tree, &Octree::build(&grown, cfg).unwrap());
-        // The fallback refreshed the cache: the grown frame is now warm.
-        assert!(scratch.is_warm_for(&grown, cfg));
+        // The miss refreshed the cache: the grown frame now hits.
+        let again = Octree::build_with_scratch(&grown, cfg, &mut scratch).unwrap();
+        assert!(again.build_stats().reused);
     }
 
     #[test]
@@ -940,22 +814,9 @@ mod tests {
     }
 
     #[test]
-    fn scratch_invalidate_forces_cold() {
-        let cloud = grid_cloud(3);
-        let cfg = OctreeConfig::default();
-        let mut scratch = OctreeScratch::new();
-        let _ = Octree::build_with_scratch(&cloud, cfg, &mut scratch).unwrap();
-        scratch.invalidate();
-        assert!(!scratch.is_warm_for(&cloud, cfg));
-        let tree = Octree::build_with_scratch(&cloud, cfg, &mut scratch).unwrap();
-        assert!(!tree.build_stats().reused);
-        assert_trees_bit_identical(&tree, &Octree::build(&cloud, cfg).unwrap());
-    }
-
-    #[test]
     fn scratch_point_count_changes_stay_identical() {
-        // Same AABB, different point counts: warm seeding must handle both
-        // shrink (drop stale indices) and growth (append fresh ones).
+        // Same AABB, different point counts: the diff against the cached
+        // frame must handle both shrink and growth.
         let cfg = OctreeConfig::new().max_depth(5).leaf_capacity(2);
         let mut scratch = OctreeScratch::new();
         let counts = [40usize, 64, 12, 1, 64];
@@ -980,7 +841,6 @@ mod tests {
         let cfg = OctreeConfig::default();
         let mut scratch = OctreeScratch::new();
         let _ = Octree::build_with_scratch(&cloud, cfg, &mut scratch).unwrap();
-        let cached = scratch.cached_grid();
 
         assert_eq!(
             Octree::build_with_scratch(&PointCloud::new(), cfg, &mut scratch).unwrap_err(),
@@ -990,12 +850,12 @@ mod tests {
         bad.push(Point3::new(f32::NAN, 0.0, 0.0));
         assert!(Octree::build_with_scratch(&bad, cfg, &mut scratch).is_err());
 
-        assert_eq!(scratch.cached_grid(), cached);
         let tree = Octree::build_with_scratch(&cloud, cfg, &mut scratch).unwrap();
         assert!(
             tree.build_stats().reused,
             "cache survived the failed frames"
         );
+        assert_eq!(tree.build_stats().dirty_points, 0);
         assert_trees_bit_identical(&tree, &Octree::build(&cloud, cfg).unwrap());
     }
 

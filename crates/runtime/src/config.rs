@@ -106,10 +106,10 @@ pub struct RuntimeConfig {
     /// [`PreprocReuse::On`] each stream owns a
     /// [`StreamPreprocContext`](hgpcn_system::StreamPreprocContext):
     /// scratch buffers persist across its frames and consecutive frames
-    /// sharing a root AABB take the temporal-coherence warm path, priced
-    /// as a §V-A delta pass. Results are **bit-identical** either way;
-    /// what changes is host speed and the *modeled* preprocessing cost
-    /// of warm frames. The resolved policy is reported in
+    /// sharing a root AABB are priced as a §V-A delta pass. Results are
+    /// **bit-identical** either way and the host runs the same build;
+    /// what changes is per-frame allocation and the *modeled*
+    /// preprocessing cost of warm frames. The resolved policy is reported in
     /// [`RuntimeReport::preproc_reuse`](crate::RuntimeReport::preproc_reuse).
     pub preproc_reuse: Option<PreprocReuse>,
 }

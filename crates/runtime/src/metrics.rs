@@ -98,11 +98,11 @@ pub struct FrameRecord {
     pub wall_infer_s: f64,
     /// Wall-clock instant (relative to run start) the frame completed.
     pub wall_done: Duration,
-    /// Whether preprocessing took the temporal-coherence warm path
-    /// (reused the stream context's cached grid). Always `false` when
-    /// the run's reuse policy is `off`. Host-speed/modeled-cost
-    /// provenance only: warm and cold frames carry bit-identical
-    /// sampled clouds and logits.
+    /// Whether preprocessing landed on the stream context's cached grid
+    /// and was priced as the temporal-coherence delta pass. Always
+    /// `false` when the run's reuse policy is `off`. Modeled-cost
+    /// provenance only: the host build is the same, and warm and cold
+    /// frames carry bit-identical sampled clouds and logits.
     pub preproc_reused: bool,
 }
 
@@ -206,12 +206,12 @@ pub struct StreamReport {
     /// `stage_backends`. Identity provenance, not a result qualifier:
     /// both policies produce bit-identical outputs.
     pub preproc_reuse: &'static str,
-    /// Frames of this stream whose preprocessing took the
-    /// temporal-coherence warm path. Zero under the `off` policy.
+    /// Frames of this stream whose preprocessing was priced as the
+    /// temporal-coherence delta pass. Zero under the `off` policy.
     pub preproc_reuse_hits: u64,
-    /// Frames that rebuilt cold (first frame, root-AABB drift). With
-    /// reuse `on`, hits staying at zero while frames flow means the
-    /// warm path never engages — the silent-fallback diagnostic.
+    /// Frames priced as a full build (first frame, root-AABB drift).
+    /// With reuse `on`, hits staying at zero while frames flow means
+    /// warm pricing never engages — the silent-fallback diagnostic.
     pub preproc_reuse_misses: u64,
     /// Completed frames per virtual second, over this stream's span of
     /// virtual time (arrival of first frame to completion of last).
@@ -572,10 +572,10 @@ pub struct RuntimeReport {
     /// `kernel_backend` this is provenance, not a result qualifier —
     /// warm and cold preprocessing are bit-identical.
     pub preproc_reuse: &'static str,
-    /// Frames across all streams whose preprocessing took the
-    /// temporal-coherence warm path.
+    /// Frames across all streams whose preprocessing was priced as the
+    /// temporal-coherence delta pass.
     pub preproc_reuse_hits: u64,
-    /// Frames across all streams that rebuilt cold.
+    /// Frames across all streams priced as a full build.
     pub preproc_reuse_misses: u64,
     /// The fleet's inference precision: `f32` or `int8` when every
     /// stream ran one tier, `mixed` when stream overrides differed.
@@ -616,7 +616,7 @@ impl RuntimeReport {
         self.wall_fps() / baseline.wall_fps().max(1e-12)
     }
 
-    /// Fraction of preprocessed frames that took the warm path:
+    /// Fraction of preprocessed frames priced warm:
     /// `hits / (hits + misses)`, or 0.0 when nothing was preprocessed.
     /// With reuse `on` and temporally coherent streams this approaches
     /// `(n − streams) / n`; a value of 0.0 while frames flowed is the
@@ -695,13 +695,13 @@ impl RuntimeReport {
             );
             reg.counter_add(
                 "hgpcn_preproc_reuse_hits_total",
-                "Frames preprocessed via the temporal-coherence warm path",
+                "Frames priced as the temporal-coherence warm delta pass",
                 &labels,
                 s.preproc_reuse_hits,
             );
             reg.counter_add(
                 "hgpcn_preproc_reuse_misses_total",
-                "Frames preprocessed via a cold rebuild",
+                "Frames priced as a full cold rebuild",
                 &labels,
                 s.preproc_reuse_misses,
             );

@@ -75,17 +75,17 @@ struct StageJob {
     precision: Precision,
     sampled: PointCloud,
     pre_phase: PhaseReport,
-    /// Whether preprocessing took the temporal-coherence warm path
-    /// (always `false` under [`PreprocReuse::Off`]).
+    /// Whether preprocessing was priced as the temporal-coherence delta
+    /// pass (always `false` under [`PreprocReuse::Off`]).
     preproc_reused: bool,
 }
 
 // ---------------------------------------------------------------------
 // Stream-scoped preprocessing contexts (`PreprocReuse::On`).
 //
-// The warm path's *results* are bit-identical from any cache state, but
-// its modeled cost (warm vs cold, dirty counts) depends on which frame
-// last primed the cache. To keep modeled latencies a pure function of
+// A frame's *results* are bit-identical from any cache state, but its
+// modeled cost (warm vs cold, dirty counts) depends on which frame last
+// primed the cache. To keep modeled latencies a pure function of
 // submission order at any worker count, context updates are serialized
 // into frame order per stream: the worker holding frame f waits for its
 // turn (`next == f`), frames evicted before preprocessing are skipped

@@ -39,11 +39,11 @@ pub struct PreprocessOutput {
     pub transfer_latency: Latency,
     /// Modeled latency of the FPGA down-sampling.
     pub sample_latency: Latency,
-    /// `true` when the build took the temporal-coherence warm path of a
+    /// `true` when the frame landed on the cached root grid of a
     /// stream-scoped context ([`PreprocessingEngine::run_with_context`]);
-    /// always `false` on the stateless entry points. Results are
-    /// bit-identical either way — this flag records which cost model
-    /// priced `build_counts`/`build_latency`.
+    /// always `false` on the stateless entry points. The host build and
+    /// its results are the same either way — this flag records which cost
+    /// model priced `build_counts`/`build_latency`.
     pub reused: bool,
 }
 
@@ -104,7 +104,8 @@ pub fn build_counts(stats: &BuildStats, _depth: u8) -> OpCounts {
 /// octree-build share priced down by temporal coherence.
 ///
 /// Like [`build_counts`], this prices what the paper's hardware would do;
-/// [`BuildStats`] keeps what the host actually did (merge comparisons).
+/// [`BuildStats`] keeps what the host actually did (the one full sort's
+/// comparisons, whether or not the frame is priced warm).
 pub fn warm_build_counts(stats: &BuildStats) -> OpCounts {
     let n = stats.points as u64;
     let dirty = stats.dirty_points as u64;
@@ -193,17 +194,17 @@ impl PreprocessingEngine {
     }
 
     /// Runs the engine on one frame of a stream through that stream's
-    /// [`StreamPreprocContext`]: the octree build reuses the context's
-    /// scratch and — when the frame's root AABB matches the cached grid —
-    /// its temporal-coherence warm path, OIS reuses the context's
-    /// scoreboard and host-memory buffers, and the context's hit/miss
-    /// tally advances.
+    /// [`StreamPreprocContext`]: the octree build and OIS run through the
+    /// context's recycled buffers (arena, code arrays, scoreboard,
+    /// host-memory image), the frame is diffed against the cached previous
+    /// one, and the context's hit/miss tally advances.
     ///
     /// Outputs are **bit-identical** to [`PreprocessingEngine::run_using`]
-    /// on the same frame; on a warm hit `build_counts`/`build_latency`
-    /// are priced by [`warm_build_counts`] (the §V-A delta pass) and
-    /// [`PreprocessOutput::reused`] is set. A frame whose AABB drifted
-    /// rebuilds cold automatically and re-primes the cache.
+    /// on the same frame; when the frame's root AABB matches the cached
+    /// grid, `build_counts`/`build_latency` are priced by
+    /// [`warm_build_counts`] (the §V-A delta pass) and
+    /// [`PreprocessOutput::reused`] is set. A frame whose AABB drifted is
+    /// priced as a full build and re-primes the cache.
     ///
     /// Call [`StreamPreprocContext::recycle`] with the output once done
     /// to also reclaim the octree buffers for the next frame.
@@ -211,9 +212,9 @@ impl PreprocessingEngine {
     /// # Errors
     ///
     /// As [`PreprocessingEngine::run`]. A failed frame never advances the
-    /// hit/miss tally; the warm cache keeps whatever the last successful
-    /// build left (which is always safe — the cache is an accelerator,
-    /// not a correctness input).
+    /// hit/miss tally; the cache keeps whatever the last successful build
+    /// left (which is always safe — the cache feeds pricing, not
+    /// results).
     pub fn run_with_context(
         &self,
         frame: &PointCloud,
@@ -237,7 +238,8 @@ impl PreprocessingEngine {
         sampling: SamplingKernel,
         ctx: &mut StreamPreprocContext,
     ) -> Result<PreprocessOutput, SystemError> {
-        // CPU: octree build through the context's scratch (warm or cold).
+        // CPU: octree build through the context's scratch, priced as the
+        // delta pass on a grid hit.
         let octree = Octree::build_with_scratch(frame, self.octree_config, &mut ctx.octree)?;
         let stats = octree.build_stats();
         let b_counts = if stats.reused {
@@ -248,7 +250,7 @@ impl PreprocessingEngine {
         let build_latency = self.cpu.latency(&b_counts);
 
         // MMIO: ship the Octree-Table to the FPGA (skipped on-CPU). On a
-        // warm build only the dirty rows cross the link — the table is
+        // grid hit only the dirty rows cross the link — the table is
         // BRAM-resident across a stream's frames, so clean rows from the
         // previous frame stay put.
         let table = OctreeTable::from_octree(&octree);

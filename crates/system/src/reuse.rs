@@ -7,16 +7,25 @@
 //! [`StreamPreprocContext`] and runs frames through
 //! [`PreprocessingEngine::run_with_context`]: scratch buffers (octree
 //! arena, Morton/sort workspace, sampling scoreboard, host-memory image)
-//! persist across the stream's frames, and consecutive frames sharing a
-//! root AABB take the temporal-coherence warm path — an adaptive merge of
-//! the previous frame's near-sorted order instead of a full SFC sort,
-//! priced as a §V-A delta pass. With [`PreprocReuse::Off`] (the anchor),
-//! preprocessing stays stateless-per-frame, exactly as before this seam
-//! existed.
+//! persist across the stream's frames, and a frame sharing the previous
+//! frame's root AABB is *priced* as the §V-A delta pass over the points
+//! and table rows that changed. With [`PreprocReuse::Off`] (the anchor),
+//! preprocessing is stateless per frame and every build is priced in
+//! full.
 //!
-//! Either way the outputs are **bit-identical** — the warm path is proven
-//! equal to a cold rebuild by construction and by proptest — so, like the
-//! stage kernels, this knob trades speed and modeled cost, never results.
+//! There is one host build path: reuse is recycled buffers plus modeled
+//! delta pricing, never a second sort. Seeding the sort from the cached
+//! order was measured on the benchmark of record and lost: on
+//! `stream_warm` (60 k-point frames, 0.92 hit share, 0.80 of points
+//! dirty, 2 vCPU) a seeded adaptive merge ran 538–554 ns/point against
+//! 491–502 for the full sort through the same buffers (≈0.91×); only a
+//! bit-identical repeated frame reached 1.3×, because the sort is ≈25 %
+//! of a build.
+//!
+//! Either way the outputs are **bit-identical** — by construction, and
+//! proptested against [`Octree::build`](hgpcn_octree::Octree::build) — so,
+//! like the stage kernels, this knob trades allocation and modeled cost,
+//! never results.
 //!
 //! The default policy is a constant ([`PreprocReuse::default`] is `on`);
 //! a `RuntimeConfig::preproc_reuse` pin selects the stateless anchor for
@@ -31,16 +40,16 @@ use hgpcn_octree::OctreeScratch;
 use hgpcn_sampling::ois::OisScratch;
 
 /// The preprocessing state policy: stateless per frame, or stream-scoped
-/// with temporal-coherence reuse. Both produce bit-identical outputs; see
+/// with temporal-coherence pricing. Both produce bit-identical outputs; see
 /// the [module docs](self).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum PreprocReuse {
-    /// The anchor: stateless preprocessing, a cold octree build and fresh
-    /// working memory for every frame.
+    /// The anchor: stateless preprocessing, fresh working memory and a
+    /// fully priced octree build for every frame.
     Off,
-    /// Stream-scoped contexts: per-stream scratch reuse plus the warm
-    /// adaptive-merge path when consecutive frames share a root grid.
+    /// Stream-scoped contexts: per-stream recycled buffers plus §V-A
+    /// delta pricing when consecutive frames share a root grid.
     #[default]
     On,
 }
@@ -62,10 +71,10 @@ impl PreprocReuse {
 /// Owned by the runtime, one per open stream (following the stream's shard
 /// pinning; there is no `close_stream` yet, so contexts are freed when the
 /// runtime shuts down). Carries the octree build scratch with its
-/// temporal-coherence cache, the OIS sampling scratch, a reusable
-/// host-memory image, and the stream's warm-hit/miss tally. The context is
-/// a pure accelerator: results are bit-identical whether frames run
-/// through a fresh context or a warm one.
+/// previous-frame cache, the OIS sampling scratch, a reusable
+/// host-memory image, and the stream's warm-hit/miss tally. The context
+/// never changes results: they are bit-identical whether frames run
+/// through a fresh context or a primed one.
 #[derive(Clone, Debug)]
 pub struct StreamPreprocContext {
     pub(crate) octree: OctreeScratch,
@@ -76,7 +85,7 @@ pub struct StreamPreprocContext {
 }
 
 impl StreamPreprocContext {
-    /// Creates an empty context (cold cache, no capacity yet).
+    /// Creates an empty context (no cached frame, no capacity yet).
     pub fn new() -> StreamPreprocContext {
         StreamPreprocContext {
             octree: OctreeScratch::new(),
@@ -87,24 +96,19 @@ impl StreamPreprocContext {
         }
     }
 
-    /// Frames of this stream that took the temporal-coherence warm path.
+    /// Frames of this stream that landed on the cached grid and were
+    /// priced as the delta pass.
     #[inline]
     pub fn hits(&self) -> u64 {
         self.hits
     }
 
-    /// Frames that rebuilt cold (first frame, AABB drift, or config
+    /// Frames priced as a full build (first frame, AABB drift, or config
     /// change). A stream whose hit count stays at zero while frames flow
     /// is the ≈1.0-warm-ratio diagnostic: reuse is on but never engaging.
     #[inline]
     pub fn misses(&self) -> u64 {
         self.misses
-    }
-
-    /// Drops the warm cache (e.g. on a stream discontinuity) while
-    /// keeping buffer capacity; the next frame rebuilds cold.
-    pub fn invalidate(&mut self) {
-        self.octree.invalidate();
     }
 
     /// Reclaims the heap buffers of a [`crate::PreprocessOutput`] this

@@ -11,8 +11,10 @@
 
 use hgpcn::datasets::modelnet::{self, ModelNetObject};
 use hgpcn::datasets::s3dis::{self, RoomConfig};
+use hgpcn::datasets::{DriftingScene, DriftingSceneConfig};
 use hgpcn::gather::veg::{VegConfig, VegMode};
 use hgpcn::memsim::HostMemory;
+use hgpcn::octree::{Octree, OctreeScratch};
 use hgpcn::pcn::{BruteKnnGatherer, CenterPolicy, PointNet, PointNetConfig};
 use hgpcn::sampling::{fps, quality, random};
 use hgpcn::system::{PreprocessingEngine, VegGatherer};
@@ -139,4 +141,44 @@ fn e2e_pipeline_deterministic() {
     let b = pipeline.process_frame(&frame, 1024, &net, 5).unwrap();
     assert_eq!(a.preprocess.latency, b.preprocess.latency);
     assert_eq!(a.inference.latency, b.inference.latency);
+}
+
+#[test]
+fn reuse_pricing_inputs_are_pinned() {
+    // What `warm_build_counts` and the dirty-row transfer scaling price a
+    // grid-hit frame from, on `perf_smoke`'s reuse scene.
+    let scene = DriftingScene::new(
+        DriftingSceneConfig {
+            objects: 2,
+            points_per_object: 200,
+            shell_points: 3712,
+            ..DriftingSceneConfig::default()
+        },
+        9,
+    );
+    let config = PreprocessingEngine::prototype().octree_config;
+    let mut scratch = OctreeScratch::new();
+    let mut got = Vec::new();
+    for k in 0..8 {
+        let tree = Octree::build_with_scratch(&scene.frame(k), config, &mut scratch).unwrap();
+        let s = tree.build_stats();
+        got.push((s.reused, s.dirty_points, s.nodes_dirty, s.nodes_created));
+        // Both the recycled and the fresh-allocation buffers feed the cache.
+        if k % 2 == 0 {
+            scratch.recycle(tree);
+        }
+    }
+    assert_eq!(
+        got,
+        [
+            (false, 4112, 393, 393),
+            (true, 400, 64, 402),
+            (true, 400, 80, 415),
+            (true, 400, 88, 423),
+            (true, 400, 64, 399),
+            (true, 400, 73, 408),
+            (true, 400, 65, 403),
+            (true, 400, 65, 403),
+        ]
+    );
 }
