@@ -1,9 +1,12 @@
 //! Wall-clock cost of the Octree-build Unit's work: single-pass build,
 //! SFC reorganization and table flattening (the Fig. 11 overhead).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use hgpcn_bench::figures::{golden_cloud, surface_cloud};
+use hgpcn_datasets::s3dis::{self, RoomConfig};
+use hgpcn_geometry::morton::FrameEncoder;
+use hgpcn_geometry::MortonCode;
 use hgpcn_octree::{Octree, OctreeConfig, OctreeTable};
 
 fn bench_build(c: &mut Criterion) {
@@ -36,5 +39,35 @@ fn bench_depth_sensitivity(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_build, bench_depth_sensitivity);
+fn bench_encode(c: &mut Criterion) {
+    // The build's single pass on its own — one m-code per point of a
+    // `raw_cold`-sized room at the default depth — walked point by point
+    // and looked up in the per-frame boundary table. `octree_build/build`
+    // minus `frame_encoder` is what the sort and node construction cost.
+    let mut group = c.benchmark_group("encode");
+    group.sample_size(10);
+    let cloud = s3dis::generate_room(RoomConfig::default(), 150_000, 11);
+    let config = OctreeConfig::default();
+    let root = Octree::build(&cloud, config).unwrap().root_bounds();
+    let level = config.max_depth_value();
+    let mut codes = Vec::with_capacity(cloud.len());
+    group.throughput(Throughput::Elements(cloud.len() as u64));
+    group.bench_function("per_point", |b| {
+        b.iter(|| {
+            codes.clear();
+            codes.extend(cloud.iter().map(|p| MortonCode::encode(p, &root, level)));
+            black_box(codes.last().copied())
+        })
+    });
+    let mut encoder = FrameEncoder::new();
+    group.bench_function("frame_encoder", |b| {
+        b.iter(|| {
+            encoder.encode_frame(cloud.iter(), &root, level, &mut codes);
+            black_box(codes.last().copied())
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_build, bench_depth_sensitivity, bench_encode);
 criterion_main!(benches);

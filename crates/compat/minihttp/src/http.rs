@@ -229,17 +229,26 @@ fn read_request(reader: &mut BufReader<TcpStream>, limits: &Limits) -> ReadOutco
     ReadOutcome::Ok(request)
 }
 
-fn write_response(stream: &mut TcpStream, response: &Response, close: bool) -> std::io::Result<()> {
-    let head = format!(
+fn write_response(
+    stream: &mut impl Write,
+    response: &Response,
+    close: bool,
+) -> std::io::Result<()> {
+    let mut message = format!(
         "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: {}\r\n\r\n",
         response.status,
         response.reason(),
         response.content_type,
         response.body.len(),
         if close { "close" } else { "keep-alive" },
-    );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(&response.body)?;
+    )
+    .into_bytes();
+    // Head and body leave in one write. As two, Nagle's algorithm holds
+    // the body until the peer acknowledges the head, and a peer waiting
+    // for the body delays that acknowledgement: ~40 ms per keep-alive
+    // exchange, in steps that depend on the peer's delayed-ACK state.
+    message.extend_from_slice(&response.body);
+    stream.write_all(&message)?;
     stream.flush()
 }
 
@@ -494,6 +503,38 @@ mod tests {
         let post = request(server.addr(), "POST", "/rpc", b"hello").unwrap();
         assert!(post.body_text().contains("\"len\":5"));
         server.stop();
+    }
+
+    #[test]
+    fn a_response_leaves_in_one_write() {
+        struct CountingSink {
+            writes: usize,
+            bytes: Vec<u8>,
+        }
+        impl Write for CountingSink {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut sink = CountingSink {
+            writes: 0,
+            bytes: Vec::new(),
+        };
+        write_response(
+            &mut sink,
+            &Response::json("{\"ok\":true}".to_string()),
+            false,
+        )
+        .unwrap();
+        assert_eq!(sink.writes, 1, "head and body must share a segment");
+        let text = String::from_utf8(sink.bytes).unwrap();
+        assert!(text.starts_with("HTTP/1.1 200 "));
+        assert!(text.ends_with("connection: keep-alive\r\n\r\n{\"ok\":true}"));
     }
 
     #[test]

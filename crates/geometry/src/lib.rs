@@ -10,8 +10,7 @@
 //! * [`PointCloud`] — an owned cloud with optional flat feature storage;
 //! * [`morton`] — Morton ("m-code") encoding used by the Octree-Table, the
 //!   space-filling-curve (SFC) linear order, and the Hamming-distance voxel
-//!   metric used by the Down-sampling Unit (§V-B);
-//! * [`sfc`] — helpers to sort points into SFC order.
+//!   metric used by the Down-sampling Unit (§V-B).
 //!
 //! # Examples
 //!
@@ -35,7 +34,6 @@ mod cloud;
 mod error;
 pub mod morton;
 mod point;
-pub mod sfc;
 
 pub use aabb::{Aabb, Octant};
 pub use cloud::PointCloud;

@@ -11,6 +11,10 @@
 //! **Hamming distance of their m-codes** ([`MortonCode::hamming_distance`]) —
 //! an XOR + popcount that the paper's Sampling Modules evaluate in one cycle
 //! (§V-B, Fig. 7).
+//!
+//! Two encoders produce the same bits: [`MortonCode::encode`] walks one
+//! point down the halvings of the root, and [`FrameEncoder`] tabulates
+//! those halvings once per frame and looks every point up in them.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -63,7 +67,7 @@ impl MortonCode {
             "level {level} exceeds MAX_LEVEL {MAX_LEVEL}"
         );
         assert!(
-            level == MAX_LEVEL || bits >> (3 * level) == 0,
+            bits >> (3 * level) == 0,
             "bits 0x{bits:x} wider than 3*{level}"
         );
         MortonCode { bits, level }
@@ -148,25 +152,31 @@ impl MortonCode {
     /// The code of the voxel at `level` containing point `p` inside `root`.
     ///
     /// Descends `level` subdivisions, picking the octant of `p` each time —
-    /// the same per-point walk the Octree-build Unit performs in its single
-    /// pass over the frame (§V-A).
+    /// the per-point walk of the Octree-build Unit (§V-A). The octant test
+    /// is separable (`p.x >= c.x`, `p.y >= c.y`, `p.z >= c.z` with
+    /// `c = (min + max) * 0.5`), so each axis is halved on its own and the
+    /// three bit strings are interleaved; the arithmetic per axis is that of
+    /// [`Aabb::octant_of`] + [`Aabb::octant_bounds`], hence so are the bits.
+    /// A whole frame goes through [`FrameEncoder`], which returns the same
+    /// codes.
     ///
     /// # Panics
     ///
-    /// Panics if `level > MAX_LEVEL`.
+    /// Panics if `level > MAX_LEVEL`, or if a voxel midpoint on the way down
+    /// is not finite (the sum of two huge corners overflowed), where
+    /// [`Aabb::octant_bounds`] refuses to build the child box.
     pub fn encode(p: Point3, root: &Aabb, level: u8) -> MortonCode {
         assert!(
             level <= MAX_LEVEL,
             "level {level} exceeds MAX_LEVEL {MAX_LEVEL}"
         );
-        let mut code = MortonCode::root();
-        let mut voxel = *root;
-        for _ in 0..level {
-            let oct = voxel.octant_of(p);
-            voxel = voxel.octant_bounds(oct);
-            code = code.child(oct);
-        }
-        code
+        let (min, max) = (root.min(), root.max());
+        MortonCode::interleave(
+            descend_axis(p.x, min.x, max.x, level),
+            descend_axis(p.y, min.y, max.y, level),
+            descend_axis(p.z, min.z, max.z, level),
+            level,
+        )
     }
 
     /// The bounds of this voxel inside `root`.
@@ -210,6 +220,13 @@ impl MortonCode {
             u64::from(x) < limit && u64::from(y) < limit && u64::from(z) < limit,
             "grid coords ({x},{y},{z}) out of range for level {level}"
         );
+        MortonCode::interleave(x, y, z, level)
+    }
+
+    /// Bit-interleaves per-axis cell indices already known to be
+    /// `< 2^level`.
+    #[inline]
+    fn interleave(x: u32, y: u32, z: u32, level: u8) -> MortonCode {
         let bits = (spread_every_third_bit(x) << 2)
             | (spread_every_third_bit(y) << 1)
             | spread_every_third_bit(z);
@@ -233,6 +250,163 @@ impl MortonCode {
         let d = |a: u32, b: u32| a.abs_diff(b);
         d(ax, bx).max(d(ay, by)).max(d(az, bz))
     }
+}
+
+/// One axis of the octant descent: halves `[lo, hi]` toward `v` `levels`
+/// times and returns the high/low choices, first choice in the top bit.
+/// A coordinate on a splitting plane goes high; a NaN compares low.
+#[inline]
+fn descend_axis(v: f32, mut lo: f32, mut hi: f32, levels: u8) -> u32 {
+    let mut cell = 0u32;
+    for _ in 0..levels {
+        let mid = (lo + hi) * 0.5;
+        // What `Aabb::new` asserts of every child box the walk builds; the
+        // other corners are the parent's, and `lo <= mid <= hi` follows
+        // from rounding being monotone.
+        assert!(mid.is_finite(), "AABB corners must be finite");
+        let high = u32::from(v >= mid);
+        cell = cell << 1 | high;
+        // `high` is a coin flip per level, so moving `mid` into `lo` or
+        // `hi` is a bit select: as a branch it mispredicts half the time
+        // and the walk runs 2-3x slower.
+        let mask = high.wrapping_neg();
+        lo = f32::from_bits((mid.to_bits() & mask) | (lo.to_bits() & !mask));
+        hi = f32::from_bits((hi.to_bits() & mask) | (mid.to_bits() & !mask));
+    }
+    cell
+}
+
+/// Levels a [`FrameEncoder`] resolves by table lookup. Ten is the default
+/// octree depth and keeps the table at `3 × 1025` `f32` (12 KiB,
+/// L1-resident) whatever the requested level.
+const TABLE_LEVELS: u8 = 10;
+
+/// Encodes every point of a frame against one root, bit-identical to
+/// calling [`MortonCode::encode`] per point.
+///
+/// The walk's midpoints depend on the root alone, not on the point, so
+/// [`encode_frame`](FrameEncoder::encode_frame) computes them once per
+/// frame by the walk's own recurrence `mid = (lo + hi) * 0.5`: per axis,
+/// the sorted boundaries of the `2^t` cells of the first
+/// `t = min(level, 10)` levels. The walk is a binary search of that
+/// non-decreasing table, so a coordinate's cell is the number of interior
+/// boundaries `<= v`; a quantised guess `(v - min) * cells / extent` lands
+/// on it almost always and is checked against the exact entries, with a
+/// binary search of them when it is off (rounding next to a boundary,
+/// degenerate or denormal extents, points outside the root). Levels past
+/// the table continue with the scalar walk from the cell's two entries.
+/// Same recurrence, same comparisons, therefore the same bits.
+///
+/// If any tabulated boundary is not finite the frame is walked from the
+/// root point by point, so a point whose path meets the overflowed
+/// midpoint panics exactly as [`MortonCode::encode`] does and the others
+/// get their codes.
+///
+/// The encoder holds only the table's storage, refilled on every call, so
+/// one instance per stream avoids a per-frame allocation.
+#[derive(Clone, Debug, Default)]
+pub struct FrameEncoder {
+    /// The x, y and z boundary runs back to back, `cells + 1` entries each.
+    bounds: Vec<f32>,
+}
+
+impl FrameEncoder {
+    /// Creates an encoder with no table storage yet.
+    pub fn new() -> FrameEncoder {
+        FrameEncoder::default()
+    }
+
+    /// Replaces the contents of `out` with the code at `level` of every
+    /// point of `points` inside `root`, in iteration order.
+    ///
+    /// # Panics
+    ///
+    /// As [`MortonCode::encode`] would on the same inputs.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use hgpcn_geometry::morton::FrameEncoder;
+    /// use hgpcn_geometry::{Aabb, MortonCode, Point3};
+    ///
+    /// let root = Aabb::unit();
+    /// let frame = [Point3::new(0.9, 0.2, 0.6), Point3::splat(0.5)];
+    /// let mut codes = Vec::new();
+    /// FrameEncoder::new().encode_frame(frame, &root, 12, &mut codes);
+    /// assert_eq!(codes[0], MortonCode::encode(frame[0], &root, 12));
+    /// assert_eq!(codes[1], MortonCode::encode(frame[1], &root, 12));
+    /// ```
+    pub fn encode_frame<I>(&mut self, points: I, root: &Aabb, level: u8, out: &mut Vec<MortonCode>)
+    where
+        I: IntoIterator<Item = Point3>,
+    {
+        assert!(
+            level <= MAX_LEVEL,
+            "level {level} exceeds MAX_LEVEL {MAX_LEVEL}"
+        );
+        let mut table_levels = level.min(TABLE_LEVELS);
+        if !self.tabulate(root, table_levels) {
+            // A table of the root alone: every level is left to the walk.
+            table_levels = 0;
+            self.tabulate(root, 0);
+        }
+        let cells = 1usize << table_levels;
+        let tail_levels = level - table_levels;
+        let extent = root.extent();
+        let n = cells as f32;
+        let scale = [n / extent.x, n / extent.y, n / extent.z];
+        let (xs, rest) = self.bounds.split_at(cells + 1);
+        let (ys, zs) = rest.split_at(cells + 1);
+        out.clear();
+        out.extend(points.into_iter().map(|p| {
+            MortonCode::interleave(
+                axis_cell(xs, scale[0], tail_levels, p.x),
+                axis_cell(ys, scale[1], tail_levels, p.y),
+                axis_cell(zs, scale[2], tail_levels, p.z),
+                level,
+            )
+        }));
+    }
+
+    /// Fills `bounds` with each axis's cell boundaries after `levels`
+    /// halvings of `root`; `false` if any of them is not finite.
+    fn tabulate(&mut self, root: &Aabb, levels: u8) -> bool {
+        let cells = 1usize << levels;
+        let (min, max) = (root.min(), root.max());
+        self.bounds.clear();
+        self.bounds.resize(3 * (cells + 1), 0.0);
+        let ends = [(min.x, max.x), (min.y, max.y), (min.z, max.z)];
+        for (run, (lo, hi)) in self.bounds.chunks_exact_mut(cells + 1).zip(ends) {
+            run[0] = lo;
+            run[cells] = hi;
+            let mut stride = cells;
+            while stride > 1 {
+                let half = stride / 2;
+                for i in (0..cells).step_by(stride) {
+                    run[i + half] = (run[i] + run[i + stride]) * 0.5;
+                }
+                stride = half;
+            }
+        }
+        self.bounds.iter().all(|b| b.is_finite())
+    }
+}
+
+/// The cell of `v` along one axis: the table cell (the count of interior
+/// boundaries of `run` that are `<= v`) extended by `tail_levels` halvings
+/// of that cell.
+#[inline]
+fn axis_cell(run: &[f32], scale: f32, tail_levels: u8, v: f32) -> u32 {
+    let last = run.len() - 2;
+    // The float-to-int cast saturates and sends NaN to 0, so any `scale`
+    // (infinite for a zero extent) still yields an index to check.
+    let guess = (((v - run[0]) * scale) as i64).clamp(0, last as i64) as usize;
+    let cell = if (guess == 0 || run[guess] <= v) && (guess == last || v < run[guess + 1]) {
+        guess
+    } else {
+        run[1..=last].partition_point(|&b| b <= v)
+    };
+    (cell as u32) << tail_levels | descend_axis(v, run[cell], run[cell + 1], tail_levels)
 }
 
 /// Gathers every third bit of `v` (positions 0, 3, 6, …) into a dense
@@ -363,6 +537,13 @@ mod tests {
         let a = MortonCode::from_bits(0b000, 1);
         let b = MortonCode::from_bits(0b000_000, 2);
         let _ = a.hamming_distance(b);
+    }
+
+    #[test]
+    #[should_panic(expected = "wider than")]
+    fn from_bits_checks_width_at_max_level() {
+        // 3 * 21 = 63 is a legal shift: bit 63 is above a MAX_LEVEL code.
+        let _ = MortonCode::from_bits(1 << 63, MAX_LEVEL);
     }
 
     #[test]

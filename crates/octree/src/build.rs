@@ -32,8 +32,8 @@ impl OctreeConfig {
 
     /// Sets the depth cap (number of subdivision levels below the root).
     ///
-    /// Values above the Morton-code limit are clamped at build time and
-    /// reported through [`crate::OctreeError::DepthTooLarge`].
+    /// Values above the Morton-code limit are not clamped: the build
+    /// refuses them with [`crate::OctreeError::DepthTooLarge`].
     #[inline]
     pub fn max_depth(mut self, depth: u8) -> OctreeConfig {
         self.max_depth = depth;

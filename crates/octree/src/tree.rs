@@ -1,7 +1,7 @@
 use std::cell::Cell;
 use std::ops::Range;
 
-use hgpcn_geometry::morton::MAX_LEVEL;
+use hgpcn_geometry::morton::{FrameEncoder, MAX_LEVEL};
 use hgpcn_geometry::{Aabb, MortonCode, Octant, Point3, PointCloud};
 
 use crate::{BuildStats, Node, NodeId, OctreeConfig, OctreeError};
@@ -101,11 +101,11 @@ impl Octree {
         };
 
         // Single pass: one m-code per point, into the reused raw-order buffer.
-        scratch.raw_codes.clear();
-        scratch.raw_codes.extend(
-            cloud
-                .iter()
-                .map(|p| MortonCode::encode(p, &root_bounds, config.max_depth)),
+        scratch.encoder.encode_frame(
+            cloud.iter(),
+            &root_bounds,
+            config.max_depth,
+            &mut scratch.raw_codes,
         );
         stats.code_computations = n;
         stats.point_reads = n;
@@ -450,7 +450,8 @@ fn partition_end(codes: &[MortonCode], range: Range<u32>, child_code: MortonCode
 /// Carries two kinds of state across the frames of one stream:
 ///
 /// * **scratch capacity** — every buffer [`Octree::build`] would otherwise
-///   allocate per frame (raw/sorted code arrays, permutation, and — via
+///   allocate per frame (the encoder's boundary table, raw/sorted code
+///   arrays, permutation, and — via
 ///   [`OctreeScratch::recycle`] — the node arena and reorganized cloud of a
 ///   consumed tree);
 /// * **the previous frame** — its root grid, raw-order Morton codes and
@@ -473,6 +474,9 @@ pub struct OctreeScratch {
     prev_codes: Vec<MortonCode>,
     /// Working buffer: this frame's codes in raw point order.
     raw_codes: Vec<MortonCode>,
+    /// Holds the per-axis boundary table the single pass looks points up
+    /// in; refilled from the root of every frame.
+    encoder: FrameEncoder,
     /// Working buffer: prefix counts of changed sorted positions (for the
     /// dirty-node estimate).
     dirty_prefix: Vec<u32>,

@@ -3,6 +3,7 @@
 
 use proptest::prelude::*;
 
+use hgpcn_geometry::morton::MAX_LEVEL;
 use hgpcn_geometry::{MortonCode, Point3, PointCloud};
 use hgpcn_octree::{neighbor, Octree, OctreeConfig, OctreeTable};
 
@@ -107,5 +108,35 @@ proptest! {
         prop_assert!(a.depth() <= depth);
         prop_assert_eq!(a.permutation(), b.permutation());
         prop_assert_eq!(a.node_count(), b.node_count());
+    }
+}
+
+// No pinned case count: the scheduled CI sweep runs this one at
+// `PROPTEST_CASES=1024` beside the geometry crate's encoder properties.
+proptest! {
+    /// The single pass and the pre-configuration sort, against a reference
+    /// composed from the per-level `Aabb` walk (the encode oracle) and a
+    /// stable sort by code.
+    #[test]
+    fn build_equals_per_point_walk_and_stable_sort(cloud in arb_cloud(), depth in 0u8..=MAX_LEVEL) {
+        let tree = Octree::build(&cloud, OctreeConfig::new().max_depth(depth)).unwrap();
+        let raw: Vec<MortonCode> = cloud
+            .iter()
+            .map(|p| {
+                let mut code = MortonCode::root();
+                let mut voxel = tree.root_bounds();
+                for _ in 0..depth {
+                    let oct = voxel.octant_of(p);
+                    voxel = voxel.octant_bounds(oct);
+                    code = code.child(oct);
+                }
+                code
+            })
+            .collect();
+        let mut perm: Vec<usize> = (0..cloud.len()).collect();
+        perm.sort_by_key(|&i| raw[i]);
+        let sorted: Vec<MortonCode> = perm.iter().map(|&i| raw[i]).collect();
+        prop_assert_eq!(tree.permutation(), &perm[..]);
+        prop_assert_eq!(tree.point_codes(), &sorted[..]);
     }
 }
