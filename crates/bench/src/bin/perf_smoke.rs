@@ -6,28 +6,22 @@
 //!            [--seed N] [--out PATH]
 //! ```
 //!
-//! Runs the same synthetic fleet through the serving runtime at four
+//! Runs the same synthetic fleet through the serving runtime at three
 //! sweep points — the **yardstick**: every frame a batch of one
 //! (`max_batch = 1`), pinned to the reference scalar kernel and the
-//! all-scalar stage anchors at f32; the
-//! **modern f32 path**: SoA micro-batching (`max_batch = N`, default 8)
-//! on the dispatched kernel backend (AVX2 under `--features simd`,
-//! otherwise the blocked scalar kernel); and the **int8 throughput
-//! tier**: the same batched configuration with every dense layer
-//! running the calibrated i8 GEMM
-//! — and the **telemetry tax point**: the batched f32 configuration
-//! once more with `TelemetryMode::On`, so the recording hot path's
-//! wall-clock cost is measured on every CI run — all on the **same**
-//! worker count. The sweep loop is precision-parameterized ([`run`]
-//! takes the `Precision` and `TelemetryMode` alongside `max_batch`),
-//! so further tiers slot in without new plumbing. It asserts the f32
-//! per-frame modeled results are bit-identical across serial/batched
-//! (all kernel backends are, by contract), that the int8 tier and the
-//! telemetry recorder leave every modeled latency and op count
-//! untouched (the cost models are precision-independent and tracing is
-//! observation only), and writes throughput, speedup and latency
-//! percentiles as JSON — including `telemetry_on_vs_off`, the traced
-//! over untraced throughput ratio the bench gate holds a floor under.
+//! all-scalar stage anchors; the **modern path**: SoA micro-batching
+//! (`max_batch = N`, default 8) on the dispatched kernel backend (AVX2
+//! under `--features simd`, otherwise the blocked scalar kernel); and
+//! the **telemetry tax point**: the batched configuration once more
+//! with `TelemetryMode::On`, so the recording hot path's wall-clock
+//! cost is measured on every CI run — all on the **same** worker count.
+//! It asserts the per-frame modeled results are bit-identical across
+//! serial/batched (all kernel backends are, by contract), that the
+//! telemetry recorder leaves every modeled latency and op count
+//! untouched (tracing is observation only), and writes throughput,
+//! speedup and latency percentiles as JSON — including
+//! `telemetry_on_vs_off`, the traced over untraced throughput ratio the
+//! bench gate holds a floor under.
 //!
 //! Three kinds of numbers land in the JSON:
 //!
@@ -46,10 +40,7 @@
 //!   absolute GMAC/s is machine dependent and never gated; the
 //!   vs-reference multiple is machine-relative (like `speedup`) and is
 //!   what CI gates — it collapses if dispatch silently stops selecting
-//!   the fast backend. `int8_gmacs` / `int8_gmacs_vs_f32_blocked`
-//!   mirror the pair for the int8 GEMM, the latter holding the
-//!   acceptance claim that the quantized path out-runs the f32
-//!   `blocked` kernel on dense GEMM throughput.
+//!   the fast backend.
 //! * `stage_backends` (per side) / `preproc_gmacs` /
 //!   `preproc_gmacs_vs_anchor` — which backend each preproc stage
 //!   (sampling / gather / interpolate) dispatched to on that side, the
@@ -77,10 +68,7 @@ use hgpcn_datasets::{DriftingScene, DriftingSceneConfig};
 use hgpcn_geometry::{Point3, PointCloud};
 use hgpcn_memsim::{HostMemory, Latency, OpCounts};
 use hgpcn_octree::{Octree, OctreeConfig, OctreeTable};
-use hgpcn_pcn::{
-    BruteKnnGatherer, Calibrator, CenterPolicy, Int8Kernel, LinearKernel, Matrix, PointNet,
-    PointNetConfig, Precision, QuantLayer, StageBackends,
-};
+use hgpcn_pcn::{LinearKernel, Matrix, PointNet, PointNetConfig, StageBackends};
 use hgpcn_runtime::{
     ArrivalModel, LatencySummary, Runtime, RuntimeConfig, RuntimeReport, StageBackendNames,
     StreamSpec, SyntheticSource, TelemetryMode,
@@ -158,7 +146,7 @@ fn fleet(args: &Args) -> Vec<StreamSpec> {
         .collect()
 }
 
-/// Runs the fleet `repeats` times at one `(max_batch, precision)`
+/// Runs the fleet `repeats` times at one `(max_batch, telemetry)`
 /// sweep point and keeps the fastest wall time (the modeled report is
 /// identical across repeats; best-of-N filters out co-tenant noise on
 /// shared CI runners).
@@ -166,7 +154,6 @@ fn run(
     args: &Args,
     max_batch: usize,
     net: &PointNet,
-    precision: Precision,
     telemetry: TelemetryMode,
     repeats: usize,
 ) -> (RuntimeReport, f64) {
@@ -178,7 +165,6 @@ fn run(
         .target_points(TARGET)
         .seed(args.seed)
         .max_batch(max_batch)
-        .precision(precision)
         .telemetry(telemetry);
     let runtime = Runtime::new(config).expect("valid config");
     let mut best: Option<(RuntimeReport, f64)> = None;
@@ -225,7 +211,6 @@ fn side_json(label: &str, report: &RuntimeReport, wall_s: f64) -> String {
             "    \"modeled_pipelined_fps\": {:.4},\n",
             "    \"kernel_backend\": \"{}\",\n",
             "    \"stage_backends\": {},\n",
-            "    \"precision\": \"{}\",\n",
             "    \"batches\": {},\n",
             "    \"mean_batch_size\": {:.3},\n",
             "    \"largest_batch\": {}\n",
@@ -240,7 +225,6 @@ fn side_json(label: &str, report: &RuntimeReport, wall_s: f64) -> String {
         report.modeled_pipelined_fps,
         report.kernel_backend,
         stage_backends_json(&report.stage_backends),
-        report.precision,
         report.batching.batches,
         report.batching.mean_batch_size,
         report.batching.largest_batch,
@@ -264,33 +248,6 @@ fn kernel_gmacs(kernel: LinearKernel) -> f64 {
     for _ in 0..6 {
         let started = Instant::now();
         std::hint::black_box(kernel.apply(&x, &w, &bias, true));
-        best = best.min(started.elapsed().as_secs_f64());
-    }
-    macs / best.max(1e-12) / 1e9
-}
-
-/// Dense int8 GEMM throughput (GMAC/s) of `kernel` on the *same*
-/// representative layer shape as [`kernel_gmacs`], quantized against
-/// the workload's actual activation range. The timing deliberately
-/// includes the per-layer activation quantization — that is what the
-/// serving path pays — so "int8 beats the f32 blocked kernel" is an
-/// end-to-end layer claim, not an inner-loop one.
-fn int8_gmacs(kernel: Int8Kernel) -> f64 {
-    const ROWS: usize = 1024;
-    const INS: usize = 131;
-    const OUTS: usize = 128;
-    let x = hgpcn_bench::dense_matrix(ROWS, INS, 0.0);
-    let w = hgpcn_bench::dense_matrix(INS, OUTS, 1.0);
-    let bias: Vec<f32> = (0..OUTS).map(|j| j as f32 * 0.01 - 0.2).collect();
-    let amax = (0..ROWS)
-        .flat_map(|r| x.row(r).iter().copied())
-        .fold(0.0f32, |a, v| a.max(v.abs()));
-    let layer = QuantLayer::quantize(&w, &bias, amax);
-    let macs = (ROWS * INS * OUTS) as f64;
-    let mut best = f64::INFINITY;
-    for _ in 0..6 {
-        let started = Instant::now();
-        std::hint::black_box(layer.forward_with(kernel, &x, true));
         best = best.min(started.elapsed().as_secs_f64());
     }
     macs / best.max(1e-12) / 1e9
@@ -470,41 +427,6 @@ fn reuse_warm_vs_cold() -> ReuseMeasurement {
     }
 }
 
-/// Deterministic ~`TARGET`-point calibration cloud `c` (the same
-/// quasi-random generator the unit tests use, salted per cloud).
-fn calib_cloud(c: usize) -> PointCloud {
-    (0..TARGET)
-        .map(|i| {
-            let f = (i + c * 131) as f32;
-            Point3::new(
-                (f * 0.618).fract() * 2.0,
-                (f * 0.414).fract() * 2.0,
-                (f * 0.732).fract() * 2.0,
-            )
-        })
-        .collect()
-}
-
-/// Freezes calibrated int8 weights into `net`: eight deterministic
-/// sample clouds through the standard calibration workflow.
-fn quantized(net: PointNet) -> PointNet {
-    let mut calibrator = Calibrator::new();
-    for c in 0..8 {
-        let mut gatherer = BruteKnnGatherer::new();
-        calibrator
-            .observe(
-                &net,
-                &calib_cloud(c),
-                &mut gatherer,
-                CenterPolicy::Random { seed: c as u64 },
-            )
-            .expect("calibration pass succeeds");
-    }
-    let calibration = calibrator.finish().expect("clouds were observed");
-    net.with_int8(&calibration)
-        .expect("calibration matches the network")
-}
-
 fn main() {
     let args = parse_args();
     // The yardstick: a batch of one per frame, pinned to the reference
@@ -517,47 +439,16 @@ fn main() {
     let net_serial = PointNet::new(config.clone(), 1)
         .with_kernel(LinearKernel::Reference)
         .with_stage_backends(StageBackends::anchor());
-    // The modern net serves both tiers: f32 weights plus calibrated
-    // int8 weights frozen from the same seed-1 parameters.
-    let net_modern = quantized(PointNet::new(config, 1));
+    let net_modern = PointNet::new(config, 1);
 
     // One warm-up pass per sweep point so first-touch costs (page
     // faults, lazy init) don't land on whichever side runs first.
-    let _ = run(&args, 1, &net_serial, Precision::F32, TelemetryMode::Off, 1);
-    let _ = run(
-        &args,
-        args.batch,
-        &net_modern,
-        Precision::F32,
-        TelemetryMode::Off,
-        1,
-    );
-    let _ = run(
-        &args,
-        args.batch,
-        &net_modern,
-        Precision::Int8,
-        TelemetryMode::Off,
-        1,
-    );
-    let _ = run(
-        &args,
-        args.batch,
-        &net_modern,
-        Precision::F32,
-        TelemetryMode::On,
-        1,
-    );
+    let _ = run(&args, 1, &net_serial, TelemetryMode::Off, 1);
+    let _ = run(&args, args.batch, &net_modern, TelemetryMode::Off, 1);
+    let _ = run(&args, args.batch, &net_modern, TelemetryMode::On, 1);
 
-    let (serial, serial_s) = run(
-        &args,
-        1,
-        &net_serial,
-        Precision::F32,
-        TelemetryMode::Off,
-        args.repeats,
-    );
-    // The observability tax pair: the batched f32 sweep point untraced
+    let (serial, serial_s) = run(&args, 1, &net_serial, TelemetryMode::Off, args.repeats);
+    // The observability tax pair: the batched sweep point untraced
     // and once more with the full tracing + metrics hot path live. Same
     // seed and cost models, so the modeled outputs must be untouched;
     // only wall time may move. The two sides are *interleaved* repeat by
@@ -567,47 +458,21 @@ fn main() {
     let mut off_best: Option<(RuntimeReport, f64)> = None;
     let mut on_best: Option<(RuntimeReport, f64)> = None;
     for _ in 0..args.repeats {
-        let off = run(
-            &args,
-            args.batch,
-            &net_modern,
-            Precision::F32,
-            TelemetryMode::Off,
-            1,
-        );
+        let off = run(&args, args.batch, &net_modern, TelemetryMode::Off, 1);
         if off_best.as_ref().map_or(true, |(_, b)| off.1 < *b) {
             off_best = Some(off);
         }
-        let on = run(
-            &args,
-            args.batch,
-            &net_modern,
-            Precision::F32,
-            TelemetryMode::On,
-            1,
-        );
+        let on = run(&args, args.batch, &net_modern, TelemetryMode::On, 1);
         if on_best.as_ref().map_or(true, |(_, b)| on.1 < *b) {
             on_best = Some(on);
         }
     }
     let (batched, batched_s) = off_best.expect("at least one repeat");
     let (traced, traced_s) = on_best.expect("at least one repeat");
-    let (int8, int8_s) = run(
-        &args,
-        args.batch,
-        &net_modern,
-        Precision::Int8,
-        TelemetryMode::Off,
-        args.repeats,
-    );
 
-    // Neither the batched path nor the precision tier may perturb the
-    // modeled results: identical per-frame modeled inference latencies
-    // and op counts across all three sweep points (the cost models are
-    // precision-independent — only logits and host speed differ at
-    // int8).
+    // The batched path may not perturb the modeled results: identical
+    // per-frame modeled inference latencies and op counts.
     assert_eq!(serial.total_frames, batched.total_frames);
-    assert_eq!(serial.total_frames, int8.total_frames);
     for (a, b) in serial.records.iter().zip(&batched.records) {
         assert_eq!((a.stream_id, a.frame_index), (b.stream_id, b.frame_index));
         assert_eq!(
@@ -616,15 +481,6 @@ fn main() {
             a.stream_id, a.frame_index
         );
         assert_eq!(a.modeled.inference.counts, b.modeled.inference.counts);
-    }
-    for (a, q) in serial.records.iter().zip(&int8.records) {
-        assert_eq!((a.stream_id, a.frame_index), (q.stream_id, q.frame_index));
-        assert_eq!(
-            a.modeled.inference.latency, q.modeled.inference.latency,
-            "the int8 tier perturbed the modeled latency of frame ({}, {})",
-            a.stream_id, a.frame_index
-        );
-        assert_eq!(a.modeled.inference.counts, q.modeled.inference.counts);
     }
     // Telemetry is observation only: with recording on, every modeled
     // per-frame result must stay bit-identical to the untraced run, and
@@ -647,11 +503,8 @@ fn main() {
 
     let serial_fps = serial.total_frames as f64 / serial_s.max(1e-12);
     let batched_fps = batched.total_frames as f64 / batched_s.max(1e-12);
-    let int8_fps = int8.total_frames as f64 / int8_s.max(1e-12);
     let traced_fps = traced.total_frames as f64 / traced_s.max(1e-12);
     let speedup = batched_fps / serial_fps.max(1e-12);
-    let int8_speedup = int8_fps / serial_fps.max(1e-12);
-    let int8_vs_f32_batched = int8_fps / batched_fps.max(1e-12);
     // Same-host throughput ratio with recording on vs off — the
     // measured cost of the "zero-cost-when-off, cheap-when-on" claim.
     let telemetry_on_vs_off = traced_fps / batched_fps.max(1e-12);
@@ -662,12 +515,6 @@ fn main() {
     // to a tight tolerance across runner generations. A dispatch that
     // silently stops selecting AVX2 drops this by ~30%.
     let gmacs_vs_reference = gmacs / kernel_gmacs(LinearKernel::Reference).max(1e-12);
-    // The int8 acceptance pair: absolute GMAC/s for the record, and the
-    // machine-relative multiple over the f32 *blocked* kernel (the best
-    // scalar f32 backend) that CI gates.
-    let int8_kernel = Int8Kernel::for_linear(active);
-    let i8_gmacs = int8_gmacs(int8_kernel);
-    let int8_vs_blocked = i8_gmacs / kernel_gmacs(LinearKernel::Blocked).max(1e-12);
     // The preproc-stage mirror of the kernel pair: composite
     // GMAC-equivalent throughput of the dispatched stage set, its
     // same-host multiple over the all-scalar anchor set (the gated
@@ -685,7 +532,7 @@ fn main() {
         concat!(
             "{{\n",
             "  \"bench\": \"runtime_batching\",\n",
-            "  \"schema_version\": 7,\n",
+            "  \"schema_version\": 8,\n",
             "  \"config\": {{\n",
             "    \"streams\": {},\n",
             "    \"frames_per_stream\": {},\n",
@@ -697,13 +544,9 @@ fn main() {
             "{},\n",
             "{},\n",
             "{},\n",
-            "{},\n",
             "  \"kernel_backend\": \"{}\",\n",
             "  \"kernel_gmacs\": {:.4},\n",
             "  \"kernel_gmacs_vs_reference\": {:.4},\n",
-            "  \"int8_kernel_backend\": \"{}\",\n",
-            "  \"int8_gmacs\": {:.4},\n",
-            "  \"int8_gmacs_vs_f32_blocked\": {:.4},\n",
             "  \"preproc_gmacs\": {:.4},\n",
             "  \"preproc_gmacs_vs_anchor\": {:.4},\n",
             "  \"preproc_warm_vs_cold\": {:.4},\n",
@@ -714,8 +557,6 @@ fn main() {
             "    \"hit_rate\": {:.4}\n",
             "  }},\n",
             "  \"speedup\": {:.4},\n",
-            "  \"int8_speedup\": {:.4},\n",
-            "  \"int8_vs_f32_batched\": {:.4},\n",
             "  \"telemetry_on_vs_off\": {:.4},\n",
             "  \"telemetry_events\": {}\n",
             "}}\n"
@@ -728,14 +569,10 @@ fn main() {
         args.seed,
         side_json("serial", &serial, serial_s),
         side_json("batched", &batched, batched_s),
-        side_json("int8", &int8, int8_s),
         side_json("telemetry", &traced, traced_s),
         active.name(),
         gmacs,
         gmacs_vs_reference,
-        int8_kernel.name(),
-        i8_gmacs,
-        int8_vs_blocked,
         pre_gmacs,
         pre_vs_anchor,
         reuse.warm_vs_cold,
@@ -744,8 +581,6 @@ fn main() {
         reuse.misses,
         reuse.hit_rate,
         speedup,
-        int8_speedup,
-        int8_vs_f32_batched,
         telemetry_on_vs_off,
         snapshot.trace.len(),
     );
@@ -766,18 +601,8 @@ fn main() {
         batched.kernel_backend
     );
     println!(
-        "  int8   : {int8_s:.3} s wall, {int8_fps:.2} frames/s (max_batch {}, mean batch {:.2}, kernel {})",
-        args.batch,
-        int8.batching.mean_batch_size,
-        int8_kernel.name()
-    );
-    println!(
         "  kernel : {} at {gmacs:.2} GMAC/s dense ({gmacs_vs_reference:.2}x the reference kernel)",
         active.name()
-    );
-    println!(
-        "  int8   : {} at {i8_gmacs:.2} GMAC/s dense ({int8_vs_blocked:.2}x the f32 blocked kernel)",
-        int8_kernel.name()
     );
     println!(
         "  stages : {} at {pre_gmacs:.2} GMAC-equiv/s preproc ({pre_vs_anchor:.2}x the anchor set)",
@@ -792,8 +617,5 @@ fn main() {
         telemetry_on_vs_off * 100.0,
         snapshot.trace.len()
     );
-    println!(
-        "  speedup: {speedup:.2}x f32 batched, {int8_speedup:.2}x int8 ({int8_vs_f32_batched:.2}x over f32 batched)  -> {}",
-        args.out
-    );
+    println!("  speedup: {speedup:.2}x batched  -> {}", args.out);
 }

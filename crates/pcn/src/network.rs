@@ -343,10 +343,11 @@ impl PointNet {
         self.infer_with_precision(cloud, gatherer, policy, Precision::F32)
     }
 
-    /// [`PointNet::infer`] at a chosen arithmetic precision — the
-    /// serving-tier entry point. [`Precision::F32`] is the bit-exact
-    /// reference tier; [`Precision::Int8`] runs every dense layer as a
-    /// calibrated i8 GEMM (requires [`PointNet::with_int8`]). Data
+    /// [`PointNet::infer`] at a chosen arithmetic precision.
+    /// [`Precision::F32`] is the bit-exact reference tier and the only
+    /// one the serving runtime runs; [`Precision::Int8`] (the accuracy
+    /// study's tier) runs every dense layer as a calibrated i8 GEMM
+    /// (requires [`PointNet::with_int8`]). Data
     /// structuring (gathering, interpolation searches) is identical in
     /// both tiers, so gather counts never depend on precision.
     ///
@@ -580,10 +581,9 @@ impl PointNet {
     }
 
     /// [`PointNet::infer_batch`] at a chosen arithmetic precision. The
-    /// whole micro-batch runs at one precision (a serving runtime
-    /// mixing tiers partitions its batches by precision first); int8
-    /// batched results are **bit-identical** to serial
-    /// [`PointNet::infer_with_precision`] calls, exactly as in the f32
+    /// whole micro-batch runs at one precision; int8 batched results are
+    /// **bit-identical** to serial [`PointNet::infer_with_precision`]
+    /// calls, exactly as in the f32
     /// tier — quantization is element-wise and the i8 GEMM accumulates
     /// exact integers, so stacking rows changes nothing.
     ///

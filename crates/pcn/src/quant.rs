@@ -1,5 +1,6 @@
 //! Post-training int8 quantization: calibration, quantized layers, and
-//! the precision knob the serving stack threads through.
+//! the precision selector of a forward pass. An accuracy study: the
+//! serving runtime runs [`Precision::F32`] only.
 //!
 //! The modeled hardware (the paper's commercial-DLA-style 16×16
 //! systolic array, §VI) executes **fixed-point** MACs, yet the seed's
@@ -66,22 +67,21 @@ use crate::{Matrix, PcnError};
 /// (`-128` is never produced, keeping the scheme symmetric).
 pub const QMAX: f32 = 127.0;
 
-/// Numeric precision of a forward pass — the serving tier knob the
-/// runtime threads down to [`PointNet`](crate::PointNet).
+/// Numeric precision of a forward pass, chosen per call on
+/// [`PointNet`](crate::PointNet) or `hgpcn_system::InferenceEngine`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Precision {
     /// Full f32 arithmetic — the bit-exact reference tier.
     #[default]
     F32,
     /// Post-training-quantized int8 GEMMs with f32 requantization —
-    /// the throughput tier. Requires the network to carry calibrated
+    /// the study tier, never served. Requires the network to carry calibrated
     /// quantized weights ([`PointNet::with_int8`](crate::PointNet::with_int8)).
     Int8,
 }
 
 impl Precision {
-    /// Stable lower-case name, as recorded in `RuntimeReport` and
-    /// `BENCH_runtime.json`.
+    /// Stable lower-case name.
     pub fn name(&self) -> &'static str {
         match self {
             Precision::F32 => "f32",

@@ -1,6 +1,6 @@
 //! Runtime configuration: worker pools, queue sizing and policies.
 
-use hgpcn_pcn::{Precision, StageBackends};
+use hgpcn_pcn::StageBackends;
 use hgpcn_system::PreprocReuse;
 use hgpcn_telemetry::TelemetryMode;
 
@@ -74,17 +74,6 @@ pub struct RuntimeConfig {
     /// a batch of one, and per-frame results are bit-identical at every
     /// value.
     pub max_batch: usize,
-    /// Default arithmetic precision of the inference stage
-    /// ([`Precision::F32`] unless overridden). Individual streams can
-    /// override it via
-    /// [`StreamSpec::precision`](crate::StreamSpec::precision), so one
-    /// fleet can mix accuracy-tier (f32) and throughput-tier (int8)
-    /// tenants; inference workers partition micro-batches by effective
-    /// precision. [`Precision::Int8`] requires the served network to
-    /// carry calibrated quantized weights
-    /// ([`PointNet::with_int8`](hgpcn_pcn::PointNet::with_int8)) —
-    /// serving an unquantized network at int8 fails on the first frame.
-    pub precision: Precision,
     /// Whether the run records frame-lifecycle telemetry (trace +
     /// metrics registry into [`RuntimeReport::telemetry`](crate::RuntimeReport::telemetry)).
     /// The default, [`TelemetryMode::Auto`], defers to the
@@ -126,7 +115,6 @@ impl Default for RuntimeConfig {
             target_points: 1024,
             seed: 0x5EED,
             max_batch: 1,
-            precision: Precision::F32,
             telemetry: TelemetryMode::Auto,
             stage_backends: None,
             preproc_reuse: None,
@@ -186,13 +174,6 @@ impl RuntimeConfig {
     /// Sets the largest micro-batch the inference stage may coalesce.
     pub fn max_batch(mut self, n: usize) -> Self {
         self.max_batch = n;
-        self
-    }
-
-    /// Sets the default inference precision (streams may override it
-    /// per [`StreamSpec`](crate::StreamSpec)).
-    pub fn precision(mut self, precision: Precision) -> Self {
-        self.precision = precision;
         self
     }
 
@@ -272,7 +253,6 @@ mod tests {
             .target_points(256)
             .seed(42)
             .max_batch(8)
-            .precision(Precision::Int8)
             .telemetry(TelemetryMode::On)
             .stage_backends(StageBackends::anchor())
             .preproc_reuse(PreprocReuse::Off);
@@ -285,13 +265,11 @@ mod tests {
         assert_eq!(cfg.target_points, 256);
         assert_eq!(cfg.seed, 42);
         assert_eq!(cfg.max_batch, 8);
-        assert_eq!(cfg.precision, Precision::Int8);
         assert_eq!(cfg.telemetry, TelemetryMode::On);
         assert_eq!(cfg.stage_backends, Some(StageBackends::anchor()));
         assert_eq!(cfg.preproc_reuse, Some(PreprocReuse::Off));
         assert_eq!(RuntimeConfig::default().stage_backends, None);
         assert_eq!(RuntimeConfig::default().preproc_reuse, None);
-        assert_eq!(RuntimeConfig::default().precision, Precision::F32);
         assert_eq!(RuntimeConfig::default().telemetry, TelemetryMode::Auto);
     }
 

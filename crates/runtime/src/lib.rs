@@ -95,9 +95,9 @@ pub use stream::{
     FrameSource, KittiSource, StreamProfile, StreamSpec, SyntheticSource, TimedFrame,
 };
 
-// Re-exported so serving code can pick precision tiers and pin
-// preproc-stage backends without a direct `hgpcn_pcn` dependency.
-pub use hgpcn_pcn::{Precision, StageBackends};
+// Re-exported so serving code can pin preproc-stage backends without a
+// direct `hgpcn_pcn` dependency.
+pub use hgpcn_pcn::StageBackends;
 
 // Re-exported so serving code can pin the preprocessing state policy
 // without a direct `hgpcn_system` dependency.

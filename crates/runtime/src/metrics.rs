@@ -190,11 +190,6 @@ pub struct StreamReport {
     pub dropped: usize,
     /// The sensor's nominal generation rate.
     pub sensor_fps: f64,
-    /// The arithmetic precision this stream's inference ran at
-    /// (`hgpcn_pcn::Precision::name`: `f32` or `int8`) — the effective
-    /// tier after applying the stream's override to the runtime
-    /// default.
-    pub precision: &'static str,
     /// The preproc-stage backends that served this stream — always the
     /// session-wide selection (stage backends are resolved once per
     /// run, never per stream), repeated here so a per-stream consumer
@@ -577,12 +572,6 @@ pub struct RuntimeReport {
     pub preproc_reuse_hits: u64,
     /// Frames across all streams priced as a full build.
     pub preproc_reuse_misses: u64,
-    /// The fleet's inference precision: `f32` or `int8` when every
-    /// stream ran one tier, `mixed` when stream overrides differed.
-    /// Unlike `kernel_backend` this **is** a result qualifier — int8
-    /// logits are quantized approximations of the f32 reference
-    /// (per-stream tiers are in [`StreamReport::precision`]).
-    pub precision: &'static str,
     /// Micro-batching behaviour of the inference stage.
     pub batching: BatchingStats,
     /// Aggregate per-stage attribution across all streams.
@@ -910,7 +899,7 @@ impl fmt::Display for RuntimeReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "RuntimeReport: {} frames ({} dropped) | {}+{} workers | kernel {} | stages {} | reuse {} ({} warm / {} cold) | precision {} | virtual makespan {:.3} s | {:.2} modeled FPS | wall {:.2?} ({:.1} frames/s host)",
+            "RuntimeReport: {} frames ({} dropped) | {}+{} workers | kernel {} | stages {} | reuse {} ({} warm / {} cold) | virtual makespan {:.3} s | {:.2} modeled FPS | wall {:.2?} ({:.1} frames/s host)",
             self.total_frames,
             self.total_dropped,
             self.preproc_workers,
@@ -920,7 +909,6 @@ impl fmt::Display for RuntimeReport {
             self.preproc_reuse,
             self.preproc_reuse_hits,
             self.preproc_reuse_misses,
-            self.precision,
             self.virtual_makespan_s,
             self.modeled_pipelined_fps,
             self.wall_elapsed,
@@ -964,10 +952,9 @@ impl fmt::Display for RuntimeReport {
         for s in &self.streams {
             writeln!(
                 f,
-                "  [{}] {} ({}): {}/{} frames (dropped {}), sensor {:.1} FPS, achieved {:.2} FPS",
+                "  [{}] {}: {}/{} frames (dropped {}), sensor {:.1} FPS, achieved {:.2} FPS",
                 s.stream_id,
                 s.name,
-                s.precision,
                 s.completed,
                 s.offered,
                 s.dropped,

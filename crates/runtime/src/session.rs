@@ -34,7 +34,7 @@ use std::thread;
 use std::time::Instant;
 
 use hgpcn_geometry::PointCloud;
-use hgpcn_pcn::{InferenceOutput, PointNet, Precision, StageBackends};
+use hgpcn_pcn::{InferenceOutput, PointNet, StageBackends};
 use hgpcn_system::{
     E2ePipeline, E2eReport, InferenceReport, PhaseReport, PreprocReuse, StreamPreprocContext,
     SystemError,
@@ -56,9 +56,6 @@ use crate::{frame_seed, RuntimeError};
 struct PreprocJob {
     frame: TimedFrame,
     virtual_arrival_s: f64,
-    /// Effective inference tier, resolved at admission so workers never
-    /// need the stream registry on the hot path.
-    precision: Precision,
 }
 
 /// A pre-processed frame awaiting inference.
@@ -72,7 +69,6 @@ struct StageJob {
     virtual_preproc_done_s: f64,
     preproc_ticket: u64,
     wall_preproc_s: f64,
-    precision: Precision,
     sampled: PointCloud,
     pre_phase: PhaseReport,
     /// Whether preprocessing was priced as the temporal-coherence delta
@@ -277,7 +273,6 @@ pub enum FrameStatus {
 struct StreamState {
     name: String,
     nominal_fps: f64,
-    precision: Precision,
     offered: usize,
     dropped: usize,
     next_index: usize,
@@ -358,7 +353,6 @@ impl SessionCore {
         streams.push(StreamState {
             name: profile.name,
             nominal_fps: profile.nominal_fps,
-            precision: profile.precision.unwrap_or(self.config.precision),
             offered: 0,
             dropped: 0,
             next_index: 0,
@@ -374,7 +368,6 @@ impl SessionCore {
         &self,
         recorder: &mut SpanRecorder,
         frame: TimedFrame,
-        precision: Precision,
     ) -> Result<FrameTicket, RuntimeError> {
         let ticket = FrameTicket {
             stream_id: frame.stream_id,
@@ -403,7 +396,6 @@ impl SessionCore {
         let job = PreprocJob {
             frame,
             virtual_arrival_s,
-            precision,
         };
         let refused = |core: &SessionCore| {
             if core.serving {
@@ -475,14 +467,14 @@ impl SessionCore {
         // full ingress queue under `Block` therefore backpressures every
         // submitter, not just this one.
         let mut recorder = self.admission.lock().expect("admission recorder poisoned");
-        let (frame_index, precision) = {
+        let frame_index = {
             let mut streams = self.streams.lock().expect("stream registry poisoned");
             let state = streams
                 .get_mut(stream_id)
                 .ok_or(RuntimeError::UnknownStream { stream_id })?;
             let index = state.next_index;
             state.next_index += 1;
-            (index, state.precision)
+            index
         };
         let frame = TimedFrame {
             stream_id,
@@ -490,7 +482,7 @@ impl SessionCore {
             sensor_ts_s,
             cloud,
         };
-        self.admit_locked(&mut recorder, frame, precision)
+        self.admit_locked(&mut recorder, frame)
     }
 
     fn publish(&self, key: (usize, usize), status: FrameStatus) {
@@ -660,7 +652,6 @@ impl SessionCore {
                 completed: mine.len(),
                 dropped: state.dropped,
                 sensor_fps: state.nominal_fps,
-                precision: state.precision.name(),
                 stage_backends,
                 preproc_reuse: self.reuse.name(),
                 preproc_reuse_hits: reuse_counts.get(id).map_or(0, |c| c.0),
@@ -677,15 +668,6 @@ impl SessionCore {
             self.config.preproc_workers,
             self.config.inference_workers,
         );
-
-        let precision = {
-            let tiers: Vec<Precision> = streams.iter().map(|s| s.precision).collect();
-            match tiers.as_slice() {
-                [] => Precision::F32.name(),
-                [first, rest @ ..] if rest.iter().all(|p| p == first) => first.name(),
-                _ => "mixed",
-            }
-        };
 
         RuntimeReport {
             streams: reports,
@@ -709,7 +691,6 @@ impl SessionCore {
             preproc_reuse: self.reuse.name(),
             preproc_reuse_hits: reuse_counts.iter().map(|c| c.0).sum(),
             preproc_reuse_misses: reuse_counts.iter().map(|c| c.1).sum(),
-            precision,
             batching: BatchingStats::from_sizes(self.config.max_batch, batch_sizes),
             breakdown: run.breakdown,
             utilization: run.utilization,
@@ -740,7 +721,6 @@ fn preproc_worker(core: &SessionCore, pipeline: &E2ePipeline, w: usize) {
         let PreprocJob {
             frame,
             virtual_arrival_s,
-            precision,
         } = job;
         recorder.record(
             EventKind::Dequeue,
@@ -825,7 +805,6 @@ fn preproc_worker(core: &SessionCore, pipeline: &E2ePipeline, w: usize) {
                     virtual_preproc_done_s: done,
                     preproc_ticket: ticket,
                     wall_preproc_s,
-                    precision,
                     sampled,
                     pre_phase: PhaseReport { latency, counts },
                     preproc_reused,
@@ -907,72 +886,39 @@ fn infer_batch(
     vclock: &mut f64,
     recorder: &mut SpanRecorder,
 ) -> bool {
-    // Partition the micro-batch by effective precision: each engine call
-    // is single-tier (the SoA GEMMs cannot mix operand widths), but
-    // frames still finish — and advance the virtual clock — in dequeue
-    // order, so mixing tiers never reorders a stream.
-    let mut reports: Vec<Option<InferenceReport>> = batch.iter().map(|_| None).collect();
-    // Per-frame share of the tier call's host wall time (split evenly —
-    // the SoA path serves the whole sub-batch in one pass).
-    let mut walls: Vec<f64> = vec![0.0; batch.len()];
-    let mut sizes = Vec::new();
-    let mut failure = None;
-    for tier in [Precision::F32, Precision::Int8] {
-        let idxs: Vec<usize> = (0..batch.len())
-            .filter(|&i| batch[i].0.precision == tier)
-            .collect();
-        if idxs.is_empty() {
-            continue;
-        }
-        let inputs: Vec<&PointCloud> = idxs.iter().map(|&i| &batch[i].0.sampled).collect();
-        let seeds: Vec<u64> = idxs
-            .iter()
-            .map(|&i| {
-                let j = &batch[i].0;
-                frame_seed(core.config.seed, j.stream_id, j.frame_index)
-            })
-            .collect();
-        let wall0 = Instant::now();
-        match pipeline.inference.run_batch_with_precision_using(
-            &inputs,
-            net,
-            &seeds,
-            tier,
-            core.stages,
-        ) {
-            Ok(rs) => {
-                let share = wall0.elapsed().as_secs_f64() / idxs.len() as f64;
-                sizes.push(idxs.len());
-                for (slot, r) in idxs.into_iter().zip(rs) {
-                    walls[slot] = share;
-                    reports[slot] = Some(r);
-                }
-            }
-            Err(err) => {
-                failure = Some(err);
-                break;
-            }
-        }
-    }
-    match failure {
-        None => {
-            // Counted only once every tier ran: the frames of a failed
-            // batch are counted by their one-frame re-runs instead.
+    let inputs: Vec<&PointCloud> = batch.iter().map(|(job, _)| &job.sampled).collect();
+    let seeds: Vec<u64> = batch
+        .iter()
+        .map(|(job, _)| frame_seed(core.config.seed, job.stream_id, job.frame_index))
+        .collect();
+    let wall0 = Instant::now();
+    match pipeline.inference.run_batch_with_precision_using(
+        &inputs,
+        net,
+        &seeds,
+        hgpcn_pcn::Precision::F32,
+        core.stages,
+    ) {
+        Ok(reports) => {
+            // Per-frame share of the call's host wall time (split evenly —
+            // the SoA path serves the whole batch in one pass).
+            let wall_infer_s = wall0.elapsed().as_secs_f64() / batch.len() as f64;
+            // Counted only on success: the frames of a failed batch are
+            // counted by their one-frame re-runs instead.
             core.batch_sizes
                 .lock()
                 .expect("batch stats poisoned")
-                .extend(sizes);
-            for (i, ((job, ticket), inf)) in batch.into_iter().zip(&reports).enumerate() {
-                let inf = inf.as_ref().expect("every tier ran");
-                complete_frame(core, job, ticket, inf, vclock, walls[i], recorder);
+                .push(batch.len());
+            for ((job, ticket), inf) in batch.into_iter().zip(&reports) {
+                complete_frame(core, job, ticket, inf, vclock, wall_infer_s, recorder);
             }
             false
         }
-        Some(err) if batch.len() == 1 => {
+        Err(err) if batch.len() == 1 => {
             let job = &batch[0].0;
             core.frame_failed(job.stream_id, job.frame_index, err)
         }
-        Some(_) => {
+        Err(_) => {
             for frame in batch {
                 if infer_batch(core, pipeline, net, vec![frame], vclock, recorder) {
                     return true;
@@ -1058,10 +1004,6 @@ pub(crate) fn run_batch(
     net: &PointNet,
 ) -> Result<RuntimeReport, RuntimeError> {
     let core = SessionCore::new(config.clone(), net, false);
-    let precisions: Vec<Precision> = streams
-        .iter()
-        .map(|s| s.precision.unwrap_or(config.precision))
-        .collect();
     for spec in &streams {
         core.open_stream(spec.profile());
     }
@@ -1080,8 +1022,7 @@ pub(crate) fn run_batch(
                 // lock is held for the whole run.
                 let mut recorder = core.admission.lock().expect("admission recorder poisoned");
                 while let Some(frame) = scheduler.next_frame() {
-                    let precision = precisions[frame.stream_id];
-                    if core.admit_locked(&mut recorder, frame, precision).is_err() {
+                    if core.admit_locked(&mut recorder, frame).is_err() {
                         break; // shutdown under way
                     }
                 }

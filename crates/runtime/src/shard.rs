@@ -615,14 +615,6 @@ fn aggregate_reports(reports: Vec<RuntimeReport>) -> RuntimeReport {
         dropped: reports.iter().map(|r| pick(r).dropped).sum(),
     };
 
-    let precision = match streams.as_slice() {
-        [] => reports[0].precision,
-        [first, rest @ ..] if rest.iter().all(|s| s.precision == first.precision) => {
-            first.precision
-        }
-        _ => "mixed",
-    };
-
     let batched_frames: f64 = reports
         .iter()
         .map(|r| r.batching.mean_batch_size * r.batching.batches as f64)
@@ -669,7 +661,6 @@ fn aggregate_reports(reports: Vec<RuntimeReport>) -> RuntimeReport {
         preproc_reuse: reports[0].preproc_reuse,
         preproc_reuse_hits: reports.iter().map(|r| r.preproc_reuse_hits).sum(),
         preproc_reuse_misses: reports.iter().map(|r| r.preproc_reuse_misses).sum(),
-        precision,
         batching,
         breakdown: run.breakdown,
         utilization: run.utilization,

@@ -8,7 +8,6 @@
 
 use hgpcn_datasets::kitti::{KittiConfig, KittiStream};
 use hgpcn_geometry::{Point3, PointCloud};
-use hgpcn_pcn::Precision;
 
 /// One frame traveling through the runtime.
 #[derive(Clone, Debug)]
@@ -40,12 +39,6 @@ pub struct StreamSpec {
     /// [`AdmissionPolicy::WeightedFair`](crate::AdmissionPolicy::WeightedFair);
     /// ignored by round-robin. Must be at least 1.
     pub weight: u32,
-    /// Per-stream inference precision override; `None` (the default)
-    /// inherits [`RuntimeConfig::precision`](crate::RuntimeConfig::precision).
-    /// Lets one fleet mix accuracy-tier (f32) and throughput-tier
-    /// (int8) tenants — inference workers partition micro-batches by
-    /// effective precision, preserving per-stream FIFO and determinism.
-    pub precision: Option<Precision>,
     /// The frame producer.
     pub source: Box<dyn FrameSource>,
 }
@@ -55,18 +48,16 @@ impl std::fmt::Debug for StreamSpec {
         f.debug_struct("StreamSpec")
             .field("name", &self.name)
             .field("weight", &self.weight)
-            .field("precision", &self.precision)
             .finish_non_exhaustive()
     }
 }
 
 impl StreamSpec {
-    /// A stream of unit weight at the runtime's default precision.
+    /// A stream of unit weight.
     pub fn new(name: impl Into<String>, source: impl FrameSource + 'static) -> StreamSpec {
         StreamSpec {
             name: name.into(),
             weight: 1,
-            precision: None,
             source: Box::new(source),
         }
     }
@@ -77,15 +68,8 @@ impl StreamSpec {
         self
     }
 
-    /// Pins this stream to a specific inference precision, overriding
-    /// the runtime default.
-    pub fn precision(mut self, precision: Precision) -> StreamSpec {
-        self.precision = Some(precision);
-        self
-    }
-
     /// This spec's serving-session profile: the source-independent
-    /// metadata (name, nominal rate, precision override) a
+    /// metadata (name, nominal rate) a
     /// [`ServingRuntime`](crate::ServingRuntime) needs to open the
     /// equivalent stream. The batch driver registers streams through
     /// this same projection, so batch and serving sessions report
@@ -94,7 +78,6 @@ impl StreamSpec {
         StreamProfile {
             name: self.name.clone(),
             nominal_fps: self.source.nominal_fps(),
-            precision: self.precision,
         }
     }
 }
@@ -103,9 +86,9 @@ impl StreamSpec {
 /// [`ServingRuntime`](crate::ServingRuntime).
 ///
 /// A serving session has no [`FrameSource`] — clients push frames — so
-/// this is a [`StreamSpec`] minus the source: the name reports carry,
-/// the sensor's nominal rate (report metadata only; the runtime never
-/// paces clients), and an optional per-stream precision override.
+/// this is a [`StreamSpec`] minus the source: the name reports carry
+/// and the sensor's nominal rate (report metadata only; the runtime
+/// never paces clients).
 #[derive(Clone, Debug)]
 pub struct StreamProfile {
     /// Human-readable stream name (used in reports).
@@ -114,32 +97,20 @@ pub struct StreamProfile {
     /// reported as [`StreamReport::sensor_fps`](crate::StreamReport::sensor_fps).
     /// `0.0` (the default) means unspecified.
     pub nominal_fps: f64,
-    /// Per-stream inference precision override; `None` (the default)
-    /// inherits [`RuntimeConfig::precision`](crate::RuntimeConfig::precision).
-    pub precision: Option<Precision>,
 }
 
 impl StreamProfile {
-    /// A profile with an unspecified sensor rate at the runtime's
-    /// default precision.
+    /// A profile with an unspecified sensor rate.
     pub fn new(name: impl Into<String>) -> StreamProfile {
         StreamProfile {
             name: name.into(),
             nominal_fps: 0.0,
-            precision: None,
         }
     }
 
     /// Sets the nominal sensor rate in frames per second.
     pub fn nominal_fps(mut self, fps: f64) -> StreamProfile {
         self.nominal_fps = fps;
-        self
-    }
-
-    /// Pins the stream to a specific inference precision, overriding
-    /// the runtime default.
-    pub fn precision(mut self, precision: Precision) -> StreamProfile {
-        self.precision = Some(precision);
         self
     }
 }

@@ -11,7 +11,6 @@
 //! failures add `error.data.stage` ([`RuntimeError::frame_stage`]).
 
 use hgpcn_geometry::{Point3, PointCloud};
-use hgpcn_pcn::Precision;
 use hgpcn_runtime::{
     FrameResult, FrameStatus, LatencySummary, RuntimeError, RuntimeReport, StageBackendNames,
     StreamProfile, StreamReport, StreamService,
@@ -160,12 +159,13 @@ fn open_stream<S: StreamService>(runtime: &S, id: Json, params: &Json) -> Respon
             );
         }
     }
+    // One arithmetic tier is served. A client naming any other must be
+    // refused, not silently given f32.
     match params.path("precision") {
         None => {}
-        Some(Json::Str(s)) if s == "f32" => profile = profile.precision(Precision::F32),
-        Some(Json::Str(s)) if s == "int8" => profile = profile.precision(Precision::Int8),
+        Some(Json::Str(s)) if s == "f32" => {}
         Some(_) => {
-            return fail(id, INVALID_PARAMS, "precision must be \"f32\" or \"int8\"");
+            return fail(id, INVALID_PARAMS, "precision must be \"f32\" or absent");
         }
     }
     match runtime.open_stream(profile) {
@@ -309,7 +309,6 @@ fn done_json(result: &FrameResult) -> Json {
                 ("rows", Json::from(out.logits.rows())),
                 ("classes", Json::from(out.logits.cols())),
                 ("macs", Json::Num(out.macs as f64)),
-                ("precision", Json::str(out.precision.name())),
             ]),
         ),
         (
@@ -364,7 +363,6 @@ fn stream_stats<S: StreamService>(runtime: &S, id: Json, params: &Json) -> Respo
                         Json::from(report.modeled_pipelined_fps),
                     ),
                     ("wall_fps", Json::from(report.wall_fps())),
-                    ("precision", Json::str(report.precision)),
                     ("kernel_backend", Json::str(report.kernel_backend)),
                     (
                         "stage_backends",
@@ -425,7 +423,6 @@ fn shard_json(shard: usize, report: &RuntimeReport) -> Json {
             Json::from(report.modeled_pipelined_fps),
         ),
         ("wall_fps", Json::from(report.wall_fps())),
-        ("precision", Json::str(report.precision)),
         ("kernel_backend", Json::str(report.kernel_backend)),
         (
             "stage_backends",
@@ -481,7 +478,6 @@ fn stream_json(s: &StreamReport) -> Json {
         ("completed", Json::from(s.completed)),
         ("dropped", Json::from(s.dropped)),
         ("sensor_fps", Json::from(s.sensor_fps)),
-        ("precision", Json::str(s.precision)),
         ("preproc_reuse", Json::str(s.preproc_reuse)),
         ("preproc_reuse_hits", Json::Num(s.preproc_reuse_hits as f64)),
         (

@@ -140,3 +140,31 @@ fn oversized_clouds_are_refused() {
     let message = doc.str_at("error.message").unwrap();
     assert!(message.contains("at most"), "unhelpful message: {message}");
 }
+
+/// One arithmetic tier is served: `open_stream` accepts `"precision"`
+/// only as `"f32"` or absent, and refuses anything else rather than
+/// silently serving f32 to a client that asked for another tier.
+#[test]
+fn open_stream_refuses_any_precision_but_f32() {
+    let open = |extra: &str| {
+        let body = format!(
+            r#"{{"jsonrpc":"2.0","id":1,"method":"open_stream","params":{{"name":"s"{extra}}}}}"#
+        );
+        let resp = rpc::handle(app().runtime(), body.as_bytes());
+        assert_eq!(resp.status, 200, "method-level outcome");
+        json::parse(&String::from_utf8(resp.body).unwrap()).unwrap()
+    };
+    for refused in [r#","precision":"int8""#, r#","precision":7"#] {
+        let doc = open(refused);
+        assert_eq!(doc.num("error.code"), Some(-32602.0), "{refused}");
+        let message = doc.str_at("error.message").unwrap();
+        assert!(
+            message.contains("precision"),
+            "unhelpful message: {message}"
+        );
+    }
+    for accepted in [r#","precision":"f32""#, ""] {
+        let doc = open(accepted);
+        assert!(doc.usize_at("result.stream_id").is_some(), "{accepted:?}");
+    }
+}

@@ -83,8 +83,9 @@ impl InferenceEngine {
         self.run_with_precision_using(input, net, seed, Precision::F32, net.stage_backends())
     }
 
-    /// [`InferenceEngine::run`] at a chosen arithmetic precision — the
-    /// serving-tier knob — and with an explicit stage-backend selection:
+    /// [`InferenceEngine::run`] at a chosen arithmetic precision (the
+    /// serving runtime always passes [`Precision::F32`]; int8 is the
+    /// accuracy study's tier) and with an explicit stage-backend selection:
     /// the gather backend is pinned into the frame's VEG gatherer and the
     /// interpolate backend into the forward pass, overriding the
     /// network-pinned choice. The DLA-style cost models are
@@ -124,8 +125,7 @@ impl InferenceEngine {
     /// gather costs and modeled latencies are **bit-identical** to
     /// per-frame [`InferenceEngine::run_with_precision_using`] calls —
     /// batching changes host throughput, never results. The whole
-    /// micro-batch runs at one tier: a runtime serving a mixed-precision
-    /// fleet partitions its batches by precision first.
+    /// micro-batch runs at one tier.
     ///
     /// # Errors
     ///
@@ -222,8 +222,9 @@ impl InferenceEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hgpcn_dla::MlpSpec;
     use hgpcn_geometry::Point3;
-    use hgpcn_pcn::PointNetConfig;
+    use hgpcn_pcn::{BruteKnnGatherer, Calibrator, PcnError, PointNetConfig, Stage, TaskKind};
 
     fn input(n: usize) -> PointCloud {
         (0..n)
@@ -260,6 +261,33 @@ mod tests {
         assert!(report.fc_latency > report.ds_latency);
     }
 
+    fn run_batch(
+        net: &PointNet,
+        frames: &[&PointCloud],
+        seeds: &[u64],
+        precision: Precision,
+    ) -> Result<Vec<InferenceReport>, SystemError> {
+        InferenceEngine::prototype().run_batch_with_precision_using(
+            frames,
+            net,
+            seeds,
+            precision,
+            net.stage_backends(),
+        )
+    }
+
+    /// Everything the cost models produce — what precision, batching and
+    /// batch-mates may never move.
+    fn assert_same_modeled(a: &InferenceReport, b: &InferenceReport) {
+        assert_eq!(a.output.macs, b.output.macs);
+        assert_eq!(a.ds_latency, b.ds_latency);
+        assert_eq!(a.fc_latency, b.fc_latency);
+        assert_eq!(a.ds_counts, b.ds_counts);
+        assert_eq!(a.fc_counts, b.fc_counts);
+        assert_eq!(a.stage_cycles, b.stage_cycles);
+        assert_eq!(a.candidates_sorted, b.candidates_sorted);
+    }
+
     #[test]
     fn run_batch_is_bit_identical_to_per_frame_runs() {
         let engine = InferenceEngine::prototype();
@@ -267,23 +295,85 @@ mod tests {
         let frames = [input(1024), input(1100), input(1050)];
         let seeds = [5u64, 6, 7];
         let refs: Vec<&PointCloud> = frames.iter().collect();
-        let batched = engine
-            .run_batch_with_precision_using(
-                &refs,
-                &net,
-                &seeds,
-                Precision::F32,
-                net.stage_backends(),
-            )
-            .unwrap();
+        let batched = run_batch(&net, &refs, &seeds, Precision::F32).unwrap();
         assert_eq!(batched.len(), 3);
         for ((frame, &seed), b) in frames.iter().zip(&seeds).zip(&batched) {
             let serial = engine.run(frame, &net, seed).unwrap();
             assert_eq!(b.output.logits, serial.output.logits);
-            assert_eq!(b.output.macs, serial.output.macs);
-            assert_eq!(b.ds_latency, serial.ds_latency);
-            assert_eq!(b.fc_latency, serial.fc_latency);
-            assert_eq!(b.candidates_sorted, serial.candidates_sorted);
+            assert_same_modeled(b, &serial);
+        }
+
+        // One starved frame fails the whole call. The runtime attributes
+        // it by re-running each frame as a batch of one, so a healthy
+        // frame alone must equal its slot in the all-healthy batch.
+        let starved = input(64);
+        assert!(matches!(
+            run_batch(&net, &[refs[0], &starved, refs[2]], &seeds, Precision::F32),
+            Err(SystemError::Pcn(_))
+        ));
+        for i in [0, 2] {
+            let alone = run_batch(&net, &[refs[i]], &[seeds[i]], Precision::F32).unwrap();
+            assert_eq!(alone[0].output.logits, batched[i].output.logits);
+            assert_same_modeled(&alone[0], &batched[i]);
+        }
+    }
+
+    #[test]
+    fn precision_changes_logits_only() {
+        // A classification net small enough to run int8 in a debug build.
+        let unquantized = PointNet::new(
+            PointNetConfig {
+                name: "tiny".to_owned(),
+                task: TaskKind::Classification { classes: 4 },
+                input_size: 128,
+                stages: vec![
+                    Stage::SetAbstraction {
+                        npoint: 64,
+                        k: 8,
+                        mlp: MlpSpec::new(3, &[16, 32]),
+                    },
+                    Stage::GlobalAbstraction {
+                        mlp: MlpSpec::new(3 + 32, &[64]),
+                    },
+                ],
+                fp_mlps: Vec::new(),
+                head: MlpSpec::new(64, &[32, 4]),
+            },
+            1,
+        );
+        let engine = InferenceEngine::prototype();
+        let frames = [input(128), input(160)];
+        let refs: Vec<&PointCloud> = frames.iter().collect();
+        let seeds = [5u64, 6];
+        assert!(matches!(
+            run_batch(&unquantized, &refs, &seeds, Precision::Int8),
+            Err(SystemError::Pcn(PcnError::NotQuantized))
+        ));
+
+        let mut calibrator = Calibrator::new();
+        calibrator
+            .observe(
+                &unquantized,
+                &frames[0],
+                &mut BruteKnnGatherer::new(),
+                CenterPolicy::FirstN,
+            )
+            .unwrap();
+        let net = unquantized
+            .with_int8(&calibrator.finish().unwrap())
+            .unwrap();
+        let int8 = run_batch(&net, &refs, &seeds, Precision::Int8).unwrap();
+        let f32_ = run_batch(&net, &refs, &seeds, Precision::F32).unwrap();
+        for (((frame, &seed), q), f) in frames.iter().zip(&seeds).zip(&int8).zip(&f32_) {
+            // The cost models are precision-independent.
+            assert_eq!(q.output.precision, Precision::Int8);
+            assert_same_modeled(q, f);
+            // And the int8 batch is bit-identical to int8 per-frame runs.
+            let serial = engine
+                .run_with_precision_using(frame, &net, seed, Precision::Int8, net.stage_backends())
+                .unwrap();
+            assert_eq!(q.output.logits, serial.output.logits);
+            assert_same_modeled(q, &serial);
         }
     }
 

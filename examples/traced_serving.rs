@@ -1,4 +1,4 @@
-//! Observability end-to-end: serve a mixed-precision fleet with
+//! Observability end-to-end: serve a three-stream fleet with
 //! telemetry pinned on, export the frame-lifecycle trace as Chrome
 //! trace-event JSON (load it at <https://ui.perfetto.dev> or
 //! `chrome://tracing`) and the metrics registry as Prometheus text,
@@ -14,49 +14,20 @@
 use std::path::PathBuf;
 
 use hgpcn::prelude::*;
-use hgpcn_geometry::{Point3, PointCloud};
-use hgpcn_pcn::{BruteKnnGatherer, Calibrator, CenterPolicy, Precision};
 use hgpcn_runtime::{ArrivalModel, Runtime, RuntimeConfig, StreamSpec, SyntheticSource};
 use hgpcn_system::E2ePipeline;
 use hgpcn_telemetry::TelemetryMode;
 
 const TARGET: usize = 512;
 
-fn calib_cloud(c: usize) -> PointCloud {
-    (0..TARGET)
-        .map(|i| {
-            let f = (i + c * 131) as f32;
-            Point3::new(
-                (f * 0.618).fract() * 2.0,
-                (f * 0.414).fract() * 2.0,
-                (f * 0.732).fract() * 2.0,
-            )
-        })
-        .collect()
-}
-
 fn main() {
     let out_dir: PathBuf = std::env::args().nth(1).unwrap_or_else(|| ".".into()).into();
 
-    // A calibrated two-tier network, as in the quantized_serving
-    // example — the traced fleet mixes f32 and int8 tenants.
     let net = PointNet::new(PointNetConfig::semantic_segmentation(TARGET), 7);
-    let mut calibrator = Calibrator::new();
-    for c in 0..4 {
-        let mut gatherer = BruteKnnGatherer::new();
-        calibrator
-            .observe(&net, &calib_cloud(c), &mut gatherer, CenterPolicy::FirstN)
-            .expect("calibration pass");
-    }
-    let calibration = calibrator.finish().expect("observed clouds");
-    let net = net.with_int8(&calibration).expect("matching calibration");
-
     let streams = vec![
         StreamSpec::new("mapping", SyntheticSource::new(1600, 10.0, 4, 1)),
-        StreamSpec::new("scout-a", SyntheticSource::new(1400, 20.0, 4, 2))
-            .precision(Precision::Int8),
-        StreamSpec::new("scout-b", SyntheticSource::new(1300, 20.0, 4, 3))
-            .precision(Precision::Int8),
+        StreamSpec::new("scout-a", SyntheticSource::new(1400, 20.0, 4, 2)),
+        StreamSpec::new("scout-b", SyntheticSource::new(1300, 20.0, 4, 3)),
     ];
     let runtime = Runtime::new(
         RuntimeConfig::default()

@@ -17,10 +17,10 @@
 //! * [`pcn`] — a real PointNet++ forward pass with pluggable gathering,
 //!   plus the SoA `Batch` tile layer and `infer_batch` (B clouds per
 //!   call, one weight traversal per MLP layer, bit-identical results),
-//!   and the `quant` post-training-int8 subsystem: a `Calibrator`
+//!   and the `quant` post-training-int8 accuracy study: a `Calibrator`
 //!   observing activation ranges, per-channel symmetric weight
-//!   quantization, and an i32-accumulating i8 GEMM behind the
-//!   `Precision` serving-tier knob;
+//!   quantization, and an i32-accumulating i8 GEMM selected per call by
+//!   `Precision` (the serving runtime runs f32 only);
 //! * [`system`] — both HgPCN engines, the baseline platforms, the E2E
 //!   pipeline and the real-time experiment;
 //! * [`runtime`] — the concurrent multi-stream serving runtime: a
