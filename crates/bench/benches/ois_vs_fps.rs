@@ -1,12 +1,14 @@
 //! Wall-clock comparison of the executed samplers (the algorithmic side of
-//! Figs. 9/10): common FPS vs OIS (octree build + table + sampling).
+//! Figs. 9/10): common FPS vs OIS (octree build + table + sampling), and
+//! of the sampling stage seam's backends (scalar anchor vs default) on a
+//! serving-sized frame.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use hgpcn_bench::figures::golden_cloud;
 use hgpcn_memsim::HostMemory;
 use hgpcn_octree::{Octree, OctreeConfig, OctreeTable};
-use hgpcn_sampling::{fps, ois, random};
+use hgpcn_sampling::{fps, ois, random, SamplingKernel};
 
 fn bench_samplers(c: &mut Criterion) {
     let mut group = c.benchmark_group("sampling");
@@ -52,5 +54,25 @@ fn bench_samplers(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_samplers);
+/// OIS at the serving target over a fleet-sized frame, one benchmark per
+/// [`SamplingKernel`]: every backend picks bit-identical samples, so wall
+/// time is all that separates them.
+fn bench_stage_backends(c: &mut Criterion) {
+    let mut group = c.benchmark_group("stage_backends");
+    group.sample_size(10);
+    let n = 1400;
+    let tree = Octree::build(&golden_cloud(n, 7), OctreeConfig::default()).unwrap();
+    let table = OctreeTable::from_octree(&tree);
+    for &kernel in SamplingKernel::all() {
+        group.bench_with_input(BenchmarkId::new(kernel.name(), n), &n, |b, _| {
+            b.iter(|| {
+                let mut mem = HostMemory::from_cloud(tree.points());
+                ois::sample_with(&tree, &table, &mut mem, 512, 7, kernel).unwrap()
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_samplers, bench_stage_backends);
 criterion_main!(benches);

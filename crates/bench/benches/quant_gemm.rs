@@ -1,8 +1,7 @@
 //! GMAC/s of the int8 GEMM backends against every f32 matmul backend
 //! over the workload's characteristic shapes, so the int8-vs-f32
-//! speedup claims in `crates/bench/README.md` and the
-//! `int8_gmacs_vs_f32_blocked` field of `BENCH_runtime.json` are
-//! reproducible locally:
+//! speedup claims in `crates/bench/README.md` are reproducible
+//! locally:
 //!
 //! ```bash
 //! cargo bench -p hgpcn-bench --features simd --bench quant_gemm

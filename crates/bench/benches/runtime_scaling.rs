@@ -10,8 +10,8 @@
 //! * `runtime_batching`: a fixed 8-stream fleet and 2+2 workers over
 //!   `max_batch` 1/2/4/8 — measures the SoA micro-batching speedup at
 //!   constant worker count (per-frame results are bit-identical across
-//!   the sweep; only host throughput moves). The `perf_smoke` binary
-//!   records the B=8-vs-serial ratio into `BENCH_runtime.json`.
+//!   the sweep; only host throughput moves). The in-situ B=8 ratio of
+//!   record is `pcn.batch8_speedup` in `benchmark/run.sh`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 

@@ -27,7 +27,7 @@
 //!   overload nearly every frame is evicted, so `drop_rate` is a
 //!   stable macroscopic number even though individual evictions race
 //!   real worker threads; CI holds a floor under it
-//!   (`bench_gate --min-drop-rate`) rather than a tolerance band.
+//!   (`bench_gate`'s `MIN_DROP_RATE`) rather than a tolerance band.
 //!
 //! An optional **HTTP leg** (`--http ADDR`) drives a live
 //! `hgpcn-serve --shards N` server over loopback through the full

@@ -19,8 +19,8 @@ pub mod figures;
 /// Deterministic dense `rows × cols` matrix with **no exact zeros**, so
 /// every matmul backend executes every MAC (the zero-skip never fires)
 /// and elements/s reads directly as MAC/s. Shared by the
-/// `kernel_matmul` bench and `perf_smoke`'s `kernel_gmacs` probe so
-/// both measure the identical workload.
+/// `kernel_matmul` and `quant_gemm` benches so both measure the
+/// identical workload.
 ///
 /// The element index is mixed in f64 and cast last: past i ≈ 2^24 an
 /// f32 index loses integer precision, so consecutive elements would

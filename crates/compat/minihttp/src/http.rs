@@ -229,27 +229,32 @@ fn read_request(reader: &mut BufReader<TcpStream>, limits: &Limits) -> ReadOutco
     ReadOutcome::Ok(request)
 }
 
+/// Sends one HTTP message, head and body in one write. As two, Nagle's
+/// algorithm holds the body until the peer acknowledges the head, and a
+/// peer waiting for the body delays that acknowledgement: ~40 ms per
+/// keep-alive exchange, in steps that depend on the peer's delayed-ACK
+/// state.
+fn write_message(stream: &mut impl Write, head: String, body: &[u8]) -> std::io::Result<()> {
+    let mut message = head.into_bytes();
+    message.extend_from_slice(body);
+    stream.write_all(&message)?;
+    stream.flush()
+}
+
 fn write_response(
     stream: &mut impl Write,
     response: &Response,
     close: bool,
 ) -> std::io::Result<()> {
-    let mut message = format!(
+    let head = format!(
         "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: {}\r\n\r\n",
         response.status,
         response.reason(),
         response.content_type,
         response.body.len(),
         if close { "close" } else { "keep-alive" },
-    )
-    .into_bytes();
-    // Head and body leave in one write. As two, Nagle's algorithm holds
-    // the body until the peer acknowledges the head, and a peer waiting
-    // for the body delays that acknowledgement: ~40 ms per keep-alive
-    // exchange, in steps that depend on the peer's delayed-ACK state.
-    message.extend_from_slice(&response.body);
-    stream.write_all(&message)?;
-    stream.flush()
+    );
+    write_message(stream, head, &response.body)
 }
 
 fn serve_connection<H>(stream: TcpStream, handler: &H, limits: &Limits, stopping: &AtomicBool)
@@ -257,6 +262,7 @@ where
     H: Fn(&Request) -> Response,
 {
     let _ = stream.set_read_timeout(Some(limits.read_timeout));
+    let _ = stream.set_nodelay(true);
     let mut reader = BufReader::new(match stream.try_clone() {
         Ok(s) => s,
         Err(_) => return,
@@ -416,15 +422,23 @@ pub fn request(
 ) -> std::io::Result<ClientResponse> {
     let mut stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(Duration::from_secs(30)))?;
+    stream.set_nodelay(true)?;
+    write_request(&mut stream, method, path, body)?;
+    let _ = stream.shutdown(Shutdown::Write);
+    read_client_response(stream)
+}
+
+fn write_request(
+    stream: &mut impl Write,
+    method: &str,
+    path: &str,
+    body: &[u8],
+) -> std::io::Result<()> {
     let head = format!(
         "{method} {path} HTTP/1.1\r\nhost: localhost\r\ncontent-length: {}\r\nconnection: close\r\n\r\n",
         body.len(),
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
-    stream.flush()?;
-    let _ = stream.shutdown(Shutdown::Write);
-    read_client_response(stream)
+    write_message(stream, head, body)
 }
 
 fn invalid(what: &str) -> std::io::Error {
@@ -505,26 +519,36 @@ mod tests {
         server.stop();
     }
 
+    #[derive(Default)]
+    struct CountingSink {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingSink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_request_leaves_in_one_write() {
+        let mut sink = CountingSink::default();
+        write_request(&mut sink, "POST", "/rpc", b"{\"id\":1}").unwrap();
+        assert_eq!(sink.writes, 1, "head and body must share a segment");
+        let text = String::from_utf8(sink.bytes).unwrap();
+        assert!(text.starts_with("POST /rpc HTTP/1.1\r\n"));
+        assert!(text.ends_with("content-length: 8\r\nconnection: close\r\n\r\n{\"id\":1}"));
+    }
+
     #[test]
     fn a_response_leaves_in_one_write() {
-        struct CountingSink {
-            writes: usize,
-            bytes: Vec<u8>,
-        }
-        impl Write for CountingSink {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.writes += 1;
-                self.bytes.extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        let mut sink = CountingSink {
-            writes: 0,
-            bytes: Vec::new(),
-        };
+        let mut sink = CountingSink::default();
         write_response(
             &mut sink,
             &Response::json("{\"ok\":true}".to_string()),

@@ -41,8 +41,7 @@ pub enum GatherKernel {
 }
 
 impl GatherKernel {
-    /// Stable lower-case name, as reported in `RuntimeReport` and
-    /// `BENCH_runtime.json`.
+    /// Stable lower-case name, as reported in `RuntimeReport`.
     pub fn name(&self) -> &'static str {
         match self {
             GatherKernel::Scalar => "scalar",

@@ -92,8 +92,7 @@ pub enum LinearKernel {
 }
 
 impl LinearKernel {
-    /// Stable lower-case name, as reported in `RuntimeReport` and
-    /// `BENCH_runtime.json`.
+    /// Stable lower-case name, as reported in `RuntimeReport`.
     pub fn name(&self) -> &'static str {
         match self {
             LinearKernel::Reference => "reference",
@@ -245,8 +244,7 @@ pub enum Int8Kernel {
 }
 
 impl Int8Kernel {
-    /// Stable lower-case name (`int8-scalar` / `int8-avx2`), as
-    /// reported in `RuntimeReport` and `BENCH_runtime.json`.
+    /// Stable lower-case name (`int8-scalar` / `int8-avx2`).
     pub fn name(&self) -> &'static str {
         match self {
             Int8Kernel::Scalar => "int8-scalar",
@@ -391,6 +389,24 @@ mod tests {
     #[test]
     fn fastest_supported_is_runnable() {
         assert!(fastest_supported().is_supported());
+    }
+
+    /// A dispatch that silently falls back to a scalar backend only
+    /// shows as a missing speed-up on a wall clock; here it is a failed
+    /// equality.
+    #[test]
+    fn dispatch_selects_the_fastest_compiled_backend() {
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        let want = if is_x86_feature_detected!("avx2") {
+            LinearKernel::Avx2
+        } else {
+            LinearKernel::Blocked
+        };
+        #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+        let want = LinearKernel::Blocked;
+        assert_eq!(fastest_supported(), want);
+        let net = crate::PointNet::new(crate::PointNetConfig::classification(), 1);
+        assert_eq!(net.kernel(), want);
     }
 
     #[test]

@@ -172,8 +172,7 @@ impl PointNet {
     /// [`kernel::fastest_supported`] choice. All backends are
     /// bit-identical, so this changes host speed only — it exists so a
     /// harness can run e.g. a reference-kernel yardstick and a SIMD
-    /// candidate side by side in one process (`perf_smoke` does exactly
-    /// that).
+    /// candidate side by side in one process.
     ///
     /// # Panics
     ///
@@ -199,7 +198,7 @@ impl PointNet {
     /// instead of the default [`StageBackends::active`] selection.
     /// Every stage backend is bit-identical to its scalar anchor, so —
     /// exactly like [`PointNet::with_kernel`] — this moves host speed
-    /// only, never results; `perf_smoke` uses it to run an all-anchor
+    /// only, never results; a harness uses it to run an all-anchor
     /// yardstick and an optimized candidate side by side in one process.
     ///
     /// This pins the network-resident stage (FP interpolation) and sets

@@ -48,8 +48,7 @@ pub enum InterpolateKernel {
 }
 
 impl InterpolateKernel {
-    /// Stable lower-case name, as reported in `RuntimeReport` and
-    /// `BENCH_runtime.json`.
+    /// Stable lower-case name, as reported in `RuntimeReport`.
     pub fn name(&self) -> &'static str {
         match self {
             InterpolateKernel::Scalar => "scalar",

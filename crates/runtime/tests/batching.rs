@@ -3,10 +3,11 @@
 //! bit-identical whether every frame runs as a batch of one or frames
 //! coalesce.
 
+use hgpcn_memsim::Latency;
 use hgpcn_pcn::{PointNet, PointNetConfig};
 use hgpcn_runtime::{
-    ArrivalModel, FrameStatus, Runtime, RuntimeConfig, RuntimeError, ServingRuntime, StreamProfile,
-    StreamSpec, SyntheticSource,
+    ArrivalModel, FrameStatus, LatencySummary, Runtime, RuntimeConfig, RuntimeError,
+    ServingRuntime, StreamProfile, StreamSpec, SyntheticSource,
 };
 
 const TARGET: usize = 512;
@@ -32,17 +33,17 @@ fn base_config() -> RuntimeConfig {
 #[test]
 fn batched_run_is_bit_identical_to_serial_run() {
     let net = PointNet::new(PointNetConfig::semantic_segmentation(TARGET), 1);
-    let serial = Runtime::new(base_config())
+    let serial = Runtime::new(base_config().seed(42))
         .unwrap()
-        .run(fleet(4, 4), &net)
+        .run(fleet(8, 4), &net)
         .unwrap();
-    let batched = Runtime::new(base_config().max_batch(8))
+    let batched = Runtime::new(base_config().seed(42).max_batch(8))
         .unwrap()
-        .run(fleet(4, 4), &net)
+        .run(fleet(8, 4), &net)
         .unwrap();
 
-    assert_eq!(serial.total_frames, 16);
-    assert_eq!(batched.total_frames, 16);
+    assert_eq!(serial.total_frames, 32);
+    assert_eq!(batched.total_frames, 32);
     // Single-worker pools: every deterministic field of every record —
     // modeled results, the whole virtual timeline, the dequeue tickets —
     // is identical; within a micro-batch frames advance the clock in
@@ -77,6 +78,15 @@ fn batched_run_is_bit_identical_to_serial_run() {
         serial.modeled_pipelined_fps.to_bits(),
         batched.modeled_pipelined_fps.to_bits()
     );
+    // The modeled service percentiles of this fleet are a function of
+    // the cost models alone: a change here is a change to a model or to
+    // the frame path, on either side of the batching ceiling.
+    for report in [&serial, &batched] {
+        let service: Vec<Latency> = report.records.iter().map(|r| r.modeled.total()).collect();
+        let service = LatencySummary::from_samples(&service);
+        assert_eq!(format!("{:.6}", service.p50.ms()), "3.108426");
+        assert_eq!(format!("{:.6}", service.p95.ms()), "3.169860");
+    }
 
     // The batched run actually batched.
     assert!(batched.batching.batches > 0);

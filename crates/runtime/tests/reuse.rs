@@ -95,8 +95,8 @@ fn mixed_stream_is_fifo_and_bit_identical_to_all_cold() {
     let (warm_run, warm_report) = run(config(PreprocReuse::On, 1, 1), &frames);
     let (cold_run, cold_report) = run(config(PreprocReuse::Off, 1, 1), &frames);
 
-    // Bit-identical *results* frame for frame: the warm path is a cost
-    // model and a host-speed optimization, never a result change.
+    // Bit-identical *results* frame for frame: the warm path is recycled
+    // buffers and the §V-A delta pricing, never a result change.
     for (i, (w, c)) in warm_run.iter().zip(&cold_run).enumerate() {
         assert_eq!(w.output.logits, c.output.logits, "frame {i} logits");
         assert_eq!(w.output.macs, c.output.macs, "frame {i} macs");

@@ -141,6 +141,27 @@ fn telemetry_off_is_none_and_on_is_populated() {
     assert!(json.contains("\"hgpcn_sojourn_seconds\""));
 }
 
+/// Telemetry is observation only: the recording run's modeled results
+/// equal the untraced run's, record for record, micro-batching included.
+#[test]
+fn telemetry_on_leaves_every_modeled_result_untouched() {
+    let config = |mode| base_config().max_batch(4).telemetry(mode);
+    let off = run(config(TelemetryMode::Off), 4, 3);
+    let on = run(config(TelemetryMode::On), 4, 3);
+    assert_eq!(off.total_frames, 12);
+    assert_eq!(on.total_frames, 12);
+    for (a, b) in off.records.iter().zip(&on.records) {
+        assert_eq!((a.stream_id, a.frame_index), (b.stream_id, b.frame_index));
+        assert_eq!(
+            a.modeled, b.modeled,
+            "telemetry perturbed frame ({}, {})",
+            a.stream_id, a.frame_index
+        );
+    }
+    let snapshot = on.telemetry.as_ref().expect("pinned On must record");
+    assert!(!snapshot.trace.is_empty(), "traced run recorded no events");
+}
+
 /// The modeled queue-depth reconstruction: a backlogged single-worker
 /// run queues frames, the series is time-ordered, and the high-water
 /// mark carries its virtual timestamp.

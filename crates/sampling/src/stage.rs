@@ -39,8 +39,7 @@ pub enum SamplingKernel {
 }
 
 impl SamplingKernel {
-    /// Stable lower-case name, as reported in `RuntimeReport` and
-    /// `BENCH_runtime.json`.
+    /// Stable lower-case name, as reported in `RuntimeReport`.
     pub fn name(&self) -> &'static str {
         match self {
             SamplingKernel::Scalar => "scalar",

@@ -55,8 +55,7 @@ pub enum PreprocReuse {
 }
 
 impl PreprocReuse {
-    /// Stable lower-case name, as reported in `RuntimeReport` and
-    /// `BENCH_runtime.json`.
+    /// Stable lower-case name, as reported in `RuntimeReport`.
     pub fn name(&self) -> &'static str {
         match self {
             PreprocReuse::Off => "off",

@@ -13,11 +13,11 @@ use hgpcn::datasets::modelnet::{self, ModelNetObject};
 use hgpcn::datasets::s3dis::{self, RoomConfig};
 use hgpcn::datasets::{DriftingScene, DriftingSceneConfig};
 use hgpcn::gather::veg::{VegConfig, VegMode};
-use hgpcn::memsim::HostMemory;
+use hgpcn::memsim::{HostMemory, Latency};
 use hgpcn::octree::{Octree, OctreeScratch};
 use hgpcn::pcn::{BruteKnnGatherer, CenterPolicy, PointNet, PointNetConfig};
-use hgpcn::sampling::{fps, quality, random};
-use hgpcn::system::{PreprocessingEngine, VegGatherer};
+use hgpcn::sampling::{fps, quality, random, SamplingKernel};
+use hgpcn::system::{PreprocessingEngine, StreamPreprocContext, VegGatherer};
 
 const SEED: u64 = 99;
 
@@ -146,7 +146,9 @@ fn e2e_pipeline_deterministic() {
 #[test]
 fn reuse_pricing_inputs_are_pinned() {
     // What `warm_build_counts` and the dirty-row transfer scaling price a
-    // grid-hit frame from, on `perf_smoke`'s reuse scene.
+    // grid-hit frame from, on a background-dominated drifting scene (two
+    // small movers over a large static shell, the regime LiDAR streams
+    // sit in).
     let scene = DriftingScene::new(
         DriftingSceneConfig {
             objects: 2,
@@ -156,7 +158,8 @@ fn reuse_pricing_inputs_are_pinned() {
         },
         9,
     );
-    let config = PreprocessingEngine::prototype().octree_config;
+    let engine = PreprocessingEngine::prototype();
+    let config = engine.octree_config;
     let mut scratch = OctreeScratch::new();
     let mut got = Vec::new();
     for k in 0..8 {
@@ -181,4 +184,30 @@ fn reuse_pricing_inputs_are_pinned() {
             (true, 400, 65, 403),
         ]
     );
+
+    // And what those inputs price: over the warm frames, the modeled
+    // octree build + Octree-Table transfer of a stream-context run
+    // against the stateless run of the same frame. The context changes
+    // pricing, never results.
+    let sampling = SamplingKernel::default();
+    let mut ctx = StreamPreprocContext::new();
+    let (mut warm, mut cold) = (Latency::ZERO, Latency::ZERO);
+    for k in 0..8 {
+        let frame = scene.frame(k);
+        let cold_out = engine.run_using(&frame, 512, 7, sampling).unwrap();
+        let out = engine
+            .run_with_context(&frame, 512, 7, sampling, &mut ctx)
+            .unwrap();
+        assert_eq!(out.sampled_sfc, cold_out.sampled_sfc, "frame {k}");
+        if k > 0 {
+            warm += out.build_latency + out.transfer_latency;
+            cold += cold_out.build_latency + cold_out.transfer_latency;
+        }
+        ctx.recycle(out);
+    }
+    assert_eq!((ctx.hits(), ctx.misses()), (7, 1));
+    let warm_vs_cold = cold.secs() / warm.secs();
+    assert_eq!(format!("{warm_vs_cold:.4}"), "3.0508");
+    // A collapse towards 1.0 means warm pricing stopped engaging.
+    assert!(warm_vs_cold >= 1.5);
 }
