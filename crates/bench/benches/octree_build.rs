@@ -7,7 +7,7 @@ use hgpcn_bench::figures::{golden_cloud, surface_cloud};
 use hgpcn_datasets::s3dis::{self, RoomConfig};
 use hgpcn_geometry::morton::FrameEncoder;
 use hgpcn_geometry::MortonCode;
-use hgpcn_octree::{Octree, OctreeConfig, OctreeTable};
+use hgpcn_octree::{Octree, OctreeConfig, OctreeScratch, OctreeTable};
 
 fn bench_build(c: &mut Criterion) {
     let mut group = c.benchmark_group("octree_build");
@@ -23,6 +23,21 @@ fn bench_build(c: &mut Criterion) {
             b.iter(|| OctreeTable::from_octree(&tree))
         });
     }
+    // A `raw_cold` frame as the runtime builds it: the 150 000-point room
+    // at the default depth through a recycled scratch. This minus
+    // `encode/frame_encoder` is the sort, the gather and node construction.
+    let room = s3dis::generate_room(RoomConfig::default(), 150_000, 11);
+    let mut scratch = OctreeScratch::new();
+    group.throughput(Throughput::Elements(room.len() as u64));
+    group.bench_function("room_150k", |b| {
+        b.iter(|| {
+            let tree =
+                Octree::build_with_scratch(&room, OctreeConfig::default(), &mut scratch).unwrap();
+            let nodes = tree.node_count();
+            scratch.recycle(tree);
+            nodes
+        })
+    });
     group.finish();
 }
 
@@ -42,8 +57,9 @@ fn bench_depth_sensitivity(c: &mut Criterion) {
 fn bench_encode(c: &mut Criterion) {
     // The build's single pass on its own — one m-code per point of a
     // `raw_cold`-sized room at the default depth — walked point by point
-    // and looked up in the per-frame boundary table. `octree_build/build`
-    // minus `frame_encoder` is what the sort and node construction cost.
+    // and looked up in the per-frame boundary table (which emits the bare
+    // bits). `octree_build/room_150k` minus `frame_encoder` is what the
+    // sort, the gather and node construction cost.
     let mut group = c.benchmark_group("encode");
     group.sample_size(10);
     let cloud = s3dis::generate_room(RoomConfig::default(), 150_000, 11);
@@ -60,10 +76,11 @@ fn bench_encode(c: &mut Criterion) {
         })
     });
     let mut encoder = FrameEncoder::new();
+    let mut bits = Vec::with_capacity(cloud.len());
     group.bench_function("frame_encoder", |b| {
         b.iter(|| {
-            encoder.encode_frame(cloud.iter(), &root, level, &mut codes);
-            black_box(codes.last().copied())
+            encoder.encode_frame(cloud.iter(), &root, level, &mut bits);
+            black_box(bits.last().copied())
         })
     });
     group.finish();

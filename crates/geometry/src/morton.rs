@@ -227,10 +227,10 @@ impl MortonCode {
     /// `< 2^level`.
     #[inline]
     fn interleave(x: u32, y: u32, z: u32, level: u8) -> MortonCode {
-        let bits = (spread_every_third_bit(x) << 2)
-            | (spread_every_third_bit(y) << 1)
-            | spread_every_third_bit(z);
-        MortonCode { bits, level }
+        MortonCode {
+            bits: interleave_bits(x, y, z),
+            level,
+        }
     }
 
     /// Chebyshev (max-axis) grid distance to `other` at the same level —
@@ -250,6 +250,13 @@ impl MortonCode {
         let d = |a: u32, b: u32| a.abs_diff(b);
         d(ax, bx).max(d(ay, by)).max(d(az, bz))
     }
+}
+
+/// The code bits of per-axis cell indices: x in the top bit of each triple,
+/// then y, then z.
+#[inline]
+fn interleave_bits(x: u32, y: u32, z: u32) -> u64 {
+    (spread_every_third_bit(x) << 2) | (spread_every_third_bit(y) << 1) | spread_every_third_bit(z)
 }
 
 /// One axis of the octant descent: halves `[lo, hi]` toward `v` `levels`
@@ -316,8 +323,11 @@ impl FrameEncoder {
         FrameEncoder::default()
     }
 
-    /// Replaces the contents of `out` with the code at `level` of every
-    /// point of `points` inside `root`, in iteration order.
+    /// Replaces the contents of `out` with the [bits](MortonCode::bits) of
+    /// the code at `level` of every point of `points` inside `root`, in
+    /// iteration order. Every code of a frame is at `level`, so the bits
+    /// alone order the frame along the SFC and
+    /// `MortonCode::from_bits(bits, level)` restores the code.
     ///
     /// # Panics
     ///
@@ -331,12 +341,12 @@ impl FrameEncoder {
     ///
     /// let root = Aabb::unit();
     /// let frame = [Point3::new(0.9, 0.2, 0.6), Point3::splat(0.5)];
-    /// let mut codes = Vec::new();
-    /// FrameEncoder::new().encode_frame(frame, &root, 12, &mut codes);
-    /// assert_eq!(codes[0], MortonCode::encode(frame[0], &root, 12));
-    /// assert_eq!(codes[1], MortonCode::encode(frame[1], &root, 12));
+    /// let mut bits = Vec::new();
+    /// FrameEncoder::new().encode_frame(frame, &root, 12, &mut bits);
+    /// assert_eq!(bits[0], MortonCode::encode(frame[0], &root, 12).bits());
+    /// assert_eq!(bits[1], MortonCode::encode(frame[1], &root, 12).bits());
     /// ```
-    pub fn encode_frame<I>(&mut self, points: I, root: &Aabb, level: u8, out: &mut Vec<MortonCode>)
+    pub fn encode_frame<I>(&mut self, points: I, root: &Aabb, level: u8, out: &mut Vec<u64>)
     where
         I: IntoIterator<Item = Point3>,
     {
@@ -359,11 +369,10 @@ impl FrameEncoder {
         let (ys, zs) = rest.split_at(cells + 1);
         out.clear();
         out.extend(points.into_iter().map(|p| {
-            MortonCode::interleave(
+            interleave_bits(
                 axis_cell(xs, scale[0], tail_levels, p.x),
                 axis_cell(ys, scale[1], tail_levels, p.y),
                 axis_cell(zs, scale[2], tail_levels, p.z),
-                level,
             )
         }));
     }

@@ -13,12 +13,11 @@ pub struct BuildStats {
     pub point_reads: usize,
     /// Point writes performed (the reorganized SFC copy in host memory).
     pub point_writes: usize,
-    /// Comparisons the one host SFC sort performed. The frame cost model
-    /// never prices it (`hgpcn_system::build_counts` charges the build
-    /// from `code_computations`); only the gather index's own stateless
-    /// build (`VegIndex::build_counts`) does.
-    pub sort_comparisons: usize,
-    /// Morton-code computations (one octant walk per point).
+    /// Morton-code computations (one per point: a lookup in the frame's
+    /// per-axis boundary table). The host's SFC sort is a radix sort and
+    /// has no count of its own — it makes no comparisons, and the cost
+    /// model (`hgpcn_system::build_counts`) charges the whole single pass
+    /// from this field.
     pub code_computations: usize,
     /// Nodes created (internal + leaf).
     pub nodes_created: usize,
@@ -27,8 +26,8 @@ pub struct BuildStats {
     pub achieved_depth: u8,
     /// `true` when the frame landed on the scratch's cached root grid, so
     /// the build is *priced* as the §V-A delta pass. The host runs the
-    /// same sort and node construction either way; only the cost model
-    /// differs.
+    /// same radix sort and node construction either way; only the cost
+    /// model differs.
     pub reused: bool,
     /// Points whose Morton code changed relative to the cached previous
     /// frame (`reused`), or all points otherwise. This is the "n" of the

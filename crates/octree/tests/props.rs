@@ -7,14 +7,12 @@ use hgpcn_geometry::morton::MAX_LEVEL;
 use hgpcn_geometry::{MortonCode, Point3, PointCloud};
 use hgpcn_octree::{neighbor, Octree, OctreeConfig, OctreeTable};
 
+fn arb_point() -> impl Strategy<Value = Point3> {
+    (-50.0f32..50.0, -50.0f32..50.0, -50.0f32..50.0).prop_map(|(x, y, z)| Point3::new(x, y, z))
+}
+
 fn arb_cloud() -> impl Strategy<Value = PointCloud> {
-    prop::collection::vec((-50.0f32..50.0, -50.0f32..50.0, -50.0f32..50.0), 1..250).prop_map(
-        |pts| {
-            pts.into_iter()
-                .map(|(x, y, z)| Point3::new(x, y, z))
-                .collect()
-        },
-    )
+    prop::collection::vec(arb_point(), 1..250).prop_map(PointCloud::from_points)
 }
 
 proptest! {
@@ -111,32 +109,94 @@ proptest! {
     }
 }
 
-// No pinned case count: the scheduled CI sweep runs this one at
-// `PROPTEST_CASES=1024` beside the geometry crate's encoder properties.
+/// The build against a reference composed from the per-level `Aabb` walk
+/// (the encode oracle) and a stable comparison sort by code: same
+/// permutation — ties in raw order — and same sorted codes.
+fn assert_build_equals_walk_and_stable_sort(
+    cloud: &PointCloud,
+    depth: u8,
+) -> Result<(), TestCaseError> {
+    let tree = Octree::build(cloud, OctreeConfig::new().max_depth(depth)).unwrap();
+    let raw: Vec<MortonCode> = cloud
+        .iter()
+        .map(|p| {
+            let mut code = MortonCode::root();
+            let mut voxel = tree.root_bounds();
+            for _ in 0..depth {
+                let oct = voxel.octant_of(p);
+                voxel = voxel.octant_bounds(oct);
+                code = code.child(oct);
+            }
+            code
+        })
+        .collect();
+    let mut perm: Vec<usize> = (0..cloud.len()).collect();
+    perm.sort_by_key(|&i| raw[i]);
+    let sorted: Vec<MortonCode> = perm.iter().map(|&i| raw[i]).collect();
+    prop_assert_eq!(tree.permutation(), &perm[..], "depth {}", depth);
+    prop_assert_eq!(tree.point_codes(), &sorted[..], "depth {}", depth);
+    Ok(())
+}
+
+/// The frames a radix sort has nothing to do on, at every depth: one point,
+/// and one position many times over (no digit tells two keys apart, so the
+/// permutation is the identity). Depth 0 has no key bits at all; depth 21
+/// has 63, the last digit a partial one.
+#[test]
+fn single_point_and_all_identical_frames_at_every_depth() {
+    let p = Point3::new(3.5, -1.25, 7.0);
+    for depth in 0..=MAX_LEVEL {
+        for n in [1, 2, 777] {
+            let cloud: PointCloud = std::iter::repeat(p).take(n).collect();
+            assert_build_equals_walk_and_stable_sort(&cloud, depth).unwrap();
+        }
+    }
+}
+
+// No pinned case count: the per-PR CI runs this file once at
+// `PROPTEST_CASES=256` and the scheduled sweep at 1024, beside the geometry
+// crate's encoder properties.
 proptest! {
-    /// The single pass and the pre-configuration sort, against a reference
-    /// composed from the per-level `Aabb` walk (the encode oracle) and a
-    /// stable sort by code.
+    /// Small frames of distinct points: few ties, rarely two keys in one
+    /// bucket.
     #[test]
     fn build_equals_per_point_walk_and_stable_sort(cloud in arb_cloud(), depth in 0u8..=MAX_LEVEL) {
-        let tree = Octree::build(&cloud, OctreeConfig::new().max_depth(depth)).unwrap();
-        let raw: Vec<MortonCode> = cloud
-            .iter()
-            .map(|p| {
-                let mut code = MortonCode::root();
-                let mut voxel = tree.root_bounds();
-                for _ in 0..depth {
-                    let oct = voxel.octant_of(p);
-                    voxel = voxel.octant_bounds(oct);
-                    code = code.child(oct);
-                }
-                code
-            })
-            .collect();
-        let mut perm: Vec<usize> = (0..cloud.len()).collect();
-        perm.sort_by_key(|&i| raw[i]);
-        let sorted: Vec<MortonCode> = perm.iter().map(|&i| raw[i]).collect();
-        prop_assert_eq!(tree.permutation(), &perm[..]);
-        prop_assert_eq!(tree.point_codes(), &sorted[..]);
+        assert_build_equals_walk_and_stable_sort(&cloud, depth)?;
+    }
+
+    /// At most eight positions, thousands of points: every bucket is a run
+    /// of ties, so the permutation *is* the sort's stability.
+    #[test]
+    fn build_is_stable_on_heavily_duplicated_frames(
+        positions in prop::collection::vec(arb_point(), 1..9),
+        picks in prop::collection::vec(0usize..8, 1..5001),
+        depth in 0u8..=MAX_LEVEL,
+    ) {
+        let cloud: PointCloud = picks.iter().map(|&k| positions[k % positions.len()]).collect();
+        assert_build_equals_walk_and_stable_sort(&cloud, depth)?;
+    }
+
+    /// 20 000 points: many entries in every bucket of every pass.
+    #[test]
+    fn build_equals_oracle_on_a_large_frame(
+        points in prop::collection::vec(arb_point(), 20_000),
+        depth in 0u8..=MAX_LEVEL,
+    ) {
+        assert_build_equals_walk_and_stable_sort(&PointCloud::from_points(points), depth)?;
+    }
+
+    /// A planar frame (constant x) at every depth. The cubified root is
+    /// centred on the plane, so every point takes the same x bit at every
+    /// level, and at depths 3, 11 and 19 the keys' top radix digit is the
+    /// level-1 x bit alone: a digit every key shares, which the sort skips.
+    #[test]
+    fn build_equals_oracle_when_keys_share_their_high_digit(
+        x in -50.0f32..50.0,
+        yz in prop::collection::vec((-50.0f32..50.0, -50.0f32..50.0), 2..400),
+    ) {
+        let cloud: PointCloud = yz.iter().map(|&(y, z)| Point3::new(x, y, z)).collect();
+        for depth in 0..=MAX_LEVEL {
+            assert_build_equals_walk_and_stable_sort(&cloud, depth)?;
+        }
     }
 }

@@ -71,10 +71,10 @@ impl PreprocessOutput {
 /// computation (two arithmetic ops per point), one amortized
 /// bucket-insertion step per point, and one table write per node created.
 ///
-/// [`BuildStats`] still records what the host implementation actually did
-/// (including its SFC sort comparisons); this function deliberately prices
-/// the construction the way the paper's Octree-build Unit performs it —
-/// a radix-style single pass with no comparison sort.
+/// [`BuildStats`] records what the host implementation did, which has the
+/// same shape — one table-lookup encode per point and a radix sort that
+/// compares nothing; this function prices the construction the way the
+/// paper's Octree-build Unit performs it.
 pub fn build_counts(stats: &BuildStats, _depth: u8) -> OpCounts {
     OpCounts {
         mem_reads: stats.point_reads as u64,
@@ -104,8 +104,9 @@ pub fn build_counts(stats: &BuildStats, _depth: u8) -> OpCounts {
 /// octree-build share priced down by temporal coherence.
 ///
 /// Like [`build_counts`], this prices what the paper's hardware would do;
-/// [`BuildStats`] keeps what the host actually did (the one full sort's
-/// comparisons, whether or not the frame is priced warm).
+/// the host encodes and sorts the whole frame whether or not it is priced
+/// warm, and [`BuildStats`] keeps that too (`code_computations`,
+/// `point_writes`).
 pub fn warm_build_counts(stats: &BuildStats) -> OpCounts {
     let n = stats.points as u64;
     let dirty = stats.dirty_points as u64;
