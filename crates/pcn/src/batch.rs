@@ -2,19 +2,20 @@
 //! point-groups, so a whole micro-batch of clouds flows through each MLP
 //! layer with a **single weight traversal**.
 //!
-//! The serial forward pass materializes one small matrix per gathered
-//! group (`k × features`) and walks every weight layer once per group —
-//! for PointNet++(s) that is hundreds of tiny matmuls per stage. A
-//! [`Batch`] instead stacks all groups of all clouds of a stage into one
+//! A [`Batch`] stacks all groups of all clouds of a stage into one
 //! row-major buffer (structure-of-arrays over rows) with a segment table
-//! remembering which rows belong to which group. Each layer is then one
-//! call into the row-blocked [`Matrix::linear_fused`] kernel, and the
-//! per-group max-pools read back through the segment table.
+//! remembering which rows belong to which group, instead of one small
+//! `k × features` matrix per gathered group — for PointNet++(s) that
+//! would be hundreds of tiny matmuls per stage. The forward pass
+//! (every `PointNet::infer*` call; a lone frame is a batch of one) runs
+//! each MLP over the stacked rows, and the per-group max-pools read back
+//! through the segment table.
 //!
 //! Because every operation is row-independent (linear, bias, ReLU) or
-//! segment-local (max-pool), batched results are **bit-identical** to the
-//! per-group serial path — the property tests in `tests/batch_props.rs`
-//! assert this for whole networks.
+//! segment-local (max-pool), each cloud's result is **bit-identical** at
+//! every batch width and to a group-at-a-time, layer-at-a-time pass —
+//! `network.rs`'s test oracle and `tests/batch_props.rs` assert this for
+//! whole networks.
 
 use std::ops::Range;
 
@@ -165,7 +166,7 @@ impl Batch {
     }
 
     /// [`Batch::linear_fused_with`] writing into a caller-owned batch
-    /// whose buffers are reused across calls — the batched MLP loop
+    /// whose buffers are reused across calls — the calibration pass
     /// ping-pongs two of these instead of allocating per layer.
     ///
     /// # Panics

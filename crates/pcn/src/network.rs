@@ -118,15 +118,6 @@ enum PassMode<'a> {
     Observe(&'a mut AmaxStats),
 }
 
-impl PassMode<'_> {
-    fn precision(&self) -> Precision {
-        match self {
-            PassMode::Int8(_) => Precision::Int8,
-            _ => Precision::F32,
-        }
-    }
-}
-
 fn init_mlp(rng: &mut StdRng, spec: &MlpSpec) -> Vec<LayerWeights> {
     spec.layers()
         .iter()
@@ -267,46 +258,6 @@ impl PointNet {
         }
     }
 
-    fn apply_mlp(
-        &self,
-        group: MlpGroup,
-        mut x: Matrix,
-        macs: &mut u64,
-        relu_last: bool,
-        mode: &mut PassMode<'_>,
-    ) -> Matrix {
-        let weights = self.group_weights(group);
-        let n_layers = weights.len();
-        if let PassMode::Int8(model) = mode {
-            // The quantized tier: each layer quantizes its input with
-            // the calibrated scale, runs the i8 GEMM and requantizes
-            // (+ ReLU) in the store. MAC accounting is unchanged — the
-            // executed multiply-accumulate count does not depend on
-            // operand width.
-            let layers = model.group(group);
-            let int8 = Int8Kernel::for_linear(self.kernel);
-            let mut xq = Vec::new();
-            let mut out = Matrix::zeros(0, 0);
-            for (i, ql) in layers.iter().enumerate() {
-                *macs += (x.rows() * x.cols() * ql.outs()) as u64;
-                ql.forward_into(int8, &x, relu_last || i + 1 < n_layers, &mut out, &mut xq);
-                std::mem::swap(&mut x, &mut out);
-            }
-            return x;
-        }
-        for (i, (w, b)) in weights.iter().enumerate() {
-            if let PassMode::Observe(stats) = mode {
-                AmaxStats::record(stats.group_slot(group, i), &x);
-            }
-            *macs += (x.rows() * x.cols() * w.cols()) as u64;
-            x = self.kernel.apply(&x, w, b, false);
-            if relu_last || i + 1 < n_layers {
-                x.relu();
-            }
-        }
-        x
-    }
-
     fn select_centers(policy: CenterPolicy, n: usize, npoint: usize, stage: usize) -> Vec<usize> {
         match policy {
             CenterPolicy::FirstN => (0..npoint).collect(),
@@ -326,7 +277,9 @@ impl PointNet {
     }
 
     /// Runs one f32 inference over `cloud` using `gatherer` for the
-    /// data structuring step.
+    /// data structuring step — a batch of one through
+    /// [`PointNet::infer_batch`]'s forward pass, the one the serving
+    /// runtime runs.
     ///
     /// # Errors
     ///
@@ -342,11 +295,11 @@ impl PointNet {
         self.infer_with_precision(cloud, gatherer, policy, Precision::F32)
     }
 
-    /// [`PointNet::infer`] at a chosen arithmetic precision.
-    /// [`Precision::F32`] is the bit-exact reference tier and the only
-    /// one the serving runtime runs; [`Precision::Int8`] (the accuracy
-    /// study's tier) runs every dense layer as a calibrated i8 GEMM
-    /// (requires [`PointNet::with_int8`]). Data
+    /// [`PointNet::infer`] at a chosen arithmetic precision, again a
+    /// batch of one. [`Precision::F32`] is the bit-exact reference tier
+    /// and the only one the serving runtime runs; [`Precision::Int8`]
+    /// (the accuracy study's tier) runs every dense layer as a
+    /// calibrated i8 GEMM (requires [`PointNet::with_int8`]). Data
     /// structuring (gathering, interpolation searches) is identical in
     /// both tiers, so gather counts never depend on precision.
     ///
@@ -383,11 +336,14 @@ impl PointNet {
         precision: Precision,
         stages: StageBackends,
     ) -> Result<InferenceOutput, PcnError> {
-        let mut mode = match precision {
-            Precision::F32 => PassMode::F32,
-            Precision::Int8 => PassMode::Int8(self.quant.as_ref().ok_or(PcnError::NotQuantized)?),
-        };
-        self.infer_mode(cloud, gatherer, policy, &mut mode, stages)
+        let mut outs = self.infer_batch_with_precision_using(
+            &[cloud],
+            &mut [gatherer],
+            &[policy],
+            precision,
+            stages,
+        )?;
+        Ok(outs.pop().expect("one output per cloud"))
     }
 
     /// One f32 forward pass with range hooks on every dense-layer
@@ -400,131 +356,15 @@ impl PointNet {
         policy: CenterPolicy,
         stats: &mut AmaxStats,
     ) -> Result<(), PcnError> {
-        let mut mode = PassMode::Observe(stats);
-        self.infer_mode(cloud, gatherer, policy, &mut mode, self.stages)?;
+        self.forward(
+            &[cloud],
+            &mut [gatherer],
+            &[policy],
+            Precision::F32,
+            PassMode::Observe(stats),
+            self.stages,
+        )?;
         Ok(())
-    }
-
-    fn infer_mode(
-        &self,
-        cloud: &PointCloud,
-        gatherer: &mut dyn Gatherer,
-        policy: CenterPolicy,
-        mode: &mut PassMode<'_>,
-        stages: StageBackends,
-    ) -> Result<InferenceOutput, PcnError> {
-        let precision = mode.precision();
-        let mut macs = 0u64;
-        let mut interp_counts = OpCounts::default();
-
-        // Levels of the encoder: (coords, features). Level 0 = raw input.
-        let mut level_points: Vec<Vec<Point3>> = vec![cloud.points().to_vec()];
-        let mut level_feats: Vec<Option<Matrix>> = vec![None];
-
-        for (si, stage) in self.config.stages.iter().enumerate() {
-            let cur_pts = level_points
-                .last()
-                .expect("at least the input level")
-                .clone();
-            let cur_feats = level_feats.last().expect("levels aligned").clone();
-            let n = cur_pts.len();
-            match stage {
-                Stage::SetAbstraction { npoint, k, .. } => {
-                    if *npoint > n {
-                        return Err(PcnError::InputTooSmall {
-                            points: n,
-                            needed: *npoint,
-                        });
-                    }
-                    let centers = Self::select_centers(policy, n, *npoint, si);
-                    let cur_cloud = PointCloud::from_points(cur_pts.clone());
-                    // Coarse stages can ask for more neighbors than exist;
-                    // clamp like the PointNet++ reference implementation.
-                    let k_eff = (*k).min(n.saturating_sub(1)).max(1);
-                    let groups = gatherer.gather(&cur_cloud, &centers, k_eff)?;
-                    let feat_dim = cur_feats.as_ref().map_or(0, Matrix::cols);
-                    let out_dim = stage.mlp().output_width();
-                    let mut pooled = Matrix::zeros(*npoint, out_dim);
-                    for (gi, (&c, group)) in centers.iter().zip(&groups).enumerate() {
-                        let center = cur_pts[c];
-                        let mut rows = Matrix::zeros(group.len(), 3 + feat_dim);
-                        for (r, &ni) in group.iter().enumerate() {
-                            let rel = cur_pts[ni] - center;
-                            let row = rows.row_mut(r);
-                            row[0] = rel.x;
-                            row[1] = rel.y;
-                            row[2] = rel.z;
-                            if let Some(f) = &cur_feats {
-                                row[3..].copy_from_slice(f.row(ni));
-                            }
-                        }
-                        let out = self.apply_mlp(MlpGroup::Stage(si), rows, &mut macs, true, mode);
-                        pooled.row_mut(gi).copy_from_slice(out.max_pool().row(0));
-                    }
-                    level_points.push(centers.iter().map(|&c| cur_pts[c]).collect());
-                    level_feats.push(Some(pooled));
-                }
-                Stage::GlobalAbstraction { .. } => {
-                    let centroid =
-                        cur_pts.iter().fold(Point3::ORIGIN, |a, &p| a + p) / n.max(1) as f32;
-                    let feat_dim = cur_feats.as_ref().map_or(0, Matrix::cols);
-                    let mut rows = Matrix::zeros(n, 3 + feat_dim);
-                    for (r, &p) in cur_pts.iter().enumerate() {
-                        let rel = p - centroid;
-                        let row = rows.row_mut(r);
-                        row[0] = rel.x;
-                        row[1] = rel.y;
-                        row[2] = rel.z;
-                        if let Some(f) = &cur_feats {
-                            row[3..].copy_from_slice(f.row(r));
-                        }
-                    }
-                    let out = self.apply_mlp(MlpGroup::Stage(si), rows, &mut macs, true, mode);
-                    level_points.push(vec![centroid]);
-                    level_feats.push(Some(out.max_pool()));
-                }
-            }
-        }
-
-        let logits = match self.config.task {
-            TaskKind::Classification { .. } => {
-                let global = level_feats
-                    .last()
-                    .expect("global level")
-                    .clone()
-                    .expect("features");
-                self.apply_mlp(MlpGroup::Head, global, &mut macs, false, mode)
-            }
-            TaskKind::Segmentation { .. } => {
-                // Feature propagation: coarsest -> finest.
-                let top = level_points.len() - 1;
-                let mut carried = level_feats[top].clone().expect("coarsest features");
-                for j in 0..self.fp_weights.len() {
-                    let coarse = top - j;
-                    let fine = coarse - 1;
-                    let interpolated = stages.interpolate.apply(
-                        &level_points[fine],
-                        &level_points[coarse],
-                        &carried,
-                        &mut interp_counts,
-                    );
-                    let x = match &level_feats[fine] {
-                        Some(skip) => interpolated.hcat(skip),
-                        None => interpolated,
-                    };
-                    carried = self.apply_mlp(MlpGroup::Fp(j), x, &mut macs, true, mode);
-                }
-                self.apply_mlp(MlpGroup::Head, carried, &mut macs, false, mode)
-            }
-        };
-
-        let gather_counts = gatherer.counts() + interp_counts;
-        Ok(InferenceOutput {
-            logits,
-            gather_counts,
-            macs,
-            precision,
-        })
     }
 
     /// Runs one inference over **each** cloud of a micro-batch, pushing all
@@ -536,8 +376,8 @@ impl PointNet {
     /// and feature propagation stay segment-local. Every per-row and
     /// per-segment operation is order-preserving, so each cloud's
     /// [`InferenceOutput`] — logits, gather counts and executed MACs — is
-    /// **bit-identical** to a serial [`PointNet::infer`] call with the
-    /// same gatherer and policy.
+    /// **bit-identical** to running that cloud alone as a batch of one
+    /// ([`PointNet::infer`]) with the same gatherer and policy.
     ///
     /// `gatherers[i]` and `policies[i]` serve `clouds[i]`; per-cloud
     /// gatherers keep cost attribution and seeding independent, which is
@@ -580,9 +420,9 @@ impl PointNet {
     }
 
     /// [`PointNet::infer_batch`] at a chosen arithmetic precision. The
-    /// whole micro-batch runs at one precision; int8 batched results are
-    /// **bit-identical** to serial [`PointNet::infer_with_precision`]
-    /// calls, exactly as in the f32
+    /// whole micro-batch runs at one precision; int8 results are
+    /// **bit-identical** to batches of one
+    /// ([`PointNet::infer_with_precision`]), exactly as in the f32
     /// tier — quantization is element-wise and the i8 GEMM accumulates
     /// exact integers, so stacking rows changes nothing.
     ///
@@ -606,9 +446,9 @@ impl PointNet {
     }
 
     /// [`PointNet::infer_batch_with_precision`] with an explicit
-    /// per-call stage-backend selection — the batched counterpart of
-    /// [`PointNet::infer_with_precision_using`], carrying the same
-    /// bit-identity contract.
+    /// per-call stage-backend selection — the body behind every public
+    /// forward pass; [`PointNet::infer_with_precision_using`] is this
+    /// with one cloud.
     ///
     /// # Errors
     ///
@@ -628,10 +468,24 @@ impl PointNet {
     ) -> Result<Vec<InferenceOutput>, PcnError> {
         assert_eq!(clouds.len(), gatherers.len(), "one gatherer per cloud");
         assert_eq!(clouds.len(), policies.len(), "one policy per cloud");
-        let int8 = match precision {
-            Precision::F32 => None,
-            Precision::Int8 => Some(self.quant.as_ref().ok_or(PcnError::NotQuantized)?),
+        let mode = match precision {
+            Precision::F32 => PassMode::F32,
+            Precision::Int8 => PassMode::Int8(self.quant.as_ref().ok_or(PcnError::NotQuantized)?),
         };
+        self.forward(clouds, gatherers, policies, precision, mode, stages)
+    }
+
+    /// The forward pass: `mode` decides how the dense layers run, and
+    /// `precision` is what the outputs report.
+    fn forward(
+        &self,
+        clouds: &[&PointCloud],
+        gatherers: &mut [&mut dyn Gatherer],
+        policies: &[CenterPolicy],
+        precision: Precision,
+        mut mode: PassMode<'_>,
+        stages: StageBackends,
+    ) -> Result<Vec<InferenceOutput>, PcnError> {
         let mut xq: Vec<i8> = Vec::new();
         let b = clouds.len();
         if b == 0 {
@@ -650,7 +504,8 @@ impl PointNet {
         let mut pool = Batch::zeros(&[], 0);
         let mut scratch = Batch::zeros(&[], 0);
 
-        // Per-cloud encoder levels, exactly as in the serial pass.
+        // Per-cloud encoder levels (coords, features); level 0 is the
+        // raw input.
         let mut level_points: Vec<Vec<Vec<Point3>>> =
             clouds.iter().map(|c| vec![c.points().to_vec()]).collect();
         let mut level_feats: Vec<Vec<Option<Matrix>>> = (0..b).map(|_| vec![None]).collect();
@@ -682,6 +537,9 @@ impl PointNet {
                         }
                         let centers = Self::select_centers(policies[bi], n, *npoint, si);
                         let cur_cloud = PointCloud::from_points(cur_pts.clone());
+                        // Coarse stages can ask for more neighbors than
+                        // exist; clamp like the PointNet++ reference
+                        // implementation.
                         let k_eff = (*k).min(n.saturating_sub(1)).max(1);
                         let groups = gatherer.gather(&cur_cloud, &centers, k_eff)?;
                         for g in &groups {
@@ -721,7 +579,7 @@ impl PointNet {
                         &mut macs,
                         true,
                         &mut scratch,
-                        int8,
+                        &mut mode,
                         &mut xq,
                     );
                     let pooled_all = out.max_pool_segments();
@@ -773,7 +631,7 @@ impl PointNet {
                         &mut macs,
                         true,
                         &mut scratch,
-                        int8,
+                        &mut mode,
                         &mut xq,
                     );
                     let pooled = out.max_pool_segments();
@@ -803,7 +661,7 @@ impl PointNet {
                     &mut macs,
                     false,
                     &mut scratch,
-                    int8,
+                    &mut mode,
                     &mut xq,
                 );
                 (0..b).map(|bi| out.segment_matrix(bi)).collect()
@@ -852,7 +710,7 @@ impl PointNet {
                         &mut macs,
                         true,
                         &mut scratch,
-                        int8,
+                        &mut mode,
                         &mut xq,
                     );
                     // The next FP stage's interpolate reads per-cloud
@@ -871,7 +729,7 @@ impl PointNet {
                     &mut macs,
                     false,
                     &mut scratch,
-                    int8,
+                    &mut mode,
                     &mut xq,
                 );
                 (0..b).map(|bi| out.segment_matrix(bi)).collect()
@@ -892,9 +750,12 @@ impl PointNet {
 
     /// One fused pass of an MLP group over the whole batch: a single
     /// weight traversal per layer, with executed MACs attributed to each
-    /// cloud through the segment-to-cloud map. With `int8` set, each
-    /// layer runs the quantized GEMM instead of the f32 kernel — the
-    /// stacked-rows structure and MAC accounting are identical.
+    /// cloud through the segment-to-cloud map. `mode` decides how the
+    /// layers run; the stacked-rows structure and MAC accounting are the
+    /// same in every mode. `PassMode::Int8` runs each layer as the
+    /// quantized GEMM and `PassMode::Observe` folds each layer's input
+    /// into its amax slot; both go layer at a time over the whole batch,
+    /// because each needs a layer's whole input in hand.
     ///
     /// The f32 path streams **row chunks through the whole layer stack**
     /// instead of whole layers through the whole batch: layer 0 reads
@@ -917,7 +778,7 @@ impl PointNet {
         macs: &mut [u64],
         relu_last: bool,
         scratch: &mut Batch,
-        int8: Option<&QuantizedModel>,
+        mode: &mut PassMode<'_>,
         xq: &mut Vec<i8>,
     ) -> Batch {
         let weights = self.group_weights(group);
@@ -937,22 +798,36 @@ impl PointNet {
             return x;
         }
 
-        if let Some(model) = int8 {
-            // Quantized path: layer-at-a-time over the whole batch,
-            // ping-ponging the caller's scratch (the i8 GEMM quantizes
-            // each full layer input through `xq`).
-            for (i, _) in weights.iter().enumerate() {
-                let relu = relu_last || i + 1 < n_layers;
-                x.quant_forward_into(
-                    Int8Kernel::for_linear(self.kernel),
-                    &model.group(group)[i],
-                    relu,
-                    xq,
-                    scratch,
-                );
-                std::mem::swap(&mut x, scratch);
+        match mode {
+            PassMode::F32 => {}
+            PassMode::Int8(model) => {
+                // Quantized path: layer-at-a-time over the whole batch,
+                // ping-ponging the caller's scratch (the i8 GEMM quantizes
+                // each full layer input through `xq`).
+                for (i, _) in weights.iter().enumerate() {
+                    let relu = relu_last || i + 1 < n_layers;
+                    x.quant_forward_into(
+                        Int8Kernel::for_linear(self.kernel),
+                        &model.group(group)[i],
+                        relu,
+                        xq,
+                        scratch,
+                    );
+                    std::mem::swap(&mut x, scratch);
+                }
+                return x;
             }
-            return x;
+            PassMode::Observe(stats) => {
+                // Calibration: the f32 layers over the whole batch, each
+                // layer's input folded into its amax slot first.
+                for (i, (w, bias)) in weights.iter().enumerate() {
+                    AmaxStats::record(stats.group_slot(group, i), x.data());
+                    let relu = relu_last || i + 1 < n_layers;
+                    x.linear_fused_into(self.kernel, w, bias, relu, scratch);
+                    std::mem::swap(&mut x, scratch);
+                }
+                return x;
+            }
         }
 
         let total_rows = x.rows();
@@ -1072,7 +947,222 @@ impl PointNet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::BruteKnnGatherer;
+    use crate::{BruteKnnGatherer, InterpolateKernel};
+
+    /// The forward pass the batched body replaced, kept as the oracle:
+    /// one cloud, one small matrix per gathered group, a fresh `Matrix`
+    /// per layer and a separate ReLU pass. f32 only. With `stats` set,
+    /// every layer's input is folded into its amax slot.
+    fn oracle(
+        net: &PointNet,
+        cloud: &PointCloud,
+        gatherer: &mut dyn Gatherer,
+        policy: CenterPolicy,
+        mut stats: Option<&mut AmaxStats>,
+    ) -> InferenceOutput {
+        let mut macs = 0u64;
+        let mut interp_counts = OpCounts::default();
+        let mut mlp = |group: MlpGroup, mut x: Matrix, relu_last: bool| {
+            let weights = net.group_weights(group);
+            for (i, (w, b)) in weights.iter().enumerate() {
+                if let Some(stats) = stats.as_deref_mut() {
+                    AmaxStats::record(stats.group_slot(group, i), &x);
+                }
+                macs += (x.rows() * x.cols() * w.cols()) as u64;
+                x = net.kernel.apply(&x, w, b, false);
+                if relu_last || i + 1 < weights.len() {
+                    x.relu();
+                }
+            }
+            x
+        };
+
+        let mut level_points: Vec<Vec<Point3>> = vec![cloud.points().to_vec()];
+        let mut level_feats: Vec<Option<Matrix>> = vec![None];
+        for (si, stage) in net.config.stages.iter().enumerate() {
+            let pts = level_points.last().expect("input level").clone();
+            let feats = level_feats.last().expect("levels aligned").clone();
+            let n = pts.len();
+            let feat_dim = feats.as_ref().map_or(0, Matrix::cols);
+            // Relative coordinates of `members` around `center`, then the
+            // members' features.
+            let rows = |members: &[usize], center: Point3| {
+                let mut x = Matrix::zeros(members.len(), 3 + feat_dim);
+                for (r, &m) in members.iter().enumerate() {
+                    let rel = pts[m] - center;
+                    let row = x.row_mut(r);
+                    row[..3].copy_from_slice(&[rel.x, rel.y, rel.z]);
+                    if let Some(f) = &feats {
+                        row[3..].copy_from_slice(f.row(m));
+                    }
+                }
+                x
+            };
+            match stage {
+                Stage::SetAbstraction { npoint, k, .. } => {
+                    let centers = PointNet::select_centers(policy, n, *npoint, si);
+                    let k_eff = (*k).min(n.saturating_sub(1)).max(1);
+                    let groups = gatherer
+                        .gather(&PointCloud::from_points(pts.clone()), &centers, k_eff)
+                        .expect("oracle gather");
+                    let mut pooled = Matrix::zeros(*npoint, stage.mlp().output_width());
+                    for (gi, (&c, group)) in centers.iter().zip(&groups).enumerate() {
+                        let out = mlp(MlpGroup::Stage(si), rows(group, pts[c]), true);
+                        pooled.row_mut(gi).copy_from_slice(out.max_pool().row(0));
+                    }
+                    level_points.push(centers.iter().map(|&c| pts[c]).collect());
+                    level_feats.push(Some(pooled));
+                }
+                Stage::GlobalAbstraction { .. } => {
+                    let centroid = pts.iter().fold(Point3::ORIGIN, |a, &p| a + p) / n as f32;
+                    let all: Vec<usize> = (0..n).collect();
+                    let out = mlp(MlpGroup::Stage(si), rows(&all, centroid), true);
+                    level_points.push(vec![centroid]);
+                    level_feats.push(Some(out.max_pool()));
+                }
+            }
+        }
+
+        let top = level_points.len() - 1;
+        let mut carried = level_feats[top].clone().expect("coarsest features");
+        for j in 0..net.fp_weights.len() {
+            let (coarse, fine) = (top - j, top - j - 1);
+            let interpolated = InterpolateKernel::Scalar.apply(
+                &level_points[fine],
+                &level_points[coarse],
+                &carried,
+                &mut interp_counts,
+            );
+            let x = match &level_feats[fine] {
+                Some(skip) => interpolated.hcat(skip),
+                None => interpolated,
+            };
+            carried = mlp(MlpGroup::Fp(j), x, true);
+        }
+        let logits = mlp(MlpGroup::Head, carried, false);
+        InferenceOutput {
+            logits,
+            gather_counts: gatherer.counts() + interp_counts,
+            macs,
+            precision: Precision::F32,
+        }
+    }
+
+    /// A classification net small enough for a debug build. Every group
+    /// has a middle layer, and every stack ends on a partial row chunk:
+    /// SA1 stacks 128 × 12 = 1 536 rows per cloud in 1 024-row chunks,
+    /// SA2 384 rows in 512-row chunks, the global stage 32 rows and the
+    /// head one row per cloud in chunks of ≥ 64.
+    fn small_classification() -> PointNet {
+        PointNet::new(
+            PointNetConfig {
+                name: "small".to_owned(),
+                task: TaskKind::Classification { classes: 10 },
+                input_size: 256,
+                stages: vec![
+                    Stage::SetAbstraction {
+                        npoint: 128,
+                        k: 12,
+                        mlp: MlpSpec::new(3, &[32, 32, 64]),
+                    },
+                    Stage::SetAbstraction {
+                        npoint: 32,
+                        k: 12,
+                        mlp: MlpSpec::new(3 + 64, &[64, 64, 128]),
+                    },
+                    Stage::GlobalAbstraction {
+                        mlp: MlpSpec::new(3 + 128, &[128, 256]),
+                    },
+                ],
+                fp_mlps: Vec::new(),
+                head: MlpSpec::new(256, &[64, 32, 10]),
+            },
+            3,
+        )
+    }
+
+    /// The two oracle nets with cloud sizes for them. The segmentation
+    /// net's last FP stage and head stack one row per point in 384-row
+    /// chunks, so 600 and 640 points end on a partial second chunk.
+    fn oracle_cases() -> [(PointNet, [usize; 3]); 2] {
+        [
+            (small_classification(), [256, 300, 270]),
+            (
+                PointNet::new(PointNetConfig::semantic_segmentation(512), 4),
+                [640, 600, 700],
+            ),
+        ]
+    }
+
+    fn assert_same_output(got: &InferenceOutput, want: &InferenceOutput, what: &str) {
+        assert_eq!(got.logits.rows(), want.logits.rows(), "{what}: rows");
+        for r in 0..got.logits.rows() {
+            let bits = |m: &Matrix| m.row(r).iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got.logits), bits(&want.logits), "{what}: row {r}");
+        }
+        assert_eq!(got.macs, want.macs, "{what}: macs");
+        assert_eq!(got.gather_counts, want.gather_counts, "{what}: gathers");
+    }
+
+    #[test]
+    fn a_batch_of_one_matches_the_oracle_bitwise() {
+        for (net, sizes) in oracle_cases() {
+            let c = cloud(sizes[0]);
+            let policy = CenterPolicy::Random { seed: 9 };
+            let want = oracle(&net, &c, &mut BruteKnnGatherer::new(), policy, None);
+            let got = net.infer(&c, &mut BruteKnnGatherer::new(), policy).unwrap();
+            assert_same_output(&got, &want, &net.config.name);
+        }
+    }
+
+    #[test]
+    fn every_cloud_of_a_batch_matches_the_oracle_bitwise() {
+        for (net, sizes) in oracle_cases() {
+            for width in [2, 3] {
+                let clouds: Vec<PointCloud> = sizes[..width].iter().map(|&n| cloud(n)).collect();
+                let refs: Vec<&PointCloud> = clouds.iter().collect();
+                let policies: Vec<CenterPolicy> = (0..width as u64)
+                    .map(|seed| CenterPolicy::Random { seed })
+                    .collect();
+                let mut gs: Vec<BruteKnnGatherer> =
+                    (0..width).map(|_| BruteKnnGatherer::new()).collect();
+                let mut grefs: Vec<&mut dyn Gatherer> =
+                    gs.iter_mut().map(|g| g as &mut dyn Gatherer).collect();
+                let outs = net.infer_batch(&refs, &mut grefs, &policies).unwrap();
+                for (bi, (c, &p)) in clouds.iter().zip(&policies).enumerate() {
+                    let want = oracle(&net, c, &mut BruteKnnGatherer::new(), p, None);
+                    let what = format!("{} B={width} cloud {bi}", net.config.name);
+                    assert_same_output(&outs[bi], &want, &what);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn calibration_fills_the_oracles_amax_slots() {
+        for (net, sizes) in oracle_cases() {
+            let c = cloud(sizes[1]);
+            let mut calibrator = crate::Calibrator::new();
+            calibrator
+                .observe(&net, &c, &mut BruteKnnGatherer::new(), CenterPolicy::FirstN)
+                .unwrap();
+            let got = calibrator.finish().unwrap().stats;
+            let mut want = net.amax_slots();
+            oracle(
+                &net,
+                &c,
+                &mut BruteKnnGatherer::new(),
+                CenterPolicy::FirstN,
+                Some(&mut want),
+            );
+            let name = &net.config.name;
+            assert_eq!(got.stages, want.stages, "{name}: stage slots");
+            assert_eq!(got.fps, want.fps, "{name}: fp slots");
+            assert_eq!(got.head, want.head, "{name}: head slots");
+            let every_slot = want.stages.iter().chain(&want.fps).flatten();
+            assert!(every_slot.chain(&want.head).all(|&a| a > 0.0), "{name}");
+        }
+    }
 
     fn cloud(n: usize) -> PointCloud {
         (0..n)

@@ -25,8 +25,8 @@
 //! quantization rules are elementwise f32 expressions, the GEMM is
 //! exact integer arithmetic, and the requantize store is one
 //! single-rounded f32 expression per element — so int8 logits are
-//! **bit-identical** across backends (scalar vs AVX2), across serial
-//! vs batched execution, and across machines. The accuracy-parity CI
+//! **bit-identical** across backends (scalar vs AVX2), across batch
+//! widths, and across machines. The accuracy-parity CI
 //! gate (`quant_parity`) leans on exactly this: its agreement numbers
 //! are facts about the model, not about the host.
 //!

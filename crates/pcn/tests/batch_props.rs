@@ -1,8 +1,10 @@
-//! Batched-vs-serial equivalence: `PointNet::infer_batch` must be
-//! **bit-identical** to looping `PointNet::infer` over the same clouds
-//! with the same gatherers and policies — logits, executed MACs and
-//! gather counts alike. This is the contract that lets the serving
-//! runtime coalesce frames without perturbing per-frame determinism.
+//! Batch-width equivalence: a batch of N through `PointNet::infer_batch`
+//! must be **bit-identical** to N batches of one (`PointNet::infer`)
+//! over the same clouds with the same gatherers and policies — logits,
+//! executed MACs and gather counts alike. This is the contract that lets
+//! the serving runtime coalesce frames without perturbing per-frame
+//! determinism. The layer-at-a-time oracle both are checked against
+//! lives in `network.rs`'s unit tests (it needs the private weights).
 
 use proptest::prelude::*;
 
@@ -29,19 +31,22 @@ fn cloud(n: usize, salt: u64) -> PointCloud {
         .collect()
 }
 
-/// Runs both paths over `clouds` and asserts bit-identical outputs.
-fn assert_batch_matches_serial(net: &PointNet, clouds: &[PointCloud], policies: &[CenterPolicy]) {
-    // Serial reference: one infer per cloud.
-    let serial: Vec<_> = clouds
+/// Runs `clouds` as batches of one and as one batch and asserts
+/// bit-identical outputs.
+fn assert_batch_matches_batches_of_one(
+    net: &PointNet,
+    clouds: &[PointCloud],
+    policies: &[CenterPolicy],
+) {
+    let singles: Vec<_> = clouds
         .iter()
         .zip(policies)
         .map(|(c, &p)| {
             let mut g = BruteKnnGatherer::new();
-            net.infer(c, &mut g, p).expect("serial inference")
+            net.infer(c, &mut g, p).expect("batch of one")
         })
         .collect();
 
-    // Batched: all clouds in one call.
     let refs: Vec<&PointCloud> = clouds.iter().collect();
     let mut gs: Vec<BruteKnnGatherer> = clouds.iter().map(|_| BruteKnnGatherer::new()).collect();
     let mut grefs: Vec<&mut dyn Gatherer> = gs.iter_mut().map(|g| g as &mut dyn Gatherer).collect();
@@ -49,8 +54,8 @@ fn assert_batch_matches_serial(net: &PointNet, clouds: &[PointCloud], policies: 
         .infer_batch(&refs, &mut grefs, policies)
         .expect("batched inference");
 
-    assert_eq!(batched.len(), serial.len());
-    for (bi, (b, s)) in batched.iter().zip(&serial).enumerate() {
+    assert_eq!(batched.len(), singles.len());
+    for (bi, (b, s)) in batched.iter().zip(&singles).enumerate() {
         assert_eq!(
             b.logits, s.logits,
             "cloud {bi}: logits must be bit-identical"
@@ -64,7 +69,7 @@ fn assert_batch_matches_serial(net: &PointNet, clouds: &[PointCloud], policies: 
 }
 
 #[test]
-fn classification_batch_is_bit_identical_to_serial_loop() {
+fn classification_batch_of_n_equals_batches_of_one() {
     let net = PointNet::new(PointNetConfig::classification(), 11);
     let clouds = [cloud(1024, 3), cloud(1200, 5), cloud(1024, 9)];
     let policies = [
@@ -72,25 +77,25 @@ fn classification_batch_is_bit_identical_to_serial_loop() {
         CenterPolicy::Random { seed: 2 },
         CenterPolicy::FirstN,
     ];
-    assert_batch_matches_serial(&net, &clouds, &policies);
+    assert_batch_matches_batches_of_one(&net, &clouds, &policies);
 }
 
 #[test]
-fn segmentation_batch_is_bit_identical_to_serial_loop() {
+fn segmentation_batch_of_n_equals_batches_of_one() {
     let net = PointNet::new(PointNetConfig::semantic_segmentation(512), 4);
     let clouds = [cloud(512, 7), cloud(640, 13)];
     let policies = [
         CenterPolicy::Random { seed: 21 },
         CenterPolicy::Random { seed: 22 },
     ];
-    assert_batch_matches_serial(&net, &clouds, &policies);
+    assert_batch_matches_batches_of_one(&net, &clouds, &policies);
 }
 
 #[test]
-fn singleton_batch_equals_serial() {
+fn infer_equals_a_singleton_batch() {
     let net = PointNet::new(PointNetConfig::classification(), 2);
     let clouds = [cloud(1024, 17)];
-    assert_batch_matches_serial(&net, &clouds, &[CenterPolicy::Random { seed: 5 }]);
+    assert_batch_matches_batches_of_one(&net, &clouds, &[CenterPolicy::Random { seed: 5 }]);
 }
 
 #[test]
@@ -101,7 +106,7 @@ fn empty_batch_returns_empty() {
 }
 
 #[test]
-fn batch_with_indexed_gatherers_matches_serial_indexed() {
+fn indexed_gatherers_batch_of_n_equals_batches_of_one() {
     // The batched path composes with any Gatherer, including the
     // NeighborIndex-backed one.
     let net = PointNet::new(PointNetConfig::semantic_segmentation(512), 6);
@@ -111,12 +116,12 @@ fn batch_with_indexed_gatherers_matches_serial_indexed() {
         CenterPolicy::Random { seed: 32 },
     ];
 
-    let serial: Vec<_> = clouds
+    let singles: Vec<_> = clouds
         .iter()
         .zip(&policies)
         .map(|(c, &p)| {
             let mut g = IndexedGatherer::default();
-            net.infer(c, &mut g, p).expect("serial inference")
+            net.infer(c, &mut g, p).expect("batch of one")
         })
         .collect();
 
@@ -125,7 +130,7 @@ fn batch_with_indexed_gatherers_matches_serial_indexed() {
     let mut grefs: Vec<&mut dyn Gatherer> = gs.iter_mut().map(|g| g as &mut dyn Gatherer).collect();
     let batched = net.infer_batch(&refs, &mut grefs, &policies).unwrap();
 
-    for (b, s) in batched.iter().zip(&serial) {
+    for (b, s) in batched.iter().zip(&singles) {
         assert_eq!(b.logits, s.logits);
         assert_eq!(b.macs, s.macs);
     }
@@ -134,9 +139,9 @@ fn batch_with_indexed_gatherers_matches_serial_indexed() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Random cloud sizes, seeds and batch widths: batched == serial.
+    /// Random cloud sizes, seeds and batch widths: B=N == B=1.
     #[test]
-    fn random_batches_match_serial(
+    fn random_batches_match_batches_of_one(
         sizes in prop::collection::vec(512usize..700, 1..4),
         seed in 0u64..1000,
     ) {
@@ -149,6 +154,6 @@ proptest! {
         let policies: Vec<CenterPolicy> = (0..clouds.len())
             .map(|i| CenterPolicy::Random { seed: seed ^ i as u64 })
             .collect();
-        assert_batch_matches_serial(&net, &clouds, &policies);
+        assert_batch_matches_batches_of_one(&net, &clouds, &policies);
     }
 }

@@ -12,7 +12,7 @@
 //!   one single-rounded f32 expression per element, so equality is
 //!   plain `to_bits` with no exceptions;
 //! * a quantized network's int8 forward pass is bit-identical between
-//!   the serial and the SoA-batched path, mirroring `batch_props.rs`.
+//!   a batch of N and N batches of one, mirroring `batch_props.rs`.
 
 use proptest::prelude::*;
 
@@ -207,10 +207,10 @@ fn quantized_net() -> PointNet {
         .expect("matching calibration")
 }
 
-/// The int8 tier is bit-identical between the serial forward pass and
-/// the SoA-batched path, exactly like the f32 tier.
+/// The int8 tier is bit-identical between a batch of N and N batches
+/// of one, exactly like the f32 tier.
 #[test]
-fn int8_batched_matches_int8_serial_bitwise() {
+fn int8_batch_of_n_matches_batches_of_one_bitwise() {
     let net = quantized_net();
     let clouds = [cloud(1024, 10), cloud(1100, 11), cloud(1050, 12)];
     let refs: Vec<&hgpcn_geometry::PointCloud> = clouds.iter().collect();
@@ -223,12 +223,12 @@ fn int8_batched_matches_int8_serial_bitwise() {
         .expect("batched int8 pass");
     for (c, b) in clouds.iter().zip(&batched) {
         let mut g = BruteKnnGatherer::new();
-        let serial = net
+        let single = net
             .infer_with_precision(c, &mut g, CenterPolicy::FirstN, Precision::Int8)
-            .expect("serial int8 pass");
-        assert_eq!(serial.logits, b.logits);
-        assert_eq!(serial.macs, b.macs);
-        assert_eq!(serial.precision, Precision::Int8);
+            .expect("int8 batch of one");
+        assert_eq!(single.logits, b.logits);
+        assert_eq!(single.macs, b.macs);
+        assert_eq!(single.precision, Precision::Int8);
         assert_eq!(b.precision, Precision::Int8);
     }
 }

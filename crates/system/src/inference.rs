@@ -93,6 +93,8 @@ impl InferenceEngine {
     /// schedule either way), so modeled latencies and op counts are
     /// identical across tiers; only the logits (and host speed) change.
     /// Bit-identity across backends makes `stages` a host-speed knob only.
+    /// This is [`InferenceEngine::run_batch_with_precision_using`] with
+    /// one frame.
     ///
     /// # Errors
     ///
@@ -107,15 +109,9 @@ impl InferenceEngine {
         precision: Precision,
         stages: StageBackends,
     ) -> Result<InferenceReport, SystemError> {
-        let mut gatherer = VegGatherer::new(self.veg).with_kernel(stages.gather);
-        let output = net.infer_with_precision_using(
-            input,
-            &mut gatherer,
-            CenterPolicy::Random { seed },
-            precision,
-            stages,
-        )?;
-        Ok(self.price(&gatherer, output, net))
+        let mut reports =
+            self.run_batch_with_precision_using(&[input], net, &[seed], precision, stages)?;
+        Ok(reports.pop().expect("one report per frame"))
     }
 
     /// Runs `net` over a micro-batch of down-sampled frames in one SoA
@@ -123,7 +119,8 @@ impl InferenceEngine {
     /// weights once for the whole batch. Each frame keeps its own VEG
     /// gatherer seeded by its own `seeds[i]`, so per-frame outputs,
     /// gather costs and modeled latencies are **bit-identical** to
-    /// per-frame [`InferenceEngine::run_with_precision_using`] calls —
+    /// running each frame as a batch of one
+    /// ([`InferenceEngine::run_with_precision_using`]) —
     /// batching changes host throughput, never results. The whole
     /// micro-batch runs at one tier.
     ///
