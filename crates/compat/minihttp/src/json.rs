@@ -6,6 +6,11 @@
 //! [`ParseError`] instead of overflowing the stack), strict number validation, and a serializer (`Display`) whose
 //! output is deterministic — objects are `BTreeMap`s, so two equal
 //! trees render byte-identically.
+//!
+//! [`parse_request`] is the same parser with one difference, for a
+//! JSON-RPC request that carries a point cloud: `params.points` is
+//! decoded into `[x, y, z]` points as it is read, capped, instead of
+//! becoming a tree of three-element arrays.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -203,12 +208,63 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// Why a request's `params.points` is not a cloud ([`parse_request`]).
+///
+/// The first failure wins, in the order a walk over the parsed tree
+/// finds it: the array itself (not an array, empty, too long), then
+/// each point in turn.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum CloudError {
+    /// `params.points` is absent or not an array.
+    NotArray,
+    /// `points` is `[]`.
+    Empty,
+    /// `points` has this many elements, more than the cap.
+    TooMany(usize),
+    /// `points[i]` is not an array.
+    PointNotArray(usize),
+    /// `points[i]` is not exactly three numbers.
+    NotTriple(usize),
+    /// `points[i]` has a coordinate that is not finite as an `f32`.
+    NonFinite(usize),
 }
 
-impl<'a> Parser<'a> {
+/// One element of `points`: a point, or the [`CloudError`] variant to
+/// report at its index.
+type PointResult = Result<[f32; 3], fn(usize) -> CloudError>;
+
+struct Parser<'a, P> {
+    text: &'a str,
+    pos: usize,
+    /// The cap on stored points when parsing a request; `None` in plain
+    /// [`parse`], which decodes nothing.
+    max_points: Option<usize>,
+    /// Set while the value of the top-level `params` member is parsed.
+    in_params: bool,
+    /// What became of `params.points`.
+    points: Result<Vec<P>, CloudError>,
+}
+
+impl<'a, P: From<[f32; 3]>> Parser<'a, P> {
+    fn new(text: &'a str, max_points: Option<usize>) -> Self {
+        Parser {
+            text,
+            pos: 0,
+            max_points,
+            in_params: false,
+            points: Err(CloudError::NotArray),
+        }
+    }
+
+    fn document(&mut self) -> Result<Json, ParseError> {
+        let v = self.value(0)?;
+        self.skip_ws();
+        if self.pos != self.text.len() {
+            return Err(self.err("trailing data"));
+        }
+        Ok(v)
+    }
+
     fn err(&self, what: &'static str) -> ParseError {
         ParseError {
             pos: self.pos,
@@ -217,7 +273,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -248,12 +304,12 @@ impl<'a> Parser<'a> {
             b't' => self.literal("true", Json::Bool(true)),
             b'f' => self.literal("false", Json::Bool(false)),
             b'n' => self.literal("null", Json::Null),
-            _ => self.number(),
+            _ => self.number().map(Json::Num),
         }
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, ParseError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -273,8 +329,26 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             let key = self.string()?;
             self.expect(b':')?;
-            let value = self.value(depth + 1)?;
-            map.insert(key, value);
+            match self.max_points {
+                // Only the params object is an object at depth 1 while
+                // `in_params` is set.
+                Some(max) if depth == 1 && self.in_params && key == "points" => {
+                    self.points = self.cloud(depth + 1, max)?;
+                }
+                _ => {
+                    // The last `params` member is the one the tree keeps.
+                    let params = depth == 0 && key == "params";
+                    if params {
+                        self.in_params = true;
+                        self.points = Err(CloudError::NotArray);
+                    }
+                    let value = self.value(depth + 1)?;
+                    if params {
+                        self.in_params = false;
+                    }
+                    map.insert(key, value);
+                }
+            }
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -309,6 +383,109 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// `params.points`, parsed with [`Parser::array`]'s grammar (so a
+    /// syntax error is the one [`parse`] reports, at the same byte) but
+    /// decoded straight into points: no [`Json`] is built for a triple.
+    /// At most `max` points are stored; the rest are only counted and
+    /// syntax-checked, as is everything after the first bad point.
+    fn cloud(
+        &mut self,
+        depth: usize,
+        max: usize,
+    ) -> Result<Result<Vec<P>, CloudError>, ParseError> {
+        self.skip_ws();
+        if self.peek() != Some(b'[') {
+            self.value(depth)?;
+            return Ok(Err(CloudError::NotArray));
+        }
+        self.pos += 1;
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(Err(CloudError::Empty));
+        }
+        let mut cloud = Vec::new();
+        let mut first_err = None;
+        let mut count = 0;
+        loop {
+            match self.point(depth + 1)? {
+                Ok(p) if first_err.is_none() && count < max => cloud.push(P::from(p)),
+                Err(e) if first_err.is_none() => first_err = Some(e(count)),
+                _ => {}
+            }
+            count += 1;
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    break;
+                }
+                _ => return Err(self.err("expected ',' or ']'")),
+            }
+        }
+        Ok(if count > max {
+            Err(CloudError::TooMany(count))
+        } else {
+            first_err.map_or(Ok(cloud), Err)
+        })
+    }
+
+    /// One element of `points`, parsed as [`Parser::value`] would parse
+    /// it and read as `[x, y, z]`: each coordinate is the `f64` the
+    /// number scanner returns, narrowed to `f32`.
+    fn point(&mut self, depth: usize) -> Result<PointResult, ParseError> {
+        self.skip_ws();
+        if self.peek() != Some(b'[') {
+            self.value(depth)?;
+            return Ok(Err(CloudError::PointNotArray));
+        }
+        self.pos += 1;
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(Err(CloudError::NotTriple));
+        }
+        let mut xyz = [0.0f64; 3];
+        let mut len = 0;
+        let mut numbers = true;
+        loop {
+            self.skip_ws();
+            match self.peek() {
+                None | Some(b'{' | b'[' | b'"' | b't' | b'f' | b'n') => {
+                    self.value(depth + 1)?;
+                    numbers = false;
+                }
+                _ => {
+                    let v = self.number()?;
+                    if let Some(slot) = xyz.get_mut(len) {
+                        *slot = v;
+                    }
+                }
+            }
+            len += 1;
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    break;
+                }
+                _ => return Err(self.err("expected ',' or ']'")),
+            }
+        }
+        if !numbers || len != 3 {
+            return Ok(Err(CloudError::NotTriple));
+        }
+        // A finite f64 can still overflow f32: check what is stored.
+        let p = xyz.map(|v| v as f32);
+        Ok(if p.iter().all(|c| c.is_finite()) {
+            Ok(p)
+        } else {
+            Err(CloudError::NonFinite)
+        })
+    }
+
     fn string(&mut self) -> Result<String, ParseError> {
         self.expect(b'"')?;
         let mut out = String::new();
@@ -333,7 +510,8 @@ impl<'a> Parser<'a> {
                         b'f' => out.push('\u{c}'),
                         b'u' => {
                             let hex = self
-                                .bytes
+                                .text
+                                .as_bytes()
                                 .get(self.pos..self.pos + 4)
                                 .ok_or_else(|| self.err("bad \\u escape"))?;
                             let code = u32::from_str_radix(
@@ -354,15 +532,18 @@ impl<'a> Parser<'a> {
                         self.pos += 1;
                     }
                     out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos])
-                            .map_err(|_| self.err("invalid utf-8"))?,
+                        self.text
+                            .get(start..self.pos)
+                            .ok_or_else(|| self.err("invalid utf-8"))?,
                     );
                 }
             }
         }
     }
 
-    fn number(&mut self) -> Result<Json, ParseError> {
+    /// The one number scanner: [`Parser::value`] wraps what it returns
+    /// in a [`Json::Num`], [`Parser::point`] stores it as a coordinate.
+    fn number(&mut self) -> Result<f64, ParseError> {
         let start = self.pos;
         while matches!(
             self.peek(),
@@ -370,11 +551,10 @@ impl<'a> Parser<'a> {
         ) {
             self.pos += 1;
         }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
+        self.text
+            .get(start..self.pos)
             .and_then(|s| s.parse::<f64>().ok())
             .filter(|v| v.is_finite())
-            .map(Json::Num)
             .ok_or_else(|| self.err("bad number"))
     }
 }
@@ -386,16 +566,28 @@ impl<'a> Parser<'a> {
 /// [`ParseError`] on any syntax violation, trailing data, non-finite
 /// numbers, or nesting deeper than [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Json, ParseError> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    let v = p.value(0)?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing data"));
-    }
-    Ok(v)
+    Parser::<[f32; 3]>::new(text, None).document()
+}
+
+/// Parses a JSON-RPC request like [`parse`], except that `params.points`
+/// is decoded straight into points while the text is read: no [`Json`]
+/// is built for it, and at most `max_points` points are stored.
+///
+/// Returns the tree without `params.points`, and the points or the first
+/// [`CloudError`] (`NotArray` when `params` is not an object or has no
+/// `points`). Each coordinate is the `f64` that [`parse`] reads,
+/// narrowed to `f32`.
+///
+/// # Errors
+///
+/// The [`ParseError`] that [`parse`] returns on the same text.
+pub fn parse_request<P: From<[f32; 3]>>(
+    text: &str,
+    max_points: usize,
+) -> Result<(Json, Result<Vec<P>, CloudError>), ParseError> {
+    let mut p = Parser::new(text, Some(max_points));
+    let doc = p.document()?;
+    Ok((doc, p.points))
 }
 
 #[cfg(test)]
@@ -478,5 +670,81 @@ mod tests {
     #[test]
     fn control_chars_escape_to_unicode() {
         assert_eq!(Json::str("\u{1}").to_string(), "\"\\u0001\"");
+    }
+
+    type Decoded = Result<Vec<[f32; 3]>, CloudError>;
+
+    fn request(text: &str, max_points: usize) -> (Json, Decoded) {
+        parse_request(text, max_points).unwrap()
+    }
+
+    #[test]
+    fn request_points_leave_the_tree_as_points() {
+        let (doc, points) = request(
+            r#"{"method":"m","params":{"stream_id":3,"points":[[1, 2.5,-3e1],[ 0,0 ,0 ]]}}"#,
+            8,
+        );
+        assert_eq!(points, Ok(vec![[1.0, 2.5, -30.0], [0.0; 3]]));
+        assert_eq!(doc.usize_at("params.stream_id"), Some(3));
+        assert_eq!(doc.path("params.points"), None);
+        assert_eq!(doc.str_at("method"), Some("m"));
+    }
+
+    #[test]
+    fn only_params_points_is_decoded() {
+        for text in [
+            r#"{"points":[[1,2,3]]}"#,
+            r#"{"params":{"inner":{"points":[[1,2,3]]}}}"#,
+            r#"{"params":[{"points":[[1,2,3]]}]}"#,
+            r#"[{"params":{"points":[[1,2,3]]}}]"#,
+        ] {
+            let (doc, points) = request(text, 8);
+            assert_eq!(points, Err(CloudError::NotArray), "{text}");
+            assert_eq!(doc, parse(text).unwrap(), "{text}");
+        }
+        // The last `params` member is the one the tree keeps.
+        let (doc, points) = request(r#"{"params":{"points":[[1,2,3]]},"params":5}"#, 8);
+        assert_eq!(
+            (doc.num("params"), points),
+            (Some(5.0), Err(CloudError::NotArray))
+        );
+    }
+
+    #[test]
+    fn structural_errors_come_in_walk_order() {
+        let points =
+            |body: &str, max| request(&format!(r#"{{"params":{{"points":{body}}}}}"#), max).1;
+        assert_eq!(points("7", 8), Err(CloudError::NotArray));
+        assert_eq!(points("[ ]", 8), Err(CloudError::Empty));
+        assert_eq!(points("[[1,2,3],0]", 8), Err(CloudError::PointNotArray(1)));
+        assert_eq!(points("[[1,2,3],[1,2]]", 8), Err(CloudError::NotTriple(1)));
+        assert_eq!(points(r#"[[1,2,"3"]]"#, 8), Err(CloudError::NotTriple(0)));
+        assert_eq!(points("[[1,2,3,4]]", 8), Err(CloudError::NotTriple(0)));
+        assert_eq!(points("[[1e39,0,0]]", 8), Err(CloudError::NonFinite(0)));
+        // The count is checked before any point, and counted past the cap.
+        assert_eq!(
+            points("[[1,2],[1,2,3],[1,2,3]]", 2),
+            Err(CloudError::TooMany(3))
+        );
+        assert_eq!(points("[[1,2,3],[1,2,3]]", 2).unwrap().len(), 2);
+    }
+
+    #[test]
+    fn request_syntax_errors_are_parses() {
+        for text in [
+            r#"{"params":{"points":[[1,2,3]"#,
+            r#"{"params":{"points":[[1,2,3],]}}"#,
+            r#"{"params":{"points":[[1,2,]]}}"#,
+            r#"{"params":{"points":[[1 2 3]]}}"#,
+            r#"{"params":{"points":[[1,2,1e999]]}}"#,
+            r#"{"params":{"points":[[1,2],[x]]}}"#,
+            r#"{"params":{"points":[[1,2,3]]}} x"#,
+        ] {
+            assert_eq!(
+                parse_request::<[f32; 3]>(text, 8).unwrap_err(),
+                parse(text).unwrap_err(),
+                "{text}"
+            );
+        }
     }
 }

@@ -11,8 +11,10 @@
 //!
 //! * [`json`]: a JSON tree ([`json::Json`]), a strict recursive-descent
 //!   parser with a nesting-depth cap ([`json::parse`], also the
-//!   parser behind `tools/`), and a deterministic serializer
-//!   (`Display`; `BTreeMap` objects render in key order).
+//!   parser behind `tools/`), the same parser decoding a request's
+//!   `params.points` straight into points ([`json::parse_request`]),
+//!   and a deterministic serializer (`Display`; `BTreeMap` objects
+//!   render in key order).
 //! * [`http`]: a bounded, thread-per-connection HTTP/1.1 server
 //!   ([`http::Server`]) with keep-alive and graceful stop, plus the
 //!   blocking client ([`http::request`]) the tests and the load smoke

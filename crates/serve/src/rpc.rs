@@ -16,12 +16,13 @@ use hgpcn_runtime::{
     StreamProfile, StreamReport, StreamService,
 };
 use minihttp::http::Response;
-use minihttp::json::{self, Json};
+use minihttp::json::{self, CloudError, Json};
 
 /// Maximum points accepted in one `submit_cloud` frame. Guards the
 /// preproc stage against a single hostile frame monopolising memory;
-/// real spins are ~1e5 points, so this is ample headroom. (The HTTP
-/// layer's body limit rejects most oversized payloads even earlier.)
+/// real spins are ~1e5 points, so this is ample headroom. The parser
+/// decodes `params.points` straight into [`Point3`]s and stores at most
+/// this many, so an oversize cloud is counted and refused, never built.
 pub const MAX_CLOUD_POINTS: usize = 1 << 18;
 
 /// JSON-RPC 2.0 standard error codes (the runtime-specific codes live
@@ -96,8 +97,8 @@ pub fn handle<S: StreamService>(runtime: &S, body: &[u8]) -> Response {
         Ok(text) => text,
         Err(_) => return reject(Json::Null, PARSE_ERROR, "body is not UTF-8"),
     };
-    let doc = match json::parse(text) {
-        Ok(doc) => doc,
+    let (doc, points) = match json::parse_request::<Point3>(text, MAX_CLOUD_POINTS) {
+        Ok(parsed) => parsed,
         Err(e) => return reject(Json::Null, PARSE_ERROR, e.to_string()),
     };
     let Json::Obj(_) = doc else {
@@ -126,17 +127,18 @@ pub fn handle<S: StreamService>(runtime: &S, body: &[u8]) -> Response {
     let Some(method) = doc.str_at("method") else {
         return reject(id, INVALID_REQUEST, "method must be a string");
     };
+    let no_params = Json::Obj(Default::default());
     let params = match doc.path("params") {
-        None => Json::Obj(Default::default()),
-        Some(p @ Json::Obj(_)) => p.clone(),
+        None => &no_params,
+        Some(p @ Json::Obj(_)) => p,
         Some(_) => return fail(id, INVALID_PARAMS, "params must be an object"),
     };
     match method {
-        "open_stream" => open_stream(runtime, id, &params),
-        "submit_cloud" => submit_cloud(runtime, id, &params),
-        "poll_result" => poll_result(runtime, id, &params),
-        "stream_stats" => stream_stats(runtime, id, &params),
-        "shard_stats" => shard_stats(runtime, id, &params),
+        "open_stream" => open_stream(runtime, id, params),
+        "submit_cloud" => submit_cloud(runtime, id, params, points),
+        "poll_result" => poll_result(runtime, id, params),
+        "stream_stats" => stream_stats(runtime, id, params),
+        "shard_stats" => shard_stats(runtime, id, params),
         other => fail(id, METHOD_NOT_FOUND, format!("unknown method {other:?}")),
     }
 }
@@ -174,7 +176,14 @@ fn open_stream<S: StreamService>(runtime: &S, id: Json, params: &Json) -> Respon
     }
 }
 
-fn submit_cloud<S: StreamService>(runtime: &S, id: Json, params: &Json) -> Response {
+/// `points` is `params.points` as the parser decoded it: the cloud, or
+/// the reason it is not one.
+fn submit_cloud<S: StreamService>(
+    runtime: &S,
+    id: Json,
+    params: &Json,
+    points: Result<Vec<Point3>, CloudError>,
+) -> Response {
     let Some(stream_id) = params.usize_at("stream_id") else {
         return fail(
             id,
@@ -193,47 +202,10 @@ fn submit_cloud<S: StreamService>(runtime: &S, id: Json, params: &Json) -> Respo
             );
         }
     };
-    let Some(points) = params.arr("points") else {
-        return fail(
-            id,
-            INVALID_PARAMS,
-            "points must be an array of [x, y, z] triples",
-        );
+    let cloud = match points {
+        Ok(cloud) => cloud,
+        Err(err) => return fail(id, INVALID_PARAMS, cloud_error_message(&err)),
     };
-    if points.is_empty() {
-        return fail(id, INVALID_PARAMS, "points must not be empty");
-    }
-    if points.len() > MAX_CLOUD_POINTS {
-        return fail(
-            id,
-            INVALID_PARAMS,
-            format!(
-                "cloud has {} points; the server accepts at most {MAX_CLOUD_POINTS}",
-                points.len()
-            ),
-        );
-    }
-    let mut cloud = Vec::with_capacity(points.len());
-    for (i, p) in points.iter().enumerate() {
-        let Json::Arr(coords) = p else {
-            return fail(id, INVALID_PARAMS, format!("points[{i}] is not an array"));
-        };
-        let [Json::Num(x), Json::Num(y), Json::Num(z)] = coords.as_slice() else {
-            return fail(
-                id,
-                INVALID_PARAMS,
-                format!("points[{i}] must be exactly [x, y, z] numbers"),
-            );
-        };
-        if !(x.is_finite() && y.is_finite() && z.is_finite()) {
-            return fail(
-                id,
-                INVALID_PARAMS,
-                format!("points[{i}] has a non-finite coordinate"),
-            );
-        }
-        cloud.push(Point3::new(*x as f32, *y as f32, *z as f32));
-    }
     match runtime.submit(stream_id, sensor_ts_s, PointCloud::from_points(cloud)) {
         Ok(ticket) => ok(
             id,
@@ -243,6 +215,19 @@ fn submit_cloud<S: StreamService>(runtime: &S, id: Json, params: &Json) -> Respo
             ]),
         ),
         Err(err) => runtime_fail(id, &err),
+    }
+}
+
+fn cloud_error_message(err: &CloudError) -> String {
+    match err {
+        CloudError::NotArray => "points must be an array of [x, y, z] triples".to_string(),
+        CloudError::Empty => "points must not be empty".to_string(),
+        CloudError::TooMany(n) => {
+            format!("cloud has {n} points; the server accepts at most {MAX_CLOUD_POINTS}")
+        }
+        CloudError::PointNotArray(i) => format!("points[{i}] is not an array"),
+        CloudError::NotTriple(i) => format!("points[{i}] must be exactly [x, y, z] numbers"),
+        CloudError::NonFinite(i) => format!("points[{i}] has a non-finite coordinate"),
     }
 }
 

@@ -99,13 +99,14 @@ proptest! {
     /// Structurally broken params (wrong types, malformed points) are
     /// invalid-params errors, never admitted frames.
     #[test]
-    fn broken_params_are_invalid_params(variant in 0usize..6) {
+    fn broken_params_are_invalid_params(variant in 0usize..7) {
         let params = match variant {
             0 => r#"{"points":[[0,0,0]]}"#,                          // no stream_id
             1 => r#"{"stream_id":-1,"points":[[0,0,0]]}"#,           // negative id
             2 => r#"{"stream_id":0,"points":[[0,0]]}"#,              // 2-tuple point
             3 => r#"{"stream_id":0,"points":[[0,0,0,0]]}"#,          // 4-tuple point
             4 => r#"{"stream_id":0,"points":[0]}"#,                  // scalar point
+            5 => r#"{"stream_id":0,"points":[[1e39,0,0]]}"#,         // overflows f32
             _ => r#"{"stream_id":0,"points":[]}"#,                   // empty cloud
         };
         let body = format!(
