@@ -8,10 +8,12 @@
 //! * `runtime_streams`: a fixed 2+2 worker pool over 1/2/4/8 streams —
 //!   measures multi-tenant admission and queue overhead as load grows;
 //! * `runtime_batching`: a fixed 8-stream fleet and 2+2 workers over
-//!   `max_batch` 1/2/4/8 — measures the SoA micro-batching speedup at
-//!   constant worker count (per-frame results are bit-identical across
-//!   the sweep; only host throughput moves). The in-situ B=8 ratio of
-//!   record is `pcn.batch8_speedup` in `benchmark/run.sh`.
+//!   `max_batch` 1/2/4/8 — measures the micro-batching speedup at
+//!   constant worker count (each batch spreads over `cores / 2` threads,
+//!   at least one, so on two cores it runs as one SoA pass; per-frame results are
+//!   bit-identical across the sweep; only host throughput moves). The
+//!   in-situ B=8 ratio of record is `pcn.batch8_speedup` in
+//!   `benchmark/run.sh`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 

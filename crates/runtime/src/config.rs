@@ -68,11 +68,12 @@ pub struct RuntimeConfig {
     /// Largest micro-batch an inference worker may coalesce from the
     /// stage queue (default `1`). Every frame runs the SoA batched engine
     /// call
-    /// ([`InferenceEngine::run_batch_with_precision_using`](hgpcn_system::InferenceEngine::run_batch_with_precision_using));
+    /// ([`InferenceEngine::run_batch_in_parts`](hgpcn_system::InferenceEngine::run_batch_in_parts));
     /// this is only the ceiling on how many already-queued frames share
-    /// one call — and so one weight traversal per layer. A lone frame is
-    /// a batch of one, and per-frame results are bit-identical at every
-    /// value.
+    /// one call, which spreads them over the worker's share of the host's
+    /// cores (`cores / (inference_workers × shards)`). A lone frame
+    /// is a batch of one, and per-frame results are bit-identical at
+    /// every value.
     pub max_batch: usize,
     /// Whether the run records frame-lifecycle telemetry (trace +
     /// metrics registry into [`RuntimeReport::telemetry`](crate::RuntimeReport::telemetry)).

@@ -20,14 +20,18 @@
 //!
 //! Inference workers run one loop: each dequeued frame, plus up to
 //! [`RuntimeConfig::max_batch`]` − 1` frames already queued behind it,
-//! forms a **micro-batch** executed through the one SoA batched engine
-//! call
-//! ([`InferenceEngine::run_batch_with_precision_using`](hgpcn_system::InferenceEngine::run_batch_with_precision_using)):
-//! one weight traversal per MLP layer serves the whole batch, and a lone
-//! frame is a batch of one. Coalescing never waits for frames (only
-//! already-queued work is drained) and preserves both per-stream FIFO
-//! order and per-frame `frame_seed` determinism — per-frame results are
-//! bit-identical at every `max_batch`, only host throughput changes
+//! forms a **micro-batch** executed through the one batched engine call
+//! ([`InferenceEngine::run_batch_in_parts`](hgpcn_system::InferenceEngine::run_batch_in_parts)):
+//! the call spreads the batch's frames over the worker's share of the
+//! host's cores in contiguous sub-batches, each one SoA pass with one
+//! weight traversal per MLP layer, and a lone frame is a batch of one on
+//! the worker's own thread. The share is `cores / (inference_workers ×
+//! shards)`, at least one, so the inference pools together never run
+//! more threads than there are cores.
+//! Coalescing never waits for frames (only already-queued work is
+//! drained) and preserves both per-stream FIFO order and per-frame
+//! `frame_seed` determinism — per-frame results are bit-identical at
+//! every `max_batch` and split, only host throughput changes
 //! ([`RuntimeReport::wall_speedup_over`], [`BatchingStats`]).
 //!
 //! Latency accounting runs on a *virtual clock*: workers advance their

@@ -94,7 +94,8 @@ pub struct FrameRecord {
     /// Host wall-clock seconds the pre-processing engine call took.
     pub wall_preproc_s: f64,
     /// Host wall-clock seconds of this frame's share of its inference
-    /// engine call (a micro-batch's wall time is split evenly).
+    /// engine call: the call's wall time split evenly over its frames,
+    /// whose sub-batches may have run in parallel on the host's cores.
     pub wall_infer_s: f64,
     /// Wall-clock instant (relative to run start) the frame completed.
     pub wall_done: Duration,

@@ -36,8 +36,8 @@ use std::time::Instant;
 use hgpcn_geometry::PointCloud;
 use hgpcn_pcn::{InferenceOutput, PointNet, StageBackends};
 use hgpcn_system::{
-    E2ePipeline, E2eReport, InferenceReport, PhaseReport, PreprocReuse, StreamPreprocContext,
-    SystemError,
+    E2ePipeline, E2eReport, InferenceEngine, InferenceReport, PhaseReport, PreprocReuse,
+    StreamPreprocContext, SystemError,
 };
 use hgpcn_telemetry::{EventKind, SpanRecorder, TraceCollector, WorkerId};
 
@@ -289,6 +289,9 @@ struct SessionCore {
     /// served network's pinned selection. Workers thread this into every
     /// engine call, so one session never mixes stage backends.
     stages: StageBackends,
+    /// Resolved once per session: how many sub-batches (threads) one
+    /// inference call may spread a micro-batch over ([`infer_parts`]).
+    infer_parts: usize,
     /// Per-frame failure policy: `true` resolves the failing ticket and
     /// keeps serving; `false` aborts the whole run (batch semantics).
     serving: bool,
@@ -314,8 +317,21 @@ struct SessionCore {
     collector: Mutex<Option<TraceCollector>>,
 }
 
+/// Sub-batches per inference call: the host's cores shared out over the
+/// inference workers of every replica serving the host, at least one. The
+/// pools together so never run more inference threads than there are
+/// cores, and a pool with a worker per core never splits. Pre-processing
+/// workers are not counted: a micro-batch forms only when frames queue at
+/// inference, that is while pre-processing is ahead of it.
+fn infer_parts(cores: usize, inference_workers: usize, replicas: usize) -> usize {
+    (cores / (inference_workers * replicas)).max(1)
+}
+
 impl SessionCore {
-    fn new(config: RuntimeConfig, net: &PointNet, serving: bool) -> SessionCore {
+    /// `replicas` is how many sessions with this config serve the host
+    /// side by side (a [`ShardedRuntime`](crate::ShardedRuntime)'s shard
+    /// count; 1 otherwise).
+    fn new(config: RuntimeConfig, net: &PointNet, serving: bool, replicas: usize) -> SessionCore {
         let started = Instant::now();
         // Resolved once per session: `Auto` reads the environment here,
         // not per event. When off, every SpanRecorder is a no-op sink.
@@ -323,6 +339,11 @@ impl SessionCore {
         SessionCore {
             kernel_backend: net.kernel().name(),
             stages: config.stage_backends.unwrap_or(net.stage_backends()),
+            infer_parts: infer_parts(
+                InferenceEngine::host_cores(),
+                config.inference_workers,
+                replicas,
+            ),
             serving,
             started,
             traced,
@@ -892,16 +913,18 @@ fn infer_batch(
         .map(|(job, _)| frame_seed(core.config.seed, job.stream_id, job.frame_index))
         .collect();
     let wall0 = Instant::now();
-    match pipeline.inference.run_batch_with_precision_using(
+    match pipeline.inference.run_batch_in_parts(
         &inputs,
         net,
         &seeds,
         hgpcn_pcn::Precision::F32,
         core.stages,
+        core.infer_parts,
     ) {
         Ok(reports) => {
-            // Per-frame share of the call's host wall time (split evenly —
-            // the SoA path serves the whole batch in one pass).
+            // Per-frame share of the call's host wall time, split evenly:
+            // the call's sub-batches may run in parallel on the host's cores,
+            // so no one frame's own time can be read off it.
             let wall_infer_s = wall0.elapsed().as_secs_f64() / batch.len() as f64;
             // Counted only on success: the frames of a failed batch are
             // counted by their one-frame re-runs instead.
@@ -1003,7 +1026,7 @@ pub(crate) fn run_batch(
     streams: Vec<StreamSpec>,
     net: &PointNet,
 ) -> Result<RuntimeReport, RuntimeError> {
-    let core = SessionCore::new(config.clone(), net, false);
+    let core = SessionCore::new(config.clone(), net, false, 1);
     for spec in &streams {
         core.open_stream(spec.profile());
     }
@@ -1130,9 +1153,19 @@ impl ServingRuntime {
         pipeline: E2ePipeline,
         net: impl Into<Arc<PointNet>>,
     ) -> Result<ServingRuntime, RuntimeError> {
+        ServingRuntime::start_replica(config, pipeline, net.into(), 1)
+    }
+
+    /// [`ServingRuntime::start_with_pipeline`] as one of `replicas`
+    /// runtimes sharing the host, which share its cores out between them.
+    pub(crate) fn start_replica(
+        config: RuntimeConfig,
+        pipeline: E2ePipeline,
+        net: Arc<PointNet>,
+        replicas: usize,
+    ) -> Result<ServingRuntime, RuntimeError> {
         config.validate()?;
-        let net: Arc<PointNet> = net.into();
-        let core = Arc::new(SessionCore::new(config.clone(), &net, true));
+        let core = Arc::new(SessionCore::new(config.clone(), &net, true, replicas));
         let pipeline = Arc::new(pipeline);
         let mut workers = Vec::with_capacity(config.preproc_workers + config.inference_workers);
         for w in 0..config.preproc_workers {
@@ -1354,5 +1387,27 @@ impl StreamHandle {
             .ok_or(RuntimeError::UnknownStream {
                 stream_id: self.stream_id,
             })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::infer_parts;
+
+    #[test]
+    fn inference_pools_never_split_past_the_cores() {
+        assert_eq!(infer_parts(2, 1, 1), 2);
+        assert_eq!(infer_parts(2, 2, 1), 1);
+        assert_eq!(infer_parts(8, 2, 2), 2);
+        assert_eq!(infer_parts(8, 3, 1), 2);
+        assert_eq!(infer_parts(1, 1, 1), 1);
+        for cores in 1..=16 {
+            for workers in 1..=4 {
+                for replicas in 1..=4 {
+                    let threads = infer_parts(cores, workers, replicas) * workers * replicas;
+                    assert!(threads <= cores.max(workers * replicas));
+                }
+            }
+        }
     }
 }

@@ -28,6 +28,7 @@ use std::time::Duration;
 
 use hgpcn_geometry::PointCloud;
 use hgpcn_pcn::PointNet;
+use hgpcn_system::E2ePipeline;
 use hgpcn_telemetry::Registry;
 
 use crate::config::RuntimeConfig;
@@ -176,7 +177,12 @@ impl ShardedRuntime {
         let net: Arc<PointNet> = net.into();
         let mut replicas = Vec::with_capacity(shards);
         for _ in 0..shards {
-            replicas.push(ServingRuntime::start(config.clone(), Arc::clone(&net))?);
+            replicas.push(ServingRuntime::start_replica(
+                config.clone(),
+                E2ePipeline::prototype(),
+                Arc::clone(&net),
+                shards,
+            )?);
         }
         let mut ring = Vec::with_capacity(shards * VNODES_PER_SHARD);
         for shard in 0..shards {

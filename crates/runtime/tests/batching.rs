@@ -168,7 +168,11 @@ fn frame_failure_in_a_batch_is_attributed_to_its_frame() {
 /// Serves two streams at `target_points(8)`, frames submitted interleaved
 /// before any is awaited so they can share a micro-batch: every sampled
 /// cloud starves the net, so a coalesced batch fails as a whole and is
-/// re-run one frame at a time under the per-frame (serving) policy.
+/// re-run one frame at a time under the per-frame (serving) policy. At
+/// `max_batch(8)` all eight frames can share one call, which the one
+/// inference worker cuts into sub-batches on a multi-core host, so
+/// starved frames sit in the second half too and their failures cross a
+/// sub-batch boundary.
 fn serve_starved_frames(max_batch: usize) {
     const FRAMES: usize = 4;
     let net = PointNet::new(PointNetConfig::semantic_segmentation(TARGET), 1);
@@ -220,6 +224,7 @@ fn serve_starved_frames(max_batch: usize) {
 
 #[test]
 fn failed_micro_batch_resolves_every_ticket_as_itself() {
+    serve_starved_frames(8);
     serve_starved_frames(4);
     serve_starved_frames(1);
 }

@@ -1,3 +1,6 @@
+use std::num::NonZeroUsize;
+use std::sync::OnceLock;
+
 use hgpcn_dla::{LayerRun, SystolicArray};
 use hgpcn_gather::dsu::{DataStructuringUnit, StageCycles};
 use hgpcn_gather::veg::VegConfig;
@@ -66,6 +69,16 @@ impl InferenceEngine {
         }
     }
 
+    /// The cores this process may use (the standard library's available
+    /// parallelism, which honours CPU affinity; 1 if unknown), queried
+    /// once per process: what [`InferenceEngine::run_batch_with_precision_using`]
+    /// spreads a batch over, and what a caller running several batches at
+    /// once shares out through [`InferenceEngine::run_batch_in_parts`].
+    pub fn host_cores() -> usize {
+        static CORES: OnceLock<usize> = OnceLock::new();
+        *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
+    }
+
     /// Runs `net` over the down-sampled `input`, gathering with VEG and
     /// pricing data structuring on the DSU pipeline and feature
     /// computation on the systolic array. Centers are picked randomly
@@ -114,25 +127,19 @@ impl InferenceEngine {
         Ok(reports.pop().expect("one report per frame"))
     }
 
-    /// Runs `net` over a micro-batch of down-sampled frames in one SoA
-    /// pass ([`PointNet::infer_batch`]): every MLP layer traverses its
-    /// weights once for the whole batch. Each frame keeps its own VEG
-    /// gatherer seeded by its own `seeds[i]`, so per-frame outputs,
-    /// gather costs and modeled latencies are **bit-identical** to
-    /// running each frame as a batch of one
-    /// ([`InferenceEngine::run_with_precision_using`]) —
-    /// batching changes host throughput, never results. The whole
-    /// micro-batch runs at one tier.
+    /// Runs `net` over a micro-batch of down-sampled frames, spread over
+    /// every core of the host: [`InferenceEngine::run_batch_in_parts`]
+    /// with [`InferenceEngine::host_cores`] parts. For a caller that runs
+    /// one batch at a time; one that runs several at once (the serving
+    /// runtime's inference workers) shares the cores out itself.
     ///
     /// # Errors
     ///
-    /// Propagates the first frame's failure as [`SystemError::Pcn`] —
-    /// including [`hgpcn_pcn::PcnError::NotQuantized`] when int8 is
-    /// requested on an unquantized network.
+    /// As [`InferenceEngine::run_batch_in_parts`].
     ///
     /// # Panics
     ///
-    /// Panics if `inputs` and `seeds` have different lengths.
+    /// As [`InferenceEngine::run_batch_in_parts`].
     pub fn run_batch_with_precision_using(
         &self,
         inputs: &[&PointCloud],
@@ -141,7 +148,83 @@ impl InferenceEngine {
         precision: Precision,
         stages: StageBackends,
     ) -> Result<Vec<InferenceReport>, SystemError> {
+        self.run_batch_in_parts(inputs, net, seeds, precision, stages, Self::host_cores())
+    }
+
+    /// Runs `net` over a micro-batch of down-sampled frames on up to
+    /// `parts` threads: the batch is cut into `min(B, parts)` contiguous
+    /// sub-batches (at least one) whose sizes differ by at most one frame,
+    /// the first runs on the calling thread and each other on a scoped
+    /// helper thread, and the reports come back in batch order. With one
+    /// part no thread is spawned. Each sub-batch is one SoA pass
+    /// ([`PointNet::infer_batch`]): every MLP layer traverses its weights
+    /// once for the sub-batch. Each
+    /// frame keeps its own VEG gatherer seeded by its own `seeds[i]`, so
+    /// per-frame outputs, gather costs and modeled latencies are
+    /// **bit-identical** to running each frame as a batch of one
+    /// ([`InferenceEngine::run_with_precision_using`]) — batching and the
+    /// split change host throughput, never results. The whole micro-batch
+    /// runs at one tier.
+    ///
+    /// # Errors
+    ///
+    /// Fails when any frame fails, with [`SystemError::Pcn`] — including
+    /// [`hgpcn_pcn::PcnError::NotQuantized`] when int8 is requested on an
+    /// unquantized network. The error is that of the first failing
+    /// sub-batch in batch order, and a sub-batch's pass is stage-major:
+    /// a later frame failing at SA1 wins over an earlier one failing at
+    /// SA2. Which frame is blamed therefore depends on the batch and on
+    /// `parts`; the serving runtime attributes a failure by re-running
+    /// each frame of the failed batch on its own.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `inputs` and `seeds` have different lengths. A panic on
+    /// a helper thread is re-raised on the caller with its own payload.
+    pub fn run_batch_in_parts(
+        &self,
+        inputs: &[&PointCloud],
+        net: &PointNet,
+        seeds: &[u64],
+        precision: Precision,
+        stages: StageBackends,
+        parts: usize,
+    ) -> Result<Vec<InferenceReport>, SystemError> {
         assert_eq!(inputs.len(), seeds.len(), "one seed per frame");
+        let n = inputs.len();
+        let parts = parts.clamp(1, n.max(1));
+        let sub_batch = |i: usize| {
+            let (lo, hi) = (i * n / parts, (i + 1) * n / parts);
+            self.run_sub_batch(&inputs[lo..hi], net, &seeds[lo..hi], precision, stages)
+        };
+        let results: Vec<Result<Vec<InferenceReport>, SystemError>> = std::thread::scope(|s| {
+            let helpers: Vec<_> = (1..parts).map(|i| s.spawn(move || sub_batch(i))).collect();
+            let first = sub_batch(0);
+            std::iter::once(first)
+                .chain(helpers.into_iter().map(|helper| {
+                    helper
+                        .join()
+                        .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+                }))
+                .collect()
+        });
+        let mut reports = Vec::with_capacity(n);
+        for result in results {
+            reports.extend(result?);
+        }
+        Ok(reports)
+    }
+
+    /// One SoA pass over `inputs`: per-frame VEG gatherers, the batched
+    /// forward pass, then per-frame pricing.
+    fn run_sub_batch(
+        &self,
+        inputs: &[&PointCloud],
+        net: &PointNet,
+        seeds: &[u64],
+        precision: Precision,
+        stages: StageBackends,
+    ) -> Result<Vec<InferenceReport>, SystemError> {
         let mut gatherers: Vec<VegGatherer> = inputs
             .iter()
             .map(|_| VegGatherer::new(self.veg).with_kernel(stages.gather))
@@ -315,10 +398,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn precision_changes_logits_only() {
-        // A classification net small enough to run int8 in a debug build.
-        let unquantized = PointNet::new(
+    /// A classification net small enough to run int8, and many batches,
+    /// in a debug build. Its first stage needs 64 points.
+    fn tiny_net() -> PointNet {
+        PointNet::new(
             PointNetConfig {
                 name: "tiny".to_owned(),
                 task: TaskKind::Classification { classes: 4 },
@@ -337,7 +420,61 @@ mod tests {
                 head: MlpSpec::new(64, &[32, 4]),
             },
             1,
-        );
+        )
+    }
+
+    #[test]
+    fn every_split_of_a_batch_is_bit_identical_to_per_frame_runs() {
+        let engine = InferenceEngine::prototype();
+        let net = tiny_net();
+        let frames: Vec<PointCloud> = (0..9).map(|i| input(128 + 8 * i)).collect();
+        let refs: Vec<&PointCloud> = frames.iter().collect();
+        let seeds: Vec<u64> = (5..14).collect();
+        let serial: Vec<InferenceReport> = frames
+            .iter()
+            .zip(&seeds)
+            .map(|(frame, &seed)| engine.run(frame, &net, seed).unwrap())
+            .collect();
+        let starved = input(32);
+        let split = |frames: &[&PointCloud], parts: usize| {
+            engine.run_batch_in_parts(
+                frames,
+                &net,
+                &seeds[..frames.len()],
+                Precision::F32,
+                net.stage_backends(),
+                parts,
+            )
+        };
+        for b in 1..=9 {
+            for parts in 1..=b + 1 {
+                let reports = split(&refs[..b], parts).unwrap();
+                assert_eq!(reports.len(), b);
+                for (got, want) in reports.iter().zip(&serial) {
+                    assert_eq!(got.output.logits, want.output.logits, "B={b} parts={parts}");
+                    assert_same_modeled(got, want);
+                }
+                // A starved frame in the first or the last sub-batch fails
+                // the whole call; the runtime then re-runs each frame
+                // alone, and `serial` is what the healthy ones reproduce.
+                for slot in [0, b - 1] {
+                    let mut batch = refs[..b].to_vec();
+                    batch[slot] = &starved;
+                    assert!(
+                        matches!(
+                            split(&batch, parts),
+                            Err(SystemError::Pcn(PcnError::InputTooSmall { .. }))
+                        ),
+                        "B={b} parts={parts} starved slot {slot}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn precision_changes_logits_only() {
+        let unquantized = tiny_net();
         let engine = InferenceEngine::prototype();
         let frames = [input(128), input(160)];
         let refs: Vec<&PointCloud> = frames.iter().collect();
