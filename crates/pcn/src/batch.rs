@@ -1,28 +1,29 @@
-//! The SoA tile layer: one dense activation buffer shared by many
-//! point-groups, so a whole micro-batch of clouds flows through each MLP
-//! layer with a **single weight traversal**.
+//! A segmented stack of activation rows: the materialized form of what
+//! the forward pass streams.
 //!
-//! A [`Batch`] stacks all groups of all clouds of a stage into one
-//! row-major buffer (structure-of-arrays over rows) with a segment table
-//! remembering which rows belong to which group, instead of one small
-//! `k × features` matrix per gathered group — for PointNet++(s) that
-//! would be hundreds of tiny matmuls per stage. The forward pass
-//! (every `PointNet::infer*` call; a lone frame is a batch of one) runs
-//! each MLP over the stacked rows, and the per-group max-pools read back
-//! through the segment table.
+//! A [`Batch`] holds many point-groups in one row-major buffer with a
+//! segment table remembering which rows belong to which group, and runs
+//! one weight traversal over all of them ([`Batch::linear_fused`]). The
+//! forward pass (`PointNet::infer*`) never builds one: it streams row
+//! chunks through each MLP's whole layer stack and folds the last
+//! layer's rows straight into the pooled features, so a stage's grouped
+//! rows exist only one cache-sized chunk at a time. What it keeps from
+//! this type is the pooling order: [`Batch::max_pool_segments`] copies a
+//! segment's first row, then takes `v > o` over the later rows in row
+//! order, and the streaming fold does exactly that across chunk
+//! boundaries.
 //!
 //! Because every operation is row-independent (linear, bias, ReLU) or
-//! segment-local (max-pool), each cloud's result is **bit-identical** at
-//! every batch width and to a group-at-a-time, layer-at-a-time pass —
-//! `network.rs`'s test oracle and `tests/batch_props.rs` assert this for
-//! whole networks.
+//! segment-local (max-pool), each group's result is **bit-identical**
+//! however the rows are stacked or chunked — `network.rs`'s test oracle
+//! and `tests/batch_props.rs` assert this for whole networks.
 
 use std::ops::Range;
 
 use crate::{kernel, LinearKernel, Matrix};
 
-/// A segmented stack of activation rows: the unit the batched forward
-/// pass moves through MLP layers.
+/// A segmented stack of activation rows, moved through a layer with one
+/// weight traversal and pooled per segment.
 ///
 /// # Examples
 ///
@@ -83,20 +84,6 @@ impl Batch {
     #[inline]
     pub fn segments(&self) -> &[Range<usize>] {
         &self.segments
-    }
-
-    /// The stacked row-major activation buffer — the chunked MLP loop
-    /// slices row ranges straight out of it.
-    #[inline]
-    pub(crate) fn data(&self) -> &Matrix {
-        &self.data
-    }
-
-    /// Mutable access to the stacked buffer (rows are written in place
-    /// by the chunked MLP loop's final layer).
-    #[inline]
-    pub(crate) fn data_mut(&mut self) -> &mut Matrix {
-        &mut self.data
     }
 
     /// Rows of segment `seg` (immutable view of the stacked buffer).
@@ -165,48 +152,6 @@ impl Batch {
         }
     }
 
-    /// [`Batch::linear_fused_with`] writing into a caller-owned batch
-    /// whose buffers are reused across calls — the calibration pass
-    /// ping-pongs two of these instead of allocating per layer.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch, or if `kernel` is unsupported on the
-    /// running CPU.
-    pub fn linear_fused_into(
-        &self,
-        kernel: LinearKernel,
-        weights: &Matrix,
-        bias: &[f32],
-        relu: bool,
-        out: &mut Batch,
-    ) {
-        kernel.apply_into(&self.data, weights, bias, relu, &mut out.data);
-        out.segments.clone_from(&self.segments);
-    }
-
-    /// The int8 sibling of [`Batch::linear_fused_into`]: quantizes the
-    /// stacked rows with `layer`'s calibrated activation scale, runs
-    /// the i8 GEMM on `kernel`, and writes the requantized (+ optional
-    /// ReLU) f32 rows into `out`, keeping the segment table. `xq` is
-    /// the caller's quantization scratch, reused across layers.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch, or if `kernel` is unsupported on the
-    /// running CPU.
-    pub(crate) fn quant_forward_into(
-        &self,
-        kernel: crate::kernel::Int8Kernel,
-        layer: &crate::quant::QuantLayer,
-        relu: bool,
-        xq: &mut Vec<i8>,
-        out: &mut Batch,
-    ) {
-        layer.forward_into(kernel, &self.data, relu, &mut out.data, xq);
-        out.segments.clone_from(&self.segments);
-    }
-
     /// Per-segment column-wise max (the PointNet max-pool applied to each
     /// group independently). Returns a `segment_count × cols` matrix whose
     /// row `s` pools segment `s`.
@@ -231,23 +176,7 @@ impl Batch {
         out
     }
 
-    /// Re-shapes this batch to the given segment layout, reusing the
-    /// underlying allocations when they are large enough. Contents are
-    /// unspecified afterwards — callers must overwrite every row (the
-    /// batched forward pass fills every segment row it lays out).
-    pub(crate) fn reshape_for_overwrite(&mut self, segment_rows: &[usize], cols: usize) {
-        let total: usize = segment_rows.iter().sum();
-        self.segments.clear();
-        let mut start = 0usize;
-        for &r in segment_rows {
-            self.segments.push(start..start + r);
-            start += r;
-        }
-        self.data.reshape_for_overwrite(total, cols);
-    }
-
-    /// Copies segment `seg` out as a standalone matrix (used to hand each
-    /// cloud its own logits/features after a batched traversal).
+    /// Copies segment `seg` out as a standalone matrix.
     ///
     /// # Panics
     ///

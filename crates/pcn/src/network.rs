@@ -1,3 +1,5 @@
+use std::ops::Range;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -9,8 +11,7 @@ use crate::kernel::Int8Kernel;
 use crate::quant::{AmaxStats, Calibration, MlpGroup, QuantizedModel};
 use crate::stage::StageBackends;
 use crate::{
-    kernel, Batch, Gatherer, LinearKernel, Matrix, PcnError, PointNetConfig, Precision, Stage,
-    TaskKind,
+    kernel, Gatherer, LinearKernel, Matrix, PcnError, PointNetConfig, Precision, Stage, TaskKind,
 };
 
 /// How set-abstraction centers are chosen.
@@ -368,12 +369,16 @@ impl PointNet {
     }
 
     /// Runs one inference over **each** cloud of a micro-batch, pushing all
-    /// clouds through every MLP layer with a single weight traversal.
+    /// clouds through every MLP with one pass over the weights per row
+    /// chunk.
     ///
-    /// Per stage, the gathered groups of *all* clouds are stacked into one
-    /// SoA [`Batch`] and the stage MLP runs once over the stacked rows via
-    /// the row-blocked fused kernel ([`Matrix::linear_fused`]); max-pools
-    /// and feature propagation stay segment-local. Every per-row and
+    /// Per stage, the gathered groups of *all* clouds form one segment
+    /// table, and row chunks of it stream through the stage MLP's whole
+    /// layer stack in two cache-sized buffers: each chunk fills its own
+    /// input rows from the gathered indices, and its last layer's rows
+    /// fold straight into each cloud's pooled features — the way the
+    /// paper's Feature Computation Unit pools groups on chip. No stage
+    /// ever holds its full grouped input or output. Every per-row and
     /// per-segment operation is order-preserving, so each cloud's
     /// [`InferenceOutput`] — logits, gather counts and executed MACs — is
     /// **bit-identical** to running that cloud alone as a batch of one
@@ -483,258 +488,176 @@ impl PointNet {
         gatherers: &mut [&mut dyn Gatherer],
         policies: &[CenterPolicy],
         precision: Precision,
-        mut mode: PassMode<'_>,
+        mode: PassMode<'_>,
         stages: StageBackends,
     ) -> Result<Vec<InferenceOutput>, PcnError> {
-        let mut xq: Vec<i8> = Vec::new();
         let b = clouds.len();
         if b == 0 {
             return Ok(Vec::new());
         }
-
-        let mut macs = vec![0u64; b];
+        let mut pass = Pass {
+            mode,
+            bufs: [Vec::new(), Vec::new()],
+            xq: Vec::new(),
+            macs: vec![0; b],
+        };
         let mut interp_counts = vec![OpCounts::default(); b];
-        let all_clouds: Vec<usize> = (0..b).collect();
 
-        // Recycled batch buffers: `pool` carries each stage's stacked
-        // input and takes the consumed MLP output back; `scratch`
-        // ping-pongs inside the layer loop. Both grow to the largest
-        // stage once and are then reused — the batched path performs no
-        // per-layer output allocations.
-        let mut pool = Batch::zeros(&[], 0);
-        let mut scratch = Batch::zeros(&[], 0);
-
-        // Per-cloud encoder levels (coords, features); level 0 is the
-        // raw input.
-        let mut level_points: Vec<Vec<Vec<Point3>>> =
-            clouds.iter().map(|c| vec![c.points().to_vec()]).collect();
-        let mut level_feats: Vec<Vec<Option<Matrix>>> = (0..b).map(|_| vec![None]).collect();
+        // Per-cloud encoder levels; level 0 is the raw input's
+        // coordinates.
+        let mut levels: Vec<Vec<Level>> = clouds
+            .iter()
+            .map(|c| {
+                vec![Level {
+                    cloud: PointCloud::from_points(c.points().to_vec()),
+                    feats: None,
+                }]
+            })
+            .collect();
 
         for (si, stage) in self.config.stages.iter().enumerate() {
             // Feature width is config-determined, hence equal across the
             // batch at every level.
-            let feat_dim = level_feats[0]
-                .last()
-                .expect("levels aligned")
-                .as_ref()
-                .map_or(0, Matrix::cols);
+            let cols = 3 + last(&levels[0]).feats.as_ref().map_or(0, Matrix::cols);
+            let group = MlpGroup::Stage(si);
             match stage {
                 Stage::SetAbstraction { npoint, k, .. } => {
-                    // Gather every cloud's groups, then stack all groups
-                    // of all clouds: one segment per (cloud, center).
-                    let mut seg_rows: Vec<usize> = Vec::with_capacity(b * npoint);
-                    let mut seg_cloud: Vec<usize> = Vec::with_capacity(b * npoint);
-                    let mut all_centers: Vec<Vec<usize>> = Vec::with_capacity(b);
-                    let mut all_groups: Vec<Vec<Vec<usize>>> = Vec::with_capacity(b);
+                    let npoint = *npoint;
+                    let mut centers = Vec::with_capacity(b);
+                    let mut groups = Vec::with_capacity(b);
                     for (bi, gatherer) in gatherers.iter_mut().enumerate() {
-                        let cur_pts = level_points[bi].last().expect("levels aligned");
-                        let n = cur_pts.len();
-                        if *npoint > n {
+                        let cur = &last(&levels[bi]).cloud;
+                        let n = cur.len();
+                        if npoint > n {
                             return Err(PcnError::InputTooSmall {
                                 points: n,
-                                needed: *npoint,
+                                needed: npoint,
                             });
                         }
-                        let centers = Self::select_centers(policies[bi], n, *npoint, si);
-                        let cur_cloud = PointCloud::from_points(cur_pts.clone());
+                        let c = Self::select_centers(policies[bi], n, npoint, si);
                         // Coarse stages can ask for more neighbors than
                         // exist; clamp like the PointNet++ reference
                         // implementation.
                         let k_eff = (*k).min(n.saturating_sub(1)).max(1);
-                        let groups = gatherer.gather(&cur_cloud, &centers, k_eff)?;
-                        for g in &groups {
-                            seg_rows.push(g.len());
-                            seg_cloud.push(bi);
-                        }
-                        all_centers.push(centers);
-                        all_groups.push(groups);
+                        groups.push(gatherer.gather(cur, &c, k_eff)?);
+                        centers.push(c);
                     }
-
-                    let mut batch = std::mem::replace(&mut pool, Batch::zeros(&[], 0));
-                    batch.reshape_for_overwrite(&seg_rows, 3 + feat_dim);
-                    let mut seg = 0usize;
-                    for bi in 0..b {
-                        let cur_pts = level_points[bi].last().expect("levels aligned");
-                        let cur_feats = level_feats[bi].last().expect("levels aligned");
-                        for (group, &c) in all_groups[bi].iter().zip(&all_centers[bi]) {
-                            let center = cur_pts[c];
-                            for (r, &ni) in group.iter().enumerate() {
-                                let rel = cur_pts[ni] - center;
-                                let row = batch.segment_row_mut(seg, r);
-                                row[0] = rel.x;
-                                row[1] = rel.y;
-                                row[2] = rel.z;
-                                if let Some(f) = cur_feats {
-                                    row[3..].copy_from_slice(f.row(ni));
-                                }
-                            }
-                            seg += 1;
-                        }
+                    // One segment per (cloud, center): cloud `s / npoint`'s
+                    // group around its center `s % npoint`.
+                    let seg_rows: Vec<usize> = groups.iter().flatten().map(Vec::len).collect();
+                    let fill = |s: usize, rows: Range<usize>, dst: &mut [f32]| {
+                        let (bi, gi) = (s / npoint, s % npoint);
+                        let level = last(&levels[bi]);
+                        let pts = level.cloud.points();
+                        let members = groups[bi][gi][rows].iter().copied();
+                        fill_grouped(
+                            pts,
+                            level.feats.as_ref(),
+                            pts[centers[bi][gi]],
+                            members,
+                            dst,
+                        );
+                    };
+                    let input = Input {
+                        seg_rows: &seg_rows,
+                        cols,
+                        fill: &fill,
+                    };
+                    let pooled = self.run_mlp(group, &input, Sink::Pool, &mut pass);
+                    for ((level, c), feats) in levels.iter_mut().zip(&centers).zip(pooled) {
+                        let cur = &last(level).cloud;
+                        let next: PointCloud = c.iter().map(|&i| cur.point(i)).collect();
+                        level.push(Level {
+                            cloud: next,
+                            feats: Some(feats),
+                        });
                     }
-
-                    let out = self.apply_mlp_batched(
-                        MlpGroup::Stage(si),
-                        batch,
-                        &seg_cloud,
-                        &mut macs,
-                        true,
-                        &mut scratch,
-                        &mut mode,
-                        &mut xq,
-                    );
-                    let pooled_all = out.max_pool_segments();
-                    let out_dim = stage.mlp().output_width();
-                    let mut seg = 0usize;
-                    for (bi, centers) in all_centers.iter().enumerate() {
-                        let mut pooled = Matrix::zeros(centers.len(), out_dim);
-                        for gi in 0..centers.len() {
-                            pooled.row_mut(gi).copy_from_slice(pooled_all.row(seg));
-                            seg += 1;
-                        }
-                        let cur_pts = level_points[bi].last().expect("levels aligned");
-                        let next: Vec<Point3> = centers.iter().map(|&c| cur_pts[c]).collect();
-                        level_points[bi].push(next);
-                        level_feats[bi].push(Some(pooled));
-                    }
-                    pool = out;
                 }
                 Stage::GlobalAbstraction { .. } => {
-                    let seg_rows: Vec<usize> = level_points
+                    // One segment per cloud: all its points around their
+                    // centroid.
+                    let centroids: Vec<Point3> = levels
                         .iter()
-                        .map(|lp| lp.last().expect("levels aligned").len())
+                        .map(|l| {
+                            let pts = last(l).cloud.points();
+                            pts.iter().fold(Point3::ORIGIN, |a, &p| a + p) / pts.len().max(1) as f32
+                        })
                         .collect();
-                    let mut batch = std::mem::replace(&mut pool, Batch::zeros(&[], 0));
-                    batch.reshape_for_overwrite(&seg_rows, 3 + feat_dim);
-                    let mut centroids = Vec::with_capacity(b);
-                    for bi in 0..b {
-                        let cur_pts = level_points[bi].last().expect("levels aligned");
-                        let n = cur_pts.len();
-                        let centroid =
-                            cur_pts.iter().fold(Point3::ORIGIN, |a, &p| a + p) / n.max(1) as f32;
-                        let cur_feats = level_feats[bi].last().expect("levels aligned");
-                        for (r, &p) in cur_pts.iter().enumerate() {
-                            let rel = p - centroid;
-                            let row = batch.segment_row_mut(bi, r);
-                            row[0] = rel.x;
-                            row[1] = rel.y;
-                            row[2] = rel.z;
-                            if let Some(f) = cur_feats {
-                                row[3..].copy_from_slice(f.row(r));
-                            }
-                        }
-                        centroids.push(centroid);
+                    let seg_rows: Vec<usize> = levels.iter().map(|l| last(l).cloud.len()).collect();
+                    let fill = |bi: usize, rows: Range<usize>, dst: &mut [f32]| {
+                        let level = last(&levels[bi]);
+                        let pts = level.cloud.points();
+                        fill_grouped(pts, level.feats.as_ref(), centroids[bi], rows, dst);
+                    };
+                    let input = Input {
+                        seg_rows: &seg_rows,
+                        cols,
+                        fill: &fill,
+                    };
+                    let pooled = self.run_mlp(group, &input, Sink::Pool, &mut pass);
+                    for ((level, &centroid), feats) in levels.iter_mut().zip(&centroids).zip(pooled)
+                    {
+                        level.push(Level {
+                            cloud: PointCloud::from_points(vec![centroid]),
+                            feats: Some(feats),
+                        });
                     }
-                    let out = self.apply_mlp_batched(
-                        MlpGroup::Stage(si),
-                        batch,
-                        &all_clouds,
-                        &mut macs,
-                        true,
-                        &mut scratch,
-                        &mut mode,
-                        &mut xq,
-                    );
-                    let pooled = out.max_pool_segments();
-                    for (bi, &centroid) in centroids.iter().enumerate() {
-                        level_points[bi].push(vec![centroid]);
-                        level_feats[bi].push(Some(Matrix::from_vec(
-                            1,
-                            pooled.cols(),
-                            pooled.row(bi).to_vec(),
-                        )));
-                    }
-                    pool = out;
                 }
             }
         }
 
-        let logits: Vec<Matrix> = match self.config.task {
-            TaskKind::Classification { .. } => {
-                let parts: Vec<Matrix> = level_feats
-                    .iter()
-                    .map(|lf| lf.last().expect("global level").clone().expect("features"))
+        let top = self.config.stages.len();
+        let mut head_in: Vec<Matrix> = levels
+            .iter_mut()
+            .map(|l| l[top].feats.take().expect("coarsest features"))
+            .collect();
+        if let TaskKind::Segmentation { .. } = self.config.task {
+            for j in 0..self.fp_weights.len() {
+                let coarse = top - j;
+                let fine = coarse - 1;
+                let interps: Vec<Matrix> = (0..b)
+                    .map(|bi| {
+                        stages.interpolate.apply(
+                            levels[bi][fine].cloud.points(),
+                            levels[bi][coarse].cloud.points(),
+                            &head_in[bi],
+                            &mut interp_counts[bi],
+                        )
+                    })
                     .collect();
-                let out = self.apply_mlp_batched(
-                    MlpGroup::Head,
-                    Batch::from_matrices(&parts),
-                    &all_clouds,
-                    &mut macs,
-                    false,
-                    &mut scratch,
-                    &mut mode,
-                    &mut xq,
-                );
-                (0..b).map(|bi| out.segment_matrix(bi)).collect()
-            }
-            TaskKind::Segmentation { .. } => {
-                let top = self.config.stages.len();
-                let mut carried: Vec<Matrix> = level_feats
-                    .iter()
-                    .map(|lf| lf[top].clone().expect("coarsest features"))
-                    .collect();
-                for j in 0..self.fp_weights.len() {
-                    let coarse = top - j;
-                    let fine = coarse - 1;
-                    let interps: Vec<Matrix> = (0..b)
-                        .map(|bi| {
-                            stages.interpolate.apply(
-                                &level_points[bi][fine],
-                                &level_points[bi][coarse],
-                                &carried[bi],
-                                &mut interp_counts[bi],
-                            )
-                        })
-                        .collect();
-                    // Stack `[interpolated | skip]` straight into the
-                    // recycled batch — the per-cloud `hcat` and the
-                    // re-stacking copy it used to feed are gone, but the
-                    // stacked rows are byte-identical.
-                    let interp_dim = interps[0].cols();
-                    let skip_dim = level_feats[0][fine].as_ref().map_or(0, Matrix::cols);
-                    let seg_rows: Vec<usize> = interps.iter().map(Matrix::rows).collect();
-                    let mut batch = std::mem::replace(&mut pool, Batch::zeros(&[], 0));
-                    batch.reshape_for_overwrite(&seg_rows, interp_dim + skip_dim);
-                    for (bi, interp) in interps.iter().enumerate() {
-                        for r in 0..interp.rows() {
-                            let row = batch.segment_row_mut(bi, r);
-                            row[..interp_dim].copy_from_slice(interp.row(r));
-                            if let Some(skip) = &level_feats[bi][fine] {
-                                row[interp_dim..].copy_from_slice(skip.row(r));
-                            }
+                // Each row is `[interpolated | skip]`.
+                let interp_dim = interps[0].cols();
+                let skip_dim = levels[0][fine].feats.as_ref().map_or(0, Matrix::cols);
+                let seg_rows: Vec<usize> = interps.iter().map(Matrix::rows).collect();
+                let fill = |bi: usize, rows: Range<usize>, dst: &mut [f32]| {
+                    let skip = levels[bi][fine].feats.as_ref();
+                    for (r, row) in rows.zip(dst.chunks_exact_mut(interp_dim + skip_dim)) {
+                        row[..interp_dim].copy_from_slice(interps[bi].row(r));
+                        if let Some(skip) = skip {
+                            row[interp_dim..].copy_from_slice(skip.row(r));
                         }
                     }
-                    let out = self.apply_mlp_batched(
-                        MlpGroup::Fp(j),
-                        batch,
-                        &all_clouds,
-                        &mut macs,
-                        true,
-                        &mut scratch,
-                        &mut mode,
-                        &mut xq,
-                    );
-                    // The next FP stage's interpolate reads per-cloud
-                    // coarse features, so unstack — except after the
-                    // last stage, where the head consumes the batch
-                    // as-is and the round-trip copy would be pure waste.
-                    if j + 1 < self.fp_weights.len() {
-                        carried = (0..b).map(|bi| out.segment_matrix(bi)).collect();
-                    }
-                    pool = out;
-                }
-                let out = self.apply_mlp_batched(
-                    MlpGroup::Head,
-                    std::mem::replace(&mut pool, Batch::zeros(&[], 0)),
-                    &all_clouds,
-                    &mut macs,
-                    false,
-                    &mut scratch,
-                    &mut mode,
-                    &mut xq,
-                );
-                (0..b).map(|bi| out.segment_matrix(bi)).collect()
+                };
+                let input = Input {
+                    seg_rows: &seg_rows,
+                    cols: interp_dim + skip_dim,
+                    fill: &fill,
+                };
+                head_in = self.run_mlp(MlpGroup::Fp(j), &input, Sink::Rows, &mut pass);
             }
+        }
+
+        let cols = head_in[0].cols();
+        let seg_rows: Vec<usize> = head_in.iter().map(Matrix::rows).collect();
+        let fill = |bi: usize, rows: Range<usize>, dst: &mut [f32]| {
+            dst.copy_from_slice(&head_in[bi].as_slice()[rows.start * cols..rows.end * cols]);
         };
+        let input = Input {
+            seg_rows: &seg_rows,
+            cols,
+            fill: &fill,
+        };
+        let logits = self.run_mlp(MlpGroup::Head, &input, Sink::Rows, &mut pass);
 
         Ok(logits
             .into_iter()
@@ -742,205 +665,252 @@ impl PointNet {
             .map(|(bi, logits)| InferenceOutput {
                 logits,
                 gather_counts: gatherers[bi].counts() + interp_counts[bi],
-                macs: macs[bi],
+                macs: pass.macs[bi],
                 precision,
             })
             .collect())
     }
 
-    /// One fused pass of an MLP group over the whole batch: a single
-    /// weight traversal per layer, with executed MACs attributed to each
-    /// cloud through the segment-to-cloud map. `mode` decides how the
-    /// layers run; the stacked-rows structure and MAC accounting are the
-    /// same in every mode. `PassMode::Int8` runs each layer as the
-    /// quantized GEMM and `PassMode::Observe` folds each layer's input
-    /// into its amax slot; both go layer at a time over the whole batch,
-    /// because each needs a layer's whole input in hand.
+    /// One pass of an MLP group over one stage's rows for the whole
+    /// batch, returning one matrix per cloud.
     ///
-    /// The f32 path streams **row chunks through the whole layer stack**
-    /// instead of whole layers through the whole batch: layer 0 reads
-    /// its chunk straight out of `x`, the last layer writes straight
-    /// into the result buffer, and the intermediate activations ping-
-    /// pong between two chunk-sized buffers that stay cache-resident.
-    /// The big stages stack multi-megabyte activation buffers, so the
-    /// layer-at-a-time schedule paid a DRAM round-trip per layer;
-    /// chunking touches main memory once for the input and once for the
-    /// output. Every linear layer is row-independent, so the traversal
-    /// order is a pure scheduling choice — outputs are bit-identical.
-    // One parameter per pass ingredient; bundling them would only move
-    // the argument list into a single-use struct.
-    #[allow(clippy::too_many_arguments)]
-    fn apply_mlp_batched(
+    /// Row chunks stream through the **whole layer stack**: `input.fill`
+    /// writes a chunk's input rows into one of `pass`'s two chunk
+    /// buffers, the layers ping-pong between them, and `sink` takes the
+    /// last layer's rows. Neither the stage's full input nor its full
+    /// output is ever built. A chunk is sized so its widest adjacent
+    /// input/output pair stays cache-resident with the (small) weights,
+    /// and its ends fall wherever they fall: a segment may start, end or
+    /// continue in any chunk, so the pooling fold carries across chunk
+    /// boundaries.
+    ///
+    /// Every layer is row-independent in every mode — the f32 kernels,
+    /// the int8 quantize/GEMM/requantize (static calibrated scales) and
+    /// the calibration's amax fold — and the pool keeps
+    /// [`crate::Batch::max_pool_segments`]'s order (a segment's first row
+    /// copied, then `v > o` over later rows in row order), so the
+    /// chunking is a pure scheduling choice: outputs are bit-identical
+    /// to one layer at a time over all rows. Executed MACs are
+    /// attributed per cloud from the segment table.
+    fn run_mlp(
         &self,
         group: MlpGroup,
-        mut x: Batch,
-        seg_cloud: &[usize],
-        macs: &mut [u64],
-        relu_last: bool,
-        scratch: &mut Batch,
-        mode: &mut PassMode<'_>,
-        xq: &mut Vec<i8>,
-    ) -> Batch {
+        input: &Input<'_>,
+        sink: Sink,
+        pass: &mut Pass<'_>,
+    ) -> Vec<Matrix> {
+        let Pass {
+            mode,
+            bufs: [a, b],
+            xq,
+            macs,
+        } = pass;
         let weights = self.group_weights(group);
+        let relu_last = group != MlpGroup::Head;
+        let seg_rows = input.seg_rows;
+        let per_cloud = seg_rows.len() / macs.len();
+        debug_assert_eq!(per_cloud * macs.len(), seg_rows.len());
+
         let mut cloud_rows = vec![0usize; macs.len()];
-        for (range, &c) in x.segments().iter().zip(seg_cloud) {
-            cloud_rows[c] += range.len();
+        for (s, &r) in seg_rows.iter().enumerate() {
+            cloud_rows[s / per_cloud] += r;
         }
-        let n_layers = weights.len();
-        let mut in_cols = x.cols();
-        for (w, _) in weights {
-            for (m, &r) in macs.iter_mut().zip(&cloud_rows) {
-                *m += (r * in_cols * w.cols()) as u64;
-            }
-            in_cols = w.cols();
-        }
-        if n_layers == 0 {
-            return x;
-        }
-
-        match mode {
-            PassMode::F32 => {}
-            PassMode::Int8(model) => {
-                // Quantized path: layer-at-a-time over the whole batch,
-                // ping-ponging the caller's scratch (the i8 GEMM quantizes
-                // each full layer input through `xq`).
-                for (i, _) in weights.iter().enumerate() {
-                    let relu = relu_last || i + 1 < n_layers;
-                    x.quant_forward_into(
-                        Int8Kernel::for_linear(self.kernel),
-                        &model.group(group)[i],
-                        relu,
-                        xq,
-                        scratch,
-                    );
-                    std::mem::swap(&mut x, scratch);
-                }
-                return x;
-            }
-            PassMode::Observe(stats) => {
-                // Calibration: the f32 layers over the whole batch, each
-                // layer's input folded into its amax slot first.
-                for (i, (w, bias)) in weights.iter().enumerate() {
-                    AmaxStats::record(stats.group_slot(group, i), x.data());
-                    let relu = relu_last || i + 1 < n_layers;
-                    x.linear_fused_into(self.kernel, w, bias, relu, scratch);
-                    std::mem::swap(&mut x, scratch);
-                }
-                return x;
-            }
-        }
-
-        let total_rows = x.rows();
-        let seg_rows: Vec<usize> = x.segments().iter().map(std::ops::Range::len).collect();
-        let final_cols = weights.last().map_or(0, |(w, _)| w.cols());
-        scratch.reshape_for_overwrite(&seg_rows, final_cols);
-
         // Chunk rows so one chunk's widest adjacent input+output pair
-        // fits comfortably in cache alongside the (small) weights.
+        // fits comfortably in cache alongside the weights.
         const CHUNK_BUDGET_FLOATS: usize = 96 * 1024; // ~384 KiB in flight
-        let mut width_pair_max = 0usize;
-        let mut inter_cols_max = 0usize;
-        {
-            let mut ic = x.cols();
-            for (li, (w, _)) in weights.iter().enumerate() {
-                width_pair_max = width_pair_max.max(ic + w.cols());
-                if li + 1 < n_layers {
-                    inter_cols_max = inter_cols_max.max(w.cols());
-                }
-                ic = w.cols();
+        let (mut ins, mut widest, mut widest_pair) = (input.cols, input.cols, 0);
+        for (w, _) in weights {
+            // The kernels' slice bounds rest on this.
+            assert_eq!(ins, w.rows(), "layer widths must chain");
+            for (m, &r) in macs.iter_mut().zip(&cloud_rows) {
+                *m += (r * ins * w.cols()) as u64;
+            }
+            widest = widest.max(w.cols());
+            widest_pair = widest_pair.max(ins + w.cols());
+            ins = w.cols();
+        }
+        let out_cols = ins;
+        let total_rows: usize = seg_rows.iter().sum();
+        let chunk = (CHUNK_BUDGET_FLOATS / widest_pair.max(1))
+            .max(64)
+            .min(total_rows.max(1));
+        for buf in [&mut *a, &mut *b] {
+            if buf.len() < chunk * widest {
+                buf.resize(chunk * widest, 0.0);
             }
         }
-        let chunk = (CHUNK_BUDGET_FLOATS / width_pair_max.max(1)).max(64);
-        let mut buf_a = vec![0.0f32; chunk.min(total_rows.max(1)) * inter_cols_max];
-        let mut buf_b = vec![0.0f32; chunk.min(total_rows.max(1)) * inter_cols_max];
 
-        let x_slice = x.data().as_slice();
-        let x_cols = x.cols();
-        let out_slice = scratch.data_mut().as_mut_slice();
-        let run = |src: &[f32],
-                   dst: &mut [f32],
-                   n: usize,
-                   ins: usize,
-                   w: &Matrix,
-                   bias: &[f32],
-                   relu: bool| {
-            let task = crate::kernel::LinearTask {
-                x: src,
-                rows: n,
-                ins,
-                w: w.as_slice(),
-                outs: w.cols(),
-                bias,
-                relu,
-            };
-            self.kernel.run(&task, dst);
+        let mut out: Vec<Matrix> = match sink {
+            Sink::Pool => vec![Matrix::zeros(per_cloud, out_cols); macs.len()],
+            Sink::Rows => {
+                debug_assert_eq!(per_cloud, 1, "one segment per cloud");
+                seg_rows
+                    .iter()
+                    .map(|&r| Matrix::zeros(r, out_cols))
+                    .collect()
+            }
         };
+        let mut cursor = (0usize, 0usize);
         let mut r0 = 0usize;
         while r0 < total_rows {
             let n = chunk.min(total_rows - r0);
-            // Which ping-pong buffer holds the current intermediate.
-            let mut cur_in_a = false;
-            let mut ins = x_cols;
+            let start = cursor;
+            for_each_run(seg_rows, &mut cursor, n, |s, rows, at| {
+                let len = rows.len();
+                (input.fill)(s, rows, &mut a[at * input.cols..(at + len) * input.cols]);
+            });
+            let mut ins = input.cols;
             for (i, (w, bias)) in weights.iter().enumerate() {
                 let outs = w.cols();
-                debug_assert_eq!(ins, w.rows(), "layer widths must chain");
-                let relu = relu_last || i + 1 < n_layers;
-                let first = i == 0;
-                let last = i + 1 == n_layers;
-                match (first, last) {
-                    (true, true) => run(
-                        &x_slice[r0 * ins..(r0 + n) * ins],
-                        &mut out_slice[r0 * outs..(r0 + n) * outs],
+                let relu = relu_last || i + 1 < weights.len();
+                let (src, dst) = (&a[..n * ins], &mut b[..n * outs]);
+                match mode {
+                    PassMode::Int8(model) => model.group(group)[i].forward_into(
+                        Int8Kernel::for_linear(self.kernel),
+                        src,
                         n,
-                        ins,
-                        w,
-                        bias,
                         relu,
+                        dst,
+                        xq,
                     ),
-                    (true, false) => {
-                        run(
-                            &x_slice[r0 * ins..(r0 + n) * ins],
-                            &mut buf_a[..n * outs],
-                            n,
+                    PassMode::F32 | PassMode::Observe(_) => {
+                        if let PassMode::Observe(stats) = mode {
+                            AmaxStats::record(stats.group_slot(group, i), src);
+                        }
+                        let task = kernel::LinearTask {
+                            x: src,
+                            rows: n,
                             ins,
-                            w,
+                            w: w.as_slice(),
+                            outs,
                             bias,
                             relu,
-                        );
-                        cur_in_a = true;
-                    }
-                    (false, true) => {
-                        let src = if cur_in_a {
-                            &buf_a[..n * ins]
-                        } else {
-                            &buf_b[..n * ins]
                         };
-                        run(
-                            src,
-                            &mut out_slice[r0 * outs..(r0 + n) * outs],
-                            n,
-                            ins,
-                            w,
-                            bias,
-                            relu,
-                        );
-                    }
-                    (false, false) => {
-                        let (src, dst) = if cur_in_a {
-                            (&buf_a[..n * ins], &mut buf_b[..n * outs])
-                        } else {
-                            (&buf_b[..n * ins], &mut buf_a[..n * outs])
-                        };
-                        run(src, dst, n, ins, w, bias, relu);
-                        cur_in_a = !cur_in_a;
+                        self.kernel.run(&task, dst);
                     }
                 }
+                std::mem::swap(a, b);
                 ins = outs;
             }
+            let mut cursor = start;
+            for_each_run(seg_rows, &mut cursor, n, |s, rows, at| {
+                let src = &a[at * out_cols..(at + rows.len()) * out_cols];
+                match sink {
+                    Sink::Pool => {
+                        let dst = out[s / per_cloud].row_mut(s % per_cloud);
+                        let mut src_rows = src.chunks_exact(out_cols);
+                        if rows.start == 0 {
+                            if let Some(first) = src_rows.next() {
+                                dst.copy_from_slice(first);
+                            }
+                        }
+                        for row in src_rows {
+                            for (o, &v) in dst.iter_mut().zip(row) {
+                                if v > *o {
+                                    *o = v;
+                                }
+                            }
+                        }
+                    }
+                    Sink::Rows => out[s].as_mut_slice()[rows.start * out_cols..rows.end * out_cols]
+                        .copy_from_slice(src),
+                }
+            });
             r0 += n;
         }
-        std::mem::swap(&mut x, scratch);
-        x
+        out
+    }
+}
+
+/// One encoder level of one cloud: its points and, above the input,
+/// their pooled features.
+struct Level {
+    cloud: PointCloud,
+    feats: Option<Matrix>,
+}
+
+/// The forward pass's running state: how the dense layers run, the two
+/// chunk buffers they ping-pong (grown to the largest stage once, then
+/// reused), the int8 quantization scratch, and executed MACs per cloud.
+struct Pass<'a> {
+    mode: PassMode<'a>,
+    bufs: [Vec<f32>; 2],
+    xq: Vec<i8>,
+    macs: Vec<u64>,
+}
+
+/// `fill(s, rows, dst)` writes rows `rows` of segment `s` (row-major)
+/// into `dst`.
+type FillRows<'a> = dyn Fn(usize, Range<usize>, &mut [f32]) + 'a;
+
+/// One MLP pass's input rows, described rather than stacked: `cols`
+/// wide, cloud-major segments with the same count for every cloud, and
+/// the fill that writes any run of them.
+struct Input<'a> {
+    seg_rows: &'a [usize],
+    cols: usize,
+    fill: &'a FillRows<'a>,
+}
+
+/// Where an MLP pass's last-layer rows go.
+#[derive(Clone, Copy)]
+enum Sink {
+    /// Max-pool each segment into one row: segment `s` becomes row
+    /// `s % per_cloud` of its cloud's matrix (the abstraction stages).
+    Pool,
+    /// Keep every row: segment `s` is cloud `s`'s whole matrix (the FP
+    /// stages and the head).
+    Rows,
+}
+
+/// A cloud's coarsest level so far.
+fn last(levels: &[Level]) -> &Level {
+    levels.last().expect("input level")
+}
+
+/// Writes one row per member into `dst` — the member's coordinates
+/// relative to `center`, then its features: an abstraction stage's input
+/// rows, for one group's run of members.
+fn fill_grouped(
+    points: &[Point3],
+    feats: Option<&Matrix>,
+    center: Point3,
+    members: impl Iterator<Item = usize>,
+    dst: &mut [f32],
+) {
+    let cols = 3 + feats.map_or(0, Matrix::cols);
+    for (row, m) in dst.chunks_exact_mut(cols).zip(members) {
+        let rel = points[m] - center;
+        row[0] = rel.x;
+        row[1] = rel.y;
+        row[2] = rel.z;
+        if let Some(f) = feats {
+            row[3..].copy_from_slice(f.row(m));
+        }
+    }
+}
+
+/// Splits the `n` rows after `cursor` (segment, row within it) into
+/// per-segment runs in row order, calling `f(segment, rows within the
+/// segment, offset of the run's first row among the `n`)`, and advances
+/// `cursor` past them.
+fn for_each_run(
+    seg_rows: &[usize],
+    cursor: &mut (usize, usize),
+    n: usize,
+    mut f: impl FnMut(usize, Range<usize>, usize),
+) {
+    let mut done = 0;
+    while done < n {
+        let (s, off) = *cursor;
+        let take = (seg_rows[s] - off).min(n - done);
+        f(s, off..off + take, done);
+        done += take;
+        *cursor = if off + take == seg_rows[s] {
+            (s + 1, 0)
+        } else {
+            (s, off + take)
+        };
     }
 }
 
@@ -966,7 +936,7 @@ mod tests {
             let weights = net.group_weights(group);
             for (i, (w, b)) in weights.iter().enumerate() {
                 if let Some(stats) = stats.as_deref_mut() {
-                    AmaxStats::record(stats.group_slot(group, i), &x);
+                    AmaxStats::record(stats.group_slot(group, i), x.as_slice());
                 }
                 macs += (x.rows() * x.cols() * w.cols()) as u64;
                 x = net.kernel.apply(&x, w, b, false);
@@ -1161,6 +1131,59 @@ mod tests {
             assert_eq!(got.head, want.head, "{name}: head slots");
             let every_slot = want.stages.iter().chain(&want.fps).flatten();
             assert!(every_slot.chain(&want.head).all(|&a| a > 0.0), "{name}");
+        }
+    }
+
+    proptest::proptest! {
+        /// Random group sizes, center counts, global-MLP widths, batch
+        /// widths and cloud sizes put row-chunk ends at arbitrary offsets
+        /// inside SA groups, and make a cloud's global segment span up to
+        /// four chunks, so the pooling fold must carry across chunk
+        /// boundaries; every cloud still matches the oracle bit for bit.
+        #[test]
+        fn streamed_pools_match_the_oracle(
+            k in 1usize..=70,
+            npoint in 8usize..=256,
+            w1 in 4usize..=16,
+            w2 in 64usize..=1536,
+            extra in proptest::collection::vec(0usize..=120, 1..4),
+            seed in 0u64..1000,
+        ) {
+            let net = PointNet::new(
+                PointNetConfig {
+                    name: "streamed".to_owned(),
+                    task: TaskKind::Classification { classes: 10 },
+                    input_size: npoint,
+                    stages: vec![
+                        Stage::SetAbstraction {
+                            npoint,
+                            k,
+                            mlp: MlpSpec::new(3, &[8, 16]),
+                        },
+                        Stage::GlobalAbstraction {
+                            mlp: MlpSpec::new(3 + 16, &[w1, w2]),
+                        },
+                    ],
+                    fp_mlps: Vec::new(),
+                    head: MlpSpec::new(w2, &[10]),
+                },
+                seed,
+            );
+            let clouds: Vec<PointCloud> = extra.iter().map(|&e| cloud(npoint + e)).collect();
+            let refs: Vec<&PointCloud> = clouds.iter().collect();
+            let policies: Vec<CenterPolicy> = (0..clouds.len() as u64)
+                .map(|i| CenterPolicy::Random { seed: seed ^ i })
+                .collect();
+            let mut gs: Vec<BruteKnnGatherer> =
+                clouds.iter().map(|_| BruteKnnGatherer::new()).collect();
+            let mut grefs: Vec<&mut dyn Gatherer> =
+                gs.iter_mut().map(|g| g as &mut dyn Gatherer).collect();
+            let outs = net.infer_batch(&refs, &mut grefs, &policies).unwrap();
+            for (bi, (c, &p)) in clouds.iter().zip(&policies).enumerate() {
+                let want = oracle(&net, c, &mut BruteKnnGatherer::new(), p, None);
+                let what = format!("k={k} npoint={npoint} w=({w1},{w2}) cloud {bi}");
+                assert_same_output(&outs[bi], &want, &what);
+            }
         }
     }
 

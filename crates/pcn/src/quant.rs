@@ -209,33 +209,28 @@ impl QuantLayer {
         self.wq[i * self.outs + j]
     }
 
-    /// Runs the layer on a chosen int8 backend: quantizes `x` with the
-    /// calibrated activation scale, executes the i8 GEMM, and writes
-    /// requantized (+ optional ReLU) f32 into `out` (reshaped, its
-    /// allocation reused). `xq` is the caller's quantization scratch,
-    /// grown once and reused across layers.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch, or if `kernel` is unsupported on the
-    /// running CPU.
-    pub fn forward_into(
+    /// Runs the layer over `rows` row-major input rows `x` on a chosen
+    /// int8 backend: quantizes them with the calibrated activation
+    /// scale, executes the i8 GEMM, and writes requantized (+ optional
+    /// ReLU) f32 rows into `out` (`rows × outs`). `xq` is the caller's
+    /// quantization scratch, grown once and reused across layers. Every
+    /// step is row-independent, so any split of the rows into calls
+    /// gives the same bits.
+    pub(crate) fn forward_into(
         &self,
         kernel: Int8Kernel,
-        x: &Matrix,
+        x: &[f32],
+        rows: usize,
         relu: bool,
-        out: &mut Matrix,
+        out: &mut [f32],
         xq: &mut Vec<i8>,
     ) {
-        assert_eq!(x.cols(), self.ins, "inner dimensions must agree");
-        let rows = x.rows();
+        // The AVX2 backend reads and writes through raw pointers sized
+        // from these lengths.
+        assert_eq!(x.len(), rows * self.ins, "inner dimensions must agree");
+        assert_eq!(out.len(), rows * self.outs, "output rows must match");
         xq.clear();
-        xq.extend(
-            x.as_slice()
-                .iter()
-                .map(|&v| quantize_value(v, self.a_inv_scale)),
-        );
-        out.reshape_for_overwrite(rows, self.outs);
+        xq.extend(x.iter().map(|&v| quantize_value(v, self.a_inv_scale)));
         let task = QuantTask {
             x: xq,
             rows,
@@ -246,19 +241,29 @@ impl QuantLayer {
             bias: &self.bias,
             relu,
         };
-        kernel.run(&task, out.as_mut_slice());
+        kernel.run(&task, out);
     }
 
-    /// [`QuantLayer::forward_into`] allocating its own output and
-    /// scratch — the convenience entry benches and tests use.
+    /// Runs the layer over `x` on a chosen int8 backend, allocating its
+    /// own output and scratch — the convenience entry benches and tests
+    /// use.
     ///
     /// # Panics
     ///
-    /// As [`QuantLayer::forward_into`].
+    /// Panics on shape mismatch, or if `kernel` is unsupported on the
+    /// running CPU.
     pub fn forward_with(&self, kernel: Int8Kernel, x: &Matrix, relu: bool) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
+        assert_eq!(x.cols(), self.ins, "inner dimensions must agree");
+        let mut out = Matrix::zeros(x.rows(), self.outs);
         let mut xq = Vec::new();
-        self.forward_into(kernel, x, relu, &mut out, &mut xq);
+        self.forward_into(
+            kernel,
+            x.as_slice(),
+            x.rows(),
+            relu,
+            out.as_mut_slice(),
+            &mut xq,
+        );
         out
     }
 }
@@ -286,10 +291,12 @@ pub(crate) struct AmaxStats {
 }
 
 impl AmaxStats {
-    /// Folds one layer input into an amax slot, ignoring non-finite
-    /// values (they carry no range information).
-    pub(crate) fn record(slot: &mut f32, x: &Matrix) {
-        for &v in x.as_slice() {
+    /// Folds layer-input values into an amax slot, ignoring non-finite
+    /// values (they carry no range information). A max is exact, so
+    /// folding a layer's input in row chunks fills the same slot as
+    /// folding it whole.
+    pub(crate) fn record(slot: &mut f32, x: &[f32]) {
+        for &v in x {
             if v.is_finite() && v.abs() > *slot {
                 *slot = v.abs();
             }

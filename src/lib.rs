@@ -15,8 +15,9 @@
 //!   `NeighborIndex` structures built once and queried per center;
 //! * [`dla`] — the 16×16 systolic Feature Computation Unit;
 //! * [`pcn`] — a real PointNet++ forward pass with pluggable gathering,
-//!   plus the SoA `Batch` tile layer and `infer_batch` (B clouds per
-//!   call, one weight traversal per MLP layer, bit-identical results),
+//!   and `infer_batch` (B clouds per call, streamed through each MLP in
+//!   cache-sized row chunks that max-pool as they leave it,
+//!   bit-identical results),
 //!   and the `quant` post-training-int8 accuracy study: a `Calibrator`
 //!   observing activation ranges, per-channel symmetric weight
 //!   quantization, and an i32-accumulating i8 GEMM selected per call by
