@@ -21,7 +21,7 @@
 //! deviation exceeds `--max-logit-dev`; the committed CI floor lives in
 //! `.github/workflows/ci.yml`.
 //!
-//! Like `tools/bench_gate.rs`, the verdict is **machine-independent**:
+//! The verdict is **machine-independent**:
 //! every number here is a deterministic function of the seed — the f32
 //! kernels are bit-identical across backends by contract, quantization
 //! is elementwise, and the i8 GEMM is exact integer arithmetic — so a

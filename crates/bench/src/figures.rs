@@ -474,8 +474,8 @@ pub fn surface_cloud(n: usize, seed: u64) -> PointCloud {
 /// filler for size sweeps where only scale matters.
 /// The fractions are computed in f64 and cast last: at indices ≥4M an
 /// f32 ulp is ~0.25, so an f32 `fract()` collapses the lattice onto a
-/// handful of duplicate points — the degenerate-octree/KNN wedge fixed
-/// in the load harness (see `load_smoke`'s generator note).
+/// handful of duplicate points — a degenerate octree/KNN input, not a
+/// lidar frame.
 pub fn golden_cloud(n: usize, seed: u64) -> PointCloud {
     let offset = (seed as f64 * 0.137).fract();
     (0..n)

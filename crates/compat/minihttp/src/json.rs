@@ -1,7 +1,7 @@
 //! JSON tree, strict parser, deterministic serializer.
 //!
 //! Shared by the serving front end and the repository tools
-//! (`bench_gate`, `trace_check`), with the hardening a network-facing
+//! (`trace_check`), with the hardening a network-facing
 //! layer needs: a nesting-depth cap (a `[[[[…` bomb fails with
 //! [`ParseError`] instead of overflowing the stack), strict number validation, and a serializer (`Display`) whose
 //! output is deterministic — objects are `BTreeMap`s, so two equal

@@ -45,7 +45,6 @@
 #![deny(unsafe_code)]
 #![deny(missing_docs)]
 
-mod batch;
 mod config;
 mod error;
 mod gatherer;
@@ -55,7 +54,6 @@ pub mod quant;
 pub mod stage;
 mod tensor;
 
-pub use batch::Batch;
 pub use config::{PointNetConfig, Stage, StageWorkload, TaskKind};
 pub use error::PcnError;
 pub use gatherer::{BruteKnnGatherer, Gatherer, IndexedGatherer};

@@ -686,9 +686,9 @@ impl PointNet {
     ///
     /// Every layer is row-independent in every mode — the f32 kernels,
     /// the int8 quantize/GEMM/requantize (static calibrated scales) and
-    /// the calibration's amax fold — and the pool keeps
-    /// [`crate::Batch::max_pool_segments`]'s order (a segment's first row
-    /// copied, then `v > o` over later rows in row order), so the
+    /// the calibration's amax fold — and the pool has one order: a
+    /// segment's first row is copied, then `v > o` is applied over its
+    /// later rows in row order, carried across chunk ends. So the
     /// chunking is a pure scheduling choice: outputs are bit-identical
     /// to one layer at a time over all rows. Executed MACs are
     /// attributed per cloud from the segment table.

@@ -15,7 +15,7 @@
 
 use proptest::prelude::*;
 
-use hgpcn_pcn::{Batch, LinearKernel, Matrix};
+use hgpcn_pcn::{LinearKernel, Matrix};
 
 /// Bit-level equality with NaN normalization: non-NaN values must agree
 /// down to the sign of zero, NaN must meet NaN. (A NaN's *payload* is
@@ -135,46 +135,25 @@ proptest! {
         }
     }
 
-    /// The batched tile entry point dispatches to the same kernels:
-    /// a segmented stack with ragged (including empty) segments is
-    /// bit-identical across backends, segment table preserved.
+    /// A stacked batch is just more rows: any row count (including 0)
+    /// of fully adversarial activations at a width that is not a
+    /// multiple of any vector lane is bit-identical across backends.
     #[test]
-    fn batch_linear_fused_is_bit_identical_across_backends(
-        seg_a in 0usize..5,
-        seg_b in 0usize..5,
-        seg_c in 0usize..5,
+    fn stacked_rows_are_bit_identical_across_backends(
+        rows in 0usize..13,
         x_data in arb_activations(12 * 35),
     ) {
-        let segs = [seg_a, seg_b, seg_c];
-        let rows: usize = segs.iter().sum();
         let ins = 35usize;
-        let mut batch = Batch::zeros(&segs, ins);
-        let mut it = x_data.into_iter();
-        for (s, &n) in segs.iter().enumerate() {
-            for r in 0..n {
-                for v in batch.segment_row_mut(s, r).iter_mut() {
-                    *v = it.next().expect("enough generated activations");
-                }
-            }
-        }
-        prop_assert_eq!(batch.rows(), rows);
+        let x = Matrix::from_vec(rows, ins, x_data[..rows * ins].to_vec());
         let w = Matrix::from_vec(
             ins,
             13,
             (0..ins * 13).map(|i| ((i as f32) * 0.21).sin()).collect(),
         );
         let bias: Vec<f32> = (0..13).map(|j| j as f32 * 0.05 - 0.2).collect();
-        let want = batch.linear_fused_with(LinearKernel::Reference, &w, &bias, true);
+        let want = LinearKernel::Reference.apply(&x, &w, &bias, true);
         for k in backends_under_test() {
-            let got = batch.linear_fused_with(k, &w, &bias, true);
-            prop_assert_eq!(got.segments(), want.segments(), "{}: segment table", k.name());
-            for s in 0..3 {
-                assert_bits_equal(
-                    &got.segment_matrix(s),
-                    &want.segment_matrix(s),
-                    k.name(),
-                )?;
-            }
+            assert_bits_equal(&k.apply(&x, &w, &bias, true), &want, k.name())?;
         }
     }
 }

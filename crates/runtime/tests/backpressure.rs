@@ -2,18 +2,21 @@
 //!
 //! The queue-level property test models `push_drop_oldest` against a
 //! reference `VecDeque` over arbitrary interleavings of pushes and
-//! pops; the runtime-level test checks end-to-end frame conservation
+//! pops; the runtime-level tests check end-to-end frame conservation
 //! under the lossy policy: every offered frame is either completed or
-//! accounted as dropped, and survivors keep their relative order.
+//! accounted as dropped, survivors keep their relative order, and a
+//! sharded fleet at saturation sheds most of a burst instead of stalling
+//! admission.
 
 use std::collections::VecDeque;
 
 use proptest::prelude::*;
 
+use hgpcn_geometry::PointCloud;
 use hgpcn_pcn::{PointNet, PointNetConfig};
 use hgpcn_runtime::{
-    ArrivalModel, BackpressurePolicy, BoundedQueue, Runtime, RuntimeConfig, StreamSpec,
-    SyntheticSource,
+    ArrivalModel, BackpressurePolicy, BoundedQueue, FrameStatus, PlacementPolicy, Runtime,
+    RuntimeConfig, RuntimeError, ShardedRuntime, StreamProfile, StreamSpec, SyntheticSource,
 };
 
 proptest! {
@@ -136,4 +139,66 @@ fn runtime_conserves_frames_under_drop_oldest() {
             assert!(pair[1].preproc_ticket > pair[0].preproc_ticket);
         }
     }
+}
+
+/// Saturation: tiny queues under `DropOldest` and a zero-timestamp burst
+/// of pre-built clouds, submitted as fast as admission accepts them.
+/// Every ticket resolves — survivors as `Done`, the evicted as
+/// `Failed(Dropped)` — the two tallies conserve the burst, and the
+/// drop rate stays above a floor. Individual evictions race the worker
+/// threads, but at this depth of overload the shed share is a
+/// macroscopic number, so a floor (not a band) is what holds.
+#[test]
+fn sharded_runtime_sheds_a_saturating_burst() {
+    const SHARDS: usize = 2;
+    const STREAMS: usize = 16;
+    const BURST: usize = 256;
+    const MIN_DROP_RATE: f64 = 0.5;
+    let config = RuntimeConfig::default()
+        .preproc_workers(1)
+        .inference_workers(1)
+        .queue_capacity(4)
+        .backpressure(BackpressurePolicy::DropOldest)
+        .max_batch(4)
+        .target_points(512);
+    let net = PointNet::new(PointNetConfig::semantic_segmentation(512), 1);
+    let runtime = ShardedRuntime::start(config, SHARDS, PlacementPolicy::ConsistentHash, net)
+        .expect("valid config");
+    let ids: Vec<usize> = (0..STREAMS)
+        .map(|s| {
+            runtime
+                .open_stream(StreamProfile::new(format!("burst-{s:02}")).nominal_fps(10.0))
+                .expect("stream opens")
+        })
+        .collect();
+    // Cloud construction must not pace the overload.
+    let source = SyntheticSource::new(544, 10.0, BURST, 7);
+    let clouds: Vec<PointCloud> = (0..BURST).map(|e| source.frame_cloud(e)).collect();
+    let tickets: Vec<_> = clouds
+        .into_iter()
+        .enumerate()
+        .map(|(e, cloud)| {
+            runtime
+                .submit(ids[e % STREAMS], 0.0, cloud)
+                .expect("DropOldest admission never blocks")
+        })
+        .collect();
+    let (mut completed, mut dropped) = (0usize, 0usize);
+    for ticket in tickets {
+        match runtime.wait(ticket).expect("resolves") {
+            FrameStatus::Done(_) => completed += 1,
+            FrameStatus::Failed(RuntimeError::Dropped { .. }) => dropped += 1,
+            other => panic!("frame resolved {other:?}"),
+        }
+    }
+    let report = runtime.shutdown().expect("clean shutdown");
+
+    assert_eq!(completed + dropped, BURST, "frames leaked");
+    assert_eq!(report.total_frames, completed);
+    assert_eq!(report.total_dropped, dropped);
+    let drop_rate = dropped as f64 / BURST as f64;
+    assert!(
+        drop_rate >= MIN_DROP_RATE,
+        "DropOldest shed {dropped}/{BURST} (rate {drop_rate:.3} < {MIN_DROP_RATE})"
+    );
 }

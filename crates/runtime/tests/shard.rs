@@ -46,12 +46,18 @@ fn stream_name(s: usize) -> String {
 
 /// Deterministic per-(stream, frame) cloud, keyed by the stream *name*
 /// so the sharded run and the independent replicas feed byte-identical
-/// inputs. Computed in f64 — an f32 `fract()` at large indices would
-/// collapse onto quantized coordinates.
+/// inputs.
 fn frame_cloud(s: usize, frame: usize) -> PointCloud {
-    (0..TARGET + 173)
+    cloud(s * 104_729 + frame * 7919, TARGET + 173)
+}
+
+/// A low-discrepancy cloud of `points` points starting at sequence index
+/// `offset`. Computed in f64 — an f32 `fract()` at large indices would
+/// collapse onto quantized coordinates.
+fn cloud(offset: usize, points: usize) -> PointCloud {
+    (0..points)
         .map(|p| {
-            let f = (s * 104_729 + frame * 7919 + p) as f64;
+            let f = (offset + p) as f64;
             Point3::new(
                 ((f * 0.618_033_988_749).fract() * 2.0) as f32,
                 ((f * 0.414_213_562_373).fract() * 2.0) as f32,
@@ -371,4 +377,96 @@ fn least_loaded_never_splits_a_stream() {
             .expect("just located");
         assert_eq!(view.completed, BURST + 1, "stream {name} lost frames");
     }
+}
+
+/// SplitMix64 mapped onto `[0, 1)`: the offered trace's seeded uniform
+/// source.
+fn uniform(state: &mut u64) -> f64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    (z ^ (z >> 31)) as f64 / 2f64.powi(64)
+}
+
+/// Nearest-rank percentile of ascending `sorted` samples.
+fn percentile(sorted: &[f64], p: f64) -> f64 {
+    sorted[((sorted.len() - 1) as f64 * p).round() as usize]
+}
+
+/// An open-loop sharded fleet under offered load: Poisson arrivals
+/// (exponential gaps at `RATE` aggregate fps) over more streams than
+/// shards, each event on a uniformly drawn stream with a Pareto(1.8)
+/// frame size — the heavy-tailed lidar size distribution. With one
+/// worker per stage every shard's virtual timeline is a function of its
+/// submission order alone, so the sojourn quantiles, the aggregated
+/// modeled fps and the makespan are pinned to the bit: any drift is a
+/// scheduling or cost-model change, never host noise.
+#[test]
+fn offered_load_quantiles_are_pinned_to_the_bit() {
+    const STREAMS: usize = 8;
+    const EVENTS: usize = 32;
+    const RATE: f64 = 480.0;
+    const ALPHA: f64 = 1.8;
+    let runtime = ShardedRuntime::start(
+        config().max_batch(4),
+        SHARDS,
+        PlacementPolicy::ConsistentHash,
+        net(),
+    )
+    .expect("valid config");
+    let ids: Vec<usize> = (0..STREAMS)
+        .map(|s| {
+            runtime
+                .open_stream(StreamProfile::new(stream_name(s)).nominal_fps(10.0))
+                .expect("stream opens")
+        })
+        .collect();
+
+    let mut rng = 0x10AD_u64;
+    let mut clock = 0.0f64;
+    let tickets: Vec<_> = (0..EVENTS)
+        .map(|e| {
+            clock += -(1.0 - uniform(&mut rng)).ln() / RATE;
+            let size = TARGET as f64 * 1.25 * (1.0 - uniform(&mut rng)).powf(-1.0 / ALPHA);
+            let points = (size as usize).min(4 * TARGET);
+            let stream = (uniform(&mut rng) * STREAMS as f64) as usize;
+            runtime
+                .submit(ids[stream], clock, cloud(e * 7919, points))
+                .expect("lossless backpressure admits every frame")
+        })
+        .collect();
+    for ticket in tickets {
+        match runtime.wait(ticket).expect("resolves") {
+            FrameStatus::Done(_) => {}
+            other => panic!("frame did not complete: {other:?}"),
+        }
+    }
+    let report = runtime.shutdown().expect("clean shutdown");
+    assert_eq!(report.total_frames, EVENTS);
+
+    let mut sojourns_s: Vec<f64> = report
+        .records
+        .iter()
+        .map(|r| r.virtual_done_s - r.virtual_arrival_s)
+        .collect();
+    sojourns_s.sort_by(f64::total_cmp);
+    let got = [
+        percentile(&sojourns_s, 0.50),
+        percentile(&sojourns_s, 0.99),
+        report.modeled_pipelined_fps,
+        report.virtual_makespan_s,
+    ];
+    // p50 and p99 sojourn (s), modeled pipelined fps, makespan (s).
+    let want = [
+        0.0031998789300007047,
+        0.011613366137482845,
+        468.88253927769017,
+        0.0682473696915559,
+    ];
+    assert_eq!(
+        got.map(f64::to_bits),
+        want.map(f64::to_bits),
+        "{got:?} != {want:?}"
+    );
 }

@@ -89,8 +89,7 @@ pub mod prelude {
     pub use hgpcn_memsim::{DeviceProfile, HostMemory, Latency, OnChipMemory, OpCounts};
     pub use hgpcn_octree::{Octree, OctreeConfig, OctreeTable};
     pub use hgpcn_pcn::{
-        Batch, Calibration, Calibrator, CenterPolicy, IndexedGatherer, PointNet, PointNetConfig,
-        Precision,
+        Calibration, Calibrator, CenterPolicy, IndexedGatherer, PointNet, PointNetConfig, Precision,
     };
     pub use hgpcn_runtime::{
         AdmissionPolicy, ArrivalModel, BackpressurePolicy, BatchingStats, ErrorCode, FrameStatus,
