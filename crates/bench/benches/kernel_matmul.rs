@@ -7,7 +7,8 @@
 //! ```
 //!
 //! One group per matrix shape, one benchmark per backend
-//! (`reference` / `blocked` / `avx2` when compiled in and supported).
+//! (`reference` / `blocked` / `avx2` / `avx512` when compiled in and
+//! supported).
 //! Inputs are dense (no exact zeros), so elements/s × 1e-9 reads
 //! directly as GMAC/s. Shapes:
 //!

@@ -147,7 +147,7 @@ fn single_point_and_all_identical_frames_at_every_depth() {
     let p = Point3::new(3.5, -1.25, 7.0);
     for depth in 0..=MAX_LEVEL {
         for n in [1, 2, 777] {
-            let cloud: PointCloud = std::iter::repeat(p).take(n).collect();
+            let cloud: PointCloud = std::iter::repeat_n(p, n).collect();
             assert_build_equals_walk_and_stable_sort(&cloud, depth).unwrap();
         }
     }

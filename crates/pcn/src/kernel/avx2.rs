@@ -35,7 +35,7 @@
 //! Column remainders end in a scalar tail that is byte-for-byte the
 //! reference loop.
 //!
-//! This module is the single sanctioned hole in the crate's
+//! This module is one of the crate's sanctioned holes in its
 //! `#![deny(unsafe_code)]`: all `unsafe` is confined to loads/stores at
 //! offsets the surrounding slice arithmetic has already bounds-checked,
 //! plus the `target_feature` call gate, and each site carries a

@@ -32,7 +32,7 @@
 //! associativity. All-zero activation pairs are skipped (`0·w ≡ 0`,
 //! so the ReLU-sparsity shortcut stays a pure speed choice).
 //!
-//! Like `avx2.rs`, this module lives under the crate's single
+//! Like `avx2.rs` and `avx512.rs`, this module carries its own
 //! sanctioned `#![allow(unsafe_code)]`; every intrinsic call sits
 //! behind slice arithmetic that the surrounding loop bounds have
 //! already checked, with a `SAFETY:` note at each site.

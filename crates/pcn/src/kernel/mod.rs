@@ -22,14 +22,15 @@
 //! reference path while ISA-specific backends slot in underneath — in
 //! the spirit of a microkernel decomposition, mechanism (the MAC loops)
 //! is separated from policy (which loop to run), and the policy is a
-//! function of the build and the CPU alone: [`fastest_supported`] picks
-//! AVX2 when the `simd` feature is compiled in and runtime detection
-//! (`is_x86_feature_detected!`) succeeds, the blocked scalar kernel
-//! otherwise. Tests and yardsticks pin a backend programmatically with
+//! function of the build and the CPU alone: with the `simd` feature
+//! compiled in, [`fastest_supported`] picks AVX-512 when runtime
+//! detection (`is_x86_feature_detected!`) reports AVX-512F, else AVX2
+//! when it reports AVX2; otherwise it picks the blocked scalar kernel.
+//! Tests and yardsticks pin a backend programmatically with
 //! [`PointNet::with_kernel`](crate::PointNet::with_kernel).
 //!
-//! The AVX2 backend only exists under the `simd` cargo feature; without
-//! it the crate compiles with no unsafe code at all.
+//! The AVX2 and AVX-512 backends only exist under the `simd` cargo
+//! feature; without it the crate compiles with no unsafe code at all.
 //!
 //! The quantized inference path plugs in through the same seam: an
 //! [`Int8Kernel`] owns the i32-accumulating i8 GEMM primitive behind
@@ -42,6 +43,9 @@ mod scalar;
 
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 mod avx2;
+
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+mod avx512;
 
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 mod int8_avx2;
@@ -89,6 +93,12 @@ pub enum LinearKernel {
     /// when the CPU reports AVX2.
     #[cfg(feature = "simd")]
     Avx2,
+    /// Explicit AVX-512F `std::arch` intrinsics: the AVX2 schedule on
+    /// 16-lane vectors in 64-column tiles, with masked column tails.
+    /// Only compiled under the `simd` cargo feature; only *selected*
+    /// when the CPU reports AVX-512F.
+    #[cfg(feature = "simd")]
+    Avx512,
 }
 
 impl LinearKernel {
@@ -99,17 +109,21 @@ impl LinearKernel {
             LinearKernel::Blocked => "blocked",
             #[cfg(feature = "simd")]
             LinearKernel::Avx2 => "avx2",
+            #[cfg(feature = "simd")]
+            LinearKernel::Avx512 => "avx512",
         }
     }
 
     /// Whether the running CPU can execute this backend. Scalar
-    /// backends always can; AVX2 requires runtime feature detection to
-    /// succeed on an `x86_64` host.
+    /// backends always can; AVX2 and AVX-512 require runtime feature
+    /// detection to succeed on an `x86_64` host.
     pub fn is_supported(&self) -> bool {
         match self {
             LinearKernel::Reference | LinearKernel::Blocked => true,
             #[cfg(feature = "simd")]
             LinearKernel::Avx2 => avx2_detected(),
+            #[cfg(feature = "simd")]
+            LinearKernel::Avx512 => avx512_detected(),
         }
     }
 
@@ -122,6 +136,8 @@ impl LinearKernel {
             LinearKernel::Blocked,
             #[cfg(feature = "simd")]
             LinearKernel::Avx2,
+            #[cfg(feature = "simd")]
+            LinearKernel::Avx512,
         ]
     }
 
@@ -194,6 +210,20 @@ impl LinearKernel {
                 }
                 #[cfg(not(target_arch = "x86_64"))]
                 panic!("the AVX2 kernel is only available on x86_64 hosts");
+            }
+            #[cfg(feature = "simd")]
+            LinearKernel::Avx512 => {
+                #[cfg(target_arch = "x86_64")]
+                {
+                    assert!(
+                        avx512_detected(),
+                        "the AVX-512 kernel was invoked on a CPU without AVX-512F; \
+                         use kernel::fastest_supported() for checked dispatch"
+                    );
+                    avx512::run(task, y);
+                }
+                #[cfg(not(target_arch = "x86_64"))]
+                panic!("the AVX-512 kernel is only available on x86_64 hosts");
             }
         }
     }
@@ -276,14 +306,15 @@ impl Int8Kernel {
     /// The int8 backend riding on a given f32 backend selection — the
     /// single [`PointNet::with_kernel`] pin steers both precisions: a
     /// scalar f32 backend (`reference`, `blocked`) selects the scalar
-    /// int8 backend, AVX2 selects AVX2.
+    /// int8 backend; AVX2 and AVX-512 select AVX2 (there is no 16-lane
+    /// int8 backend).
     ///
     /// [`PointNet::with_kernel`]: crate::PointNet::with_kernel
     pub fn for_linear(kernel: LinearKernel) -> Int8Kernel {
         match kernel {
             LinearKernel::Reference | LinearKernel::Blocked => Int8Kernel::Scalar,
             #[cfg(feature = "simd")]
-            LinearKernel::Avx2 => Int8Kernel::Avx2,
+            LinearKernel::Avx2 | LinearKernel::Avx512 => Int8Kernel::Avx2,
         }
     }
 
@@ -325,17 +356,30 @@ fn avx2_detected() -> bool {
     false
 }
 
-/// The fastest backend the build *and* the running CPU support:
-/// AVX2 when the `simd` feature is compiled in and detection succeeds,
-/// otherwise the blocked scalar kernel. This is the backend every
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+fn avx512_detected() -> bool {
+    is_x86_feature_detected!("avx512f")
+}
+
+#[cfg(all(feature = "simd", not(target_arch = "x86_64")))]
+fn avx512_detected() -> bool {
+    false
+}
+
+/// The fastest backend the build *and* the running CPU support: with
+/// the `simd` feature compiled in, AVX-512 when the CPU reports
+/// AVX-512F, else AVX2 when it reports AVX2; otherwise (or without the
+/// feature) the blocked scalar kernel. This is the backend every
 /// [`Matrix::linear`] / [`Matrix::linear_fused`] call and every freshly
 /// constructed [`PointNet`](crate::PointNet) dispatches to (the
 /// detection result is cached by `std`, so calling it per GEMM is one
 /// relaxed load).
 pub fn fastest_supported() -> LinearKernel {
     #[cfg(feature = "simd")]
-    if LinearKernel::Avx2.is_supported() {
-        return LinearKernel::Avx2;
+    for k in [LinearKernel::Avx512, LinearKernel::Avx2] {
+        if k.is_supported() {
+            return k;
+        }
     }
     LinearKernel::Blocked
 }
@@ -397,7 +441,9 @@ mod tests {
     #[test]
     fn dispatch_selects_the_fastest_compiled_backend() {
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        let want = if is_x86_feature_detected!("avx2") {
+        let want = if is_x86_feature_detected!("avx512f") {
+            LinearKernel::Avx512
+        } else if is_x86_feature_detected!("avx2") {
             LinearKernel::Avx2
         } else {
             LinearKernel::Blocked
@@ -466,7 +512,9 @@ mod tests {
             Int8Kernel::Scalar
         );
         #[cfg(feature = "simd")]
-        assert_eq!(Int8Kernel::for_linear(LinearKernel::Avx2), Int8Kernel::Avx2);
+        for k in [LinearKernel::Avx2, LinearKernel::Avx512] {
+            assert_eq!(Int8Kernel::for_linear(k), Int8Kernel::Avx2);
+        }
         assert!(Int8Kernel::for_linear(fastest_supported()).is_supported());
     }
 }

@@ -20,7 +20,7 @@
 //!
 //! The matmul itself is pluggable too: every dense layer dispatches to a
 //! [`kernel::LinearKernel`] backend (reference scalar, cache-blocked
-//! scalar, explicit AVX2 under the `simd` feature), selected by build
+//! scalar, explicit AVX2 and AVX-512 under the `simd` feature), selected by build
 //! features and runtime CPU detection and pinnable with
 //! [`PointNet::with_kernel`]. All backends are bit-identical by
 //! contract, so the kernel choice moves host speed, never results — see
@@ -38,10 +38,11 @@
 //! to a backend bit-identical to its anchor, bundled per run as a
 //! [`stage::StageBackends`] selection.
 
-// `deny` rather than `forbid`: the explicit-SIMD backend in
-// `kernel::avx2` (compiled only under the `simd` feature) carries the
-// crate's single, safety-commented `#![allow(unsafe_code)]`; everything
-// else still refuses unsafe code outright.
+// `deny` rather than `forbid`: the explicit-SIMD backends in
+// `kernel::avx2`, `kernel::avx512` and `kernel::int8_avx2` (compiled
+// only under the `simd` feature) each carry a safety-commented
+// `#![allow(unsafe_code)]`; everything else still refuses unsafe code
+// outright.
 #![deny(unsafe_code)]
 #![deny(missing_docs)]
 

@@ -805,11 +805,7 @@ impl PointNet {
                             }
                         }
                         for row in src_rows {
-                            for (o, &v) in dst.iter_mut().zip(row) {
-                                if v > *o {
-                                    *o = v;
-                                }
-                            }
+                            pool_fold(dst, row);
                         }
                     }
                     Sink::Rows => out[s].as_mut_slice()[rows.start * out_cols..rows.end * out_cols]
@@ -861,6 +857,17 @@ enum Sink {
     /// Keep every row: segment `s` is cloud `s`'s whole matrix (the FP
     /// stages and the head).
     Rows,
+}
+
+/// Folds one row into a segment's running max: `o` becomes `v` where
+/// `v > o`. Written as a select rather than a branchy store, so it
+/// lowers to `maxps(v, o)` (exactly `v > o ? v : o`): the same value as
+/// [`Matrix::max_pool`]'s branch for NaN and for `±0.0` ties, without a
+/// branch per element.
+fn pool_fold(dst: &mut [f32], row: &[f32]) {
+    for (o, &v) in dst.iter_mut().zip(row) {
+        *o = if v > *o { v } else { *o };
+    }
 }
 
 /// A cloud's coarsest level so far.
@@ -1132,6 +1139,27 @@ mod tests {
             let every_slot = want.stages.iter().chain(&want.fps).flatten();
             assert!(every_slot.chain(&want.head).all(|&a| a > 0.0), "{name}");
         }
+    }
+
+    /// The branch-free fold keeps `Matrix::max_pool`'s value, to the
+    /// bit, wherever a select and a branch could part: NaN first and
+    /// later, `-0.0` then `+0.0` and the reverse, and `±∞`. Each column
+    /// is one case, read top to bottom.
+    #[test]
+    fn pool_fold_matches_max_pool_bitwise() {
+        let (nan, inf) = (f32::NAN, f32::INFINITY);
+        let rows = [
+            [nan, 1.0, -0.0, 0.0, -inf, inf, -inf, nan, 2.0],
+            [1.0, nan, 0.0, -0.0, inf, -inf, -inf, -inf, nan],
+            [2.0, 0.5, 0.0, -0.0, 3.0, 0.0, -inf, inf, 3.0],
+        ];
+        let m = Matrix::from_vec(rows.len(), rows[0].len(), rows.concat());
+        let mut got = rows[0].to_vec();
+        for row in &rows[1..] {
+            pool_fold(&mut got, row);
+        }
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(m.max_pool().row(0)));
     }
 
     proptest::proptest! {

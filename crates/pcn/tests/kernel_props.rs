@@ -74,45 +74,74 @@ fn backends_under_test() -> Vec<LinearKernel> {
         .collect()
 }
 
+/// Column widths that straddle every tier boundary: the 64-, 32-, 16-
+/// and 8-column tiles, one lane either side of each, and their masked
+/// tails.
+const OUTS: [usize; 21] = [
+    0, 1, 3, 7, 8, 9, 13, 15, 16, 17, 23, 31, 32, 33, 40, 63, 64, 65, 67, 127, 129,
+];
+
+/// Reference-vs-every-backend on one deterministic shape. Every
+/// `zero_every`-th activation is an exact zero (`usize::MAX`: only the
+/// first), which steers the SIMD backends between their dense and
+/// compacted row schedules.
+fn check_shape(
+    rows: usize,
+    ins: usize,
+    outs: usize,
+    zero_every: usize,
+    relu: bool,
+    seed: u32,
+) -> Result<(), TestCaseError> {
+    let phase = seed as f32 * 0.137;
+    let x = Matrix::from_vec(
+        rows,
+        ins,
+        (0..rows * ins)
+            .map(|i| {
+                let v = ((i as f32 * 0.71 + phase).sin() * 5.0) - 1.0;
+                if i % zero_every == 0 {
+                    0.0
+                } else {
+                    v
+                }
+            })
+            .collect(),
+    );
+    let w = Matrix::from_vec(
+        ins,
+        outs,
+        (0..ins * outs)
+            .map(|i| ((i as f32 * 0.37 - phase).cos() * 2.0) - 0.5)
+            .collect(),
+    );
+    let bias: Vec<f32> = (0..outs).map(|j| j as f32 * 0.1 - 0.4).collect();
+
+    let want = LinearKernel::Reference.apply(&x, &w, &bias, relu);
+    for k in backends_under_test() {
+        let got = k.apply(&x, &w, &bias, relu);
+        let what = format!("{} {rows}x{ins}x{outs} zero_every={zero_every}", k.name());
+        assert_bits_equal(&got, &want, &what)?;
+    }
+    Ok(())
+}
+
 proptest! {
-    /// Ragged shapes: rows not a multiple of the 4-row block, columns
-    /// spanning every tile tier (32/16/8) plus sub-8 tails, including
-    /// empty rows, zero-width inputs and zero-width outputs.
+    /// Ragged shapes: 0–11 rows (every count of leftover rows past the
+    /// 4-row blocks), 0–140 inputs, columns from [`OUTS`], and rows from
+    /// near-dense to half zeros, including empty rows, zero-width inputs
+    /// and zero-width outputs.
     #[test]
     fn backends_are_bit_identical_across_ragged_shapes(
-        rows in 0usize..9,
-        ins in 0usize..7,
-        outs_pick in 0usize..12,
+        rows in 0usize..12,
+        ins in 0usize..141,
+        outs_pick in 0usize..OUTS.len(),
+        zero_pick in 0usize..3,
         relu_pick in 0u8..2,
         seed in 0u32..1000,
     ) {
-        // Column widths that straddle every tier boundary.
-        const OUTS: [usize; 12] = [0, 1, 3, 7, 8, 9, 13, 16, 23, 32, 40, 67];
-        let outs = OUTS[outs_pick];
-        let relu = relu_pick == 1;
-        let phase = seed as f32 * 0.137;
-        let x = Matrix::from_vec(
-            rows,
-            ins,
-            (0..rows * ins)
-                .map(|i| {
-                    let v = ((i as f32 * 0.71 + phase).sin() * 5.0) - 1.0;
-                    if i % 3 == 0 { 0.0 } else { v }
-                })
-                .collect(),
-        );
-        let w = Matrix::from_vec(
-            ins,
-            outs,
-            (0..ins * outs).map(|i| ((i as f32 * 0.37 - phase).cos() * 2.0) - 0.5).collect(),
-        );
-        let bias: Vec<f32> = (0..outs).map(|j| j as f32 * 0.1 - 0.4).collect();
-
-        let want = LinearKernel::Reference.apply(&x, &w, &bias, relu);
-        for k in backends_under_test() {
-            let got = k.apply(&x, &w, &bias, relu);
-            assert_bits_equal(&got, &want, k.name())?;
-        }
+        let zero_every = [2, 3, usize::MAX][zero_pick];
+        check_shape(rows, ins, OUTS[outs_pick], zero_every, relu_pick == 1, seed)?;
     }
 
     /// Adversarial values: NaN / ±∞ / ±0.0 activations must propagate
@@ -155,6 +184,16 @@ proptest! {
         for k in backends_under_test() {
             assert_bits_equal(&k.apply(&x, &w, &bias, true), &want, k.name())?;
         }
+    }
+}
+
+/// Rows wider than the SIMD backends' 1 024-entry compaction scratch
+/// take the wide-row path (dense blocks and one-row leftovers), even at
+/// half zeros, which narrower rows would compact; 1–3 leftover rows each.
+#[test]
+fn rows_wider_than_the_compaction_scratch_are_bit_identical() {
+    for (rows, ins, outs) in [(7, 1025, 13), (6, 1031, 40), (5, 1100, 129)] {
+        check_shape(rows, ins, outs, 2, true, 7).unwrap();
     }
 }
 

@@ -43,7 +43,7 @@ fn pinned_reference_serves_identically() {
     let report = serve(&reference);
 
     // Same fleet on the blocked kernel and on the default selection
-    // (AVX2 when compiled and detected, blocked otherwise): every
+    // (AVX-512 or AVX2 when compiled and detected, blocked otherwise): every
     // frame's modeled results must be bit-identical — backends only move
     // wall time.
     let default = net();

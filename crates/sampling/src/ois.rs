@@ -169,7 +169,7 @@ impl<'a> OisState<'a> {
                 let remaining = self.remaining[child as usize];
                 let picked = self.table.entry(child).point_count - remaining;
                 self.counts.comparisons += 1;
-                if remaining > 0 && best.map_or(true, |(bp, _)| picked < bp) {
+                if remaining > 0 && best.is_none_or(|(bp, _)| picked < bp) {
                     best = Some((picked, child));
                 }
             }
@@ -661,7 +661,7 @@ fn sample_inner(
                         let child = entry.child(octant).expect("octant from mask");
                         let r = state.remaining[child as usize];
                         state.counts.comparisons += 1;
-                        if r > 0 && best.map_or(true, |(br, _)| r > br) {
+                        if r > 0 && best.is_none_or(|(br, _)| r > br) {
                             best = Some((r, child));
                         }
                     }
