@@ -71,7 +71,7 @@ pub struct RuntimeConfig {
     /// ([`InferenceEngine::run_batch_in_parts`](hgpcn_system::InferenceEngine::run_batch_in_parts));
     /// this is only the ceiling on how many already-queued frames share
     /// one call, which spreads them over the worker's share of the host's
-    /// cores (`cores / (inference_workers × shards)`). A lone frame
+    /// cores (`cores / inference_workers`). A lone frame
     /// is a batch of one, and per-frame results are bit-identical at
     /// every value.
     pub max_batch: usize,

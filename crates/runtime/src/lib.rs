@@ -25,9 +25,9 @@
 //! the call spreads the batch's frames over the worker's share of the
 //! host's cores in contiguous sub-batches, each one SoA pass with one
 //! weight traversal per MLP layer, and a lone frame is a batch of one on
-//! the worker's own thread. The share is `cores / (inference_workers ×
-//! shards)`, at least one, so the inference pools together never run
-//! more threads than there are cores.
+//! the worker's own thread. The share is `cores / inference_workers`, at
+//! least one, so the inference pool never runs more threads than there
+//! are cores.
 //! Coalescing never waits for frames (only already-queued work is
 //! drained) and preserves both per-stream FIFO order and per-frame
 //! `frame_seed` determinism — per-frame results are bit-identical at
@@ -78,9 +78,7 @@ mod executor;
 mod metrics;
 mod queue;
 mod scheduler;
-mod service;
 pub(crate) mod session;
-mod shard;
 mod stream;
 
 pub use config::{AdmissionPolicy, ArrivalModel, BackpressurePolicy, RuntimeConfig};
@@ -92,9 +90,7 @@ pub use metrics::{
 };
 pub use queue::{BoundedQueue, Closed};
 pub use scheduler::Scheduler;
-pub use service::StreamService;
 pub use session::{FrameResult, FrameStatus, FrameTicket, ServingRuntime, StreamHandle};
-pub use shard::{PlacementPolicy, ShardedRuntime};
 pub use stream::{
     FrameSource, KittiSource, StreamProfile, StreamSpec, SyntheticSource, TimedFrame,
 };
@@ -165,12 +161,6 @@ pub enum RuntimeError {
     },
     /// The session is shutting down and refuses new work.
     ShuttingDown,
-    /// The shard index is out of range for this service
-    /// ([`StreamService::shard_stats`]).
-    UnknownShard {
-        /// The offending shard index.
-        shard: usize,
-    },
 }
 
 /// Stable machine-readable identity of a [`RuntimeError`].
@@ -178,6 +168,8 @@ pub enum RuntimeError {
 /// The string form ([`ErrorCode::as_str`]) and the JSON-RPC numeric
 /// form ([`ErrorCode::json_rpc`]) are wire contract: they never change
 /// for an existing variant, and new variants get new values.
+/// `unknown_shard` / `-32008` is retired and must not be reused, because
+/// clients match on codes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum ErrorCode {
@@ -195,8 +187,6 @@ pub enum ErrorCode {
     UnknownTicket,
     /// `shutting_down` / `-32007`.
     ShuttingDown,
-    /// `unknown_shard` / `-32008`.
-    UnknownShard,
 }
 
 impl ErrorCode {
@@ -210,7 +200,6 @@ impl ErrorCode {
             ErrorCode::UnknownStream => "unknown_stream",
             ErrorCode::UnknownTicket => "unknown_ticket",
             ErrorCode::ShuttingDown => "shutting_down",
-            ErrorCode::UnknownShard => "unknown_shard",
         }
     }
 
@@ -225,7 +214,6 @@ impl ErrorCode {
             ErrorCode::UnknownStream => -32005,
             ErrorCode::UnknownTicket => -32006,
             ErrorCode::ShuttingDown => -32007,
-            ErrorCode::UnknownShard => -32008,
         }
     }
 }
@@ -247,7 +235,6 @@ impl RuntimeError {
             RuntimeError::UnknownStream { .. } => ErrorCode::UnknownStream,
             RuntimeError::UnknownTicket { .. } => ErrorCode::UnknownTicket,
             RuntimeError::ShuttingDown => ErrorCode::ShuttingDown,
-            RuntimeError::UnknownShard { .. } => ErrorCode::UnknownShard,
         }
     }
 
@@ -302,9 +289,6 @@ impl fmt::Display for RuntimeError {
                  (never submitted, or already consumed)"
             ),
             RuntimeError::ShuttingDown => write!(f, "runtime is shutting down"),
-            RuntimeError::UnknownShard { shard } => {
-                write!(f, "shard {shard} is out of range for this service")
-            }
         }
     }
 }

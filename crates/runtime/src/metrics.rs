@@ -176,11 +176,6 @@ impl fmt::Display for LatencySummary {
 pub struct StreamReport {
     /// Stream index in the submitted list.
     pub stream_id: usize,
-    /// The runtime replica serving this stream: always `0` on a single
-    /// [`ServingRuntime`](crate::ServingRuntime); the owning shard's
-    /// index on a [`ShardedRuntime`](crate::ShardedRuntime) (a stream
-    /// is pinned to exactly one shard for its lifetime).
-    pub shard: usize,
     /// Stream name from its [`StreamSpec`](crate::StreamSpec).
     pub name: String,
     /// Frames the source produced.
@@ -406,7 +401,7 @@ impl WorkerUtilization {
 
 /// The run-level figures every [`RuntimeReport`] derives from its
 /// records alone — one derivation shared by a session's live and final
-/// reports and by the cross-shard aggregate.
+/// reports.
 pub(crate) struct RunSummary {
     pub(crate) virtual_makespan_s: f64,
     pub(crate) modeled_pipelined_fps: f64,
@@ -631,34 +626,8 @@ impl RuntimeReport {
     /// ([`Registry::prometheus_text`](hgpcn_telemetry::Registry::prometheus_text)).
     pub fn build_metrics(&self) -> hgpcn_telemetry::Registry {
         let mut reg = hgpcn_telemetry::Registry::new();
-        self.build_metrics_into(&mut reg, &[]);
-        reg
-    }
-
-    /// [`RuntimeReport::build_metrics`] into an existing registry, with
-    /// `extra` labels appended to every series — how a
-    /// [`ShardedRuntime`](crate::ShardedRuntime) stacks one registry
-    /// holding every shard's families under an `hgpcn_shard` label.
-    /// With `extra = &[]` this emits exactly what `build_metrics` does.
-    pub fn build_metrics_into(&self, reg: &mut hgpcn_telemetry::Registry, extra: &[(&str, &str)]) {
-        self.build_scalar_metrics_into(reg, extra);
-        self.build_histogram_metrics_into(reg, extra);
-    }
-
-    /// The counter and gauge half of [`RuntimeReport::build_metrics_into`].
-    ///
-    /// Split out so an aggregator can combine per-shard scalar series
-    /// with histogram series merged through
-    /// [`LogHistogram::merge`](hgpcn_telemetry::LogHistogram::merge)
-    /// instead of re-recording samples.
-    pub fn build_scalar_metrics_into(
-        &self,
-        reg: &mut hgpcn_telemetry::Registry,
-        extra: &[(&str, &str)],
-    ) {
-        let with = label_extender(|labels| with_extra(labels, extra));
         for s in &self.streams {
-            let labels = with(&[("stream", s.name.as_str())]);
+            let labels = [("stream", s.name.as_str())];
             reg.counter_add(
                 "hgpcn_frames_offered_total",
                 "Frames offered by stream sources",
@@ -699,19 +668,19 @@ impl RuntimeReport {
         reg.gauge_set(
             "hgpcn_modeled_fps",
             "Achieved virtual-clock throughput of the run",
-            &with(&[]),
+            &[],
             self.modeled_pipelined_fps,
         );
         reg.gauge_set(
             "hgpcn_wall_fps",
             "Host wall-clock throughput of the run",
-            &with(&[]),
+            &[],
             self.wall_fps(),
         );
         reg.gauge_set(
             "hgpcn_virtual_makespan_seconds",
             "Virtual time from first arrival to last completion",
-            &with(&[]),
+            &[],
             self.virtual_makespan_s,
         );
         for (stage, busy) in [
@@ -721,7 +690,7 @@ impl RuntimeReport {
             reg.gauge_set(
                 "hgpcn_worker_busy_ratio",
                 "Worker-pool busy fraction over the virtual makespan",
-                &with(&[("stage", stage)]),
+                &[("stage", stage)],
                 busy,
             );
         }
@@ -731,13 +700,13 @@ impl RuntimeReport {
             reg.counter_add(
                 "hgpcn_micro_batches_total",
                 "Micro-batches the inference pool executed",
-                &with(&[]),
+                &[],
                 self.batching.batches as u64,
             );
             reg.gauge_set(
                 "hgpcn_mean_batch_size",
                 "Mean frames per micro-batch",
-                &with(&[]),
+                &[],
                 self.batching.mean_batch_size,
             );
         }
@@ -747,56 +716,45 @@ impl RuntimeReport {
             reg.gauge_set(
                 "hgpcn_stage_backend_info",
                 "Preproc-stage backend identity (info-style; value is always 1)",
-                &with(&[("stage", stage), ("backend", backend)]),
+                &[("stage", stage), ("backend", backend)],
                 1.0,
             );
         }
         reg.gauge_set(
             "hgpcn_preproc_reuse_info",
             "Preprocessing state policy identity (info-style; value is always 1)",
-            &with(&[("policy", self.preproc_reuse)]),
+            &[("policy", self.preproc_reuse)],
             1.0,
         );
-    }
-
-    /// The histogram half of [`RuntimeReport::build_metrics_into`]:
-    /// per-stage service, queue wait, sojourn and queue-depth series
-    /// recorded from this report's frame records.
-    pub fn build_histogram_metrics_into(
-        &self,
-        reg: &mut hgpcn_telemetry::Registry,
-        extra: &[(&str, &str)],
-    ) {
-        let with = label_extender(|labels| with_extra(labels, extra));
         for r in &self.records {
             reg.histogram_record(
                 "hgpcn_stage_service_seconds",
                 "Modeled per-stage service time",
-                &with(&[("stage", "preproc")]),
+                &[("stage", "preproc")],
                 r.virtual_preproc_done_s - r.virtual_preproc_start_s,
             );
             reg.histogram_record(
                 "hgpcn_stage_service_seconds",
                 "Modeled per-stage service time",
-                &with(&[("stage", "infer")]),
+                &[("stage", "infer")],
                 r.virtual_done_s - r.virtual_infer_start_s,
             );
             reg.histogram_record(
                 "hgpcn_queue_wait_seconds",
                 "Modeled time queued between stages",
-                &with(&[("queue", "ingress")]),
+                &[("queue", "ingress")],
                 r.virtual_preproc_start_s - r.virtual_arrival_s,
             );
             reg.histogram_record(
                 "hgpcn_queue_wait_seconds",
                 "Modeled time queued between stages",
-                &with(&[("queue", "stage")]),
+                &[("queue", "stage")],
                 r.virtual_infer_start_s - r.virtual_preproc_done_s,
             );
             reg.histogram_record(
                 "hgpcn_sojourn_seconds",
                 "Modeled end-to-end frame sojourn",
-                &with(&[]),
+                &[],
                 r.virtual_done_s - r.virtual_arrival_s,
             );
         }
@@ -808,11 +766,12 @@ impl RuntimeReport {
                 reg.histogram_record(
                     "hgpcn_queue_depth",
                     "Modeled queue occupancy after each change",
-                    &with(&[("queue", queue)]),
+                    &[("queue", queue)],
                     d as f64,
                 );
             }
         }
+        reg
     }
 
     /// Cross-validates this run against the analytical model.
@@ -825,25 +784,6 @@ impl RuntimeReport {
             tolerance: DEFAULT_VALIDATION_TOLERANCE,
         }
     }
-}
-
-/// `labels` with `extra` appended — the family's own labels always come
-/// first so un-extended renderings stay byte-identical.
-fn with_extra<'a>(
-    labels: &[(&'a str, &'a str)],
-    extra: &[(&'a str, &'a str)],
-) -> Vec<(&'a str, &'a str)> {
-    labels.iter().chain(extra.iter()).copied().collect()
-}
-
-/// Pins one label lifetime across a label-extending closure's call
-/// sites (a bare closure would be inferred higher-ranked over the inner
-/// `&str`s and fail to borrow-check).
-fn label_extender<'a, F>(f: F) -> F
-where
-    F: Fn(&[(&'a str, &'a str)]) -> Vec<(&'a str, &'a str)>,
-{
-    f
 }
 
 /// Default relative tolerance for [`RuntimeReport::validate_against`].

@@ -318,20 +318,17 @@ struct SessionCore {
 }
 
 /// Sub-batches per inference call: the host's cores shared out over the
-/// inference workers of every replica serving the host, at least one. The
-/// pools together so never run more inference threads than there are
-/// cores, and a pool with a worker per core never splits. Pre-processing
-/// workers are not counted: a micro-batch forms only when frames queue at
-/// inference, that is while pre-processing is ahead of it.
-fn infer_parts(cores: usize, inference_workers: usize, replicas: usize) -> usize {
-    (cores / (inference_workers * replicas)).max(1)
+/// inference workers, at least one. So the pool never runs more inference
+/// threads than there are cores, and a pool with a worker per core never
+/// splits. Pre-processing workers are not counted: a micro-batch forms
+/// only when frames queue at inference, that is while pre-processing is
+/// ahead of it.
+fn infer_parts(cores: usize, inference_workers: usize) -> usize {
+    (cores / inference_workers).max(1)
 }
 
 impl SessionCore {
-    /// `replicas` is how many sessions with this config serve the host
-    /// side by side (a [`ShardedRuntime`](crate::ShardedRuntime)'s shard
-    /// count; 1 otherwise).
-    fn new(config: RuntimeConfig, net: &PointNet, serving: bool, replicas: usize) -> SessionCore {
+    fn new(config: RuntimeConfig, net: &PointNet, serving: bool) -> SessionCore {
         let started = Instant::now();
         // Resolved once per session: `Auto` reads the environment here,
         // not per event. When off, every SpanRecorder is a no-op sink.
@@ -339,11 +336,7 @@ impl SessionCore {
         SessionCore {
             kernel_backend: net.kernel().name(),
             stages: config.stage_backends.unwrap_or(net.stage_backends()),
-            infer_parts: infer_parts(
-                InferenceEngine::host_cores(),
-                config.inference_workers,
-                replicas,
-            ),
+            infer_parts: infer_parts(InferenceEngine::host_cores(), config.inference_workers),
             serving,
             started,
             traced,
@@ -667,7 +660,6 @@ impl SessionCore {
             };
             reports.push(StreamReport {
                 stream_id: id,
-                shard: 0,
                 name: state.name.clone(),
                 offered: state.offered,
                 completed: mine.len(),
@@ -1026,7 +1018,7 @@ pub(crate) fn run_batch(
     streams: Vec<StreamSpec>,
     net: &PointNet,
 ) -> Result<RuntimeReport, RuntimeError> {
-    let core = SessionCore::new(config.clone(), net, false, 1);
+    let core = SessionCore::new(config.clone(), net, false);
     for spec in &streams {
         core.open_stream(spec.profile());
     }
@@ -1127,9 +1119,8 @@ impl ServingRuntime {
     ///
     /// The network is taken as `impl Into<Arc<PointNet>>`: passing a
     /// `PointNet` by value keeps working unchanged, while passing an
-    /// `Arc<PointNet>` lets many runtimes (the shards of a
-    /// [`ShardedRuntime`](crate::ShardedRuntime)) serve **one** shared
-    /// copy of the weights instead of cloning them per replica.
+    /// `Arc<PointNet>` lets a caller that still needs the net share its
+    /// weights with the runtime instead of cloning them.
     ///
     /// # Errors
     ///
@@ -1153,19 +1144,9 @@ impl ServingRuntime {
         pipeline: E2ePipeline,
         net: impl Into<Arc<PointNet>>,
     ) -> Result<ServingRuntime, RuntimeError> {
-        ServingRuntime::start_replica(config, pipeline, net.into(), 1)
-    }
-
-    /// [`ServingRuntime::start_with_pipeline`] as one of `replicas`
-    /// runtimes sharing the host, which share its cores out between them.
-    pub(crate) fn start_replica(
-        config: RuntimeConfig,
-        pipeline: E2ePipeline,
-        net: Arc<PointNet>,
-        replicas: usize,
-    ) -> Result<ServingRuntime, RuntimeError> {
         config.validate()?;
-        let core = Arc::new(SessionCore::new(config.clone(), &net, true, replicas));
+        let net: Arc<PointNet> = net.into();
+        let core = Arc::new(SessionCore::new(config.clone(), &net, true));
         let pipeline = Arc::new(pipeline);
         let mut workers = Vec::with_capacity(config.preproc_workers + config.inference_workers);
         for w in 0..config.preproc_workers {
@@ -1263,16 +1244,6 @@ impl ServingRuntime {
     /// (`telemetry` stays `None` until [`ServingRuntime::shutdown`]).
     pub fn stats(&self) -> RuntimeReport {
         self.core().snapshot()
-    }
-
-    /// Frames currently queued between stages (ingress + stage queue
-    /// occupancy) — the live load signal
-    /// [`PlacementPolicy::LeastLoaded`](crate::PlacementPolicy)
-    /// placement reads. A momentary observation: it can change before
-    /// the caller acts on it.
-    pub fn queue_depth(&self) -> usize {
-        let core = self.core();
-        core.ingress.depth() + core.stage.depth()
     }
 
     /// One stream's slice of [`ServingRuntime::stats`].
@@ -1396,17 +1367,14 @@ mod tests {
 
     #[test]
     fn inference_pools_never_split_past_the_cores() {
-        assert_eq!(infer_parts(2, 1, 1), 2);
-        assert_eq!(infer_parts(2, 2, 1), 1);
-        assert_eq!(infer_parts(8, 2, 2), 2);
-        assert_eq!(infer_parts(8, 3, 1), 2);
-        assert_eq!(infer_parts(1, 1, 1), 1);
+        assert_eq!(infer_parts(2, 1), 2);
+        assert_eq!(infer_parts(2, 2), 1);
+        assert_eq!(infer_parts(8, 3), 2);
+        assert_eq!(infer_parts(1, 1), 1);
         for cores in 1..=16 {
             for workers in 1..=4 {
-                for replicas in 1..=4 {
-                    let threads = infer_parts(cores, workers, replicas) * workers * replicas;
-                    assert!(threads <= cores.max(workers * replicas));
-                }
+                let threads = infer_parts(cores, workers) * workers;
+                assert!(threads <= cores.max(workers));
             }
         }
     }

@@ -5,8 +5,8 @@
 //! pops; the runtime-level tests check end-to-end frame conservation
 //! under the lossy policy: every offered frame is either completed or
 //! accounted as dropped, survivors keep their relative order, and a
-//! sharded fleet at saturation sheds most of a burst instead of stalling
-//! admission.
+//! serving runtime at saturation sheds most of a burst instead of
+//! stalling admission.
 
 use std::collections::VecDeque;
 
@@ -15,8 +15,8 @@ use proptest::prelude::*;
 use hgpcn_geometry::PointCloud;
 use hgpcn_pcn::{PointNet, PointNetConfig};
 use hgpcn_runtime::{
-    ArrivalModel, BackpressurePolicy, BoundedQueue, FrameStatus, PlacementPolicy, Runtime,
-    RuntimeConfig, RuntimeError, ShardedRuntime, StreamProfile, StreamSpec, SyntheticSource,
+    ArrivalModel, BackpressurePolicy, BoundedQueue, FrameStatus, Runtime, RuntimeConfig,
+    RuntimeError, ServingRuntime, StreamProfile, StreamSpec, SyntheticSource,
 };
 
 proptest! {
@@ -149,8 +149,7 @@ fn runtime_conserves_frames_under_drop_oldest() {
 /// threads, but at this depth of overload the shed share is a
 /// macroscopic number, so a floor (not a band) is what holds.
 #[test]
-fn sharded_runtime_sheds_a_saturating_burst() {
-    const SHARDS: usize = 2;
+fn serving_runtime_sheds_a_saturating_burst() {
     const STREAMS: usize = 16;
     const BURST: usize = 256;
     const MIN_DROP_RATE: f64 = 0.5;
@@ -162,13 +161,13 @@ fn sharded_runtime_sheds_a_saturating_burst() {
         .max_batch(4)
         .target_points(512);
     let net = PointNet::new(PointNetConfig::semantic_segmentation(512), 1);
-    let runtime = ShardedRuntime::start(config, SHARDS, PlacementPolicy::ConsistentHash, net)
-        .expect("valid config");
+    let runtime = ServingRuntime::start(config, net).expect("valid config");
     let ids: Vec<usize> = (0..STREAMS)
         .map(|s| {
             runtime
                 .open_stream(StreamProfile::new(format!("burst-{s:02}")).nominal_fps(10.0))
                 .expect("stream opens")
+                .id()
         })
         .collect();
     // Cloud construction must not pace the overload.

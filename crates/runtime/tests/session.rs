@@ -1,9 +1,11 @@
 //! The session-oriented serving API: submit/poll must be *bit-exact*
 //! with the batch `Runtime::run` driver over the same frames (both are
 //! thin front ends over the same session core), frame failures must
-//! isolate to their ticket, and the error surface must carry the stable
-//! machine-readable codes the network layer forwards.
+//! isolate to their ticket, the error surface must carry the stable
+//! machine-readable codes the network layer forwards, and an open-loop
+//! offered load has bit-pinned latency quantiles.
 
+use hgpcn_geometry::{Point3, PointCloud};
 use hgpcn_pcn::{PointNet, PointNetConfig};
 use hgpcn_runtime::{
     ErrorCode, FrameStatus, FrameTicket, Runtime, RuntimeConfig, RuntimeError, ServingRuntime,
@@ -220,4 +222,108 @@ fn live_stats_track_progress() {
     assert_eq!(after.name, "tracked");
     assert!(serving.stream_stats(99).is_err());
     serving.shutdown().unwrap();
+}
+
+/// SplitMix64 mapped onto `[0, 1)`: the offered trace's seeded uniform
+/// source.
+fn uniform(state: &mut u64) -> f64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    (z ^ (z >> 31)) as f64 / 2f64.powi(64)
+}
+
+/// Nearest-rank percentile of ascending `sorted` samples.
+fn percentile(sorted: &[f64], p: f64) -> f64 {
+    sorted[((sorted.len() - 1) as f64 * p).round() as usize]
+}
+
+/// A low-discrepancy cloud of `points` points starting at sequence index
+/// `offset`. Computed in f64 — an f32 `fract()` at large indices would
+/// collapse onto quantized coordinates.
+fn cloud(offset: usize, points: usize) -> PointCloud {
+    (0..points)
+        .map(|p| {
+            let f = (offset + p) as f64;
+            Point3::new(
+                ((f * 0.618_033_988_749).fract() * 2.0) as f32,
+                ((f * 0.414_213_562_373).fract() * 2.0) as f32,
+                ((f * 0.732_050_807_568).fract() * 2.0) as f32,
+            )
+        })
+        .collect()
+}
+
+/// An open-loop fleet under offered load: Poisson arrivals (exponential
+/// gaps at `RATE` aggregate fps) over `STREAMS` streams, each event on a
+/// uniformly drawn stream with a Pareto(1.8) frame size — the
+/// heavy-tailed lidar size distribution. With one worker per stage the
+/// virtual timeline is a function of the submission order alone (frames
+/// advance the inference clock in dequeue order whatever the batch), so
+/// the sojourn quantiles, the modeled fps and the makespan are pinned to
+/// the bit: any drift is a scheduling or cost-model change, never host
+/// noise.
+#[test]
+fn offered_load_quantiles_are_pinned_to_the_bit() {
+    const STREAMS: usize = 8;
+    const EVENTS: usize = 32;
+    const RATE: f64 = 480.0;
+    const ALPHA: f64 = 1.8;
+    let serving = ServingRuntime::start(config().max_batch(4), net()).unwrap();
+    let ids: Vec<usize> = (0..STREAMS)
+        .map(|s| {
+            serving
+                .open_stream(StreamProfile::new(format!("cam-{s}")).nominal_fps(FPS))
+                .unwrap()
+                .id()
+        })
+        .collect();
+
+    let mut rng = 0x10AD_u64;
+    let mut clock = 0.0f64;
+    let tickets: Vec<_> = (0..EVENTS)
+        .map(|e| {
+            clock += -(1.0 - uniform(&mut rng)).ln() / RATE;
+            let size = TARGET as f64 * 1.25 * (1.0 - uniform(&mut rng)).powf(-1.0 / ALPHA);
+            let points = (size as usize).min(4 * TARGET);
+            let stream = (uniform(&mut rng) * STREAMS as f64) as usize;
+            serving
+                .submit(ids[stream], clock, cloud(e * 7919, points))
+                .expect("lossless backpressure admits every frame")
+        })
+        .collect();
+    for ticket in tickets {
+        match serving.wait(ticket).unwrap() {
+            FrameStatus::Done(_) => {}
+            other => panic!("frame did not complete: {other:?}"),
+        }
+    }
+    let report = serving.shutdown().unwrap();
+    assert_eq!(report.total_frames, EVENTS);
+
+    let mut sojourns_s: Vec<f64> = report
+        .records
+        .iter()
+        .map(|r| r.virtual_done_s - r.virtual_arrival_s)
+        .collect();
+    sojourns_s.sort_by(f64::total_cmp);
+    let got = [
+        percentile(&sojourns_s, 0.50),
+        percentile(&sojourns_s, 0.99),
+        report.modeled_pipelined_fps,
+        report.virtual_makespan_s,
+    ];
+    // p50 and p99 sojourn (s), modeled pipelined fps, makespan (s).
+    let want = [
+        0.023586701263671996,
+        0.0417109688672441,
+        305.59212143097875,
+        0.10471474149973314,
+    ];
+    assert_eq!(
+        got.map(f64::to_bits),
+        want.map(f64::to_bits),
+        "{got:?} != {want:?}"
+    );
 }

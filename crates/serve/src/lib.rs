@@ -9,16 +9,12 @@
 //!
 //! | Endpoint | Purpose |
 //! |---|---|
-//! | `POST /rpc` | JSON-RPC 2.0: `open_stream`, `submit_cloud`, `poll_result`, `stream_stats`, `shard_stats` |
+//! | `POST /rpc` | JSON-RPC 2.0: `open_stream`, `submit_cloud`, `poll_result`, `stream_stats` |
 //! | `GET /health` | liveness probe (`{"status":"ok"}`) |
 //! | `GET /metrics` | Prometheus text format, from the live stats snapshot |
 //!
-//! [`App`] is generic over [`StreamService`], so the same router serves
-//! a single [`ServingRuntime`] ([`App::new`]) or an N-replica
-//! [`ShardedRuntime`] ([`App::sharded`],
-//! the binary's `--shards N` flag) — the RPC surface and golden wire
-//! format are identical either way, sharding only adds (`shard_stats`,
-//! the `shard` field on stream stats, `hgpcn_shard`-labeled metrics).
+//! A process serves one [`ServingRuntime`] ([`App::new`]); more
+//! throughput comes from more workers in that runtime, or more processes.
 //!
 //! Error contract: transport problems (unparseable JSON, invalid
 //! envelope) are HTTP 4xx carrying the standard JSON-RPC error codes
@@ -37,28 +33,18 @@ pub mod smoke;
 use std::sync::Arc;
 
 use hgpcn_pcn::{PointNet, PointNetConfig};
-use hgpcn_runtime::{
-    PlacementPolicy, RuntimeConfig, RuntimeError, ServingRuntime, ShardedRuntime, StreamService,
-};
+use hgpcn_runtime::{RuntimeConfig, RuntimeError, ServingRuntime};
 use minihttp::http::{Limits, Request, Response, Server, ServerHandle};
 use minihttp::json::Json;
 
-/// The served application: a live stream service plus the HTTP router.
-///
-/// Generic over the [`StreamService`] it fronts; defaults to a single
-/// [`ServingRuntime`], so existing `App::new` call sites are untouched.
-pub struct App<S: StreamService + 'static = ServingRuntime> {
-    runtime: Arc<S>,
-}
-
-impl<S: StreamService + 'static> std::fmt::Debug for App<S> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("App").finish_non_exhaustive()
-    }
+/// The served application: a live serving runtime plus the HTTP router.
+#[derive(Debug)]
+pub struct App {
+    runtime: Arc<ServingRuntime>,
 }
 
 impl App {
-    /// Boots a single-replica serving session over `net` with `config`.
+    /// Boots a serving session over `net` with `config`.
     ///
     /// The network is `impl Into<Arc<PointNet>>` like
     /// [`ServingRuntime::start`]: by-value call sites compile unchanged,
@@ -75,32 +61,9 @@ impl App {
             runtime: Arc::new(ServingRuntime::start(config, net)?),
         })
     }
-}
 
-impl App<ShardedRuntime> {
-    /// Boots `shards` runtime replicas behind `policy`, all serving one
-    /// shared copy of `net` — the `--shards N` deployment of the same
-    /// front end.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::InvalidConfig`] when `config` fails
-    /// validation or `shards == 0`.
-    pub fn sharded(
-        config: RuntimeConfig,
-        shards: usize,
-        policy: PlacementPolicy,
-        net: impl Into<Arc<PointNet>>,
-    ) -> Result<App<ShardedRuntime>, RuntimeError> {
-        Ok(App {
-            runtime: Arc::new(ShardedRuntime::start(config, shards, policy, net)?),
-        })
-    }
-}
-
-impl<S: StreamService + 'static> App<S> {
-    /// The live stream service.
-    pub fn runtime(&self) -> &S {
+    /// The live serving runtime.
+    pub fn runtime(&self) -> &ServingRuntime {
         &self.runtime
     }
 
@@ -111,7 +74,7 @@ impl<S: StreamService + 'static> App<S> {
         match (req.method.as_str(), req.path.as_str()) {
             ("GET", "/health") => Response::json("{\"status\":\"ok\"}"),
             ("GET", "/metrics") => {
-                let text = self.runtime.metrics().prometheus_text();
+                let text = self.runtime.stats().build_metrics().prometheus_text();
                 Response {
                     status: 200,
                     content_type: "text/plain; version=0.0.4",

@@ -3,7 +3,6 @@
 //! ```text
 //! hgpcn-serve serve  [--addr A] [--preproc N] [--infer N] [--queue N]
 //!                    [--max-batch N] [--target-points N] [--seed N]
-//!                    [--shards N] [--placement hash|least-loaded]
 //! hgpcn-serve config [--addr A]      # print ready-to-paste client JSON
 //! hgpcn-serve smoke  [--addr A] [--frames N] [--points N] [--fps F]
 //!                    [--metrics-out FILE]
@@ -11,7 +10,7 @@
 
 use std::process::ExitCode;
 
-use hgpcn_runtime::{PlacementPolicy, RuntimeConfig};
+use hgpcn_runtime::RuntimeConfig;
 use hgpcn_serve::smoke::{self, SmokeConfig};
 use hgpcn_serve::{config_text, default_net, App};
 
@@ -27,8 +26,6 @@ subcommands:
             --max-batch N       inference micro-batch cap  [4]
             --target-points N   points sampled per frame   [512]
             --seed N            deterministic base seed    [7]
-            --shards N          runtime replicas sharing one net [1]
-            --placement P       stream placement: hash | least-loaded [hash]
   config  print ready-to-paste client JSON for every endpoint
             --addr HOST:PORT    address to template into the examples
   smoke   run the open-loop HTTP load smoke against a live server
@@ -102,19 +99,6 @@ fn main() -> ExitCode {
 fn cmd_serve(mut flags: Flags) -> Result<(), String> {
     let addr: String = flags.take("--addr")?.unwrap_or("127.0.0.1:7870".into());
     let seed: u64 = flags.take_parsed("--seed", 7)?;
-    let shards: usize = flags.take_parsed("--shards", 1)?;
-    if shards == 0 {
-        return Err("--shards must be >= 1".into());
-    }
-    let placement = match flags.take("--placement")?.as_deref() {
-        None | Some("hash") => PlacementPolicy::ConsistentHash,
-        Some("least-loaded") => PlacementPolicy::LeastLoaded,
-        Some(other) => {
-            return Err(format!(
-                "--placement: {other:?} is not \"hash\" or \"least-loaded\""
-            ))
-        }
-    };
     let config = RuntimeConfig::default()
         .preproc_workers(flags.take_parsed("--preproc", 2)?)
         .inference_workers(flags.take_parsed("--infer", 2)?)
@@ -125,28 +109,11 @@ fn cmd_serve(mut flags: Flags) -> Result<(), String> {
     flags.finish()?;
     // Validation failures (via App construction → runtime start) exit
     // cleanly here — a bad config must never reach the worker pools.
-    // `--shards 1` keeps the plain single-runtime app (identical wire
-    // output to every previous release); `--shards N` fronts N replicas
-    // of the same config sharing one copy of the weights.
-    let handle = if shards == 1 {
-        App::new(config, default_net(seed))
-            .map_err(|e| e.to_string())?
-            .serve(&addr)
-            .map_err(|e| format!("bind {addr}: {e}"))?
-    } else {
-        App::sharded(config, shards, placement, default_net(seed))
-            .map_err(|e| e.to_string())?
-            .serve(&addr)
-            .map_err(|e| format!("bind {addr}: {e}"))?
-    };
+    let handle = App::new(config, default_net(seed))
+        .map_err(|e| e.to_string())?
+        .serve(&addr)
+        .map_err(|e| format!("bind {addr}: {e}"))?;
     println!("hgpcn-serve listening on http://{}", handle.addr());
-    if shards > 1 {
-        let policy = match placement {
-            PlacementPolicy::ConsistentHash => "hash",
-            PlacementPolicy::LeastLoaded => "least-loaded",
-        };
-        println!("shards: {shards} (placement: {policy})");
-    }
     println!("endpoints: POST /rpc   GET /health   GET /metrics");
     println!("try: hgpcn-serve config --addr {}", handle.addr());
     // Serve until the process is killed; the handle's Drop stops the

@@ -1,9 +1,8 @@
 //! JSON-RPC 2.0 dispatch for `POST /rpc`.
 //!
 //! Methods: `open_stream`, `submit_cloud`, `poll_result`,
-//! `stream_stats`, `shard_stats`. Dispatch is generic over
-//! [`StreamService`], so one handler serves both the single-runtime and
-//! the sharded deployment. Error objects carry the runtime's stable
+//! `stream_stats`, each over one [`ServingRuntime`]. Error objects carry
+//! the runtime's stable
 //! [`ErrorCode`](hgpcn_runtime::ErrorCode) contract: `error.code` is
 //! [`ErrorCode::json_rpc`](hgpcn_runtime::ErrorCode::json_rpc),
 //! `error.data.code` is
@@ -12,8 +11,8 @@
 
 use hgpcn_geometry::{Point3, PointCloud};
 use hgpcn_runtime::{
-    FrameResult, FrameStatus, LatencySummary, RuntimeError, RuntimeReport, StageBackendNames,
-    StreamProfile, StreamReport, StreamService,
+    FrameResult, FrameStatus, LatencySummary, RuntimeError, RuntimeReport, ServingRuntime,
+    StageBackendNames, StreamProfile, StreamReport,
 };
 use minihttp::http::Response;
 use minihttp::json::{self, CloudError, Json};
@@ -92,7 +91,7 @@ fn error_data(err: &RuntimeError) -> Json {
 }
 
 /// Handles one `POST /rpc` body end to end.
-pub fn handle<S: StreamService>(runtime: &S, body: &[u8]) -> Response {
+pub fn handle(runtime: &ServingRuntime, body: &[u8]) -> Response {
     let text = match std::str::from_utf8(body) {
         Ok(text) => text,
         Err(_) => return reject(Json::Null, PARSE_ERROR, "body is not UTF-8"),
@@ -138,12 +137,11 @@ pub fn handle<S: StreamService>(runtime: &S, body: &[u8]) -> Response {
         "submit_cloud" => submit_cloud(runtime, id, params, points),
         "poll_result" => poll_result(runtime, id, params),
         "stream_stats" => stream_stats(runtime, id, params),
-        "shard_stats" => shard_stats(runtime, id, params),
         other => fail(id, METHOD_NOT_FOUND, format!("unknown method {other:?}")),
     }
 }
 
-fn open_stream<S: StreamService>(runtime: &S, id: Json, params: &Json) -> Response {
+fn open_stream(runtime: &ServingRuntime, id: Json, params: &Json) -> Response {
     let Some(name) = params.str_at("name") else {
         return fail(id, INVALID_PARAMS, "name must be a string");
     };
@@ -171,15 +169,15 @@ fn open_stream<S: StreamService>(runtime: &S, id: Json, params: &Json) -> Respon
         }
     }
     match runtime.open_stream(profile) {
-        Ok(stream_id) => ok(id, Json::obj([("stream_id", Json::from(stream_id))])),
+        Ok(stream) => ok(id, Json::obj([("stream_id", Json::from(stream.id()))])),
         Err(err) => runtime_fail(id, &err),
     }
 }
 
 /// `points` is `params.points` as the parser decoded it: the cloud, or
 /// the reason it is not one.
-fn submit_cloud<S: StreamService>(
-    runtime: &S,
+fn submit_cloud(
+    runtime: &ServingRuntime,
     id: Json,
     params: &Json,
     points: Result<Vec<Point3>, CloudError>,
@@ -231,7 +229,7 @@ fn cloud_error_message(err: &CloudError) -> String {
     }
 }
 
-fn poll_result<S: StreamService>(runtime: &S, id: Json, params: &Json) -> Response {
+fn poll_result(runtime: &ServingRuntime, id: Json, params: &Json) -> Response {
     let (Some(stream_id), Some(frame_index)) =
         (params.usize_at("stream_id"), params.usize_at("frame_index"))
     else {
@@ -319,7 +317,7 @@ fn done_json(result: &FrameResult) -> Json {
     ])
 }
 
-fn stream_stats<S: StreamService>(runtime: &S, id: Json, params: &Json) -> Response {
+fn stream_stats(runtime: &ServingRuntime, id: Json, params: &Json) -> Response {
     match params.path("stream_id") {
         Some(_) => {
             let Some(stream_id) = params.usize_at("stream_id") else {
@@ -361,64 +359,7 @@ fn stream_stats<S: StreamService>(runtime: &S, id: Json, params: &Json) -> Respo
     }
 }
 
-/// `shard_stats`: one shard's serving summary (`{"shard": k}` params),
-/// or — with no params — the shard count plus every shard's summary.
-/// On a single-runtime server this degenerates to one shard, `0`, whose
-/// summary equals the aggregate `stream_stats` view.
-fn shard_stats<S: StreamService>(runtime: &S, id: Json, params: &Json) -> Response {
-    match params.path("shard") {
-        Some(_) => {
-            let Some(shard) = params.usize_at("shard") else {
-                return fail(id, INVALID_PARAMS, "shard must be a non-negative integer");
-            };
-            match runtime.shard_stats(shard) {
-                Ok(report) => ok(id, shard_json(shard, &report)),
-                Err(err) => runtime_fail(id, &err),
-            }
-        }
-        None => {
-            let count = runtime.shard_count();
-            let mut shards = Vec::with_capacity(count);
-            for shard in 0..count {
-                match runtime.shard_stats(shard) {
-                    Ok(report) => shards.push(shard_json(shard, &report)),
-                    Err(err) => return runtime_fail(id, &err),
-                }
-            }
-            ok(
-                id,
-                Json::obj([
-                    ("shard_count", Json::from(count)),
-                    ("shards", Json::Arr(shards)),
-                ]),
-            )
-        }
-    }
-}
-
-fn shard_json(shard: usize, report: &RuntimeReport) -> Json {
-    let streams: Vec<Json> = report.streams.iter().map(stream_json).collect();
-    Json::obj([
-        ("shard", Json::from(shard)),
-        ("total_frames", Json::from(report.total_frames)),
-        ("total_dropped", Json::from(report.total_dropped)),
-        ("virtual_makespan_s", Json::from(report.virtual_makespan_s)),
-        (
-            "modeled_pipelined_fps",
-            Json::from(report.modeled_pipelined_fps),
-        ),
-        ("wall_fps", Json::from(report.wall_fps())),
-        ("kernel_backend", Json::str(report.kernel_backend)),
-        (
-            "stage_backends",
-            stage_backends_json(&report.stage_backends),
-        ),
-        ("preproc_reuse", preproc_reuse_json(report)),
-        ("streams", Json::Arr(streams)),
-    ])
-}
-
-/// The preprocessing-state-policy identity both report views expose:
+/// The preprocessing-state-policy identity the aggregate view exposes:
 /// the resolved policy plus the warm-hit/cold-miss tally and the warm
 /// ratio (`hits / (hits + misses)`). Identity provenance like
 /// `stage_backends` — warm and cold frames are bit-identical — but a
@@ -433,7 +374,7 @@ fn preproc_reuse_json(report: &RuntimeReport) -> Json {
     ])
 }
 
-/// The `{stage: backend}` map both report views expose — the JSON face
+/// The `{stage: backend}` map the aggregate view exposes — the JSON face
 /// of [`StageBackendNames`] (host-speed provenance; every backend is
 /// bit-identical to its anchor).
 fn stage_backends_json(stages: &StageBackendNames) -> Json {
@@ -457,7 +398,6 @@ fn latency_ms_json(summary: &LatencySummary) -> Json {
 fn stream_json(s: &StreamReport) -> Json {
     Json::obj([
         ("stream_id", Json::from(s.stream_id)),
-        ("shard", Json::from(s.shard)),
         ("name", Json::str(s.name.clone())),
         ("offered", Json::from(s.offered)),
         ("completed", Json::from(s.completed)),

@@ -3,7 +3,7 @@
 //! response is deterministic (the JSON serializer renders object keys
 //! in sorted order), structural where it carries wall-clock timing.
 
-use hgpcn_runtime::{PlacementPolicy, RuntimeConfig, StreamService, SyntheticSource};
+use hgpcn_runtime::{RuntimeConfig, SyntheticSource};
 use hgpcn_serve::{config_text, default_net, App};
 use minihttp::http::{Request, Response};
 use minihttp::json::{self, Json};
@@ -23,7 +23,7 @@ fn app() -> App {
     App::new(config(), default_net(SEED)).unwrap()
 }
 
-fn get<S: StreamService>(app: &App<S>, path: &str) -> Response {
+fn get(app: &App, path: &str) -> Response {
     app.handle(&Request {
         method: "GET".to_string(),
         path: path.to_string(),
@@ -33,7 +33,7 @@ fn get<S: StreamService>(app: &App<S>, path: &str) -> Response {
     })
 }
 
-fn post_rpc<S: StreamService>(app: &App<S>, body: &str) -> Response {
+fn post_rpc(app: &App, body: &str) -> Response {
     app.handle(&Request {
         method: "POST".to_string(),
         path: "/rpc".to_string(),
@@ -132,6 +132,11 @@ fn method_level_errors_are_200_with_error_objects() {
         "{\"error\":{\"code\":-32601,\"message\":\"unknown method \
          \\\"no_such\\\"\"},\"id\":1,\"jsonrpc\":\"2.0\"}"
     );
+    // A process serves one runtime: the retired sharding method is
+    // unknown like any other.
+    let resp = post_rpc(&app, r#"{"jsonrpc":"2.0","id":6,"method":"shard_stats"}"#);
+    let doc = json::parse(&body_text(&resp)).unwrap();
+    assert_eq!(doc.num("error.code"), Some(-32601.0));
 
     let resp = post_rpc(
         &app,
@@ -255,59 +260,6 @@ fn full_serving_flow_over_the_wire_format() {
     let metrics = body_text(&get(&app, "/metrics"));
     assert!(metrics.contains("# TYPE hgpcn_frames_completed_total counter"));
     assert!(metrics.contains("hgpcn_frames_completed_total{stream=\"lidar\"} 1"));
-}
-
-/// The `--shards N` deployment serves the same wire format and adds the
-/// sharded observability surface: `shard_stats` counts the replicas, a
-/// stream's stats name the shard that serves it, and `/metrics` carries
-/// per-shard series under the `hgpcn_shard` label.
-#[test]
-fn sharded_app_exposes_its_shards() {
-    let app = App::sharded(
-        config(),
-        2,
-        PlacementPolicy::ConsistentHash,
-        default_net(SEED),
-    )
-    .unwrap();
-    post_rpc(
-        &app,
-        r#"{"jsonrpc":"2.0","id":1,"method":"open_stream","params":{"name":"lidar"}}"#,
-    );
-    post_rpc(
-        &app,
-        &format!(
-            r#"{{"jsonrpc":"2.0","id":2,"method":"submit_cloud",
-               "params":{{"stream_id":0,"sensor_ts_s":0,"points":{}}}}}"#,
-            cloud_json(TARGET + 8)
-        ),
-    );
-    let resp = post_rpc(
-        &app,
-        r#"{"jsonrpc":"2.0","id":3,"method":"poll_result",
-           "params":{"stream_id":0,"frame_index":0,"wait":true}}"#,
-    );
-    let doc = json::parse(&body_text(&resp)).unwrap();
-    assert_eq!(doc.str_at("result.status"), Some("done"));
-
-    let resp = post_rpc(&app, r#"{"jsonrpc":"2.0","id":4,"method":"shard_stats"}"#);
-    let doc = json::parse(&body_text(&resp)).unwrap();
-    assert_eq!(doc.usize_at("result.shard_count"), Some(2));
-    let resp = post_rpc(
-        &app,
-        r#"{"jsonrpc":"2.0","id":5,"method":"stream_stats","params":{"stream_id":0}}"#,
-    );
-    let doc = json::parse(&body_text(&resp)).unwrap();
-    let shard = doc
-        .usize_at("result.shard")
-        .expect("stream stats name a shard");
-    assert!(shard < 2, "shard {shard} out of range");
-
-    let metrics = body_text(&get(&app, "/metrics"));
-    assert!(
-        metrics.contains("hgpcn_shard=\""),
-        "sharded /metrics carries no hgpcn_shard label:\n{metrics}"
-    );
 }
 
 #[test]

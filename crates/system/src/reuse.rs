@@ -67,11 +67,11 @@ impl PreprocReuse {
 /// Stream-scoped preprocessing state: everything one stream's frames share
 /// across the preprocessing phase.
 ///
-/// Owned by the runtime, one per open stream (following the stream's shard
-/// pinning; there is no `close_stream` yet, so contexts are freed when the
-/// runtime shuts down). Carries the octree build scratch with its
-/// previous-frame cache, the OIS sampling scratch, a reusable
-/// host-memory image, and the stream's warm-hit/miss tally. The context
+/// Owned by the runtime, one per open stream (there is no `close_stream`
+/// yet, so contexts are freed when the runtime shuts down). Carries the
+/// octree build scratch with its previous-frame cache, the OIS sampling
+/// scratch, a reusable host-memory image, and the stream's warm-hit/miss
+/// tally. The context
 /// never changes results: they are bit-identical whether frames run
 /// through a fresh context or a primed one.
 #[derive(Clone, Debug)]

@@ -160,30 +160,6 @@ impl Registry {
         }
     }
 
-    /// Merges `other` into the histogram `name{labels}` via
-    /// [`LogHistogram::merge`] (default bucket layout on first touch) —
-    /// how a cross-shard aggregator folds per-shard latency series into
-    /// one aggregate series without replaying raw samples. Merging is
-    /// exact when both sides share the default bucket layout: the
-    /// result equals recording the union of both sample streams.
-    pub fn histogram_merge(
-        &mut self,
-        name: &str,
-        help: &str,
-        labels: &[(&str, &str)],
-        other: &LogHistogram,
-    ) {
-        let fam = self.family(name, help, MetricKind::Histogram);
-        match fam
-            .series
-            .entry(labels_of(labels))
-            .or_insert_with(|| Series::Histogram(LogHistogram::default()))
-        {
-            Series::Histogram(h) => h.merge(other),
-            _ => unreachable!("kind checked by family()"),
-        }
-    }
-
     /// The counter's current value, if registered.
     pub fn counter_value(&self, name: &str, labels: &[(&str, &str)]) -> Option<u64> {
         match self.families.get(name)?.series.get(&labels_of(labels))? {

@@ -30,11 +30,8 @@
 //!   batch `Runtime::run` driver as a thin front end over it — stage-
 //!   pipelined worker pools, multi-tenant admission, backpressure,
 //!   micro-batch coalescing into the SoA engine path, and per-stream
-//!   latency metrics over real threads — plus the scale-out layer:
-//!   the `StreamService` trait over live serving front ends and
-//!   `ShardedRuntime`, N replicas behind a stream-placement policy
-//!   sharing one `Arc<PointNet>` weight copy;
-//! * [`serve`] — the std-only HTTP/JSON-RPC 2.0 front end over the
+//!   latency metrics over real threads;
+//! * [`serve`] — the std-only HTTP/JSON-RPC 2.0 front end over one
 //!   serving runtime (`hgpcn-serve` binary: `POST /rpc`, `GET /health`,
 //!   `GET /metrics`), built on the in-tree `minihttp` compat layer;
 //! * [`telemetry`] — frame-lifecycle tracing (Chrome trace-event JSON
@@ -93,9 +90,9 @@ pub mod prelude {
     };
     pub use hgpcn_runtime::{
         AdmissionPolicy, ArrivalModel, BackpressurePolicy, BatchingStats, ErrorCode, FrameStatus,
-        FrameTicket, KittiSource, PlacementPolicy, Runtime, RuntimeConfig, RuntimeError,
-        RuntimeReport, ServingRuntime, ShardedRuntime, StageBreakdown, StreamHandle, StreamProfile,
-        StreamService, StreamSpec, SyntheticSource, TelemetrySnapshot,
+        FrameTicket, KittiSource, Runtime, RuntimeConfig, RuntimeError, RuntimeReport,
+        ServingRuntime, StageBreakdown, StreamHandle, StreamProfile, StreamSpec, SyntheticSource,
+        TelemetrySnapshot,
     };
     pub use hgpcn_serve::App;
     pub use hgpcn_system::{E2ePipeline, InferenceEngine, PreprocessingEngine};
