@@ -22,8 +22,32 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
-use hgpcn_bench::dense_matrix as dense;
 use hgpcn_pcn::{LinearKernel, Matrix};
+
+/// Deterministic dense `rows × cols` matrix with **no exact zeros**, so
+/// every matmul backend executes every MAC (the zero-skip never fires)
+/// and elements/s reads directly as MAC/s.
+///
+/// The element index is mixed in f64 and cast last: past i ≈ 2^24 an
+/// f32 index loses integer precision, so consecutive elements would
+/// repeat and the "dense" matrix would degenerate (the same ulp
+/// collapse the cloud generators guard against).
+fn dense(rows: usize, cols: usize, phase: f32) -> Matrix {
+    Matrix::from_vec(
+        rows,
+        cols,
+        (0..rows * cols)
+            .map(|i| {
+                let v = (((i as f64 * 0.7311 + phase as f64).sin() * 1.7) - 0.31) as f32;
+                if v == 0.0 {
+                    0.125
+                } else {
+                    v
+                }
+            })
+            .collect(),
+    )
+}
 
 /// Like [`dense`] but with roughly half the entries exactly zero — the
 /// sparsity a post-ReLU activation stream actually shows the kernels'

@@ -38,7 +38,7 @@ pub mod test_runner {
         /// 64 cases, overridable through the `PROPTEST_CASES`
         /// environment variable — the same knob upstream proptest
         /// honours, used by the scheduled CI run to sweep the kernel
-        /// and quantization equivalence properties much deeper than a
+        /// and streamed-pool equivalence properties much deeper than a
         /// per-PR run can afford. (Tests pinning an explicit
         /// `with_cases(..)` are unaffected.)
         fn default() -> ProptestConfig {

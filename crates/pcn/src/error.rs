@@ -23,22 +23,6 @@ pub enum PcnError {
     },
     /// Neighbor gathering failed.
     Gather(GatherError),
-    /// Int8 inference was requested on a network that carries no
-    /// calibrated quantized weights (see `PointNet::with_int8`).
-    NotQuantized,
-    /// A `Calibrator` was finished without observing a single cloud —
-    /// quantizing against unobserved ranges would produce garbage
-    /// scales.
-    EmptyCalibration,
-    /// A calibration's layer structure does not match the network it
-    /// was applied to.
-    CalibrationMismatch {
-        /// Layers the calibration covers (in the first mismatching
-        /// group).
-        got: usize,
-        /// Layers the network has there.
-        expected: usize,
-    },
 }
 
 impl fmt::Display for PcnError {
@@ -57,22 +41,6 @@ impl fmt::Display for PcnError {
                 )
             }
             PcnError::Gather(e) => write!(f, "neighbor gathering failed: {e}"),
-            PcnError::NotQuantized => {
-                write!(
-                    f,
-                    "int8 inference requested on a network without calibrated \
-                     quantized weights (quantize it with PointNet::with_int8)"
-                )
-            }
-            PcnError::EmptyCalibration => {
-                write!(f, "calibration finished without observing any cloud")
-            }
-            PcnError::CalibrationMismatch { got, expected } => {
-                write!(
-                    f,
-                    "calibration covers {got} layers where the network has {expected}"
-                )
-            }
         }
     }
 }

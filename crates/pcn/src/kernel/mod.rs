@@ -31,14 +31,7 @@
 //!
 //! The AVX2 and AVX-512 backends only exist under the `simd` cargo
 //! feature; without it the crate compiles with no unsafe code at all.
-//!
-//! The quantized inference path plugs in through the same seam: an
-//! [`Int8Kernel`] owns the i32-accumulating i8 GEMM primitive behind
-//! the [`crate::quant`] module (scalar always, AVX2 `vpmaddwd` under
-//! `simd`), and [`Int8Kernel::for_linear`] derives its selection from
-//! the **same** decision — one `with_kernel` pin steers both precisions.
 
-mod int8;
 mod scalar;
 
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
@@ -46,9 +39,6 @@ mod avx2;
 
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 mod avx512;
-
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-mod int8_avx2;
 
 use crate::Matrix;
 
@@ -229,123 +219,6 @@ impl LinearKernel {
     }
 }
 
-/// One quantized dense-layer task: `y = dequant(xq · wq) + bias`
-/// (+ optional ReLU) over row-major slices. `x` is `rows × ins` i8
-/// (per-tensor symmetric activations), `w` is `ins × outs` i8
-/// (per-channel symmetric weights), `scale` holds the per-output-channel
-/// requantization multiplier (`a_scale · w_scale[j]`), `bias` is the
-/// f32 bias; the output buffer is `rows × outs` f32.
-#[derive(Clone, Copy)]
-pub(crate) struct QuantTask<'a> {
-    /// Row-major quantized activations, `rows × ins`.
-    pub x: &'a [i8],
-    /// Number of activation rows.
-    pub rows: usize,
-    /// Input features per row.
-    pub ins: usize,
-    /// Row-major quantized weights, `ins × outs`.
-    pub w: &'a [i8],
-    /// Output features per row.
-    pub outs: usize,
-    /// Per-output requantization scale, length `outs`.
-    pub scale: &'a [f32],
-    /// Per-output f32 bias, length `outs`.
-    pub bias: &'a [f32],
-    /// Whether to fuse `max(0, ·)` into the requantizing store.
-    pub relu: bool,
-}
-
-/// An int8 GEMM backend: i32-accumulating i8×i8 multiply-accumulate
-/// with a fused f32 requantize+ReLU store. Like [`LinearKernel`], all
-/// variants are bit-identical in results (integer accumulation is
-/// exact, and the requantize store is one identical single-rounded f32
-/// expression per element); they differ only in speed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[non_exhaustive]
-pub enum Int8Kernel {
-    /// The scalar reference loop — always available, the semantic
-    /// anchor of the quantized path.
-    Scalar,
-    /// Explicit AVX2 `vpmaddwd` tiles (see `kernel/int8_avx2.rs`).
-    /// Only compiled under the `simd` cargo feature; only *selected*
-    /// when the CPU reports AVX2.
-    #[cfg(feature = "simd")]
-    Avx2,
-}
-
-impl Int8Kernel {
-    /// Stable lower-case name (`int8-scalar` / `int8-avx2`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            Int8Kernel::Scalar => "int8-scalar",
-            #[cfg(feature = "simd")]
-            Int8Kernel::Avx2 => "int8-avx2",
-        }
-    }
-
-    /// Whether the running CPU can execute this backend.
-    pub fn is_supported(&self) -> bool {
-        match self {
-            Int8Kernel::Scalar => true,
-            #[cfg(feature = "simd")]
-            Int8Kernel::Avx2 => avx2_detected(),
-        }
-    }
-
-    /// Every backend compiled into this build, fastest-last (the sweep
-    /// order for equivalence tests and benches, filtered by
-    /// [`Int8Kernel::is_supported`]).
-    pub fn all() -> &'static [Int8Kernel] {
-        &[
-            Int8Kernel::Scalar,
-            #[cfg(feature = "simd")]
-            Int8Kernel::Avx2,
-        ]
-    }
-
-    /// The int8 backend riding on a given f32 backend selection — the
-    /// single [`PointNet::with_kernel`] pin steers both precisions: a
-    /// scalar f32 backend (`reference`, `blocked`) selects the scalar
-    /// int8 backend; AVX2 and AVX-512 select AVX2 (there is no 16-lane
-    /// int8 backend).
-    ///
-    /// [`PointNet::with_kernel`]: crate::PointNet::with_kernel
-    pub fn for_linear(kernel: LinearKernel) -> Int8Kernel {
-        match kernel {
-            LinearKernel::Reference | LinearKernel::Blocked => Int8Kernel::Scalar,
-            #[cfg(feature = "simd")]
-            LinearKernel::Avx2 | LinearKernel::Avx512 => Int8Kernel::Avx2,
-        }
-    }
-
-    /// Backend dispatch over validated slices.
-    pub(crate) fn run(&self, task: &QuantTask<'_>, y: &mut [f32]) {
-        debug_assert_eq!(task.x.len(), task.rows * task.ins);
-        debug_assert_eq!(task.w.len(), task.ins * task.outs);
-        debug_assert_eq!(task.scale.len(), task.outs);
-        debug_assert_eq!(task.bias.len(), task.outs);
-        debug_assert_eq!(y.len(), task.rows * task.outs);
-        match self {
-            Int8Kernel::Scalar => int8::scalar(task, y),
-            #[cfg(feature = "simd")]
-            Int8Kernel::Avx2 => {
-                #[cfg(target_arch = "x86_64")]
-                {
-                    assert!(
-                        avx2_detected(),
-                        "the AVX2 int8 kernel was invoked on a CPU without AVX2; \
-                         use Int8Kernel::for_linear(kernel::fastest_supported()) \
-                         for checked dispatch"
-                    );
-                    int8_avx2::run(task, y);
-                }
-                #[cfg(not(target_arch = "x86_64"))]
-                panic!("the AVX2 int8 kernel is only available on x86_64 hosts");
-            }
-        }
-    }
-}
-
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 fn avx2_detected() -> bool {
     is_x86_feature_detected!("avx2")
@@ -453,68 +326,5 @@ mod tests {
         assert_eq!(fastest_supported(), want);
         let net = crate::PointNet::new(crate::PointNetConfig::classification(), 1);
         assert_eq!(net.kernel(), want);
-    }
-
-    #[test]
-    fn int8_backends_are_bit_identical() {
-        let ins = 19usize;
-        let outs = 21usize; // one 16-tile plus a 5-column scalar tail
-        let rows = 6usize; // one 4-row block plus a 2-row remainder
-        let x: Vec<i8> = (0..rows * ins)
-            .map(|i| match i % 7 {
-                0 | 1 => 0,
-                2 => -127,
-                3 => 127,
-                _ => ((i * 37) % 251) as i8,
-            })
-            .collect();
-        let w: Vec<i8> = (0..ins * outs)
-            .map(|i| ((i * 73) % 255) as u8 as i8)
-            .collect();
-        let scale: Vec<f32> = (0..outs).map(|j| 0.01 + j as f32 * 0.003).collect();
-        let bias: Vec<f32> = (0..outs).map(|j| j as f32 * 0.2 - 1.7).collect();
-        for relu in [false, true] {
-            let task = QuantTask {
-                x: &x,
-                rows,
-                ins,
-                w: &w,
-                outs,
-                scale: &scale,
-                bias: &bias,
-                relu,
-            };
-            let mut want = vec![0.0f32; rows * outs];
-            Int8Kernel::Scalar.run(&task, &mut want);
-            for k in Int8Kernel::all() {
-                if !k.is_supported() {
-                    continue;
-                }
-                let mut got = vec![0.0f32; rows * outs];
-                k.run(&task, &mut got);
-                let same = got
-                    .iter()
-                    .zip(&want)
-                    .all(|(a, b)| a.to_bits() == b.to_bits());
-                assert!(same, "{} relu={relu}", k.name());
-            }
-        }
-    }
-
-    #[test]
-    fn int8_backend_rides_the_linear_selection() {
-        assert_eq!(
-            Int8Kernel::for_linear(LinearKernel::Reference),
-            Int8Kernel::Scalar
-        );
-        assert_eq!(
-            Int8Kernel::for_linear(LinearKernel::Blocked),
-            Int8Kernel::Scalar
-        );
-        #[cfg(feature = "simd")]
-        for k in [LinearKernel::Avx2, LinearKernel::Avx512] {
-            assert_eq!(Int8Kernel::for_linear(k), Int8Kernel::Avx2);
-        }
-        assert!(Int8Kernel::for_linear(fastest_supported()).is_supported());
     }
 }

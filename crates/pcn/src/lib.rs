@@ -26,23 +26,15 @@
 //! contract, so the kernel choice moves host speed, never results — see
 //! the [`kernel`] module docs.
 //!
-//! And the *precision* is pluggable through the same seam: the
-//! [`quant`] module adds a post-training-quantized int8 tier — a
-//! [`Calibrator`] observes activation ranges, [`PointNet::with_int8`]
-//! freezes per-channel i8 weights next to the f32 ones, and
-//! [`Precision`] selects the tier per forward pass (the i8 GEMM runs
-//! on a [`kernel::Int8Kernel`] riding the same backend dispatch).
-//!
-//! [`stage`] generalizes that seam to the rest of the frame pipeline:
-//! every preproc stage (sampling, gather, FP interpolation) dispatches
-//! to a backend bit-identical to its anchor, bundled per run as a
-//! [`stage::StageBackends`] selection.
+//! [`stage`] generalizes the kernel seam to the rest of the frame
+//! pipeline: every preproc stage (sampling, gather, FP interpolation)
+//! dispatches to a backend bit-identical to its anchor, bundled per run
+//! as a [`stage::StageBackends`] selection.
 
 // `deny` rather than `forbid`: the explicit-SIMD backends in
-// `kernel::avx2`, `kernel::avx512` and `kernel::int8_avx2` (compiled
-// only under the `simd` feature) each carry a safety-commented
-// `#![allow(unsafe_code)]`; everything else still refuses unsafe code
-// outright.
+// `kernel::avx2` and `kernel::avx512` (compiled only under the `simd`
+// feature) each carry a safety-commented `#![allow(unsafe_code)]`;
+// everything else still refuses unsafe code outright.
 #![deny(unsafe_code)]
 #![deny(missing_docs)]
 
@@ -51,15 +43,13 @@ mod error;
 mod gatherer;
 pub mod kernel;
 mod network;
-pub mod quant;
 pub mod stage;
 mod tensor;
 
 pub use config::{PointNetConfig, Stage, StageWorkload, TaskKind};
 pub use error::PcnError;
 pub use gatherer::{BruteKnnGatherer, Gatherer, IndexedGatherer};
-pub use kernel::{Int8Kernel, LinearKernel};
-pub use network::{CenterPolicy, InferenceOutput, PointNet};
-pub use quant::{Calibration, Calibrator, Precision, QuantLayer};
+pub use kernel::LinearKernel;
+pub use network::{CenterPolicy, InferenceOutput, PointNet, Precision};
 pub use stage::{InterpolateKernel, StageBackends};
 pub use tensor::Matrix;

@@ -7,12 +7,23 @@ use hgpcn_dla::MlpSpec;
 use hgpcn_geometry::{Point3, PointCloud};
 use hgpcn_memsim::OpCounts;
 
-use crate::kernel::Int8Kernel;
-use crate::quant::{AmaxStats, Calibration, MlpGroup, QuantizedModel};
 use crate::stage::StageBackends;
-use crate::{
-    kernel, Gatherer, LinearKernel, Matrix, PcnError, PointNetConfig, Precision, Stage, TaskKind,
-};
+use crate::{kernel, Gatherer, LinearKernel, Matrix, PcnError, PointNetConfig, Stage, TaskKind};
+
+/// The arithmetic precision of a forward pass. f32 is the only one.
+///
+/// A one-variant vestige: the benchmark's replay and verify harnesses
+/// still name `Precision::F32` through
+/// [`PointNet::infer_with_precision_using`],
+/// `InferenceEngine::run_with_precision_using` and
+/// `InferenceEngine::run_batch_with_precision_using`, so those three
+/// signatures keep their parameter lists. The next `[benchmark]` change
+/// drops `Precision` and the `*_with_precision*` names together.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Precision {
+    /// Full f32 arithmetic.
+    F32,
+}
 
 /// How set-abstraction centers are chosen.
 ///
@@ -41,8 +52,6 @@ pub struct InferenceOutput {
     pub gather_counts: OpCounts,
     /// Multiply-accumulates actually executed in feature computation.
     pub macs: u64,
-    /// The arithmetic precision the dense layers ran at.
-    pub precision: Precision,
 }
 
 impl InferenceOutput {
@@ -105,18 +114,17 @@ pub struct PointNet {
     head_weights: Vec<LayerWeights>,
     kernel: LinearKernel,
     stages: StageBackends,
-    quant: Option<QuantizedModel>,
 }
 
-/// How one forward pass executes its dense layers.
-enum PassMode<'a> {
-    /// Full-precision f32 (the bit-exact reference tier).
-    F32,
-    /// Calibrated int8 GEMMs with fused f32 requantize+ReLU.
-    Int8(&'a QuantizedModel),
-    /// f32, additionally folding every layer input's range into the
-    /// calibration observations.
-    Observe(&'a mut AmaxStats),
+/// Which of a network's MLP groups a dense layer belongs to.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum MlpGroup {
+    /// Set-abstraction / global-abstraction stage `i`'s shared MLP.
+    Stage(usize),
+    /// Feature-propagation MLP `i`.
+    Fp(usize),
+    /// The classification / segmentation head.
+    Head,
 }
 
 fn init_mlp(rng: &mut StdRng, spec: &MlpSpec) -> Vec<LayerWeights> {
@@ -156,7 +164,6 @@ impl PointNet {
             head_weights,
             kernel: kernel::fastest_supported(),
             stages: StageBackends::active(),
-            quant: None,
         }
     }
 
@@ -214,43 +221,6 @@ impl PointNet {
         &self.config
     }
 
-    /// Freezes calibrated int8 weights into the network, enabling
-    /// [`Precision::Int8`] forward passes alongside the f32 tier (the
-    /// f32 weights stay untouched; precision is chosen per call).
-    ///
-    /// # Errors
-    ///
-    /// [`PcnError::CalibrationMismatch`] when `calibration` was
-    /// observed on a network with a different layer structure.
-    pub fn with_int8(mut self, calibration: &Calibration) -> Result<PointNet, PcnError> {
-        self.quant = Some(QuantizedModel::build(
-            &self.stage_weights,
-            &self.fp_weights,
-            &self.head_weights,
-            calibration,
-        )?);
-        Ok(self)
-    }
-
-    /// Whether the network carries calibrated int8 weights (i.e.
-    /// whether [`Precision::Int8`] passes can run).
-    pub fn is_quantized(&self) -> bool {
-        self.quant.is_some()
-    }
-
-    /// Empty calibration slots shaped like this network's layers.
-    pub(crate) fn amax_slots(&self) -> AmaxStats {
-        AmaxStats {
-            stages: self
-                .stage_weights
-                .iter()
-                .map(|g| vec![0.0; g.len()])
-                .collect(),
-            fps: self.fp_weights.iter().map(|g| vec![0.0; g.len()]).collect(),
-            head: vec![0.0; self.head_weights.len()],
-        }
-    }
-
     fn group_weights(&self, group: MlpGroup) -> &[LayerWeights] {
         match group {
             MlpGroup::Stage(i) => &self.stage_weights[i],
@@ -277,8 +247,8 @@ impl PointNet {
         }
     }
 
-    /// Runs one f32 inference over `cloud` using `gatherer` for the
-    /// data structuring step — a batch of one through
+    /// Runs one inference over `cloud` using `gatherer` for the data
+    /// structuring step — a batch of one through
     /// [`PointNet::infer_batch`]'s forward pass, the one the serving
     /// runtime runs.
     ///
@@ -293,42 +263,21 @@ impl PointNet {
         gatherer: &mut dyn Gatherer,
         policy: CenterPolicy,
     ) -> Result<InferenceOutput, PcnError> {
-        self.infer_with_precision(cloud, gatherer, policy, Precision::F32)
+        self.infer_with_precision_using(cloud, gatherer, policy, Precision::F32, self.stages)
     }
 
-    /// [`PointNet::infer`] at a chosen arithmetic precision, again a
-    /// batch of one. [`Precision::F32`] is the bit-exact reference tier
-    /// and the only one the serving runtime runs; [`Precision::Int8`]
-    /// (the accuracy study's tier) runs every dense layer as a
-    /// calibrated i8 GEMM (requires [`PointNet::with_int8`]). Data
-    /// structuring (gathering, interpolation searches) is identical in
-    /// both tiers, so gather counts never depend on precision.
-    ///
-    /// # Errors
-    ///
-    /// As [`PointNet::infer`], plus [`PcnError::NotQuantized`] when
-    /// int8 is requested on an unquantized network.
-    pub fn infer_with_precision(
-        &self,
-        cloud: &PointCloud,
-        gatherer: &mut dyn Gatherer,
-        policy: CenterPolicy,
-        precision: Precision,
-    ) -> Result<InferenceOutput, PcnError> {
-        self.infer_with_precision_using(cloud, gatherer, policy, precision, self.stages)
-    }
-
-    /// [`PointNet::infer_with_precision`] with an explicit per-call
-    /// stage-backend selection, overriding the network's pinned
+    /// [`PointNet::infer`] with an explicit per-call stage-backend
+    /// selection, overriding the network's pinned
     /// [`PointNet::stage_backends`]. Only the network-resident stage
     /// (FP interpolation) dispatches here — callers running sampling or
     /// gathering (the engines in the system crate) consume the other
     /// two fields. Bit-identity across backends makes this a pure
-    /// host-speed knob.
+    /// host-speed knob. `precision` is always [`Precision::F32`] (see
+    /// [`Precision`]).
     ///
     /// # Errors
     ///
-    /// As [`PointNet::infer_with_precision`].
+    /// As [`PointNet::infer`].
     pub fn infer_with_precision_using(
         &self,
         cloud: &PointCloud,
@@ -337,35 +286,9 @@ impl PointNet {
         precision: Precision,
         stages: StageBackends,
     ) -> Result<InferenceOutput, PcnError> {
-        let mut outs = self.infer_batch_with_precision_using(
-            &[cloud],
-            &mut [gatherer],
-            &[policy],
-            precision,
-            stages,
-        )?;
+        let Precision::F32 = precision;
+        let mut outs = self.infer_batch_using(&[cloud], &mut [gatherer], &[policy], stages)?;
         Ok(outs.pop().expect("one output per cloud"))
-    }
-
-    /// One f32 forward pass with range hooks on every dense-layer
-    /// input — the calibration observation primitive behind
-    /// [`crate::Calibrator::observe`].
-    pub(crate) fn observe_ranges(
-        &self,
-        cloud: &PointCloud,
-        gatherer: &mut dyn Gatherer,
-        policy: CenterPolicy,
-        stats: &mut AmaxStats,
-    ) -> Result<(), PcnError> {
-        self.forward(
-            &[cloud],
-            &mut [gatherer],
-            &[policy],
-            Precision::F32,
-            PassMode::Observe(stats),
-            self.stages,
-        )?;
-        Ok(())
     }
 
     /// Runs one inference over **each** cloud of a micro-batch, pushing all
@@ -421,84 +344,36 @@ impl PointNet {
         gatherers: &mut [&mut dyn Gatherer],
         policies: &[CenterPolicy],
     ) -> Result<Vec<InferenceOutput>, PcnError> {
-        self.infer_batch_with_precision(clouds, gatherers, policies, Precision::F32)
+        self.infer_batch_using(clouds, gatherers, policies, self.stages)
     }
 
-    /// [`PointNet::infer_batch`] at a chosen arithmetic precision. The
-    /// whole micro-batch runs at one precision; int8 results are
-    /// **bit-identical** to batches of one
-    /// ([`PointNet::infer_with_precision`]), exactly as in the f32
-    /// tier — quantization is element-wise and the i8 GEMM accumulates
-    /// exact integers, so stacking rows changes nothing.
+    /// [`PointNet::infer_batch`] with an explicit per-call stage-backend
+    /// selection — the body behind every public forward pass;
+    /// [`PointNet::infer_with_precision_using`] is this with one cloud.
     ///
     /// # Errors
     ///
-    /// As [`PointNet::infer_batch`], plus [`PcnError::NotQuantized`]
-    /// when int8 is requested on an unquantized network.
+    /// As [`PointNet::infer_batch`].
     ///
     /// # Panics
     ///
     /// Panics if `clouds`, `gatherers` and `policies` have different
     /// lengths.
-    pub fn infer_batch_with_precision(
+    pub fn infer_batch_using(
         &self,
         clouds: &[&PointCloud],
         gatherers: &mut [&mut dyn Gatherer],
         policies: &[CenterPolicy],
-        precision: Precision,
-    ) -> Result<Vec<InferenceOutput>, PcnError> {
-        self.infer_batch_with_precision_using(clouds, gatherers, policies, precision, self.stages)
-    }
-
-    /// [`PointNet::infer_batch_with_precision`] with an explicit
-    /// per-call stage-backend selection — the body behind every public
-    /// forward pass; [`PointNet::infer_with_precision_using`] is this
-    /// with one cloud.
-    ///
-    /// # Errors
-    ///
-    /// As [`PointNet::infer_batch_with_precision`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `clouds`, `gatherers` and `policies` have different
-    /// lengths.
-    pub fn infer_batch_with_precision_using(
-        &self,
-        clouds: &[&PointCloud],
-        gatherers: &mut [&mut dyn Gatherer],
-        policies: &[CenterPolicy],
-        precision: Precision,
         stages: StageBackends,
     ) -> Result<Vec<InferenceOutput>, PcnError> {
         assert_eq!(clouds.len(), gatherers.len(), "one gatherer per cloud");
         assert_eq!(clouds.len(), policies.len(), "one policy per cloud");
-        let mode = match precision {
-            Precision::F32 => PassMode::F32,
-            Precision::Int8 => PassMode::Int8(self.quant.as_ref().ok_or(PcnError::NotQuantized)?),
-        };
-        self.forward(clouds, gatherers, policies, precision, mode, stages)
-    }
-
-    /// The forward pass: `mode` decides how the dense layers run, and
-    /// `precision` is what the outputs report.
-    fn forward(
-        &self,
-        clouds: &[&PointCloud],
-        gatherers: &mut [&mut dyn Gatherer],
-        policies: &[CenterPolicy],
-        precision: Precision,
-        mode: PassMode<'_>,
-        stages: StageBackends,
-    ) -> Result<Vec<InferenceOutput>, PcnError> {
         let b = clouds.len();
         if b == 0 {
             return Ok(Vec::new());
         }
         let mut pass = Pass {
-            mode,
             bufs: [Vec::new(), Vec::new()],
-            xq: Vec::new(),
             macs: vec![0; b],
         };
         let mut interp_counts = vec![OpCounts::default(); b];
@@ -666,7 +541,6 @@ impl PointNet {
                 logits,
                 gather_counts: gatherers[bi].counts() + interp_counts[bi],
                 macs: pass.macs[bi],
-                precision,
             })
             .collect())
     }
@@ -684,9 +558,7 @@ impl PointNet {
     /// continue in any chunk, so the pooling fold carries across chunk
     /// boundaries.
     ///
-    /// Every layer is row-independent in every mode — the f32 kernels,
-    /// the int8 quantize/GEMM/requantize (static calibrated scales) and
-    /// the calibration's amax fold — and the pool has one order: a
+    /// Every layer is row-independent, and the pool has one order: a
     /// segment's first row is copied, then `v > o` is applied over its
     /// later rows in row order, carried across chunk ends. So the
     /// chunking is a pure scheduling choice: outputs are bit-identical
@@ -697,14 +569,9 @@ impl PointNet {
         group: MlpGroup,
         input: &Input<'_>,
         sink: Sink,
-        pass: &mut Pass<'_>,
+        pass: &mut Pass,
     ) -> Vec<Matrix> {
-        let Pass {
-            mode,
-            bufs: [a, b],
-            xq,
-            macs,
-        } = pass;
+        let Pass { bufs: [a, b], macs } = pass;
         let weights = self.group_weights(group);
         let relu_last = group != MlpGroup::Head;
         let seg_rows = input.seg_rows;
@@ -763,32 +630,16 @@ impl PointNet {
             for (i, (w, bias)) in weights.iter().enumerate() {
                 let outs = w.cols();
                 let relu = relu_last || i + 1 < weights.len();
-                let (src, dst) = (&a[..n * ins], &mut b[..n * outs]);
-                match mode {
-                    PassMode::Int8(model) => model.group(group)[i].forward_into(
-                        Int8Kernel::for_linear(self.kernel),
-                        src,
-                        n,
-                        relu,
-                        dst,
-                        xq,
-                    ),
-                    PassMode::F32 | PassMode::Observe(_) => {
-                        if let PassMode::Observe(stats) = mode {
-                            AmaxStats::record(stats.group_slot(group, i), src);
-                        }
-                        let task = kernel::LinearTask {
-                            x: src,
-                            rows: n,
-                            ins,
-                            w: w.as_slice(),
-                            outs,
-                            bias,
-                            relu,
-                        };
-                        self.kernel.run(&task, dst);
-                    }
-                }
+                let task = kernel::LinearTask {
+                    x: &a[..n * ins],
+                    rows: n,
+                    ins,
+                    w: w.as_slice(),
+                    outs,
+                    bias,
+                    relu,
+                };
+                self.kernel.run(&task, &mut b[..n * outs]);
                 std::mem::swap(a, b);
                 ins = outs;
             }
@@ -825,13 +676,11 @@ struct Level {
     feats: Option<Matrix>,
 }
 
-/// The forward pass's running state: how the dense layers run, the two
-/// chunk buffers they ping-pong (grown to the largest stage once, then
-/// reused), the int8 quantization scratch, and executed MACs per cloud.
-struct Pass<'a> {
-    mode: PassMode<'a>,
+/// The forward pass's running state: the two chunk buffers the dense
+/// layers ping-pong (grown to the largest stage once, then reused), and
+/// executed MACs per cloud.
+struct Pass {
     bufs: [Vec<f32>; 2],
-    xq: Vec<i8>,
     macs: Vec<u64>,
 }
 
@@ -928,23 +777,18 @@ mod tests {
 
     /// The forward pass the batched body replaced, kept as the oracle:
     /// one cloud, one small matrix per gathered group, a fresh `Matrix`
-    /// per layer and a separate ReLU pass. f32 only. With `stats` set,
-    /// every layer's input is folded into its amax slot.
+    /// per layer and a separate ReLU pass.
     fn oracle(
         net: &PointNet,
         cloud: &PointCloud,
         gatherer: &mut dyn Gatherer,
         policy: CenterPolicy,
-        mut stats: Option<&mut AmaxStats>,
     ) -> InferenceOutput {
         let mut macs = 0u64;
         let mut interp_counts = OpCounts::default();
         let mut mlp = |group: MlpGroup, mut x: Matrix, relu_last: bool| {
             let weights = net.group_weights(group);
             for (i, (w, b)) in weights.iter().enumerate() {
-                if let Some(stats) = stats.as_deref_mut() {
-                    AmaxStats::record(stats.group_slot(group, i), x.as_slice());
-                }
                 macs += (x.rows() * x.cols() * w.cols()) as u64;
                 x = net.kernel.apply(&x, w, b, false);
                 if relu_last || i + 1 < weights.len() {
@@ -1021,7 +865,6 @@ mod tests {
             logits,
             gather_counts: gatherer.counts() + interp_counts,
             macs,
-            precision: Precision::F32,
         }
     }
 
@@ -1086,7 +929,7 @@ mod tests {
         for (net, sizes) in oracle_cases() {
             let c = cloud(sizes[0]);
             let policy = CenterPolicy::Random { seed: 9 };
-            let want = oracle(&net, &c, &mut BruteKnnGatherer::new(), policy, None);
+            let want = oracle(&net, &c, &mut BruteKnnGatherer::new(), policy);
             let got = net.infer(&c, &mut BruteKnnGatherer::new(), policy).unwrap();
             assert_same_output(&got, &want, &net.config.name);
         }
@@ -1107,37 +950,11 @@ mod tests {
                     gs.iter_mut().map(|g| g as &mut dyn Gatherer).collect();
                 let outs = net.infer_batch(&refs, &mut grefs, &policies).unwrap();
                 for (bi, (c, &p)) in clouds.iter().zip(&policies).enumerate() {
-                    let want = oracle(&net, c, &mut BruteKnnGatherer::new(), p, None);
+                    let want = oracle(&net, c, &mut BruteKnnGatherer::new(), p);
                     let what = format!("{} B={width} cloud {bi}", net.config.name);
                     assert_same_output(&outs[bi], &want, &what);
                 }
             }
-        }
-    }
-
-    #[test]
-    fn calibration_fills_the_oracles_amax_slots() {
-        for (net, sizes) in oracle_cases() {
-            let c = cloud(sizes[1]);
-            let mut calibrator = crate::Calibrator::new();
-            calibrator
-                .observe(&net, &c, &mut BruteKnnGatherer::new(), CenterPolicy::FirstN)
-                .unwrap();
-            let got = calibrator.finish().unwrap().stats;
-            let mut want = net.amax_slots();
-            oracle(
-                &net,
-                &c,
-                &mut BruteKnnGatherer::new(),
-                CenterPolicy::FirstN,
-                Some(&mut want),
-            );
-            let name = &net.config.name;
-            assert_eq!(got.stages, want.stages, "{name}: stage slots");
-            assert_eq!(got.fps, want.fps, "{name}: fp slots");
-            assert_eq!(got.head, want.head, "{name}: head slots");
-            let every_slot = want.stages.iter().chain(&want.fps).flatten();
-            assert!(every_slot.chain(&want.head).all(|&a| a > 0.0), "{name}");
         }
     }
 
@@ -1208,7 +1025,7 @@ mod tests {
                 gs.iter_mut().map(|g| g as &mut dyn Gatherer).collect();
             let outs = net.infer_batch(&refs, &mut grefs, &policies).unwrap();
             for (bi, (c, &p)) in clouds.iter().zip(&policies).enumerate() {
-                let want = oracle(&net, c, &mut BruteKnnGatherer::new(), p, None);
+                let want = oracle(&net, c, &mut BruteKnnGatherer::new(), p);
                 let what = format!("k={k} npoint={npoint} w=({w1},{w2}) cloud {bi}");
                 assert_same_output(&outs[bi], &want, &what);
             }

@@ -247,7 +247,7 @@ pub struct FrameTicket {
 /// A completed frame: the network output plus the frame's full journey.
 #[derive(Clone, Debug)]
 pub struct FrameResult {
-    /// The inference output (logits, op counts, precision).
+    /// The inference output (logits, op counts).
     pub output: InferenceOutput,
     /// The frame's modeled/virtual-clock journey through the pipeline.
     pub record: FrameRecord,
@@ -905,14 +905,10 @@ fn infer_batch(
         .map(|(job, _)| frame_seed(core.config.seed, job.stream_id, job.frame_index))
         .collect();
     let wall0 = Instant::now();
-    match pipeline.inference.run_batch_in_parts(
-        &inputs,
-        net,
-        &seeds,
-        hgpcn_pcn::Precision::F32,
-        core.stages,
-        core.infer_parts,
-    ) {
+    match pipeline
+        .inference
+        .run_batch_in_parts(&inputs, net, &seeds, core.stages, core.infer_parts)
+    {
         Ok(reports) => {
             // Per-frame share of the call's host wall time, split evenly:
             // the call's sub-batches may run in parallel on the host's cores,

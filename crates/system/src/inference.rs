@@ -96,24 +96,17 @@ impl InferenceEngine {
         self.run_with_precision_using(input, net, seed, Precision::F32, net.stage_backends())
     }
 
-    /// [`InferenceEngine::run`] at a chosen arithmetic precision (the
-    /// serving runtime always passes [`Precision::F32`]; int8 is the
-    /// accuracy study's tier) and with an explicit stage-backend selection:
-    /// the gather backend is pinned into the frame's VEG gatherer and the
-    /// interpolate backend into the forward pass, overriding the
-    /// network-pinned choice. The DLA-style cost models are
-    /// precision-independent (the systolic array executes the same MAC
-    /// schedule either way), so modeled latencies and op counts are
-    /// identical across tiers; only the logits (and host speed) change.
-    /// Bit-identity across backends makes `stages` a host-speed knob only.
-    /// This is [`InferenceEngine::run_batch_with_precision_using`] with
-    /// one frame.
+    /// [`InferenceEngine::run`] with an explicit stage-backend
+    /// selection: the gather backend is pinned into the frame's VEG
+    /// gatherer and the interpolate backend into the forward pass,
+    /// overriding the network-pinned choice. Bit-identity across
+    /// backends makes `stages` a host-speed knob only. `precision` is
+    /// always [`Precision::F32`] (see [`Precision`]). This is
+    /// [`InferenceEngine::run_batch_with_precision_using`] with one frame.
     ///
     /// # Errors
     ///
-    /// As [`InferenceEngine::run`], plus
-    /// [`hgpcn_pcn::PcnError::NotQuantized`] (as [`SystemError::Pcn`])
-    /// when int8 is requested on an unquantized network.
+    /// As [`InferenceEngine::run`].
     pub fn run_with_precision_using(
         &self,
         input: &PointCloud,
@@ -132,6 +125,7 @@ impl InferenceEngine {
     /// with [`InferenceEngine::host_cores`] parts. For a caller that runs
     /// one batch at a time; one that runs several at once (the serving
     /// runtime's inference workers) shares the cores out itself.
+    /// `precision` is always [`Precision::F32`] (see [`Precision`]).
     ///
     /// # Errors
     ///
@@ -148,7 +142,8 @@ impl InferenceEngine {
         precision: Precision,
         stages: StageBackends,
     ) -> Result<Vec<InferenceReport>, SystemError> {
-        self.run_batch_in_parts(inputs, net, seeds, precision, stages, Self::host_cores())
+        let Precision::F32 = precision;
+        self.run_batch_in_parts(inputs, net, seeds, stages, Self::host_cores())
     }
 
     /// Runs `net` over a micro-batch of down-sampled frames on up to
@@ -163,19 +158,17 @@ impl InferenceEngine {
     /// per-frame outputs, gather costs and modeled latencies are
     /// **bit-identical** to running each frame as a batch of one
     /// ([`InferenceEngine::run_with_precision_using`]) — batching and the
-    /// split change host throughput, never results. The whole micro-batch
-    /// runs at one tier.
+    /// split change host throughput, never results.
     ///
     /// # Errors
     ///
-    /// Fails when any frame fails, with [`SystemError::Pcn`] — including
-    /// [`hgpcn_pcn::PcnError::NotQuantized`] when int8 is requested on an
-    /// unquantized network. The error is that of the first failing
-    /// sub-batch in batch order, and a sub-batch's pass is stage-major:
-    /// a later frame failing at SA1 wins over an earlier one failing at
-    /// SA2. Which frame is blamed therefore depends on the batch and on
-    /// `parts`; the serving runtime attributes a failure by re-running
-    /// each frame of the failed batch on its own.
+    /// Fails when any frame fails, with [`SystemError::Pcn`]. The error
+    /// is that of the first failing sub-batch in batch order, and a
+    /// sub-batch's pass is stage-major: a later frame failing at SA1 wins
+    /// over an earlier one failing at SA2. Which frame is blamed
+    /// therefore depends on the batch and on `parts`; the serving runtime
+    /// attributes a failure by re-running each frame of the failed batch
+    /// on its own.
     ///
     /// # Panics
     ///
@@ -186,7 +179,6 @@ impl InferenceEngine {
         inputs: &[&PointCloud],
         net: &PointNet,
         seeds: &[u64],
-        precision: Precision,
         stages: StageBackends,
         parts: usize,
     ) -> Result<Vec<InferenceReport>, SystemError> {
@@ -195,7 +187,7 @@ impl InferenceEngine {
         let parts = parts.clamp(1, n.max(1));
         let sub_batch = |i: usize| {
             let (lo, hi) = (i * n / parts, (i + 1) * n / parts);
-            self.run_sub_batch(&inputs[lo..hi], net, &seeds[lo..hi], precision, stages)
+            self.run_sub_batch(&inputs[lo..hi], net, &seeds[lo..hi], stages)
         };
         let results: Vec<Result<Vec<InferenceReport>, SystemError>> = std::thread::scope(|s| {
             let helpers: Vec<_> = (1..parts).map(|i| s.spawn(move || sub_batch(i))).collect();
@@ -222,7 +214,6 @@ impl InferenceEngine {
         inputs: &[&PointCloud],
         net: &PointNet,
         seeds: &[u64],
-        precision: Precision,
         stages: StageBackends,
     ) -> Result<Vec<InferenceReport>, SystemError> {
         let mut gatherers: Vec<VegGatherer> = inputs
@@ -238,7 +229,7 @@ impl InferenceEngine {
                 .iter()
                 .map(|&seed| CenterPolicy::Random { seed })
                 .collect();
-            net.infer_batch_with_precision_using(inputs, &mut grefs, &policies, precision, stages)?
+            net.infer_batch_using(inputs, &mut grefs, &policies, stages)?
         };
         Ok(outputs
             .into_iter()
@@ -304,7 +295,7 @@ mod tests {
     use super::*;
     use hgpcn_dla::MlpSpec;
     use hgpcn_geometry::Point3;
-    use hgpcn_pcn::{BruteKnnGatherer, Calibrator, PcnError, PointNetConfig, Stage, TaskKind};
+    use hgpcn_pcn::{PcnError, PointNetConfig, Stage, TaskKind};
 
     fn input(n: usize) -> PointCloud {
         (0..n)
@@ -356,7 +347,7 @@ mod tests {
         )
     }
 
-    /// Everything the cost models produce — what precision, batching and
+    /// Everything the cost models produce — what batching and
     /// batch-mates may never move.
     fn assert_same_modeled(a: &InferenceReport, b: &InferenceReport) {
         assert_eq!(a.output.macs, b.output.macs);
@@ -398,8 +389,8 @@ mod tests {
         }
     }
 
-    /// A classification net small enough to run int8, and many batches,
-    /// in a debug build. Its first stage needs 64 points.
+    /// A classification net small enough to run many batches in a debug
+    /// build. Its first stage needs 64 points.
     fn tiny_net() -> PointNet {
         PointNet::new(
             PointNetConfig {
@@ -441,7 +432,6 @@ mod tests {
                 frames,
                 &net,
                 &seeds[..frames.len()],
-                Precision::F32,
                 net.stage_backends(),
                 parts,
             )
@@ -469,45 +459,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn precision_changes_logits_only() {
-        let unquantized = tiny_net();
-        let engine = InferenceEngine::prototype();
-        let frames = [input(128), input(160)];
-        let refs: Vec<&PointCloud> = frames.iter().collect();
-        let seeds = [5u64, 6];
-        assert!(matches!(
-            run_batch(&unquantized, &refs, &seeds, Precision::Int8),
-            Err(SystemError::Pcn(PcnError::NotQuantized))
-        ));
-
-        let mut calibrator = Calibrator::new();
-        calibrator
-            .observe(
-                &unquantized,
-                &frames[0],
-                &mut BruteKnnGatherer::new(),
-                CenterPolicy::FirstN,
-            )
-            .unwrap();
-        let net = unquantized
-            .with_int8(&calibrator.finish().unwrap())
-            .unwrap();
-        let int8 = run_batch(&net, &refs, &seeds, Precision::Int8).unwrap();
-        let f32_ = run_batch(&net, &refs, &seeds, Precision::F32).unwrap();
-        for (((frame, &seed), q), f) in frames.iter().zip(&seeds).zip(&int8).zip(&f32_) {
-            // The cost models are precision-independent.
-            assert_eq!(q.output.precision, Precision::Int8);
-            assert_same_modeled(q, f);
-            // And the int8 batch is bit-identical to int8 per-frame runs.
-            let serial = engine
-                .run_with_precision_using(frame, &net, seed, Precision::Int8, net.stage_backends())
-                .unwrap();
-            assert_eq!(q.output.logits, serial.output.logits);
-            assert_same_modeled(q, &serial);
         }
     }
 

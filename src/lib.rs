@@ -17,11 +17,7 @@
 //! * [`pcn`] — a real PointNet++ forward pass with pluggable gathering,
 //!   and `infer_batch` (B clouds per call, streamed through each MLP in
 //!   cache-sized row chunks that max-pool as they leave it,
-//!   bit-identical results),
-//!   and the `quant` post-training-int8 accuracy study: a `Calibrator`
-//!   observing activation ranges, per-channel symmetric weight
-//!   quantization, and an i32-accumulating i8 GEMM selected per call by
-//!   `Precision` (the serving runtime runs f32 only);
+//!   bit-identical results);
 //! * [`system`] — both HgPCN engines, the baseline platforms, the E2E
 //!   pipeline and the real-time experiment;
 //! * [`runtime`] — the concurrent multi-stream serving runtime: a
@@ -85,9 +81,7 @@ pub mod prelude {
     pub use hgpcn_geometry::{Aabb, MortonCode, Point3, PointCloud};
     pub use hgpcn_memsim::{DeviceProfile, HostMemory, Latency, OnChipMemory, OpCounts};
     pub use hgpcn_octree::{Octree, OctreeConfig, OctreeTable};
-    pub use hgpcn_pcn::{
-        Calibration, Calibrator, CenterPolicy, IndexedGatherer, PointNet, PointNetConfig, Precision,
-    };
+    pub use hgpcn_pcn::{CenterPolicy, IndexedGatherer, PointNet, PointNetConfig};
     pub use hgpcn_runtime::{
         AdmissionPolicy, ArrivalModel, BackpressurePolicy, BatchingStats, ErrorCode, FrameStatus,
         FrameTicket, KittiSource, Runtime, RuntimeConfig, RuntimeError, RuntimeReport,
