@@ -190,8 +190,8 @@ impl PointCloud {
     /// Like [`PointCloud::gather`], but writes into `out`, reusing its
     /// buffers. `out` is cleared first and adopts this cloud's feature
     /// dimension; its previous contents only contribute spare capacity.
-    /// Stream-scoped preprocessing contexts use this to gather every frame
-    /// of a stream without a fresh allocation.
+    /// Preprocessing contexts use this to gather every frame they build
+    /// without a fresh allocation.
     ///
     /// # Panics
     ///

@@ -49,8 +49,8 @@ impl HostMemory {
 
     /// Reloads the coordinates of `cloud`, reusing this memory's buffer
     /// capacity and zeroing the access tally — equivalent to a fresh
-    /// [`HostMemory::from_cloud`] without the allocation. Stream-scoped
-    /// preprocessing contexts call this once per frame.
+    /// [`HostMemory::from_cloud`] without the allocation. Preprocessing
+    /// contexts call this once per frame.
     pub fn reload_cloud(&mut self, cloud: &PointCloud) {
         self.points.clear();
         self.points.extend_from_slice(cloud.points());

@@ -48,4 +48,4 @@ pub use error::OctreeError;
 pub use node::{Node, NodeId};
 pub use stats::BuildStats;
 pub use table::{OctreeTable, TableEntry};
-pub use tree::{Octree, OctreeScratch};
+pub use tree::{Octree, OctreeScratch, PreviousFrame};

@@ -115,12 +115,12 @@ impl Octree {
         // A frame on the cached grid is diffed against the cached frame:
         // the points whose code moved are the "n" the §V-A delta pass is
         // priced for. Off the grid everything is new.
-        let warm = scratch.grid == Some((root_bounds, config));
+        let prev = &scratch.prev;
+        let warm = prev.grid == Some((root_bounds, config));
         stats.reused = warm;
         stats.dirty_points = if warm {
-            let prev = &scratch.prev_codes;
             (0..n)
-                .filter(|&i| i >= prev.len() || scratch.raw_codes[i] != prev[i])
+                .filter(|&i| i >= prev.codes.len() || scratch.raw_codes[i] != prev.codes[i])
                 .count()
         } else {
             n
@@ -169,7 +169,7 @@ impl Octree {
             dirty_nodes(
                 &nodes,
                 sorted_bits,
-                &scratch.prev_sorted,
+                &scratch.prev.sorted,
                 &mut scratch.dirty_prefix,
             )
         } else {
@@ -177,10 +177,11 @@ impl Octree {
         };
 
         // Refresh the cache: the next frame is diffed against this one.
-        scratch.grid = Some((root_bounds, config));
-        scratch.prev_sorted.clear();
-        scratch.prev_sorted.extend_from_slice(sorted_bits);
-        std::mem::swap(&mut scratch.prev_codes, &mut scratch.raw_codes);
+        let prev = &mut scratch.prev;
+        prev.grid = Some((root_bounds, config));
+        prev.sorted.clear();
+        prev.sorted.extend_from_slice(sorted_bits);
+        std::mem::swap(&mut prev.codes, &mut scratch.raw_codes);
 
         Ok(Octree {
             root_bounds,
@@ -531,39 +532,68 @@ fn sort_along_sfc<'a>(
     }
 }
 
-/// Reusable per-stream build state (the octree half of a stream-scoped
-/// preprocessing context).
+/// What the §V-A delta pass needs from a stream's previous frame: its
+/// root grid and its code bits in raw and in SFC order.
 ///
-/// Carries two kinds of state across the frames of one stream:
+/// [`Octree::build_with_scratch`] diffs a frame on the same grid against
+/// it to fill the [`BuildStats`] the delta pass is priced from (`reused`,
+/// `dirty_points`, `nodes_dirty`), then replaces it with the frame just
+/// built. It is the only build state that belongs to a stream: a server
+/// keeps one per open stream and moves it into a worker's
+/// [`OctreeScratch`] for the length of a frame with
+/// [`OctreeScratch::swap_previous`]. It holds 16 bytes per point.
+#[derive(Clone, Debug, Default)]
+pub struct PreviousFrame {
+    /// Root grid of the cached frame; `None` until the first successful
+    /// build.
+    grid: Option<(Aabb, OctreeConfig)>,
+    /// Code bits in raw point order. Bits are comparable across the two
+    /// frames because a frame on the cached grid has the cached config,
+    /// hence the cached level.
+    codes: Vec<u64>,
+    /// The same bits in SFC order: a copy of what that frame's sort
+    /// returned, whose buffer the next sort writes over.
+    sorted: Vec<u64>,
+}
+
+impl PreviousFrame {
+    /// Creates an empty previous frame: the next build through it is
+    /// priced in full.
+    pub fn new() -> PreviousFrame {
+        PreviousFrame::default()
+    }
+
+    /// Forgets the cached frame but keeps its buffers, so the next build
+    /// through it is priced in full and allocates nothing here.
+    pub fn forget(&mut self) {
+        self.grid = None;
+    }
+}
+
+/// Reusable build state: the working set of the octree half of a
+/// preprocessing context, plus the [`PreviousFrame`] it diffs against.
 ///
 /// * **scratch capacity** — every buffer [`Octree::build`] would otherwise
 ///   allocate per frame (the encoder's boundary table, the raw-order code
 ///   bits, the radix sort's two key buffers and second index buffer, and —
 ///   via [`OctreeScratch::recycle`] — the permutation, code array, node
-///   arena and reorganized cloud of a consumed tree);
-/// * **the previous frame** — its root grid and its code bits in raw and
-///   in SFC order, which [`Octree::build_with_scratch`] diffs a frame on
-///   the same grid against to fill the [`BuildStats`] the §V-A delta pass
-///   is priced from (`reused`, `dirty_points`, `nodes_dirty`).
+///   arena and reorganized cloud of a consumed tree). Only the frame in
+///   flight uses it, so one scratch can serve any number of streams in
+///   turn;
+/// * **the previous frame** — see [`PreviousFrame`]. A scratch serving
+///   several streams swaps each stream's own in and out around its frame
+///   ([`OctreeScratch::swap_previous`]).
 ///
 /// The cache feeds pricing only: every build runs the same sort, so the
-/// tree is bit-identical whatever the cache holds. Sharing one scratch
-/// across *unrelated* streams is therefore safe but prices every frame
-/// against a stranger; give each stream its own.
+/// tree is bit-identical whatever the cache holds. Building *unrelated*
+/// streams against one previous frame is therefore safe but prices every
+/// frame against a stranger.
 #[derive(Clone, Debug, Default)]
 pub struct OctreeScratch {
-    /// Root grid of the cached frame; `None` until the first successful
-    /// build.
-    grid: Option<(Aabb, OctreeConfig)>,
-    /// Cached code bits of the previous frame, in raw point order. Bits
-    /// are comparable across the two frames because a frame on the cached
-    /// grid has the cached config, hence the cached level.
-    prev_codes: Vec<u64>,
-    /// The same bits in SFC order: a copy of what that frame's sort
-    /// returned, whose buffer the next sort writes over.
-    prev_sorted: Vec<u64>,
+    /// The frame the next build is diffed against.
+    prev: PreviousFrame,
     /// Working buffer: this frame's code bits in raw point order. The sort
-    /// only reads it, so it survives as the next frame's `prev_codes`.
+    /// only reads it, so it survives as the next frame's previous codes.
     raw_codes: Vec<u64>,
     /// Working buffers: the radix sort's key ping-pong.
     sort_keys: [Vec<u64>; 2],
@@ -606,6 +636,13 @@ impl OctreeScratch {
         self.spare_codes.clear();
         self.spare_perm = permutation;
         self.spare_points = points;
+    }
+
+    /// Exchanges the scratch's previous frame with `prev`, in O(1): the
+    /// next build is diffed against what `prev` held, and `prev` takes the
+    /// frame the scratch last built (or was last handed).
+    pub fn swap_previous(&mut self, prev: &mut PreviousFrame) {
+        std::mem::swap(&mut self.prev, prev);
     }
 }
 
@@ -995,6 +1032,61 @@ mod tests {
             assert_trees_bit_identical(&warm, &expect);
             scratch.recycle(warm);
         }
+    }
+
+    #[test]
+    fn one_scratch_serves_streams_that_swap_their_previous_frames_in() {
+        // Two streams whose root grids differ: one scratch per stream, and
+        // one shared scratch that swaps each stream's previous frame in
+        // around its build, record the same stats frame for frame.
+        let cfg = OctreeConfig::new().max_depth(5).leaf_capacity(2);
+        let stream = |extent: f32, shift: f32| -> PointCloud {
+            let mut cloud = PointCloud::new();
+            cloud.push(Point3::ORIGIN);
+            cloud.push(Point3::splat(extent));
+            for i in 0..90 {
+                let t = i as f32;
+                cloud.push(Point3::new(
+                    (t * 0.37 + shift) % extent,
+                    (t * 0.71 + shift) % extent,
+                    (t * 0.13 + shift) % extent,
+                ));
+            }
+            cloud
+        };
+        let mut own = [OctreeScratch::new(), OctreeScratch::new()];
+        let mut prevs = [PreviousFrame::new(), PreviousFrame::new()];
+        let mut shared = OctreeScratch::new();
+        for frame in 0..4 {
+            for (s, extent) in [9.0f32, 13.0].into_iter().enumerate() {
+                let cloud = stream(extent, frame as f32 * 0.5);
+                let expect = Octree::build_with_scratch(&cloud, cfg, &mut own[s]).unwrap();
+                shared.swap_previous(&mut prevs[s]);
+                let got = Octree::build_with_scratch(&cloud, cfg, &mut shared).unwrap();
+                shared.swap_previous(&mut prevs[s]);
+                assert_eq!(got.build_stats(), expect.build_stats(), "frame {frame}");
+                assert_eq!(got.build_stats().reused, frame > 0);
+                assert_trees_bit_identical(&got, &expect);
+                shared.recycle(got);
+            }
+        }
+        // Between frames the shared scratch holds no stream's frame, and a
+        // forgotten previous frame prices the next build in full.
+        let cloud = stream(9.0, 0.0);
+        assert!(
+            !Octree::build_with_scratch(&cloud, cfg, &mut shared)
+                .unwrap()
+                .build_stats()
+                .reused
+        );
+        prevs[0].forget();
+        shared.swap_previous(&mut prevs[0]);
+        assert!(
+            !Octree::build_with_scratch(&cloud, cfg, &mut shared)
+                .unwrap()
+                .build_stats()
+                .reused
+        );
     }
 
     #[test]

@@ -93,13 +93,13 @@ pub struct RuntimeConfig {
     pub stage_backends: Option<StageBackends>,
     /// Preprocessing state policy for every stream of the run. `None`
     /// (the default) means [`PreprocReuse::default`], i.e. `On`. With
-    /// [`PreprocReuse::On`] each stream owns a
-    /// [`StreamPreprocContext`](hgpcn_system::StreamPreprocContext):
-    /// scratch buffers persist across its frames and consecutive frames
-    /// sharing a root AABB are priced as a §V-A delta pass. Results are
-    /// **bit-identical** either way and the host runs the same build;
-    /// what changes is per-frame allocation and the *modeled*
-    /// preprocessing cost of warm frames. The resolved policy is reported in
+    /// [`PreprocReuse::On`] each stream keeps its
+    /// [`PreviousFrame`](hgpcn_system::PreviousFrame), and consecutive
+    /// frames sharing a root AABB are priced as a §V-A delta pass. Either
+    /// way each pre-processing worker runs every frame through its own
+    /// working set. Results are **bit-identical** either way and the host
+    /// runs the same build; what changes is the *modeled* preprocessing
+    /// cost of warm frames. The resolved policy is reported in
     /// [`RuntimeReport::preproc_reuse`](crate::RuntimeReport::preproc_reuse).
     pub preproc_reuse: Option<PreprocReuse>,
 }

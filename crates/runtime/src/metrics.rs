@@ -99,7 +99,7 @@ pub struct FrameRecord {
     pub wall_infer_s: f64,
     /// Wall-clock instant (relative to run start) the frame completed.
     pub wall_done: Duration,
-    /// Whether preprocessing landed on the stream context's cached grid
+    /// Whether preprocessing landed on the stream's previous root grid
     /// and was priced as the temporal-coherence delta pass. Always
     /// `false` when the run's reuse policy is `off`. Modeled-cost
     /// provenance only: the host build is the same, and warm and cold

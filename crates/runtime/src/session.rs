@@ -37,7 +37,7 @@ use hgpcn_geometry::PointCloud;
 use hgpcn_pcn::{InferenceOutput, PointNet, StageBackends};
 use hgpcn_system::{
     E2ePipeline, E2eReport, InferenceEngine, InferenceReport, PhaseReport, PreprocReuse,
-    StreamPreprocContext, SystemError,
+    PreviousFrame, StreamPreprocContext, SystemError,
 };
 use hgpcn_telemetry::{EventKind, SpanRecorder, TraceCollector, WorkerId};
 
@@ -77,34 +77,41 @@ struct StageJob {
 }
 
 // ---------------------------------------------------------------------
-// Stream-scoped preprocessing contexts (`PreprocReuse::On`).
+// Stream-scoped previous frames (`PreprocReuse::On`).
+//
+// Each pre-processing worker owns one working set (`StreamPreprocContext`)
+// and a stream owns only its previous frame, which the worker swaps into
+// its working set for the length of the stream's frame.
 //
 // A frame's *results* are bit-identical from any cache state, but its
 // modeled cost (warm vs cold, dirty counts) depends on which frame last
 // primed the cache. To keep modeled latencies a pure function of
-// submission order at any worker count, context updates are serialized
-// into frame order per stream: the worker holding frame f waits for its
-// turn (`next == f`), frames evicted before preprocessing are skipped
-// over, and teardown aborts the turn discipline so waiters never
+// submission order at any worker count, previous-frame updates are
+// serialized into frame order per stream: the worker holding frame f waits
+// for its turn (`next == f`), frames evicted before preprocessing are
+// skipped over, and teardown aborts the turn discipline so waiters never
 // outlive the run. Deadlock-free by induction: ingress pops are FIFO,
 // so the earliest-popped unfinished frame's stream predecessors have
 // all finished — its worker never waits.
 // ---------------------------------------------------------------------
 
-/// One stream's context slot: the [`StreamPreprocContext`] plus the
-/// turn state serializing its updates into frame order.
+/// One stream's context slot: its [`PreviousFrame`] and warm/cold tally,
+/// plus the turn state serializing their updates into frame order.
 struct CtxSlot {
     inner: Mutex<CtxInner>,
     turn: Condvar,
 }
 
 struct CtxInner {
-    /// The next frame index allowed to update the context.
+    /// The next frame index allowed to update the previous frame.
     next: usize,
     /// Admitted frames evicted before preprocessing; `next` advances
     /// over them instead of waiting for work that will never arrive.
     skipped: BTreeSet<usize>,
-    ctx: StreamPreprocContext,
+    prev: PreviousFrame,
+    /// Frames priced as the delta pass, and frames priced in full.
+    hits: u64,
+    misses: u64,
 }
 
 impl CtxSlot {
@@ -113,7 +120,9 @@ impl CtxSlot {
             inner: Mutex::new(CtxInner {
                 next: 0,
                 skipped: BTreeSet::new(),
-                ctx: StreamPreprocContext::new(),
+                prev: PreviousFrame::new(),
+                hits: 0,
+                misses: 0,
             }),
             turn: Condvar::new(),
         }
@@ -203,7 +212,7 @@ impl CtxRegistry {
             .iter()
             .map(|slot| {
                 let inner = slot.inner.lock().expect("preproc context poisoned");
-                (inner.ctx.hits(), inner.ctx.misses())
+                (inner.hits, inner.misses)
             })
             .collect()
     }
@@ -300,7 +309,7 @@ struct SessionCore {
     /// Resolved once per session: the config pin if set, else the
     /// default policy (`On`).
     reuse: PreprocReuse,
-    /// Per-stream preprocessing contexts (warm caches + turn state).
+    /// Per-stream previous frames, warm/cold tallies and turn state.
     contexts: CtxRegistry,
     ingress: BoundedQueue<PreprocJob>,
     stage: BoundedQueue<StageJob>,
@@ -730,6 +739,10 @@ fn preproc_worker(core: &SessionCore, pipeline: &E2ePipeline, w: usize) {
     };
     let mut recorder = SpanRecorder::new(WorkerId::preproc(w), core.started, core.traced);
     let mut vclock = 0.0f64;
+    // The worker's working set, shared by every stream it serves.
+    let mut ctx = StreamPreprocContext::new();
+    // `Off`: the previous frame every frame runs against, forgotten first.
+    let mut cold = PreviousFrame::new();
     while let Some((job, ticket)) = core.ingress.pop() {
         let PreprocJob {
             frame,
@@ -742,11 +755,11 @@ fn preproc_worker(core: &SessionCore, pipeline: &E2ePipeline, w: usize) {
             virtual_arrival_s,
         );
         let seed = frame_seed(core.config.seed, frame.stream_id, frame.frame_index);
-        // `On`: the frame runs through its stream's context under the
-        // context turn, so cache state — and therefore modeled cost — is
-        // a pure function of submission order at any worker count.
-        // `Off`: a throwaway context outside the turn discipline (a fresh
-        // context is always cold — the anchor pricing).
+        // `On`: the frame runs against its stream's previous frame under
+        // the stream's turn, so cache state — and therefore modeled cost —
+        // is a pure function of submission order at any worker count.
+        // `Off`: an empty previous frame outside the turn discipline (the
+        // anchor pricing).
         let slot = core.contexts.slot(frame.stream_id);
         let mut turn = (core.reuse == PreprocReuse::On).then(|| {
             let mut inner = slot.inner.lock().expect("preproc context poisoned");
@@ -755,11 +768,14 @@ fn preproc_worker(core: &SessionCore, pipeline: &E2ePipeline, w: usize) {
             }
             inner
         });
-        let mut throwaway = StreamPreprocContext::new();
-        let ctx = match &mut turn {
-            Some(inner) => &mut inner.ctx,
-            None => &mut throwaway,
+        let prev = match &mut turn {
+            Some(inner) => &mut inner.prev,
+            None => {
+                cold.forget();
+                &mut cold
+            }
         };
+        ctx.swap_previous(prev);
         // Wall time is measured around the engine call only, excluding
         // the turn wait.
         let wall0 = Instant::now();
@@ -770,7 +786,7 @@ fn preproc_worker(core: &SessionCore, pipeline: &E2ePipeline, w: usize) {
                 core.config.target_points,
                 seed,
                 core.stages.sampling,
-                ctx,
+                &mut ctx,
             )
             .map(|mut out| {
                 let latency = out.total_latency();
@@ -786,7 +802,13 @@ fn preproc_worker(core: &SessionCore, pipeline: &E2ePipeline, w: usize) {
                     wall0.elapsed().as_secs_f64(),
                 )
             });
+        ctx.swap_previous(prev);
         if let Some(inner) = &mut turn {
+            match &processed {
+                Ok((.., true, _)) => inner.hits += 1,
+                Ok(_) => inner.misses += 1,
+                Err(_) => {}
+            }
             // Pass the turn whether the frame succeeded or failed;
             // successors must not wait on a frame that already resolved.
             slot.advance_locked(inner, frame.frame_index);

@@ -198,33 +198,73 @@ fn warm_pattern_is_deterministic_across_worker_counts() {
     }
 }
 
-#[test]
-fn two_streams_keep_independent_caches() {
-    // Two streams submitting interleaved frames: each keeps its own
-    // context, so stream A's cadence never pollutes stream B's cache.
-    // B's frames carry an extra outlier so the two streams' root grids
-    // differ every frame — shared state would miss constantly.
-    let scene = DriftingScene::new(DriftingSceneConfig::default(), 33);
-    let serving = ServingRuntime::start(config(PreprocReuse::On, 2, 1), net()).unwrap();
+/// Two streams' interleaved frames through one serving session: the
+/// per-frame results in submission order, and the report.
+fn run_two_streams(
+    cfg: RuntimeConfig,
+    scene: &DriftingScene,
+) -> (
+    Vec<hgpcn_runtime::FrameResult>,
+    hgpcn_runtime::RuntimeReport,
+) {
+    let serving = ServingRuntime::start(cfg, net()).unwrap();
     let a = serving.open_stream(StreamProfile::new("a")).unwrap();
     let b = serving.open_stream(StreamProfile::new("b")).unwrap();
     let mut tickets = Vec::new();
     for i in 0..4 {
         let cloud = scene.frame(i);
-        tickets.push((true, a.submit(i as f64 / FPS, cloud.clone()).unwrap()));
+        tickets.push(a.submit(i as f64 / FPS, cloud.clone()).unwrap());
         let mut grown = cloud;
         grown.push(Point3::splat(scene.bounds().max().x * 3.0));
-        tickets.push((false, b.submit(i as f64 / FPS, grown).unwrap()));
+        tickets.push(b.submit(i as f64 / FPS, grown).unwrap());
     }
-    for (_, t) in &tickets {
-        assert!(matches!(serving.wait(*t).unwrap(), FrameStatus::Done(_)));
+    let results = tickets
+        .into_iter()
+        .map(|t| match serving.wait(t).unwrap() {
+            FrameStatus::Done(result) => *result,
+            other => panic!("frame {t:?} did not complete: {other:?}"),
+        })
+        .collect();
+    (results, serving.shutdown().unwrap())
+}
+
+#[test]
+fn two_streams_keep_independent_caches() {
+    // Two streams submitting interleaved frames: each keeps its own
+    // previous frame, so stream A's cadence never pollutes stream B's
+    // cache. B's frames carry an extra outlier so the two streams' root
+    // grids differ every frame — shared state would miss constantly. With
+    // one pre-processing worker, one working set serves both streams.
+    let scene = DriftingScene::new(DriftingSceneConfig::default(), 33);
+    let (cold, _) = run_two_streams(config(PreprocReuse::Off, 1, 1), &scene);
+    for workers in [2, 1] {
+        let (results, report) = run_two_streams(config(PreprocReuse::On, workers, 1), &scene);
+        // Per-stream caches: each stream misses only its first frame.
+        for s in &report.streams {
+            assert_eq!(
+                s.preproc_reuse_hits, 3,
+                "{workers} workers, stream {}",
+                s.name
+            );
+            assert_eq!(
+                s.preproc_reuse_misses, 1,
+                "{workers} workers, stream {}",
+                s.name
+            );
+        }
+        assert_eq!(report.preproc_reuse_hits, 6);
+        assert_eq!(report.preproc_reuse_misses, 2);
+        // And the results are those of the stateless anchor.
+        for (i, (w, c)) in results.iter().zip(&cold).enumerate() {
+            assert_eq!(
+                w.output.logits, c.output.logits,
+                "{workers} workers, frame {i}"
+            );
+            assert_eq!(
+                w.record.preproc_reused,
+                i >= 2,
+                "{workers} workers, frame {i}"
+            );
+        }
     }
-    let report = serving.shutdown().unwrap();
-    // Per-stream caches: each stream misses only its first frame.
-    for s in &report.streams {
-        assert_eq!(s.preproc_reuse_hits, 3, "stream {}", s.name);
-        assert_eq!(s.preproc_reuse_misses, 1, "stream {}", s.name);
-    }
-    assert_eq!(report.preproc_reuse_hits, 6);
-    assert_eq!(report.preproc_reuse_misses, 2);
 }

@@ -47,8 +47,8 @@ struct LeafCursor {
     hi: u32,
 }
 
-/// Reusable OIS working memory for one stream of frames — the sampling half
-/// of a stream-scoped preprocessing context. Holds the remaining-count
+/// Reusable OIS working memory for a sequence of frames — the sampling half
+/// of a preprocessing context. Holds the remaining-count
 /// array, the leaf cursors, the descent path, and the scoreboard's column
 /// arrays, so repeated [`sample_with_scratch`] calls allocate nothing.
 ///
@@ -545,10 +545,10 @@ pub fn sample_with(
     sample_inner(octree, table, mem, k, seed, None, kernel, None)
 }
 
-/// [`sample_with`] reusing a stream's [`OisScratch`] buffers instead of
+/// [`sample_with`] reusing an [`OisScratch`]'s buffers instead of
 /// allocating fresh working memory. Bit-identical indices and counts to
 /// the scratch-free entry points — the scratch is a pure allocation
-/// eliminator for stream-scoped preprocessing contexts.
+/// eliminator for preprocessing contexts.
 ///
 /// # Errors
 ///

@@ -39,8 +39,8 @@ pub struct PreprocessOutput {
     pub transfer_latency: Latency,
     /// Modeled latency of the FPGA down-sampling.
     pub sample_latency: Latency,
-    /// `true` when the frame landed on the cached root grid of a
-    /// stream-scoped context ([`PreprocessingEngine::run_with_context`]);
+    /// `true` when the frame landed on the root grid of the context's
+    /// previous frame ([`PreprocessingEngine::run_with_context`]);
     /// always `false` on the stateless entry points. The host build and
     /// its results are the same either way — this flag records which cost
     /// model priced `build_counts`/`build_latency`.
@@ -152,8 +152,9 @@ impl PreprocessingEngine {
     /// [`PreprocessingEngine::run`] with an explicit scoreboard-scan
     /// backend instead of the default. All backends pick bit-identical
     /// samples with identical modeled counts, so this is a host-speed
-    /// knob only — the runtime uses it to honor a per-run
-    /// `StageBackends` selection.
+    /// knob only. This is the stateless anchor that
+    /// [`PreprocessingEngine::run_with_context`], the runtime's entry
+    /// point, is checked against.
     ///
     /// # Errors
     ///
@@ -194,11 +195,14 @@ impl PreprocessingEngine {
         )
     }
 
-    /// Runs the engine on one frame of a stream through that stream's
+    /// Runs the engine on one frame of a stream through a
     /// [`StreamPreprocContext`]: the octree build and OIS run through the
     /// context's recycled buffers (arena, code arrays, scoreboard,
-    /// host-memory image), the frame is diffed against the cached previous
-    /// one, and the context's hit/miss tally advances.
+    /// host-memory image), the frame is diffed against the context's
+    /// previous frame, which the frame then replaces, and the context's
+    /// hit/miss tally advances. A context serving several streams is
+    /// handed each stream's previous frame first
+    /// ([`StreamPreprocContext::swap_previous`]).
     ///
     /// Outputs are **bit-identical** to [`PreprocessingEngine::run_using`]
     /// on the same frame; when the frame's root AABB matches the cached

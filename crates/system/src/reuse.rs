@@ -1,17 +1,21 @@
-//! The preprocessing-reuse dispatch seam and the stream-scoped context it
-//! selects.
+//! The preprocessing-reuse dispatch seam and the context it selects.
 //!
 //! PR 8 made the preprocessing *stages* swappable kernels; this seam makes
 //! the preprocessing *state policy* swappable the same way. With reuse
-//! [`PreprocReuse::On`], the runtime gives every open stream a
-//! [`StreamPreprocContext`] and runs frames through
-//! [`PreprocessingEngine::run_with_context`]: scratch buffers (octree
-//! arena, Morton/sort workspace, sampling scoreboard, host-memory image)
-//! persist across the stream's frames, and a frame sharing the previous
-//! frame's root AABB is *priced* as the §V-A delta pass over the points
-//! and table rows that changed. With [`PreprocReuse::Off`] (the anchor),
-//! preprocessing is stateless per frame and every build is priced in
-//! full.
+//! [`PreprocReuse::On`], a frame runs through
+//! [`PreprocessingEngine::run_with_context`] against its stream's
+//! [`PreviousFrame`] (root grid plus m-codes, 16 bytes per point), and a
+//! frame sharing that root AABB is *priced* as the §V-A delta pass over
+//! the points and table rows that changed. With [`PreprocReuse::Off`] (the
+//! anchor), every frame runs against an empty previous frame and every
+//! build is priced in full.
+//!
+//! The working set is a separate thing. A [`StreamPreprocContext`] holds
+//! the scratch buffers (octree arena, Morton/sort workspace, sampling
+//! scoreboard, host-memory image), about 95 bytes per point that only the
+//! frame in flight uses. The runtime keeps one per pre-processing worker,
+//! not one per stream, and swaps the stream's previous frame in and out
+//! around each frame ([`StreamPreprocContext::swap_previous`]).
 //!
 //! There is one host build path: reuse is recycled buffers plus modeled
 //! delta pricing, never a second sort. Seeding the sort from the cached
@@ -24,8 +28,7 @@
 //!
 //! Either way the outputs are **bit-identical** — by construction, and
 //! proptested against [`Octree::build`](hgpcn_octree::Octree::build) — so,
-//! like the stage kernels, this knob trades allocation and modeled cost,
-//! never results.
+//! like the stage kernels, this knob trades modeled cost, never results.
 //!
 //! The default policy is a constant ([`PreprocReuse::default`] is `on`);
 //! a `RuntimeConfig::preproc_reuse` pin selects the stateless anchor for
@@ -37,6 +40,7 @@
 
 use hgpcn_memsim::HostMemory;
 use hgpcn_octree::OctreeScratch;
+pub use hgpcn_octree::PreviousFrame;
 use hgpcn_sampling::ois::OisScratch;
 
 /// The preprocessing state policy: stateless per frame, or stream-scoped
@@ -45,11 +49,11 @@ use hgpcn_sampling::ois::OisScratch;
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum PreprocReuse {
-    /// The anchor: stateless preprocessing, fresh working memory and a
-    /// fully priced octree build for every frame.
+    /// The anchor: no previous frame, so every octree build is priced in
+    /// full.
     Off,
-    /// Stream-scoped contexts: per-stream recycled buffers plus §V-A
-    /// delta pricing when consecutive frames share a root grid.
+    /// Each stream keeps its previous frame, and a frame on that frame's
+    /// root grid is priced as the §V-A delta pass.
     #[default]
     On,
 }
@@ -64,16 +68,17 @@ impl PreprocReuse {
     }
 }
 
-/// Stream-scoped preprocessing state: everything one stream's frames share
-/// across the preprocessing phase.
+/// The preprocessing working set: the buffers one frame in flight uses,
+/// plus the previous frame that frame is diffed against.
 ///
-/// Owned by the runtime, one per open stream (there is no `close_stream`
-/// yet, so contexts are freed when the runtime shuts down). Carries the
-/// octree build scratch with its previous-frame cache, the OIS sampling
-/// scratch, a reusable host-memory image, and the stream's warm-hit/miss
-/// tally. The context
-/// never changes results: they are bit-identical whether frames run
-/// through a fresh context or a primed one.
+/// Carries the octree build scratch with its [`PreviousFrame`], the OIS
+/// sampling scratch, a reusable host-memory image, and a warm-hit/miss
+/// tally of the frames it ran. Used alone, it serves one stream. The
+/// runtime instead owns one per pre-processing worker and hands it each
+/// stream's previous frame in turn with
+/// [`StreamPreprocContext::swap_previous`]. The context never changes
+/// results: they are bit-identical whether frames run through a fresh
+/// context or a primed one.
 #[derive(Clone, Debug)]
 pub struct StreamPreprocContext {
     pub(crate) octree: OctreeScratch,
@@ -95,15 +100,15 @@ impl StreamPreprocContext {
         }
     }
 
-    /// Frames of this stream that landed on the cached grid and were
-    /// priced as the delta pass.
+    /// Frames run through this context that landed on the cached grid and
+    /// were priced as the delta pass.
     #[inline]
     pub fn hits(&self) -> u64 {
         self.hits
     }
 
     /// Frames priced as a full build (first frame, AABB drift, or config
-    /// change). A stream whose hit count stays at zero while frames flow
+    /// change). A context whose hit count stays at zero while frames flow
     /// is the ≈1.0-warm-ratio diagnostic: reuse is on but never engaging.
     #[inline]
     pub fn misses(&self) -> u64 {
@@ -115,6 +120,14 @@ impl StreamPreprocContext {
     /// Purely a capacity optimization; skipping it never affects results.
     pub fn recycle(&mut self, output: crate::PreprocessOutput) {
         self.octree.recycle(output.octree);
+    }
+
+    /// Exchanges the context's previous frame with `prev`, in O(1): the
+    /// next frame is diffed against what `prev` held, and `prev` takes the
+    /// previous frame the context held. Swapping again after that frame
+    /// hands `prev` the frame just run and gives the context back its own.
+    pub fn swap_previous(&mut self, prev: &mut PreviousFrame) {
+        self.octree.swap_previous(prev);
     }
 }
 
