@@ -3,12 +3,12 @@
 //! `crates/bench/README.md` are reproducible locally:
 //!
 //! ```bash
-//! cargo bench -p hgpcn-bench --features simd --bench kernel_matmul
+//! cargo bench -p hgpcn-bench --bench kernel_matmul
 //! ```
 //!
 //! One group per matrix shape, one benchmark per backend
-//! (`reference` / `blocked` / `avx2` / `avx512` when compiled in and
-//! supported).
+//! (`reference` / `blocked` / `avx2` / `avx512` where the CPU supports
+//! it).
 //! Inputs are dense (no exact zeros), so elements/s × 1e-9 reads
 //! directly as GMAC/s. Shapes:
 //!

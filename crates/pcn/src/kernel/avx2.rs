@@ -1,4 +1,4 @@
-//! The explicit-AVX2 backend (`simd` feature, x86_64 only).
+//! The explicit-AVX2 backend (x86_64 only, selected by CPUID).
 //!
 //! Vectorizes **across output columns**: each 8-lane `__m256`
 //! accumulator owns 8 output elements, seeded from the bias and updated

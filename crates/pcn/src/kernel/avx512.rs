@@ -1,4 +1,4 @@
-//! The explicit-AVX-512F backend (`simd` feature, x86_64 only).
+//! The explicit-AVX-512F backend (x86_64 only, selected by CPUID).
 //!
 //! The AVX2 backend's schedule (`avx2.rs`) on 16-lane `__m512` vectors:
 //! each accumulator owns 16 output columns, is seeded from the bias, and

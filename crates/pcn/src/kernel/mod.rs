@@ -1,4 +1,4 @@
-//! Pluggable matmul kernel backends selected by build features and CPUID.
+//! Pluggable matmul kernel backends selected by CPUID.
 //!
 //! Every dense layer in the workspace funnels through a single
 //! primitive: `y = x · w + bias`, applied row-wise with an optional
@@ -22,22 +22,21 @@
 //! reference path while ISA-specific backends slot in underneath — in
 //! the spirit of a microkernel decomposition, mechanism (the MAC loops)
 //! is separated from policy (which loop to run), and the policy is a
-//! function of the build and the CPU alone: with the `simd` feature
-//! compiled in, [`fastest_supported`] picks AVX-512 when runtime
-//! detection (`is_x86_feature_detected!`) reports AVX-512F, else AVX2
-//! when it reports AVX2; otherwise it picks the blocked scalar kernel.
-//! Tests and yardsticks pin a backend programmatically with
+//! function of the CPU alone: [`fastest_supported`] picks AVX-512 when
+//! runtime detection (`is_x86_feature_detected!`) reports AVX-512F, else
+//! AVX2 when it reports AVX2; otherwise it picks the blocked scalar
+//! kernel. Tests and yardsticks pin a backend programmatically with
 //! [`PointNet::with_kernel`](crate::PointNet::with_kernel).
 //!
-//! The AVX2 and AVX-512 backends only exist under the `simd` cargo
-//! feature; without it the crate compiles with no unsafe code at all.
+//! The AVX2 and AVX-512 backends are compiled into every `x86_64` build
+//! and are the crate's only unsafe code; other targets have neither.
 
 mod scalar;
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 mod avx2;
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 mod avx512;
 
 use crate::Matrix;
@@ -79,15 +78,14 @@ pub enum LinearKernel {
     /// Explicit AVX2 `std::arch` intrinsics: 8-lane vectors across
     /// output columns in 32/16/8-column tiles, scalar tail. Uses
     /// separate multiply and add (no FMA) to keep scalar rounding.
-    /// Only compiled under the `simd` cargo feature; only *selected*
-    /// when the CPU reports AVX2.
-    #[cfg(feature = "simd")]
+    /// Compiled on `x86_64`; only *selected* when the CPU reports AVX2.
+    #[cfg(target_arch = "x86_64")]
     Avx2,
     /// Explicit AVX-512F `std::arch` intrinsics: the AVX2 schedule on
     /// 16-lane vectors in 64-column tiles, with masked column tails.
-    /// Only compiled under the `simd` cargo feature; only *selected*
-    /// when the CPU reports AVX-512F.
-    #[cfg(feature = "simd")]
+    /// Compiled on `x86_64`; only *selected* when the CPU reports
+    /// AVX-512F.
+    #[cfg(target_arch = "x86_64")]
     Avx512,
 }
 
@@ -97,9 +95,9 @@ impl LinearKernel {
         match self {
             LinearKernel::Reference => "reference",
             LinearKernel::Blocked => "blocked",
-            #[cfg(feature = "simd")]
+            #[cfg(target_arch = "x86_64")]
             LinearKernel::Avx2 => "avx2",
-            #[cfg(feature = "simd")]
+            #[cfg(target_arch = "x86_64")]
             LinearKernel::Avx512 => "avx512",
         }
     }
@@ -110,9 +108,9 @@ impl LinearKernel {
     pub fn is_supported(&self) -> bool {
         match self {
             LinearKernel::Reference | LinearKernel::Blocked => true,
-            #[cfg(feature = "simd")]
+            #[cfg(target_arch = "x86_64")]
             LinearKernel::Avx2 => avx2_detected(),
-            #[cfg(feature = "simd")]
+            #[cfg(target_arch = "x86_64")]
             LinearKernel::Avx512 => avx512_detected(),
         }
     }
@@ -124,9 +122,9 @@ impl LinearKernel {
         &[
             LinearKernel::Reference,
             LinearKernel::Blocked,
-            #[cfg(feature = "simd")]
+            #[cfg(target_arch = "x86_64")]
             LinearKernel::Avx2,
-            #[cfg(feature = "simd")]
+            #[cfg(target_arch = "x86_64")]
             LinearKernel::Avx512,
         ]
     }
@@ -187,68 +185,47 @@ impl LinearKernel {
         match self {
             LinearKernel::Reference => scalar::reference(task, y),
             LinearKernel::Blocked => scalar::blocked(task, y),
-            #[cfg(feature = "simd")]
+            #[cfg(target_arch = "x86_64")]
             LinearKernel::Avx2 => {
-                #[cfg(target_arch = "x86_64")]
-                {
-                    assert!(
-                        avx2_detected(),
-                        "the AVX2 kernel was invoked on a CPU without AVX2; \
-                         use kernel::fastest_supported() for checked dispatch"
-                    );
-                    avx2::run(task, y);
-                }
-                #[cfg(not(target_arch = "x86_64"))]
-                panic!("the AVX2 kernel is only available on x86_64 hosts");
+                assert!(
+                    avx2_detected(),
+                    "the AVX2 kernel was invoked on a CPU without AVX2; \
+                     use kernel::fastest_supported() for checked dispatch"
+                );
+                avx2::run(task, y);
             }
-            #[cfg(feature = "simd")]
+            #[cfg(target_arch = "x86_64")]
             LinearKernel::Avx512 => {
-                #[cfg(target_arch = "x86_64")]
-                {
-                    assert!(
-                        avx512_detected(),
-                        "the AVX-512 kernel was invoked on a CPU without AVX-512F; \
-                         use kernel::fastest_supported() for checked dispatch"
-                    );
-                    avx512::run(task, y);
-                }
-                #[cfg(not(target_arch = "x86_64"))]
-                panic!("the AVX-512 kernel is only available on x86_64 hosts");
+                assert!(
+                    avx512_detected(),
+                    "the AVX-512 kernel was invoked on a CPU without AVX-512F; \
+                     use kernel::fastest_supported() for checked dispatch"
+                );
+                avx512::run(task, y);
             }
         }
     }
 }
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 fn avx2_detected() -> bool {
     is_x86_feature_detected!("avx2")
 }
 
-#[cfg(all(feature = "simd", not(target_arch = "x86_64")))]
-fn avx2_detected() -> bool {
-    false
-}
-
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 fn avx512_detected() -> bool {
     is_x86_feature_detected!("avx512f")
 }
 
-#[cfg(all(feature = "simd", not(target_arch = "x86_64")))]
-fn avx512_detected() -> bool {
-    false
-}
-
-/// The fastest backend the build *and* the running CPU support: with
-/// the `simd` feature compiled in, AVX-512 when the CPU reports
-/// AVX-512F, else AVX2 when it reports AVX2; otherwise (or without the
-/// feature) the blocked scalar kernel. This is the backend every
+/// The fastest backend the running CPU supports: AVX-512 when it
+/// reports AVX-512F, else AVX2 when it reports AVX2; otherwise (or off
+/// `x86_64`) the blocked scalar kernel. This is the backend every
 /// [`Matrix::linear`] / [`Matrix::linear_fused`] call and every freshly
 /// constructed [`PointNet`](crate::PointNet) dispatches to (the
 /// detection result is cached by `std`, so calling it per GEMM is one
 /// relaxed load).
 pub fn fastest_supported() -> LinearKernel {
-    #[cfg(feature = "simd")]
+    #[cfg(target_arch = "x86_64")]
     for k in [LinearKernel::Avx512, LinearKernel::Avx2] {
         if k.is_supported() {
             return k;
@@ -312,8 +289,8 @@ mod tests {
     /// shows as a missing speed-up on a wall clock; here it is a failed
     /// equality.
     #[test]
-    fn dispatch_selects_the_fastest_compiled_backend() {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    fn dispatch_selects_the_fastest_supported_backend() {
+        #[cfg(target_arch = "x86_64")]
         let want = if is_x86_feature_detected!("avx512f") {
             LinearKernel::Avx512
         } else if is_x86_feature_detected!("avx2") {
@@ -321,7 +298,7 @@ mod tests {
         } else {
             LinearKernel::Blocked
         };
-        #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+        #[cfg(not(target_arch = "x86_64"))]
         let want = LinearKernel::Blocked;
         assert_eq!(fastest_supported(), want);
         let net = crate::PointNet::new(crate::PointNetConfig::classification(), 1);

@@ -20,8 +20,8 @@
 //!
 //! The matmul itself is pluggable too: every dense layer dispatches to a
 //! [`kernel::LinearKernel`] backend (reference scalar, cache-blocked
-//! scalar, explicit AVX2 and AVX-512 under the `simd` feature), selected by build
-//! features and runtime CPU detection and pinnable with
+//! scalar, explicit AVX2 and AVX-512 on `x86_64`), selected by runtime
+//! CPU detection and pinnable with
 //! [`PointNet::with_kernel`]. All backends are bit-identical by
 //! contract, so the kernel choice moves host speed, never results — see
 //! the [`kernel`] module docs.
@@ -32,8 +32,8 @@
 //! as a [`stage::StageBackends`] selection.
 
 // `deny` rather than `forbid`: the explicit-SIMD backends in
-// `kernel::avx2` and `kernel::avx512` (compiled only under the `simd`
-// feature) each carry a safety-commented `#![allow(unsafe_code)]`;
+// `kernel::avx2` and `kernel::avx512` (compiled into every `x86_64`
+// build) each carry a safety-commented `#![allow(unsafe_code)]`;
 // everything else still refuses unsafe code outright.
 #![deny(unsafe_code)]
 #![deny(missing_docs)]

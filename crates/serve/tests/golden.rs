@@ -23,6 +23,17 @@ fn app() -> App {
     App::new(config(), default_net(SEED)).unwrap()
 }
 
+/// The backend name `stream_stats` should report on this host.
+fn fastest_gemm() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx512f") {
+        return "avx512";
+    } else if is_x86_feature_detected!("avx2") {
+        return "avx2";
+    }
+    "blocked"
+}
+
 fn get(app: &App, path: &str) -> Response {
     app.handle(&Request {
         method: "GET".to_string(),
@@ -247,6 +258,9 @@ fn full_serving_flow_over_the_wire_format() {
     assert_eq!(doc.num("result.total_frames"), Some(1.0));
     assert_eq!(doc.arr("result.streams").map(<[Json]>::len), Some(1));
     assert!(doc.path("result.precision").is_none());
+    // The served GEMM is the fastest one this CPU runs, worked out here
+    // from CPUID rather than from the crate's own dispatch.
+    assert_eq!(doc.str_at("result.kernel_backend"), Some(fastest_gemm()));
     // The preprocessing state policy is surfaced, never hidden: the
     // resolved policy name plus the warm/cold tally for this run.
     let policy = doc.str_at("result.preproc_reuse.policy").unwrap();
