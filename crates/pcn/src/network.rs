@@ -106,7 +106,7 @@ type LayerWeights = (Matrix, Vec<f32>);
 /// assert_eq!(out.logits.cols(), 40);
 /// # Ok::<(), hgpcn_pcn::PcnError>(())
 /// ```
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct PointNet {
     config: PointNetConfig,
     stage_weights: Vec<Vec<LayerWeights>>,

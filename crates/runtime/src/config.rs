@@ -6,21 +6,10 @@ use hgpcn_telemetry::TelemetryMode;
 
 use crate::RuntimeError;
 
-/// How the scheduler interleaves frames from multiple streams.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum AdmissionPolicy {
-    /// Visit streams in a fixed cycle, one frame per turn.
-    #[default]
-    RoundRobin,
-    /// Smooth weighted round-robin: streams are visited in proportion
-    /// to their [`StreamSpec::weight`](crate::StreamSpec::weight).
-    WeightedFair,
-}
-
-/// What the admission thread does when the ingress queue is full.
+/// What admission does when the ingress queue is full.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum BackpressurePolicy {
-    /// Block admission until a worker frees a slot (lossless).
+    /// Block the submitter until a worker frees a slot (lossless).
     #[default]
     Block,
     /// Evict the oldest queued frame to make room (bounded latency,
@@ -54,8 +43,6 @@ pub struct RuntimeConfig {
     pub inference_workers: usize,
     /// Capacity of each inter-stage frame queue.
     pub queue_capacity: usize,
-    /// Multi-stream interleaving policy.
-    pub admission: AdmissionPolicy,
     /// Ingress-queue overflow policy.
     pub backpressure: BackpressurePolicy,
     /// Virtual arrival-time model.
@@ -110,7 +97,6 @@ impl Default for RuntimeConfig {
             preproc_workers: 1,
             inference_workers: 1,
             queue_capacity: 8,
-            admission: AdmissionPolicy::RoundRobin,
             backpressure: BackpressurePolicy::Block,
             arrival: ArrivalModel::Sensor,
             target_points: 1024,
@@ -139,12 +125,6 @@ impl RuntimeConfig {
     /// Sets the capacity of the inter-stage queues.
     pub fn queue_capacity(mut self, n: usize) -> Self {
         self.queue_capacity = n;
-        self
-    }
-
-    /// Sets the multi-stream admission policy.
-    pub fn admission(mut self, policy: AdmissionPolicy) -> Self {
-        self.admission = policy;
         self
     }
 
@@ -248,7 +228,6 @@ mod tests {
             .preproc_workers(3)
             .inference_workers(2)
             .queue_capacity(5)
-            .admission(AdmissionPolicy::WeightedFair)
             .backpressure(BackpressurePolicy::DropOldest)
             .arrival(ArrivalModel::Backlogged)
             .target_points(256)
@@ -260,7 +239,6 @@ mod tests {
         assert_eq!(cfg.preproc_workers, 3);
         assert_eq!(cfg.inference_workers, 2);
         assert_eq!(cfg.queue_capacity, 5);
-        assert_eq!(cfg.admission, AdmissionPolicy::WeightedFair);
         assert_eq!(cfg.backpressure, BackpressurePolicy::DropOldest);
         assert_eq!(cfg.arrival, ArrivalModel::Backlogged);
         assert_eq!(cfg.target_points, 256);

@@ -1,13 +1,14 @@
-//! The batch runtime front end: run a pre-registered fleet of
-//! [`FrameSource`](crate::FrameSource) streams to completion.
+//! Batch runs: a pre-registered fleet of
+//! [`FrameSource`](crate::FrameSource) streams served to completion.
 //!
-//! Thread topology (identical for the batch runner and the live
-//! [`ServingRuntime`](crate::ServingRuntime) — both execute the
-//! session core's worker loops):
+//! [`Runtime::run`] is a client of [`ServingRuntime`], the one front end
+//! of the session core: it opens a stream per spec, pulls frames
+//! round-robin on the caller's thread and submits them, and returns the
+//! shutdown report. Thread topology:
 //!
 //! ```text
-//! admission ──► [ingress queue] ──► preproc pool ──► [stage queue] ──► inference pool ──► records
-//!  (scheduler)     bounded            P workers         bounded           I workers
+//! caller ──submit──► [ingress queue] ──► preproc pool ──► [stage queue] ──► inference pool ──► tickets
+//! (scheduler)           bounded            P workers         bounded           I workers
 //! ```
 //!
 //! Pre-processing of frame *t+1* overlaps inference of frame *t* in
@@ -23,21 +24,26 @@
 //! frame-to-worker assignment and may shift virtual queueing times
 //! slightly between runs.
 
+use std::collections::VecDeque;
+use std::sync::Arc;
+
 use hgpcn_pcn::PointNet;
 use hgpcn_system::E2ePipeline;
 
 use crate::config::RuntimeConfig;
 use crate::metrics::RuntimeReport;
+use crate::scheduler::Scheduler;
+use crate::session::{FrameStatus, ServingRuntime};
 use crate::stream::StreamSpec;
 use crate::RuntimeError;
 
-/// The concurrent multi-stream serving runtime, batch front end.
+/// The concurrent multi-stream runtime, run to completion over a fixed
+/// fleet.
 ///
-/// Drives the session core to completion over a
-/// fixed fleet; for open-ended serving (submit frames one at a time,
-/// poll results, live stats) use
-/// [`ServingRuntime`](crate::ServingRuntime) — the two share the worker
-/// loops, so their per-frame results are bit-identical.
+/// A client of [`ServingRuntime`](crate::ServingRuntime), which serves
+/// open-ended workloads (submit frames one at a time, poll results, live
+/// stats); the same frames in the same order give bit-identical
+/// per-frame results through either.
 #[derive(Debug)]
 pub struct Runtime {
     config: RuntimeConfig,
@@ -72,18 +78,21 @@ impl Runtime {
         self.run_with_pipeline(&E2ePipeline::prototype(), streams, net)
     }
 
-    /// Serves `streams` through a caller-supplied pipeline.
+    /// Serves `streams` through a caller-supplied pipeline: frames are
+    /// submitted round-robin across the streams, and `DropOldest`
+    /// evictions are counted in the report, not treated as errors.
     ///
     /// # Errors
     ///
     /// Returns [`RuntimeError::NoStreams`] for an empty stream list and
-    /// [`RuntimeError::Frame`] for the first engine failure.
+    /// [`RuntimeError::Frame`] for the first engine failure in
+    /// submission order.
     ///
     /// # Panics
     ///
-    /// A panic inside a user-supplied [`FrameSource`](crate::FrameSource) (or engine code)
-    /// unwinds the whole pipeline and propagates out of this call; it
-    /// never deadlocks the worker pools.
+    /// A panic inside a user-supplied [`FrameSource`](crate::FrameSource)
+    /// (pulled on the caller's thread) or in engine code propagates out
+    /// of this call; it never deadlocks the worker pools.
     pub fn run_with_pipeline(
         &self,
         pipeline: &E2ePipeline,
@@ -98,8 +107,46 @@ impl Runtime {
         if streams.is_empty() {
             return Err(RuntimeError::NoStreams);
         }
-        crate::session::run_batch(&self.config, pipeline, streams, net)
+        let runtime = ServingRuntime::start_with_pipeline(
+            self.config.clone(),
+            pipeline.clone(),
+            Arc::new(net.clone()),
+        )?;
+        for spec in &streams {
+            runtime.open_stream(spec.profile())?;
+        }
+        let fed = feed(&runtime, Scheduler::new(streams));
+        // Joins the pools either way, re-raising a worker's panic.
+        let report = runtime.shutdown();
+        fed.and(report)
     }
+}
+
+/// Submits every frame the scheduler yields, resolving tickets in
+/// submission order as they finish so completed results never pile up.
+fn feed(runtime: &ServingRuntime, mut scheduler: Scheduler) -> Result<(), RuntimeError> {
+    // `DropOldest` evictions resolve as `Failed(Dropped)`: not errors of a
+    // batch run, whose report counts them.
+    let settle = |status| match status {
+        FrameStatus::Failed(err @ RuntimeError::Frame { .. }) => Err(err),
+        _ => Ok(()),
+    };
+    let mut outstanding = VecDeque::new();
+    while let Some(frame) = scheduler.next_frame() {
+        outstanding.push_back(runtime.submit(frame.stream_id, frame.sensor_ts_s, frame.cloud)?);
+        while let Some(&head) = outstanding.front() {
+            match runtime.poll(head)? {
+                FrameStatus::Pending => break,
+                status => {
+                    outstanding.pop_front();
+                    settle(status)?;
+                }
+            }
+        }
+    }
+    outstanding
+        .into_iter()
+        .try_for_each(|ticket| settle(runtime.wait(ticket)?))
 }
 
 #[cfg(test)]

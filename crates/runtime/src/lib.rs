@@ -4,8 +4,9 @@
 //! The paper's §VII-E real-time criterion is modeled analytically in
 //! [`hgpcn_system::realtime`]: a single sensor stream, with serial and
 //! two-stage-pipelined FPS computed from per-frame latencies. This crate
-//! *executes* that pipeline: N independent sensor streams are admitted
-//! by a multi-tenant [`Scheduler`], flow through bounded MPMC
+//! *executes* that pipeline: N independent sensor streams are submitted
+//! to one [`ServingRuntime`] (a batch [`Runtime::run`] submits a fleet
+//! in [`Scheduler`] order), flow through bounded MPMC
 //! [`BoundedQueue`]s into a pre-processing worker pool and an inference
 //! worker pool (so pre-processing of frame *t+1* overlaps inference of
 //! frame *t* in real threads), and every frame's journey is recorded
@@ -81,7 +82,7 @@ mod scheduler;
 pub(crate) mod session;
 mod stream;
 
-pub use config::{AdmissionPolicy, ArrivalModel, BackpressurePolicy, RuntimeConfig};
+pub use config::{ArrivalModel, BackpressurePolicy, RuntimeConfig};
 pub use executor::Runtime;
 pub use metrics::{
     BatchingStats, CrossValidation, FrameRecord, LatencySummary, QueueDepthStats, QueueStats,
@@ -126,9 +127,9 @@ pub enum RuntimeError {
     InvalidConfig(String),
     /// `run` was called with an empty stream list.
     NoStreams,
-    /// An engine failed on a frame. Aborts a batch run; on a
-    /// [`ServingRuntime`] it resolves only that frame's ticket
-    /// ([`FrameStatus::Failed`]).
+    /// An engine failed on a frame. On a [`ServingRuntime`] it resolves
+    /// only that frame's ticket ([`FrameStatus::Failed`]); a batch run
+    /// returns the first one in submission order.
     Frame {
         /// Stream the failing frame belonged to.
         stream_id: usize,
@@ -159,7 +160,8 @@ pub enum RuntimeError {
         /// Frame index of the offending ticket.
         frame_index: usize,
     },
-    /// The session is shutting down and refuses new work.
+    /// The session is shutting down and refuses new work, or a worker
+    /// panic tore it down while the polled ticket was still pending.
     ShuttingDown,
 }
 

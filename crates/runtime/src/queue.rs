@@ -2,7 +2,7 @@
 //!
 //! Built on `Mutex` + `Condvar` only (the workspace is `forbid(unsafe)`
 //! and has no external dependencies). Both ends are multi-producer and
-//! multi-consumer: the admission thread and every worker of a stage can
+//! multi-consumer: every submitter and every worker of a stage can
 //! push/pop concurrently. A queue can be *closed*, after which pushes
 //! fail fast and pops drain the remaining items before returning `None`.
 

@@ -1,25 +1,22 @@
-//! Multi-tenant admission: interleaving frames from N streams.
+//! Multi-stream admission order: interleaving frames from N streams.
 //!
-//! The scheduler is deliberately separated from the threaded executor —
-//! it is a plain sequential iterator over the stream set, so fairness
-//! properties are unit-testable without touching threads (the microkernel
-//! separation: policy here, mechanism in the executor).
+//! The scheduler is deliberately separated from the threaded runtime —
+//! it is a plain sequential iterator over the stream set, so its order
+//! is unit-testable without touching threads (the microkernel
+//! separation: policy here, mechanism in the session core).
 
-use crate::config::AdmissionPolicy;
 use crate::stream::{StreamSpec, TimedFrame};
 
 struct Entry {
     spec: StreamSpec,
     next_index: usize,
     exhausted: bool,
-    /// Smooth-WRR running credit.
-    credit: i64,
 }
 
-/// Pulls frames from many streams under an [`AdmissionPolicy`].
+/// Pulls frames from many streams round-robin: live streams are visited
+/// in a fixed cycle, one frame per turn.
 pub struct Scheduler {
     entries: Vec<Entry>,
-    policy: AdmissionPolicy,
     cursor: usize,
 }
 
@@ -27,28 +24,22 @@ impl std::fmt::Debug for Scheduler {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Scheduler")
             .field("streams", &self.entries.len())
-            .field("policy", &self.policy)
             .finish()
     }
 }
 
 impl Scheduler {
     /// Builds a scheduler over `streams`.
-    pub fn new(streams: Vec<StreamSpec>, policy: AdmissionPolicy) -> Scheduler {
+    pub fn new(streams: Vec<StreamSpec>) -> Scheduler {
         let entries = streams
             .into_iter()
             .map(|spec| Entry {
                 spec,
                 next_index: 0,
                 exhausted: false,
-                credit: 0,
             })
             .collect();
-        Scheduler {
-            entries,
-            policy,
-            cursor: 0,
-        }
+        Scheduler { entries, cursor: 0 }
     }
 
     /// Number of streams (exhausted or not).
@@ -57,17 +48,22 @@ impl Scheduler {
     }
 
     /// The next admitted frame, or `None` when every stream is done.
-    ///
-    /// Round-robin visits live streams in a fixed cycle; weighted-fair
-    /// runs smooth weighted round-robin: each turn every live stream
-    /// gains `weight` credit and the richest stream is served, paying
-    /// the total weight back. Over any window the service counts
-    /// approach the weight proportions.
     pub fn next_frame(&mut self) -> Option<TimedFrame> {
-        match self.policy {
-            AdmissionPolicy::RoundRobin => self.next_round_robin(),
-            AdmissionPolicy::WeightedFair => self.next_weighted_fair(),
+        let n = self.entries.len();
+        // One full cycle visits every stream exactly once; each visit
+        // either yields a frame or marks the stream exhausted, so a
+        // frameless cycle means every stream is done.
+        for _ in 0..n {
+            let id = self.cursor % n;
+            self.cursor = (self.cursor + 1) % n;
+            if self.entries[id].exhausted {
+                continue;
+            }
+            if let Some(frame) = self.pull(id) {
+                return Some(frame);
+            }
         }
+        None
     }
 
     fn pull(&mut self, id: usize) -> Option<TimedFrame> {
@@ -89,58 +85,6 @@ impl Scheduler {
             }
         }
     }
-
-    fn next_round_robin(&mut self) -> Option<TimedFrame> {
-        let n = self.entries.len();
-        // One full cycle visits every stream exactly once; each visit
-        // either yields a frame or marks the stream exhausted, so a
-        // frameless cycle means every stream is done.
-        for _ in 0..n {
-            let id = self.cursor % n;
-            self.cursor = (self.cursor + 1) % n;
-            if self.entries[id].exhausted {
-                continue;
-            }
-            if let Some(frame) = self.pull(id) {
-                return Some(frame);
-            }
-        }
-        None
-    }
-
-    fn next_weighted_fair(&mut self) -> Option<TimedFrame> {
-        loop {
-            let mut total: i64 = 0;
-            for entry in self.entries.iter_mut().filter(|e| !e.exhausted) {
-                entry.credit += i64::from(entry.spec.weight);
-                total += i64::from(entry.spec.weight);
-            }
-            let id = self
-                .entries
-                .iter()
-                .enumerate()
-                .filter(|(_, e)| !e.exhausted)
-                .max_by_key(|(_, e)| e.credit)
-                .map(|(id, _)| id)?;
-            self.entries[id].credit -= total;
-            if let Some(frame) = self.pull(id) {
-                return Some(frame);
-            }
-            // The chosen stream just ended; try again with the rest.
-        }
-    }
-
-    /// Consumes the scheduler, returning stream names and nominal rates
-    /// in stream-id order (for report assembly).
-    pub fn into_stream_info(self) -> Vec<(String, f64)> {
-        self.entries
-            .into_iter()
-            .map(|e| {
-                let fps = e.spec.source.nominal_fps();
-                (e.spec.name, fps)
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -160,7 +104,7 @@ mod tests {
 
     #[test]
     fn round_robin_interleaves_evenly() {
-        let mut sched = Scheduler::new(streams(&[3, 3, 3]), AdmissionPolicy::RoundRobin);
+        let mut sched = Scheduler::new(streams(&[3, 3, 3]));
         let order: Vec<usize> = std::iter::from_fn(|| sched.next_frame())
             .map(|f| f.stream_id)
             .collect();
@@ -169,7 +113,7 @@ mod tests {
 
     #[test]
     fn round_robin_drains_unequal_streams() {
-        let mut sched = Scheduler::new(streams(&[1, 4]), AdmissionPolicy::RoundRobin);
+        let mut sched = Scheduler::new(streams(&[1, 4]));
         let order: Vec<usize> = std::iter::from_fn(|| sched.next_frame())
             .map(|f| f.stream_id)
             .collect();
@@ -179,37 +123,12 @@ mod tests {
 
     #[test]
     fn frame_indices_are_sequential_per_stream() {
-        let mut sched = Scheduler::new(streams(&[5, 5]), AdmissionPolicy::RoundRobin);
+        let mut sched = Scheduler::new(streams(&[5, 5]));
         let mut next = [0usize; 2];
         while let Some(frame) = sched.next_frame() {
             assert_eq!(frame.frame_index, next[frame.stream_id]);
             next[frame.stream_id] += 1;
         }
         assert_eq!(next, [5, 5]);
-    }
-
-    #[test]
-    fn weighted_fair_honors_weights() {
-        let specs = vec![
-            StreamSpec::new("heavy", SyntheticSource::new(8, 10.0, 60, 0)).weight(3),
-            StreamSpec::new("light", SyntheticSource::new(8, 10.0, 60, 1)).weight(1),
-        ];
-        let mut sched = Scheduler::new(specs, AdmissionPolicy::WeightedFair);
-        let first: Vec<usize> = (0..40)
-            .filter_map(|_| sched.next_frame())
-            .map(|f| f.stream_id)
-            .collect();
-        let heavy = first.iter().filter(|&&s| s == 0).count();
-        assert_eq!(
-            heavy, 30,
-            "3:1 weights should serve 30 of 40 turns, got {heavy}"
-        );
-    }
-
-    #[test]
-    fn weighted_fair_drains_everything() {
-        let mut sched = Scheduler::new(streams(&[2, 7]), AdmissionPolicy::WeightedFair);
-        let total = std::iter::from_fn(|| sched.next_frame()).count();
-        assert_eq!(total, 9);
     }
 }

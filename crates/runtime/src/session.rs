@@ -1,31 +1,26 @@
-//! The session-oriented runtime core.
+//! The session-oriented runtime core and its one front end.
 //!
 //! This module owns the pipeline machinery — bounded queues, the
 //! pre-processing and inference worker pools, per-frame accounting —
-//! behind two front ends:
+//! behind [`ServingRuntime`], a **live** runtime. Streams are opened
+//! while the pools run ([`ServingRuntime::open_stream`]), frames are
+//! pushed one at a time ([`StreamHandle::submit`] returns a
+//! [`FrameTicket`]), results are retrieved by polling
+//! ([`ServingRuntime::poll`]), stats are snapshotted mid-flight
+//! ([`ServingRuntime::stats`]), and a graceful
+//! [`ServingRuntime::shutdown`] drains the backlog and returns the final
+//! [`RuntimeReport`]. Engine failures resolve the failing frame's ticket
+//! ([`FrameStatus::Failed`]) without killing the runtime — a server
+//! keeps serving. A worker panic tears the session down: pending tickets
+//! then resolve to [`RuntimeError::ShuttingDown`] and `shutdown`
+//! re-raises the panic.
 //!
-//! * [`ServingRuntime`]: a **live** runtime. Streams are opened while
-//!   the pools run ([`ServingRuntime::open_stream`]), frames are pushed
-//!   one at a time ([`StreamHandle::submit`] returns a [`FrameTicket`]),
-//!   results are retrieved by polling ([`ServingRuntime::poll`]), stats
-//!   are snapshotted mid-flight ([`ServingRuntime::stats`]), and a
-//!   graceful [`ServingRuntime::shutdown`] drains the backlog and
-//!   returns the final [`RuntimeReport`]. Engine failures resolve the
-//!   failing frame's ticket ([`FrameStatus::Failed`]) without killing
-//!   the runtime — a server keeps serving.
-//! * the batch driver ([`run_batch`], what [`Runtime::run`](crate::Runtime::run)
-//!   calls): admission pulls every frame from pre-registered
-//!   [`FrameSource`](crate::FrameSource)s through the
-//!   [`Scheduler`](crate::Scheduler), the pools drain to completion, and
-//!   the first engine failure aborts the run — the pre-session
-//!   run-to-completion semantics, byte-for-byte. Both front ends execute
-//!   the *same* worker loops, so the batch path's determinism guarantees
-//!   carry over to serving unchanged.
-//!
-//! Frame identity is `(stream_id, frame_index)` in both modes, and the
-//! virtual-clock accounting is identical: a fresh core starts all worker
-//! clocks at zero, so a serving session fed the same frames in the same
-//! order as a batch run produces bit-identical [`FrameRecord`]s.
+//! [`Runtime::run`](crate::Runtime::run) is a client of the same API: it
+//! submits a fleet's frames from the caller's thread and collects the
+//! shutdown report. Frame identity is `(stream_id, frame_index)`, and a
+//! fresh core starts all worker clocks at zero, so the same frames
+//! submitted in the same order produce bit-identical [`FrameRecord`]s
+//! whoever submits them.
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -47,8 +42,7 @@ use crate::metrics::{
     StageBackendNames, StageBreakdown, StreamReport, TelemetrySnapshot,
 };
 use crate::queue::BoundedQueue;
-use crate::scheduler::Scheduler;
-use crate::stream::{StreamProfile, StreamSpec, TimedFrame};
+use crate::stream::{StreamProfile, TimedFrame};
 use crate::{frame_seed, RuntimeError};
 
 /// A frame admitted to the pre-processing stage.
@@ -147,9 +141,9 @@ impl CtxSlot {
 /// [`PreprocReuse::Off`] beyond the (cheap, empty) slot allocation.
 struct CtxRegistry {
     slots: Mutex<Vec<Arc<CtxSlot>>>,
-    /// Set on teardown (batch abort, panic unwind, shutdown-less drop):
-    /// waiters proceed out of order instead of waiting on predecessors
-    /// that were discarded with the queues.
+    /// Set on teardown (panic unwind, shutdown-less drop): waiters
+    /// proceed out of order instead of waiting on predecessors that were
+    /// discarded with the queues.
     aborted: AtomicBool,
 }
 
@@ -218,25 +212,17 @@ impl CtxRegistry {
     }
 }
 
-/// Closes both queues if the holding thread unwinds, so a panic in any
-/// pipeline thread (e.g. a user-supplied `FrameSource` panicking inside
-/// the admission loop) releases workers blocked on queue condvars
-/// instead of deadlocking the run; the panic then propagates through
-/// the joins.
-struct PanicGuard<'a, A, B> {
-    ingress: &'a BoundedQueue<A>,
-    stage: &'a BoundedQueue<B>,
-    contexts: &'a CtxRegistry,
-}
+/// Tears the session down if the holding worker unwinds, so a panic
+/// releases the other workers (blocked on queue condvars or context
+/// turns) and every client parked in [`ServingRuntime::wait`] instead of
+/// deadlocking them; [`ServingRuntime::shutdown`] then re-raises the
+/// panic through the joins.
+struct PanicGuard<'a>(&'a SessionCore);
 
-impl<A, B> Drop for PanicGuard<'_, A, B> {
+impl Drop for PanicGuard<'_> {
     fn drop(&mut self) {
         if thread::panicking() {
-            self.ingress.close_and_clear();
-            self.stage.close_and_clear();
-            // Release any worker parked on a context turn whose
-            // predecessor was just discarded with the queues.
-            self.contexts.abort();
+            self.0.tear_down();
         }
     }
 }
@@ -301,9 +287,6 @@ struct SessionCore {
     /// Resolved once per session: how many sub-batches (threads) one
     /// inference call may spread a micro-batch over ([`infer_parts`]).
     infer_parts: usize,
-    /// Per-frame failure policy: `true` resolves the failing ticket and
-    /// keeps serving; `false` aborts the whole run (batch semantics).
-    serving: bool,
     started: Instant,
     traced: bool,
     /// Resolved once per session: the config pin if set, else the
@@ -315,13 +298,11 @@ struct SessionCore {
     stage: BoundedQueue<StageJob>,
     streams: Mutex<Vec<StreamState>>,
     admission: Mutex<SpanRecorder>,
-    /// Ticket → status. Serving mode only; the batch driver keeps no
-    /// per-ticket state (its results are the report's records).
+    /// Ticket → status, from admission until a poll consumes it.
     results: Mutex<HashMap<(usize, usize), FrameStatus>>,
     results_ready: Condvar,
     records: Mutex<Vec<FrameRecord>>,
     batch_sizes: Mutex<Vec<usize>>,
-    first_error: Mutex<Option<RuntimeError>>,
     preproc_live: AtomicUsize,
     collector: Mutex<Option<TraceCollector>>,
 }
@@ -337,7 +318,7 @@ fn infer_parts(cores: usize, inference_workers: usize) -> usize {
 }
 
 impl SessionCore {
-    fn new(config: RuntimeConfig, net: &PointNet, serving: bool) -> SessionCore {
+    fn new(config: RuntimeConfig, net: &PointNet) -> SessionCore {
         let started = Instant::now();
         // Resolved once per session: `Auto` reads the environment here,
         // not per event. When off, every SpanRecorder is a no-op sink.
@@ -346,7 +327,6 @@ impl SessionCore {
             kernel_backend: net.kernel().name(),
             stages: config.stage_backends.unwrap_or(net.stage_backends()),
             infer_parts: infer_parts(InferenceEngine::host_cores(), config.inference_workers),
-            serving,
             started,
             traced,
             reuse: config.preproc_reuse.unwrap_or_default(),
@@ -359,7 +339,6 @@ impl SessionCore {
             results_ready: Condvar::new(),
             records: Mutex::new(Vec::new()),
             batch_sizes: Mutex::new(Vec::new()),
-            first_error: Mutex::new(None),
             preproc_live: AtomicUsize::new(config.preproc_workers),
             collector: Mutex::new(Some(TraceCollector::new())),
             config,
@@ -383,102 +362,7 @@ impl SessionCore {
         id
     }
 
-    /// Admits one frame under the (held) admission recorder lock —
-    /// the single code path both front ends enqueue through, so the
-    /// event order (`Admit`, then `Drop`/`Enqueue`) and the drop
-    /// accounting are identical in batch and serving mode.
-    fn admit_locked(
-        &self,
-        recorder: &mut SpanRecorder,
-        frame: TimedFrame,
-    ) -> Result<FrameTicket, RuntimeError> {
-        let ticket = FrameTicket {
-            stream_id: frame.stream_id,
-            frame_index: frame.frame_index,
-        };
-        self.streams.lock().expect("stream registry poisoned")[frame.stream_id].offered += 1;
-        let virtual_arrival_s = match self.config.arrival {
-            ArrivalModel::Sensor => frame.sensor_ts_s,
-            ArrivalModel::Backlogged => 0.0,
-        };
-        if self.serving {
-            // The Pending entry must exist before the frame becomes
-            // visible to workers, or a fast completion could be
-            // overwritten by it.
-            self.results
-                .lock()
-                .expect("result table poisoned")
-                .insert((ticket.stream_id, ticket.frame_index), FrameStatus::Pending);
-        }
-        recorder.record(
-            EventKind::Admit,
-            frame.stream_id,
-            frame.frame_index,
-            virtual_arrival_s,
-        );
-        let job = PreprocJob {
-            frame,
-            virtual_arrival_s,
-        };
-        let refused = |core: &SessionCore| {
-            if core.serving {
-                core.results
-                    .lock()
-                    .expect("result table poisoned")
-                    .remove(&(ticket.stream_id, ticket.frame_index));
-            }
-            Err(RuntimeError::ShuttingDown)
-        };
-        match self.config.backpressure {
-            BackpressurePolicy::Block => {
-                let (sid, fidx) = (job.frame.stream_id, job.frame.frame_index);
-                if self.ingress.push_blocking(job).is_err() {
-                    return refused(self);
-                }
-                recorder.record(EventKind::Enqueue, sid, fidx, virtual_arrival_s);
-            }
-            BackpressurePolicy::DropOldest => {
-                let (sid, fidx) = (job.frame.stream_id, job.frame.frame_index);
-                match self.ingress.push_drop_oldest(job) {
-                    Ok(Some(evicted)) => {
-                        self.streams.lock().expect("stream registry poisoned")
-                            [evicted.frame.stream_id]
-                            .dropped += 1;
-                        if self.reuse == PreprocReuse::On {
-                            // The evicted frame will never reach a
-                            // preproc worker: pass its context turn so
-                            // successors don't wait for it.
-                            self.contexts
-                                .skip(evicted.frame.stream_id, evicted.frame.frame_index);
-                        }
-                        recorder.record(
-                            EventKind::Drop,
-                            evicted.frame.stream_id,
-                            evicted.frame.frame_index,
-                            evicted.virtual_arrival_s,
-                        );
-                        if self.serving {
-                            self.publish(
-                                (evicted.frame.stream_id, evicted.frame.frame_index),
-                                FrameStatus::Failed(RuntimeError::Dropped {
-                                    stream_id: evicted.frame.stream_id,
-                                    frame_index: evicted.frame.frame_index,
-                                }),
-                            );
-                        }
-                        recorder.record(EventKind::Enqueue, sid, fidx, virtual_arrival_s);
-                    }
-                    Ok(None) => {
-                        recorder.record(EventKind::Enqueue, sid, fidx, virtual_arrival_s);
-                    }
-                    Err(_) => return refused(self),
-                }
-            }
-        }
-        Ok(ticket)
-    }
-
-    /// Serving-mode submission: assigns the next frame index and admits.
+    /// Assigns the stream's next frame index and admits the frame.
     fn submit(
         &self,
         stream_id: usize,
@@ -497,15 +381,83 @@ impl SessionCore {
                 .ok_or(RuntimeError::UnknownStream { stream_id })?;
             let index = state.next_index;
             state.next_index += 1;
+            state.offered += 1;
             index
         };
-        let frame = TimedFrame {
+        let key = (stream_id, frame_index);
+        let virtual_arrival_s = match self.config.arrival {
+            ArrivalModel::Sensor => sensor_ts_s,
+            ArrivalModel::Backlogged => 0.0,
+        };
+        // The Pending entry must exist before the frame becomes visible
+        // to workers, or a fast completion could be overwritten by it.
+        self.results
+            .lock()
+            .expect("result table poisoned")
+            .insert(key, FrameStatus::Pending);
+        recorder.record(EventKind::Admit, stream_id, frame_index, virtual_arrival_s);
+        let job = PreprocJob {
+            frame: TimedFrame {
+                stream_id,
+                frame_index,
+                sensor_ts_s,
+                cloud,
+            },
+            virtual_arrival_s,
+        };
+        let pushed = match self.config.backpressure {
+            BackpressurePolicy::Block => self.ingress.push_blocking(job).map(|()| None),
+            BackpressurePolicy::DropOldest => self.ingress.push_drop_oldest(job),
+        };
+        match pushed {
+            Ok(evicted) => {
+                if let Some(evicted) = evicted {
+                    self.evicted(&mut recorder, evicted);
+                }
+                recorder.record(
+                    EventKind::Enqueue,
+                    stream_id,
+                    frame_index,
+                    virtual_arrival_s,
+                );
+                Ok(FrameTicket {
+                    stream_id,
+                    frame_index,
+                })
+            }
+            Err(_) => {
+                self.results
+                    .lock()
+                    .expect("result table poisoned")
+                    .remove(&key);
+                Err(RuntimeError::ShuttingDown)
+            }
+        }
+    }
+
+    /// Accounts a frame `DropOldest` evicted from the ingress queue and
+    /// resolves its ticket.
+    fn evicted(&self, recorder: &mut SpanRecorder, job: PreprocJob) {
+        let (stream_id, frame_index) = (job.frame.stream_id, job.frame.frame_index);
+        self.streams.lock().expect("stream registry poisoned")[stream_id].dropped += 1;
+        if self.reuse == PreprocReuse::On {
+            // The evicted frame will never reach a preproc worker: pass
+            // its context turn so successors don't wait for it.
+            self.contexts.skip(stream_id, frame_index);
+        }
+        recorder.record(
+            EventKind::Drop,
             stream_id,
             frame_index,
-            sensor_ts_s,
-            cloud,
-        };
-        self.admit_locked(&mut recorder, frame)
+            job.virtual_arrival_s,
+        );
+        self.publish(
+            (stream_id, frame_index),
+            FrameStatus::Failed(RuntimeError::Dropped {
+                stream_id,
+                frame_index,
+            }),
+        );
     }
 
     fn publish(&self, key: (usize, usize), status: FrameStatus) {
@@ -514,12 +466,34 @@ impl SessionCore {
         self.results_ready.notify_all();
     }
 
+    /// Ends the session after a worker panic or a shutdown-less drop:
+    /// discards the backlog, releases workers parked on a context turn
+    /// and wakes every waiter, whose still-pending ticket then resolves
+    /// to [`RuntimeError::ShuttingDown`]. Tolerates poisoned locks — this
+    /// runs on panic-unwind paths.
+    fn tear_down(&self) {
+        self.ingress.close_and_clear();
+        self.stage.close_and_clear();
+        self.contexts.abort();
+        // Take (and release) the results lock so a waiter between its
+        // teardown check and `wait` cannot miss the wakeup.
+        let _results = self.results.lock();
+        self.results_ready.notify_all();
+    }
+
+    fn torn_down(&self) -> bool {
+        self.contexts.is_aborted()
+    }
+
     /// Non-blocking poll. `Done`/`Failed` are consumed by the observing
-    /// poll; a consumed (or never-issued) ticket is `UnknownTicket`.
+    /// poll; a consumed (or never-issued) ticket is `UnknownTicket`, and
+    /// a ticket still pending when the session was torn down is
+    /// `ShuttingDown`.
     fn poll(&self, ticket: FrameTicket) -> Result<FrameStatus, RuntimeError> {
         let key = (ticket.stream_id, ticket.frame_index);
         let mut results = self.results.lock().expect("result table poisoned");
         match results.get(&key) {
+            Some(FrameStatus::Pending) if self.torn_down() => Err(RuntimeError::ShuttingDown),
             Some(FrameStatus::Pending) => Ok(FrameStatus::Pending),
             Some(_) => Ok(results.remove(&key).expect("entry just observed")),
             None => Err(RuntimeError::UnknownTicket {
@@ -529,12 +503,16 @@ impl SessionCore {
         }
     }
 
-    /// Blocking poll: parks until the ticket resolves.
+    /// Blocking poll: parks until the ticket resolves or the session is
+    /// torn down.
     fn wait(&self, ticket: FrameTicket) -> Result<FrameStatus, RuntimeError> {
         let key = (ticket.stream_id, ticket.frame_index);
         let mut results = self.results.lock().expect("result table poisoned");
         loop {
             match results.get(&key) {
+                Some(FrameStatus::Pending) if self.torn_down() => {
+                    return Err(RuntimeError::ShuttingDown)
+                }
                 Some(FrameStatus::Pending) => {
                     results = self
                         .results_ready
@@ -552,29 +530,14 @@ impl SessionCore {
         }
     }
 
-    /// Resolves a frame failure per the session's policy. Returns `true`
-    /// when the worker must abort its loop (batch semantics).
-    fn frame_failed(&self, stream_id: usize, frame_index: usize, source: SystemError) -> bool {
+    /// Resolves a failed frame's ticket; the session keeps serving.
+    fn frame_failed(&self, stream_id: usize, frame_index: usize, source: SystemError) {
         let err = RuntimeError::Frame {
             stream_id,
             frame_index,
             source,
         };
-        if self.serving {
-            self.publish((stream_id, frame_index), FrameStatus::Failed(err));
-            false
-        } else {
-            let mut slot = self.first_error.lock().expect("error slot poisoned");
-            if slot.is_none() {
-                *slot = Some(err);
-            }
-            // Unwind the whole pipeline, discarding backlogged work —
-            // its results would be thrown away with the run anyway.
-            self.ingress.close_and_clear();
-            self.stage.close_and_clear();
-            self.contexts.abort();
-            true
-        }
+        self.publish((stream_id, frame_index), FrameStatus::Failed(err));
     }
 
     fn submit_recorder(&self, recorder: SpanRecorder) {
@@ -603,10 +566,7 @@ impl SessionCore {
 
     /// Assembles the final report after every worker has exited. Called
     /// exactly once per session.
-    fn finalize(&self) -> Result<RuntimeReport, RuntimeError> {
-        if let Some(err) = self.first_error.lock().expect("error slot poisoned").take() {
-            return Err(err);
-        }
+    fn finalize(&self) -> RuntimeReport {
         let recorder = {
             let mut guard = self.admission.lock().expect("admission recorder poisoned");
             std::mem::replace(
@@ -629,7 +589,7 @@ impl SessionCore {
             let metrics = report.build_metrics();
             report.telemetry = Some(TelemetrySnapshot { trace, metrics });
         }
-        Ok(report)
+        report
     }
 
     /// Report assembly, shared by live snapshots and the final report.
@@ -725,18 +685,13 @@ impl SessionCore {
 }
 
 // ---------------------------------------------------------------------
-// Worker loops — shared verbatim by the batch driver and the live
-// serving runtime. Latency accounting runs on the virtual clock: each
+// Worker loops. Latency accounting runs on the virtual clock: each
 // worker advances its own virtual time by the modeled latency of the
 // work it actually executed.
 // ---------------------------------------------------------------------
 
 fn preproc_worker(core: &SessionCore, pipeline: &E2ePipeline, w: usize) {
-    let _guard = PanicGuard {
-        ingress: &core.ingress,
-        stage: &core.stage,
-        contexts: &core.contexts,
-    };
+    let _guard = PanicGuard(core);
     let mut recorder = SpanRecorder::new(WorkerId::preproc(w), core.started, core.traced);
     let mut vclock = 0.0f64;
     // The worker's working set, shared by every stream it serves.
@@ -850,11 +805,7 @@ fn preproc_worker(core: &SessionCore, pipeline: &E2ePipeline, w: usize) {
                 }
                 recorder.record(EventKind::Enqueue, sid, fidx, done);
             }
-            Err(err) => {
-                if core.frame_failed(frame.stream_id, frame.frame_index, err) {
-                    break;
-                }
-            }
+            Err(err) => core.frame_failed(frame.stream_id, frame.frame_index, err),
         }
     }
     if core.preproc_live.fetch_sub(1, Ordering::AcqRel) == 1 {
@@ -867,11 +818,7 @@ fn preproc_worker(core: &SessionCore, pipeline: &E2ePipeline, w: usize) {
 // queued runs as a batch of one — bit-identical to its slot in any
 // larger batch by construction.
 fn inference_worker(core: &SessionCore, pipeline: &E2ePipeline, net: &PointNet, w: usize) {
-    let _guard = PanicGuard {
-        ingress: &core.ingress,
-        stage: &core.stage,
-        contexts: &core.contexts,
-    };
+    let _guard = PanicGuard(core);
     let mut recorder = SpanRecorder::new(WorkerId::inference(w), core.started, core.traced);
     let mut vclock = 0.0f64;
     while let Some(first) = core.stage.pop() {
@@ -900,9 +847,7 @@ fn inference_worker(core: &SessionCore, pipeline: &E2ePipeline, net: &PointNet, 
             batch[0].0.virtual_preproc_done_s,
             batch.len() as u32,
         );
-        if infer_batch(core, pipeline, net, batch, &mut vclock, &mut recorder) {
-            break;
-        }
+        infer_batch(core, pipeline, net, batch, &mut vclock, &mut recorder);
     }
     core.submit_recorder(recorder);
 }
@@ -911,8 +856,7 @@ fn inference_worker(core: &SessionCore, pipeline: &E2ePipeline, net: &PointNet, 
 /// its frames in dequeue order. A failed call is attributed by re-running
 /// the batch one frame at a time through this same function
 /// (deterministic, so healthy frames reproduce exactly); a failing batch
-/// of one is its own culprit. Returns `true` when a frame failed and the
-/// session's failure policy says the worker must stop.
+/// of one is its own culprit.
 fn infer_batch(
     core: &SessionCore,
     pipeline: &E2ePipeline,
@@ -920,7 +864,7 @@ fn infer_batch(
     batch: Vec<(StageJob, u64)>,
     vclock: &mut f64,
     recorder: &mut SpanRecorder,
-) -> bool {
+) {
     let inputs: Vec<&PointCloud> = batch.iter().map(|(job, _)| &job.sampled).collect();
     let seeds: Vec<u64> = batch
         .iter()
@@ -945,27 +889,23 @@ fn infer_batch(
             for ((job, ticket), inf) in batch.into_iter().zip(&reports) {
                 complete_frame(core, job, ticket, inf, vclock, wall_infer_s, recorder);
             }
-            false
         }
         Err(err) if batch.len() == 1 => {
             let job = &batch[0].0;
-            core.frame_failed(job.stream_id, job.frame_index, err)
+            core.frame_failed(job.stream_id, job.frame_index, err);
         }
         Err(_) => {
             for frame in batch {
-                if infer_batch(core, pipeline, net, vec![frame], vclock, recorder) {
-                    return true;
-                }
+                infer_batch(core, pipeline, net, vec![frame], vclock, recorder);
             }
-            false
         }
     }
 }
 
 /// Advances the worker's virtual clock past `job`, records its journey,
-/// and — in serving mode — resolves its ticket with the output. Within a
-/// micro-batch, frames advance the clock in dequeue order, so the modeled
-/// timeline is the same at every `max_batch`.
+/// and resolves its ticket with the output. Within a micro-batch, frames
+/// advance the clock in dequeue order, so the modeled timeline is the
+/// same at every `max_batch`.
 fn complete_frame(
     core: &SessionCore,
     job: StageJob,
@@ -1008,93 +948,30 @@ fn complete_frame(
     };
     // Record first, publish second: a poller that observes `Done` must
     // find the frame already counted in `stats()` snapshots.
-    let published = core.serving.then(|| record.clone());
     core.records
         .lock()
         .expect("record sink poisoned")
-        .push(record);
-    if let Some(record) = published {
-        core.publish(
-            key,
-            FrameStatus::Done(Box::new(FrameResult {
-                output: inf.output.clone(),
-                record,
-            })),
-        );
-    }
+        .push(record.clone());
+    core.publish(
+        key,
+        FrameStatus::Done(Box::new(FrameResult {
+            output: inf.output.clone(),
+            record,
+        })),
+    );
 }
 
 // ---------------------------------------------------------------------
-// Batch driver: the pre-session `Runtime::run` semantics, executed as a
-// thin front end over the session core.
-// ---------------------------------------------------------------------
-
-/// Runs `streams` to completion through a fresh session core.
-pub(crate) fn run_batch(
-    config: &RuntimeConfig,
-    pipeline: &E2ePipeline,
-    streams: Vec<StreamSpec>,
-    net: &PointNet,
-) -> Result<RuntimeReport, RuntimeError> {
-    let core = SessionCore::new(config.clone(), net, false);
-    for spec in &streams {
-        core.open_stream(spec.profile());
-    }
-    let mut scheduler = Scheduler::new(streams, config.admission);
-    {
-        let core = &core;
-        thread::scope(|s| {
-            // --- Admission: scheduler → ingress queue. ---
-            let admission = s.spawn(move || {
-                let _guard = PanicGuard {
-                    ingress: &core.ingress,
-                    stage: &core.stage,
-                    contexts: &core.contexts,
-                };
-                // Batch admission is single-threaded, so the recorder
-                // lock is held for the whole run.
-                let mut recorder = core.admission.lock().expect("admission recorder poisoned");
-                while let Some(frame) = scheduler.next_frame() {
-                    if core.admit_locked(&mut recorder, frame).is_err() {
-                        break; // shutdown under way
-                    }
-                }
-                drop(recorder);
-                core.ingress.close();
-            });
-
-            // --- Pre-processing pool: ingress → stage queue. ---
-            let preproc_handles: Vec<_> = (0..config.preproc_workers)
-                .map(|w| s.spawn(move || preproc_worker(core, pipeline, w)))
-                .collect();
-
-            // --- Inference pool: stage queue → records. ---
-            let inference_handles: Vec<_> = (0..config.inference_workers)
-                .map(|w| s.spawn(move || inference_worker(core, pipeline, net, w)))
-                .collect();
-
-            admission.join().expect("admission thread panicked");
-            for h in preproc_handles {
-                h.join().expect("preprocessing worker panicked");
-            }
-            for h in inference_handles {
-                h.join().expect("inference worker panicked");
-            }
-        });
-    }
-    core.finalize()
-}
-
-// ---------------------------------------------------------------------
-// The live serving front end.
+// The front end.
 // ---------------------------------------------------------------------
 
 /// A live, session-oriented serving runtime.
 ///
-/// Where [`Runtime::run`](crate::Runtime::run) executes a pre-registered
-/// fleet to completion, a `ServingRuntime` keeps its worker pools
-/// running and lets clients open streams and submit frames one at a
-/// time — the core a network front end (`hgpcn-serve`) is built on.
+/// A `ServingRuntime` keeps its worker pools running and lets clients
+/// open streams and submit frames one at a time — the core a network
+/// front end (`hgpcn-serve`) is built on, and the one
+/// [`Runtime::run`](crate::Runtime::run) drives a fleet to completion
+/// through.
 ///
 /// ```
 /// use hgpcn_runtime::{FrameStatus, RuntimeConfig, ServingRuntime, StreamProfile};
@@ -1164,7 +1041,7 @@ impl ServingRuntime {
     ) -> Result<ServingRuntime, RuntimeError> {
         config.validate()?;
         let net: Arc<PointNet> = net.into();
-        let core = Arc::new(SessionCore::new(config.clone(), &net, true));
+        let core = Arc::new(SessionCore::new(config.clone(), &net));
         let pipeline = Arc::new(pipeline);
         let mut workers = Vec::with_capacity(config.preproc_workers + config.inference_workers);
         for w in 0..config.preproc_workers {
@@ -1258,7 +1135,7 @@ impl ServingRuntime {
     }
 
     /// A live snapshot of the aggregate serving report: everything
-    /// completed so far, on the same schema the batch runner returns
+    /// completed so far, on the schema [`ServingRuntime::shutdown`] returns
     /// (`telemetry` stays `None` until [`ServingRuntime::shutdown`]).
     pub fn stats(&self) -> RuntimeReport {
         self.core().snapshot()
@@ -1283,20 +1160,19 @@ impl ServingRuntime {
     ///
     /// # Errors
     ///
-    /// Never fails in serving mode today; the `Result` mirrors the batch
-    /// runner so both front ends report the same way.
+    /// Never fails today; frame failures resolve their own tickets, and
+    /// the `Result` reserves room for a shutdown that can.
     ///
     /// # Panics
     ///
-    /// Propagates a worker-thread panic (an engine bug), like
-    /// [`Runtime::run`](crate::Runtime::run) does.
+    /// Propagates a worker-thread panic (an engine bug).
     pub fn shutdown(mut self) -> Result<RuntimeReport, RuntimeError> {
         let core = self.core.take().expect("core present until shutdown");
         core.ingress.close();
         for handle in std::mem::take(&mut self.workers) {
             handle.join().expect("runtime worker panicked");
         }
-        core.finalize()
+        Ok(core.finalize())
     }
 }
 
@@ -1306,9 +1182,7 @@ impl Drop for ServingRuntime {
         // leak live threads. Worker panics are swallowed — propagating
         // from a destructor would abort the process.
         if let Some(core) = self.core.take() {
-            core.ingress.close_and_clear();
-            core.stage.close_and_clear();
-            core.contexts.abort();
+            core.tear_down();
             for handle in std::mem::take(&mut self.workers) {
                 let _ = handle.join();
             }

@@ -1,10 +1,10 @@
 //! Sensor stream sources feeding the runtime.
 //!
 //! A [`FrameSource`] yields timestamped point clouds; [`StreamSpec`]
-//! names it, assigns a fairness weight, and is what the runtime admits
-//! frames from. Two sources ship in-tree: [`KittiSource`], backed by the
-//! LiDAR simulator in `hgpcn-datasets`, and [`SyntheticSource`], an
-//! arithmetic generator cheap enough for tests and benches.
+//! names it and is what a batch run admits frames from. Two sources
+//! ship in-tree: [`KittiSource`], backed by the LiDAR simulator in
+//! `hgpcn-datasets`, and [`SyntheticSource`], an arithmetic generator
+//! cheap enough for tests and benches.
 
 use hgpcn_datasets::kitti::{KittiConfig, KittiStream};
 use hgpcn_geometry::{Point3, PointCloud};
@@ -31,14 +31,10 @@ pub trait FrameSource: Send {
     fn nominal_fps(&self) -> f64;
 }
 
-/// A named, weighted stream the runtime serves.
+/// A named stream a batch run serves.
 pub struct StreamSpec {
     /// Human-readable stream name (used in reports).
     pub name: String,
-    /// Relative weight under
-    /// [`AdmissionPolicy::WeightedFair`](crate::AdmissionPolicy::WeightedFair);
-    /// ignored by round-robin. Must be at least 1.
-    pub weight: u32,
     /// The frame producer.
     pub source: Box<dyn FrameSource>,
 }
@@ -47,33 +43,24 @@ impl std::fmt::Debug for StreamSpec {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StreamSpec")
             .field("name", &self.name)
-            .field("weight", &self.weight)
             .finish_non_exhaustive()
     }
 }
 
 impl StreamSpec {
-    /// A stream of unit weight.
+    /// A named stream over `source`.
     pub fn new(name: impl Into<String>, source: impl FrameSource + 'static) -> StreamSpec {
         StreamSpec {
             name: name.into(),
-            weight: 1,
             source: Box::new(source),
         }
-    }
-
-    /// Sets the weighted-fair share.
-    pub fn weight(mut self, weight: u32) -> StreamSpec {
-        self.weight = weight.max(1);
-        self
     }
 
     /// This spec's serving-session profile: the source-independent
     /// metadata (name, nominal rate) a
     /// [`ServingRuntime`](crate::ServingRuntime) needs to open the
-    /// equivalent stream. The batch driver registers streams through
-    /// this same projection, so batch and serving sessions report
-    /// streams identically.
+    /// equivalent stream — what [`Runtime::run`](crate::Runtime::run)
+    /// opens each stream with.
     pub fn profile(&self) -> StreamProfile {
         StreamProfile {
             name: self.name.clone(),
@@ -266,11 +253,5 @@ mod tests {
         assert!(src.next_frame().is_some());
         assert!(src.next_frame().is_none());
         assert_eq!(src.nominal_fps(), 10.0);
-    }
-
-    #[test]
-    fn spec_weight_floor_is_one() {
-        let spec = StreamSpec::new("s", SyntheticSource::new(10, 10.0, 1, 0)).weight(0);
-        assert_eq!(spec.weight, 1);
     }
 }

@@ -5,8 +5,7 @@
 
 use hgpcn_pcn::{PointNet, PointNetConfig};
 use hgpcn_runtime::{
-    AdmissionPolicy, ArrivalModel, BackpressurePolicy, Runtime, RuntimeConfig, StreamSpec,
-    SyntheticSource,
+    ArrivalModel, BackpressurePolicy, Runtime, RuntimeConfig, StreamSpec, SyntheticSource,
 };
 
 const TARGET: usize = 512;
@@ -26,7 +25,6 @@ fn per_stream_order_preserved_under_many_workers() {
             .preproc_workers(4)
             .inference_workers(4)
             .queue_capacity(4)
-            .admission(AdmissionPolicy::RoundRobin)
             .backpressure(BackpressurePolicy::Block)
             .arrival(ArrivalModel::Backlogged)
             .target_points(TARGET),

@@ -43,7 +43,7 @@ pub use reuse::{PreprocReuse, PreviousFrame, StreamPreprocContext};
 pub use veg_gatherer::VegGatherer;
 
 /// End-to-end pipeline: Pre-processing Engine then Inference Engine.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct E2ePipeline {
     /// The pre-processing engine (CPU octree build + FPGA down-sampling).
     pub preproc: PreprocessingEngine,

@@ -17,7 +17,7 @@ use std::time::Instant;
 /// Pipeline stage a worker belongs to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum StageId {
-    /// The admission thread (scheduler → ingress queue).
+    /// Admission: submitters pushing frames onto the ingress queue.
     Admission,
     /// The pre-processing worker pool.
     Preproc,
@@ -41,12 +41,12 @@ impl StageId {
 pub struct WorkerId {
     /// The stage the worker serves.
     pub stage: StageId,
-    /// Index within the stage's pool (the admission thread is 0).
+    /// Index within the stage's pool (admission is 0).
     pub index: u32,
 }
 
 impl WorkerId {
-    /// The admission thread's identity.
+    /// Admission's identity.
     pub fn admission() -> WorkerId {
         WorkerId {
             stage: StageId::Admission,

@@ -43,11 +43,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 format!("lidar-{i}"),
                 KittiSource::new(lidar, seed + i as u64, frames),
             )
-            .weight(2)
         })
         .chain([
             StreamSpec::new("cam-20hz", SyntheticSource::new(9_000, 20.0, frames, 100)),
-            StreamSpec::new("cam-30hz", SyntheticSource::new(6_000, 30.0, frames, 200)).weight(3),
+            StreamSpec::new("cam-30hz", SyntheticSource::new(6_000, 30.0, frames, 200)),
         ])
         .collect();
     let fleet_size = streams.len();
@@ -56,7 +55,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .preproc_workers(2)
         .inference_workers(2)
         .queue_capacity(8)
-        .admission(AdmissionPolicy::WeightedFair)
         .backpressure(BackpressurePolicy::Block)
         .arrival(ArrivalModel::Sensor)
         .target_points(TARGET)

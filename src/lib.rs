@@ -22,8 +22,8 @@
 //!   pipeline and the real-time experiment;
 //! * [`runtime`] — the concurrent multi-stream serving runtime: a
 //!   session-oriented core (`ServingRuntime`: open streams, submit
-//!   frames, poll tickets, live stats, graceful shutdown) with the
-//!   batch `Runtime::run` driver as a thin front end over it — stage-
+//!   frames, poll tickets, live stats, graceful shutdown) as its one
+//!   front end, and the batch `Runtime::run` as a client of it — stage-
 //!   pipelined worker pools, multi-tenant admission, backpressure,
 //!   micro-batch coalescing into the SoA engine path, and per-stream
 //!   latency metrics over real threads;
@@ -83,9 +83,9 @@ pub mod prelude {
     pub use hgpcn_octree::{Octree, OctreeConfig, OctreeTable};
     pub use hgpcn_pcn::{CenterPolicy, IndexedGatherer, PointNet, PointNetConfig};
     pub use hgpcn_runtime::{
-        AdmissionPolicy, ArrivalModel, BackpressurePolicy, BatchingStats, ErrorCode, FrameStatus,
-        FrameTicket, KittiSource, Runtime, RuntimeConfig, RuntimeError, RuntimeReport,
-        ServingRuntime, StageBreakdown, StreamHandle, StreamProfile, StreamSpec, SyntheticSource,
+        ArrivalModel, BackpressurePolicy, BatchingStats, ErrorCode, FrameStatus, FrameTicket,
+        KittiSource, Runtime, RuntimeConfig, RuntimeError, RuntimeReport, ServingRuntime,
+        StageBreakdown, StreamHandle, StreamProfile, StreamSpec, SyntheticSource,
         TelemetrySnapshot,
     };
     pub use hgpcn_serve::App;
