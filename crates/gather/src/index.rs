@@ -239,7 +239,8 @@ impl VegIndex {
     ///
     /// * [`GatherError::EmptyCloud`] for an empty cloud;
     /// * [`GatherError::IndexBuild`] when the octree rejects the cloud
-    ///   (non-finite coordinates, unsupported depth).
+    ///   (non-finite coordinates, unsupported depth, more than `u32::MAX`
+    ///   points).
     pub fn build(
         cloud: &PointCloud,
         config: VegConfig,

@@ -200,12 +200,19 @@ impl PointCloud {
         out.points.clear();
         out.features.clear();
         out.feature_dim = self.feature_dim;
-        out.points.reserve(indices.len());
-        out.features.reserve(indices.len() * self.feature_dim);
-        for &i in indices {
-            out.points.push(self.points[i]);
-            if self.feature_dim > 0 {
-                out.features.extend_from_slice(self.feature(i));
+        out.points.extend(indices.iter().map(|&i| self.points[i]));
+        match self.feature_dim {
+            0 => {}
+            // One feature per point (S3DIS, KITTI): a straight copy too.
+            1 => out
+                .features
+                .extend(indices.iter().map(|&i| self.features[i])),
+            dim => {
+                out.features.reserve(indices.len() * dim);
+                for &i in indices {
+                    out.features
+                        .extend_from_slice(&self.features[i * dim..(i + 1) * dim]);
+                }
             }
         }
     }
@@ -338,12 +345,29 @@ mod tests {
     #[test]
     fn gather_carries_features() {
         let pts = vec![Point3::ORIGIN, Point3::splat(1.0), Point3::splat(2.0)];
-        let cloud = PointCloud::from_parts(pts, vec![0.0, 1.0, 2.0], 1).unwrap();
+        let cloud = PointCloud::from_parts(pts.clone(), vec![0.0, 1.0, 2.0], 1).unwrap();
         let g = cloud.gather(&[2, 0]);
         assert_eq!(g.len(), 2);
         assert_eq!(g.point(0), Point3::splat(2.0));
         assert_eq!(g.feature(0), &[2.0]);
         assert_eq!(g.feature(1), &[0.0]);
+
+        // Every arm of the copy, each into one `out` that last held a
+        // different feature dimension (and more or fewer points).
+        let indices = [2, 0, 2, 1];
+        let mut out = PointCloud::with_feature_dim(2);
+        for dim in [0, 1, 3, 1, 0] {
+            let features = (0..pts.len() * dim).map(|v| v as f32 + 0.5).collect();
+            let cloud = PointCloud::from_parts(pts.clone(), features, dim).unwrap();
+            cloud.gather_into(&indices[..dim + 1], &mut out);
+            assert_eq!(out.feature_dim(), dim);
+            assert_eq!(out.len(), dim + 1);
+            assert_eq!(out.features().len(), (dim + 1) * dim);
+            for (k, &i) in indices[..dim + 1].iter().enumerate() {
+                assert_eq!(out.point(k), cloud.point(i), "dim {dim}, point {k}");
+                assert_eq!(out.feature(k), cloud.feature(i), "dim {dim}, point {k}");
+            }
+        }
     }
 
     #[test]

@@ -16,6 +16,14 @@ pub enum OctreeError {
         /// Largest supported depth.
         max: u8,
     },
+    /// The frame has more points than a `u32` index can name; the build's
+    /// sort and node ranges index points by `u32`.
+    TooManyPoints {
+        /// Points in the frame.
+        points: usize,
+        /// Most points one octree holds.
+        max: usize,
+    },
     /// The input cloud failed geometric validation (e.g. NaN coordinates).
     InvalidGeometry(GeometryError),
 }
@@ -28,6 +36,12 @@ impl fmt::Display for OctreeError {
                 write!(
                     f,
                     "octree depth {requested} exceeds supported maximum {max}"
+                )
+            }
+            OctreeError::TooManyPoints { points, max } => {
+                write!(
+                    f,
+                    "a frame of {points} points exceeds the octree limit of {max}"
                 )
             }
             OctreeError::InvalidGeometry(e) => write!(f, "invalid input geometry: {e}"),

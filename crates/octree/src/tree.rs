@@ -46,6 +46,7 @@ impl Octree {
     /// # Errors
     ///
     /// * [`OctreeError::EmptyCloud`] if the frame has no points;
+    /// * [`OctreeError::TooManyPoints`] if it has more than `u32::MAX`;
     /// * [`OctreeError::DepthTooLarge`] if `config.max_depth` exceeds the
     ///   m-code limit;
     /// * [`OctreeError::InvalidGeometry`] if any coordinate is non-finite.
@@ -77,15 +78,7 @@ impl Octree {
         config: OctreeConfig,
         scratch: &mut OctreeScratch,
     ) -> Result<Octree, OctreeError> {
-        if cloud.is_empty() {
-            return Err(OctreeError::EmptyCloud);
-        }
-        if !config.is_supported() {
-            return Err(OctreeError::DepthTooLarge {
-                requested: config.max_depth,
-                max: MAX_LEVEL,
-            });
-        }
+        check_frame(cloud.len(), config)?;
         cloud.validate_finite()?;
 
         let n = cloud.len();
@@ -126,17 +119,30 @@ impl Octree {
             n
         };
 
-        // Host-memory pre-configuration: stable sort along the SFC. The
-        // sort leaves the permutation in the recycled buffer taken here and
-        // its other index buffer in the scratch.
+        // Host-memory pre-configuration: stable sort along the SFC, on one
+        // packed word per point, unpacked into the recycled permutation
+        // buffer taken here and the SFC-order bits. The previous frame's
+        // raw-order bits are dead once diffed, so their buffer takes those.
         let mut permutation = std::mem::take(&mut scratch.spare_perm);
-        let sorted_bits = sort_along_sfc(
-            &scratch.raw_codes,
-            3 * u32::from(config.max_depth),
-            &mut scratch.sort_keys,
-            &mut permutation,
-            &mut scratch.sort_perm,
-        );
+        let mut sorted_bits = std::mem::take(&mut scratch.prev.codes);
+        let key_bits = 3 * u32::from(config.max_depth);
+        if key_bits <= u64::KEY_BITS {
+            sort_along_sfc(
+                &scratch.raw_codes,
+                key_bits,
+                &mut scratch.sort_words,
+                &mut permutation,
+                &mut sorted_bits,
+            );
+        } else {
+            sort_along_sfc(
+                &scratch.raw_codes,
+                key_bits,
+                &mut scratch.wide_sort_words,
+                &mut permutation,
+                &mut sorted_bits,
+            );
+        }
 
         let mut points = std::mem::take(&mut scratch.spare_points);
         cloud.gather_into(&permutation, &mut points);
@@ -168,7 +174,7 @@ impl Octree {
         stats.nodes_dirty = if warm {
             dirty_nodes(
                 &nodes,
-                sorted_bits,
+                &sorted_bits,
                 &scratch.prev.sorted,
                 &mut scratch.dirty_prefix,
             )
@@ -177,11 +183,13 @@ impl Octree {
         };
 
         // Refresh the cache: the next frame is diffed against this one.
+        // Three bit buffers rotate, none copied: this frame's raw-order and
+        // SFC-order bits become the cache, and the cache's dead SFC-order
+        // buffer takes the next frame's encode.
         let prev = &mut scratch.prev;
         prev.grid = Some((root_bounds, config));
-        prev.sorted.clear();
-        prev.sorted.extend_from_slice(sorted_bits);
-        std::mem::swap(&mut prev.codes, &mut scratch.raw_codes);
+        let dead = std::mem::replace(&mut prev.sorted, sorted_bits);
+        prev.codes = std::mem::replace(&mut scratch.raw_codes, dead);
 
         Ok(Octree {
             root_bounds,
@@ -451,37 +459,107 @@ fn partition_end(codes: &[MortonCode], range: Range<u32>, child_code: MortonCode
     slice.partition_point(|c| c.bits() < hi)
 }
 
-/// Bits per radix digit of the SFC sort: four scatter passes over the 30
-/// key bits of the default depth, counted in 16 KiB of stack. 11-bit digits
-/// (three passes) build a 150 000-point frame ~5 % faster but the 32- to
-/// 128-point frames of the gather indices 1.4-2x slower, their 96 KiB of
-/// counts being cleared and summed per build.
+/// Refuses a frame [`Octree::build_with_scratch`] cannot build, before any
+/// work: an empty one, one with more points than a `u32` index can name (the
+/// sort's packed index and the nodes' point ranges are both `u32`), or a
+/// depth past the m-code limit.
+fn check_frame(len: usize, config: OctreeConfig) -> Result<(), OctreeError> {
+    if len == 0 {
+        return Err(OctreeError::EmptyCloud);
+    }
+    if u32::try_from(len).is_err() {
+        return Err(OctreeError::TooManyPoints {
+            points: len,
+            max: u32::MAX as usize,
+        });
+    }
+    if !config.is_supported() {
+        return Err(OctreeError::DepthTooLarge {
+            requested: config.max_depth,
+            max: MAX_LEVEL,
+        });
+    }
+    Ok(())
+}
+
+/// Bits per radix digit of the SFC sort: four scatter passes of one 8-byte
+/// word per point over the 30 key bits of the default depth, counted in
+/// 16 KiB of stack. 11-bit digits (three passes) build a 150 000-point frame
+/// ~5 % faster but the 32- to 128-point frames of the gather indices 1.4-2x
+/// slower, their 96 KiB of counts being cleared and summed per build.
 const DIGIT_BITS: u32 = 8;
 const BUCKETS: usize = 1 << DIGIT_BITS;
 /// Digits of the widest key (`3 * MAX_LEVEL` bits).
 const MAX_DIGITS: usize = (3 * MAX_LEVEL as u32).div_ceil(DIGIT_BITS) as usize;
+/// Low bits of a [`SortWord`] that hold the point's raw index.
+const INDEX_BITS: u32 = u32::BITS;
+
+/// What the SFC sort scatters: one point's code bits above its raw index in
+/// the low [`INDEX_BITS`]. A `u64` holds the keys of depths up to 10, a
+/// `u128` those of every depth up to [`MAX_LEVEL`].
+trait SortWord: Copy + Default {
+    /// Widest key the word holds.
+    const KEY_BITS: u32;
+    fn pack(bits: u64, index: u32) -> Self;
+    fn bits(self) -> u64;
+    fn index(self) -> usize;
+}
+
+impl SortWord for u64 {
+    const KEY_BITS: u32 = u64::BITS - INDEX_BITS;
+    #[inline]
+    fn pack(bits: u64, index: u32) -> u64 {
+        bits << INDEX_BITS | u64::from(index)
+    }
+    #[inline]
+    fn bits(self) -> u64 {
+        self >> INDEX_BITS
+    }
+    #[inline]
+    fn index(self) -> usize {
+        self as u32 as usize
+    }
+}
+
+impl SortWord for u128 {
+    const KEY_BITS: u32 = u64::BITS;
+    #[inline]
+    fn pack(bits: u64, index: u32) -> u128 {
+        u128::from(bits) << INDEX_BITS | u128::from(index)
+    }
+    #[inline]
+    fn bits(self) -> u64 {
+        (self >> INDEX_BITS) as u64
+    }
+    #[inline]
+    fn index(self) -> usize {
+        self as u32 as usize
+    }
+}
 
 /// Stable least-significant-digit radix sort of a frame along the SFC.
 ///
 /// `raw[i]` is the code bits of raw point `i`, of which the low `key_bits`
-/// can be set. On return `perm` maps each SFC position to its raw index —
-/// equal codes keep their raw order — and the returned slice is the bits in
-/// that order. `raw` is only read: the first pass takes a key's index from
-/// its position. Keys ping-pong between the two `keys` buffers and indices
-/// between `perm` and `spare`, which trade heap buffers so that the result
-/// is in `perm` whatever the number of passes.
+/// (at most `W::KEY_BITS`) can be set, and `raw` has at most `u32::MAX`
+/// points. On return `perm` maps each SFC position to its raw index — equal
+/// codes keep their raw order — and `sorted` holds the bits in that order.
+/// Both are overwritten. `raw` is only read: the first pass packs each key
+/// with its position as it scatters it, later passes ping-pong the packed
+/// words between the two `words` buffers, and one sequential pass unpacks
+/// the last one.
 ///
 /// One read of the frame counts every digit, which also tells which digits
 /// to skip: a digit all keys share leaves the order as it is. No key bits,
 /// or all keys equal, is therefore no pass at all — the identity
-/// permutation over `raw` itself.
-fn sort_along_sfc<'a>(
-    raw: &'a [u64],
+/// permutation over `raw` itself — and leaves `words` untouched.
+fn sort_along_sfc<W: SortWord>(
+    raw: &[u64],
     key_bits: u32,
-    keys: &'a mut [Vec<u64>; 2],
+    words: &mut [Vec<W>; 2],
     perm: &mut Vec<usize>,
-    spare: &mut Vec<usize>,
-) -> &'a [u64] {
+    sorted: &mut Vec<u64>,
+) {
+    debug_assert!(key_bits <= W::KEY_BITS && u32::try_from(raw.len()).is_ok());
     let n = raw.len();
     let digits = key_bits.div_ceil(DIGIT_BITS) as usize;
     let digit = |bits: u64, d: usize| (bits >> (d as u32 * DIGIT_BITS)) as usize % BUCKETS;
@@ -492,8 +570,8 @@ fn sort_along_sfc<'a>(
         }
     }
 
-    let [src, dst] = keys;
-    let mut sorted = false;
+    let [src, dst] = words;
+    let mut scattered = false;
     for (d, count) in counts[..digits].iter_mut().enumerate() {
         if count.contains(&n) {
             continue;
@@ -503,32 +581,37 @@ fn sort_along_sfc<'a>(
         for slot in count.iter_mut() {
             next += std::mem::replace(slot, next);
         }
-        // Stale contents are fine: the pass writes every slot of both.
-        dst.resize(n, 0);
-        spare.resize(n, 0);
-        let mut scatter = |bits: u64, index: usize| {
-            let slot = &mut count[digit(bits, d)];
-            dst[*slot] = bits;
-            spare[*slot] = index;
+        // Stale contents are fine: the pass writes every slot.
+        dst.resize(n, W::default());
+        let mut scatter = |word: W| {
+            let slot = &mut count[digit(word.bits(), d)];
+            dst[*slot] = word;
             *slot += 1;
         };
-        if sorted {
-            src.iter()
-                .zip(perm.iter())
-                .for_each(|(&b, &i)| scatter(b, i));
+        if scattered {
+            src.iter().for_each(|&word| scatter(word));
         } else {
-            raw.iter().zip(0..).for_each(|(&b, i)| scatter(b, i));
+            raw.iter()
+                .zip(0..)
+                .for_each(|(&bits, i)| scatter(W::pack(bits, i)));
         }
         std::mem::swap(src, dst);
-        std::mem::swap(perm, spare);
-        sorted = true;
+        scattered = true;
     }
-    if sorted {
-        src
+
+    if scattered {
+        // As above, every slot of both is written.
+        perm.resize(n, 0);
+        sorted.resize(n, 0);
+        for ((&word, index), bits) in src.iter().zip(perm.iter_mut()).zip(sorted.iter_mut()) {
+            *index = word.index();
+            *bits = word.bits();
+        }
     } else {
         perm.clear();
         perm.extend(0..n);
-        raw
+        sorted.clear();
+        sorted.extend_from_slice(raw);
     }
 }
 
@@ -551,8 +634,8 @@ pub struct PreviousFrame {
     /// frames because a frame on the cached grid has the cached config,
     /// hence the cached level.
     codes: Vec<u64>,
-    /// The same bits in SFC order: a copy of what that frame's sort
-    /// returned, whose buffer the next sort writes over.
+    /// The same bits in SFC order, in the buffer that frame's sort
+    /// unpacked them into.
     sorted: Vec<u64>,
 }
 
@@ -575,9 +658,12 @@ impl PreviousFrame {
 ///
 /// * **scratch capacity** — every buffer [`Octree::build`] would otherwise
 ///   allocate per frame (the encoder's boundary table, the raw-order code
-///   bits, the radix sort's two key buffers and second index buffer, and —
-///   via [`OctreeScratch::recycle`] — the permutation, code array, node
-///   arena and reorganized cloud of a consumed tree). Only the frame in
+///   bits, the radix sort's two packed-word buffers, and — via
+///   [`OctreeScratch::recycle`] — the permutation, code array, node arena
+///   and reorganized cloud of a consumed tree). The sort unpacks the
+///   SFC-order bits into the previous frame's raw-order buffer once it is
+///   diffed, so the cache is refreshed by moving buffers, not by copying
+///   them. Only the frame in
 ///   flight uses it, so one scratch can serve any number of streams in
 ///   turn;
 /// * **the previous frame** — see [`PreviousFrame`]. A scratch serving
@@ -593,13 +679,15 @@ pub struct OctreeScratch {
     /// The frame the next build is diffed against.
     prev: PreviousFrame,
     /// Working buffer: this frame's code bits in raw point order. The sort
-    /// only reads it, so it survives as the next frame's previous codes.
+    /// only reads it, so it survives as the next frame's previous codes;
+    /// the previous frame's SFC-order buffer takes its place.
     raw_codes: Vec<u64>,
-    /// Working buffers: the radix sort's key ping-pong.
-    sort_keys: [Vec<u64>; 2],
-    /// Working buffer: whichever of the sort's two index buffers did not
-    /// end up as the tree's permutation (the other arrives as `spare_perm`).
-    sort_perm: Vec<usize>,
+    /// Working buffers: the radix sort's ping-pong of packed words, 8 bytes
+    /// per point at depths up to 10.
+    sort_words: [Vec<u64>; 2],
+    /// The same at depths 11 to [`MAX_LEVEL`], 16 bytes per point; empty
+    /// unless a frame is built that deep.
+    wide_sort_words: [Vec<u128>; 2],
     /// Holds the per-axis boundary table the single pass looks points up
     /// in; refilled from the root of every frame.
     encoder: FrameEncoder,
@@ -1090,35 +1178,63 @@ mod tests {
     }
 
     #[test]
+    fn build_refuses_more_points_than_a_u32_indexes() {
+        // No test can allocate such a frame: this is the check
+        // `build_with_scratch` runs before any other work.
+        let max = u32::MAX as usize;
+        assert_eq!(
+            check_frame(max + 1, OctreeConfig::default()),
+            Err(OctreeError::TooManyPoints {
+                points: max + 1,
+                max
+            })
+        );
+        assert_eq!(check_frame(max, OctreeConfig::default()), Ok(()));
+    }
+
+    #[test]
     fn sort_skips_digits_every_key_shares() {
-        // The second key buffer is first sized by the second pass, so an
-        // empty one says at most one pass ran.
-        let sort = |raw: &[u64], key_bits| {
-            let mut keys = [Vec::new(), Vec::new()];
-            let (mut perm, mut spare) = (vec![7; 3], Vec::new());
-            let sorted = sort_along_sfc(raw, key_bits, &mut keys, &mut perm, &mut spare).to_vec();
-            (sorted, perm, keys)
-        };
+        // The first pass sizes the first word buffer and the second pass
+        // the second, so their lengths say how many passes ran. Both word
+        // widths: 30 key bits pack into a `u64`, 63 need a `u128`.
+        fn check<W: SortWord>(key_bits: u32) {
+            let sort = |raw: &[u64], key_bits| {
+                let mut words: [Vec<W>; 2] = Default::default();
+                let (mut perm, mut sorted) = (vec![7; 3], vec![7; 9]);
+                sort_along_sfc(raw, key_bits, &mut words, &mut perm, &mut sorted);
+                (sorted, perm, words.map(|w| w.len()))
+            };
+            let mask = (1u64 << key_bits) - 1;
 
-        // All keys equal, and no key bits: no pass, the identity.
-        for (raw, key_bits) in [(vec![0x1234_5678_9abc; 5], 63), (vec![0; 5], 0)] {
-            let (sorted, perm, keys) = sort(&raw, key_bits);
-            assert_eq!(sorted, raw);
-            assert_eq!(perm, [0, 1, 2, 3, 4]);
-            assert!(keys[0].is_empty() && keys[1].is_empty());
+            // All keys equal, and no key bits: no pass, the identity.
+            for (raw, bits) in [
+                (vec![0x1234_5678_9abc & mask; 5], key_bits),
+                (vec![0; 5], 0),
+            ] {
+                let (sorted, perm, lens) = sort(&raw, bits);
+                assert_eq!(sorted, raw);
+                assert_eq!(perm, [0, 1, 2, 3, 4]);
+                assert_eq!(
+                    lens,
+                    [0, 0],
+                    "{key_bits}-bit keys, {bits} of them sorted on"
+                );
+            }
+
+            // Keys that differ in one digit only, the others shared (and
+            // not zero): one pass, ties in raw order.
+            let shared = 0x7fed_cba9_8765_0021 & mask;
+            let raw: Vec<u64> = [9u64, 3, 9, 0, 3]
+                .into_iter()
+                .map(|d| shared | d << 8)
+                .collect();
+            let (sorted, perm, lens) = sort(&raw, key_bits);
+            assert_eq!(perm, [3, 1, 4, 0, 2]);
+            assert_eq!(sorted, perm.iter().map(|&i| raw[i]).collect::<Vec<_>>());
+            assert_eq!(lens, [5, 0], "{key_bits} key bits, one digit differs");
         }
-
-        // 63-bit keys that differ in one digit only, the others shared
-        // (and not zero): one pass, ties in raw order.
-        let shared = 0x7fed_cba9_8765_0021;
-        let raw: Vec<u64> = [9u64, 3, 9, 0, 3]
-            .into_iter()
-            .map(|d| shared | d << 8)
-            .collect();
-        let (sorted, perm, keys) = sort(&raw, 63);
-        assert_eq!(perm, [3, 1, 4, 0, 2]);
-        assert_eq!(sorted, perm.iter().map(|&i| raw[i]).collect::<Vec<_>>());
-        assert!(keys[1].is_empty(), "one digit differs: one pass");
+        check::<u64>(30);
+        check::<u128>(63);
     }
 
     #[test]
