@@ -1,7 +1,7 @@
 //! Regenerates every table and figure of the paper's evaluation.
 //!
 //! ```text
-//! repro [table1|fig3|fig9|fig10|fig11|fig12|fig13|fig14|fig15|fig16|e2e|all] [--seed N]
+//! repro [table1|fig3|fig9|fig10|fig11|fig12|fig13|fig14|fig15|fig16|e2e|ablations|all] [--seed N]
 //! ```
 //!
 //! With no argument, runs everything. Output is plain text, one section
@@ -9,6 +9,10 @@
 //! measured values (also recorded in `EXPERIMENTS.md`).
 
 use hgpcn_bench::figures;
+use hgpcn_gather::sorter;
+use hgpcn_memsim::HostMemory;
+use hgpcn_octree::{Octree, OctreeConfig, OctreeTable};
+use hgpcn_sampling::{hw::DownsamplingUnit, ois};
 
 fn parse_args() -> (Vec<String>, u64) {
     let mut sections = Vec::new();
@@ -295,6 +299,31 @@ fn main() {
                         r.candidates_sorted,
                         r.mean_recall * 100.0
                     );
+                }
+                println!("Down-sampling Unit parallelism (30k-point golden cloud, K=1024):");
+                println!("  {:<12} {:>14} {:>14}", "modules", "64 lanes", "256 lanes");
+                let cloud = figures::golden_cloud(30_000, seed);
+                let tree = Octree::build(&cloud, OctreeConfig::default()).expect("ablation failed");
+                let table = OctreeTable::from_octree(&tree);
+                let mut mem = HostMemory::from_cloud(tree.points());
+                let counts = ois::sample(&tree, &table, &mut mem, 1024, seed)
+                    .expect("ablation failed")
+                    .counts;
+                for modules in [1, 2, 4, 8, 16] {
+                    let latency = |scoring_lanes| {
+                        let unit = DownsamplingUnit {
+                            modules,
+                            scoring_lanes,
+                            ..DownsamplingUnit::prototype()
+                        };
+                        unit.latency(&counts).to_string()
+                    };
+                    println!("  {:<12} {:>14} {:>14}", modules, latency(64), latency(256));
+                }
+                println!("DSU sort stage vs sorter width (256 candidates):");
+                println!("  {:<12} {:>14}", "width", "cycles");
+                for width in [4, 8, 16, 32, 64] {
+                    println!("  {:<12} {:>14}", width, sorter::sort_cycles(256, width));
                 }
                 println!("bounded-queue view of SVII-E (2-frame queue):");
                 let q = figures::e2e_queue(4, seed).expect("queue simulation failed");

@@ -2,9 +2,9 @@
 //!
 //! The build environment has no crates.io access, so the serving front
 //! end cannot pull `hyper`/`serde_json`. This crate is the in-tree
-//! substitute, in the same spirit as the `rand`/`proptest`/`criterion`
-//! shims next door: the *smallest* std-only implementation that serves
-//! the workspace's needs, not a general web framework. Unlike its
+//! substitute, in the same spirit as the `rand`/`proptest` shims next
+//! door: the *smallest* std-only implementation that serves the
+//! workspace's needs, not a general web framework. Unlike its
 //! compat siblings it mirrors no specific crates.io API — there is no
 //! single de-facto std-only HTTP crate to be drop-in-compatible with —
 //! so the API is its own, kept deliberately tiny:

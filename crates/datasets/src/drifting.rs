@@ -12,7 +12,7 @@
 //! function of `(scene, frame index)`: any frame can be generated in any
 //! order, repeatedly, bit-identically — which is what determinism tests
 //! and open-loop load harnesses need. This generator is the first step
-//! toward the scenario engine (ROADMAP item 4): dynamic scenes as a
+//! toward the scenario engine (parked in ROADMAP): dynamic scenes as a
 //! first-class, reproducible test axis.
 
 use rand::rngs::StdRng;

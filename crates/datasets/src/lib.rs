@@ -19,7 +19,7 @@
 //! * [`DriftingScene`] — rigid objects translating through a fixed world
 //!   box: AABB-stable, temporally coherent frame streams for exercising
 //!   the stream-scoped preprocessing warm pricing (and the seed of the
-//!   ROADMAP item 4 scenario engine);
+//!   scenario engine parked in ROADMAP);
 //! * [`BenchmarkSpec`]/[`TABLE_I`] — the paper's benchmark table;
 //! * [`EvalFrame`] — the named frames appearing on figure x-axes.
 //!

@@ -44,8 +44,8 @@ pub fn gather(cloud: &PointCloud, center: usize, k: usize) -> Result<GatherResul
 
 /// [`gather`] on a specific [`GatherKernel`] backend instead of the
 /// default ([`GatherKernel::default`]). All backends are
-/// bit-identical, so this changes host speed only; equivalence tests and
-/// benches sweep it.
+/// bit-identical, so this changes host speed only; equivalence tests
+/// sweep it.
 ///
 /// # Errors
 ///

@@ -19,8 +19,8 @@
 //!
 //! Latency here is a deterministic cost-model output, **not** wall-clock
 //! time: the same counts always produce the same latency, which keeps every
-//! figure reproducible. (Criterion benches separately measure real
-//! wall-clock of the Rust implementations.)
+//! figure reproducible. (The benchmark of record, `benchmark/run.sh`,
+//! separately measures real wall-clock of the Rust implementations.)
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

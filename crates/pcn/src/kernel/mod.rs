@@ -116,8 +116,7 @@ impl LinearKernel {
     }
 
     /// Every backend compiled into this build, fastest-last. Sweep this
-    /// (filtered by [`LinearKernel::is_supported`]) in equivalence tests
-    /// and benches.
+    /// (filtered by [`LinearKernel::is_supported`]) in equivalence tests.
     pub fn all() -> &'static [LinearKernel] {
         &[
             LinearKernel::Reference,
@@ -132,7 +131,7 @@ impl LinearKernel {
     /// Runs this backend: `x · weights + bias`, row-wise, with an
     /// optional fused ReLU — the primitive behind
     /// [`Matrix::linear`] / [`Matrix::linear_fused`], callable on a
-    /// *specific* backend for equivalence tests and benches.
+    /// *specific* backend for equivalence tests.
     ///
     /// # Panics
     ///

@@ -12,9 +12,9 @@ use super::LinearTask;
 ///
 /// The loop body is deliberately the seed's original `Matrix::linear`
 /// implementation, kept **byte-for-byte** (indexed scatter and all):
-/// this backend is the immutable semantic anchor *and* the fixed
-/// yardstick the `kernel_matmul` bench measures the others against, so
-/// its shape must not drift between PRs. It is never
+/// this backend is the immutable semantic anchor every backend-parity
+/// suite compares against, and `tests/anchor.rs` pins the logits it
+/// defines by bits, so its shape must not drift between PRs. It is never
 /// auto-selected — [`super::fastest_supported`] always prefers
 /// [`blocked`] — so its speed costs nothing in production.
 pub(super) fn reference(task: &LinearTask<'_>, y: &mut [f32]) {

@@ -178,8 +178,8 @@ impl StageBackends {
     }
 
     /// Every stage pinned to its portable scalar anchor — the
-    /// yardstick configuration benches and equivalence tests compare
-    /// optimized backends against.
+    /// yardstick configuration equivalence tests compare optimized
+    /// backends against.
     pub fn anchor() -> StageBackends {
         StageBackends {
             sampling: SamplingKernel::Scalar,

@@ -4,7 +4,7 @@
 //! names it and is what a batch run admits frames from. Two sources
 //! ship in-tree: [`KittiSource`], backed by the LiDAR simulator in
 //! `hgpcn-datasets`, and [`SyntheticSource`], an arithmetic generator
-//! cheap enough for tests and benches.
+//! cheap enough for tests and examples.
 
 use hgpcn_datasets::kitti::{KittiConfig, KittiStream};
 use hgpcn_geometry::{Point3, PointCloud};
@@ -141,7 +141,7 @@ impl FrameSource for KittiSource {
 /// points in the unit cube per frame, at a fixed rate. Frames differ per
 /// index (the generator folds the frame number into the low-discrepancy
 /// sequence) but are exactly reproducible — ideal for determinism tests
-/// and benches where the LiDAR simulator would dominate runtime.
+/// and examples where the LiDAR simulator would dominate runtime.
 #[derive(Clone, Debug)]
 pub struct SyntheticSource {
     points: usize,

@@ -3,8 +3,8 @@
 //! The paper's criterion: end-to-end processing of each frame must keep up
 //! with the sensor's data-generation rate. This module consumes a stream
 //! of timestamped frames (e.g. [`hgpcn_datasets::kitti::KittiStream`] in
-//! the benches), processes each through a pipeline, and compares achieved
-//! throughput against the measured generation rate.
+//! the `repro` regenerator), processes each through a pipeline, and
+//! compares achieved throughput against the measured generation rate.
 //!
 //! [`hgpcn_datasets::kitti::KittiStream`]: https://docs.rs/hgpcn-datasets
 
