@@ -6,7 +6,8 @@
 //!
 //! With no argument, runs everything. Output is plain text, one section
 //! per figure, with the paper's reported range quoted next to the
-//! measured values (also recorded in `EXPERIMENTS.md`).
+//! measured values. `tests/shape_targets.rs` asserts the same figures'
+//! qualitative claims.
 
 use hgpcn_bench::figures;
 use hgpcn_gather::sorter;

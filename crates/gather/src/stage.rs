@@ -49,14 +49,6 @@ impl GatherKernel {
         }
     }
 
-    /// Whether the running CPU can execute this backend. Both backends
-    /// are portable scalar code, so this is always `true`; the method
-    /// exists to keep the stage-kernel surface congruent with
-    /// `LinearKernel` (whose SIMD variants genuinely gate on CPUID).
-    pub fn is_supported(&self) -> bool {
-        true
-    }
-
     /// Every backend compiled into this build, fastest-last.
     pub fn all() -> &'static [GatherKernel] {
         &[GatherKernel::Scalar, GatherKernel::Blocked]

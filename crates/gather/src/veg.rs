@@ -14,7 +14,8 @@
 //!
 //! * [`VegMode::Paper`] — exactly the shell rule of §VI (inner shells
 //!   taken wholesale). Near-exact in practice; its recall against brute
-//!   KNN is measured in tests and in `EXPERIMENTS.md`.
+//!   KNN is measured in this module's tests (`paper_mode_has_high_recall`)
+//!   and end to end in `tests/equivalence.rs`.
 //! * [`VegMode::Exact`] — keeps expanding until the K-th candidate
 //!   distance is provably inside the covered region, then sorts all
 //!   candidates: bit-identical neighbor sets to brute-force KNN, at the

@@ -645,12 +645,6 @@ impl PreviousFrame {
     pub fn new() -> PreviousFrame {
         PreviousFrame::default()
     }
-
-    /// Forgets the cached frame but keeps its buffers, so the next build
-    /// through it is priced in full and allocates nothing here.
-    pub fn forget(&mut self) {
-        self.grid = None;
-    }
 }
 
 /// Reusable build state: the working set of the octree half of a
@@ -1158,8 +1152,8 @@ mod tests {
                 shared.recycle(got);
             }
         }
-        // Between frames the shared scratch holds no stream's frame, and a
-        // forgotten previous frame prices the next build in full.
+        // Between frames the shared scratch holds no stream's frame, and an
+        // empty previous frame prices the next build in full.
         let cloud = stream(9.0, 0.0);
         assert!(
             !Octree::build_with_scratch(&cloud, cfg, &mut shared)
@@ -1167,7 +1161,7 @@ mod tests {
                 .build_stats()
                 .reused
         );
-        prevs[0].forget();
+        prevs[0] = PreviousFrame::new();
         shared.swap_previous(&mut prevs[0]);
         assert!(
             !Octree::build_with_scratch(&cloud, cfg, &mut shared)

@@ -6,7 +6,7 @@
 //! feature-propagation stages interpolate back up for segmentation; heads
 //! produce class logits. Weights are seeded-random — the paper's latency
 //! results depend only on layer dimensions and gather patterns, never on
-//! trained weight values (see `DESIGN.md`).
+//! trained weight values.
 //!
 //! The neighbor-gathering step is **pluggable** through [`Gatherer`]: the
 //! CPU/GPU baselines plug brute-force KNN, HgPCN plugs VEG. Because both

@@ -113,7 +113,6 @@ pub struct PointNet {
     fp_weights: Vec<Vec<LayerWeights>>,
     head_weights: Vec<LayerWeights>,
     kernel: LinearKernel,
-    stages: StageBackends,
 }
 
 /// Which of a network's MLP groups a dense layer belongs to.
@@ -163,7 +162,6 @@ impl PointNet {
             fp_weights,
             head_weights,
             kernel: kernel::fastest_supported(),
-            stages: StageBackends::active(),
         }
     }
 
@@ -191,29 +189,6 @@ impl PointNet {
     /// The matmul backend this network dispatches to.
     pub fn kernel(&self) -> LinearKernel {
         self.kernel
-    }
-
-    /// Pins this network to a specific set of preproc-stage backends
-    /// instead of the default [`StageBackends::active`] selection.
-    /// Every stage backend is bit-identical to its scalar anchor, so —
-    /// exactly like [`PointNet::with_kernel`] — this moves host speed
-    /// only, never results; a harness uses it to run an all-anchor
-    /// yardstick and an optimized candidate side by side in one process.
-    ///
-    /// This pins the network-resident stage (FP interpolation) and sets
-    /// the default for the per-call `_using` entry points; the sampling
-    /// and gather backends take effect where those stages run (the
-    /// preprocessing and inference engines thread them there).
-    #[must_use]
-    pub fn with_stage_backends(mut self, stages: StageBackends) -> PointNet {
-        self.stages = stages;
-        self
-    }
-
-    /// The preproc-stage backends this network dispatches to by
-    /// default.
-    pub fn stage_backends(&self) -> StageBackends {
-        self.stages
     }
 
     /// The network's configuration.
@@ -263,17 +238,22 @@ impl PointNet {
         gatherer: &mut dyn Gatherer,
         policy: CenterPolicy,
     ) -> Result<InferenceOutput, PcnError> {
-        self.infer_with_precision_using(cloud, gatherer, policy, Precision::F32, self.stages)
+        self.infer_with_precision_using(
+            cloud,
+            gatherer,
+            policy,
+            Precision::F32,
+            StageBackends::active(),
+        )
     }
 
     /// [`PointNet::infer`] with an explicit per-call stage-backend
-    /// selection, overriding the network's pinned
-    /// [`PointNet::stage_backends`]. Only the network-resident stage
-    /// (FP interpolation) dispatches here — callers running sampling or
-    /// gathering (the engines in the system crate) consume the other
-    /// two fields. Bit-identity across backends makes this a pure
-    /// host-speed knob. `precision` is always [`Precision::F32`] (see
-    /// [`Precision`]).
+    /// selection instead of [`StageBackends::active`]. Only the
+    /// network-resident stage (FP interpolation) dispatches here —
+    /// callers running sampling or gathering (the engines in the system
+    /// crate) consume the other two fields. Bit-identity across backends
+    /// makes this a pure host-speed knob. `precision` is always
+    /// [`Precision::F32`] (see [`Precision`]).
     ///
     /// # Errors
     ///
@@ -344,7 +324,7 @@ impl PointNet {
         gatherers: &mut [&mut dyn Gatherer],
         policies: &[CenterPolicy],
     ) -> Result<Vec<InferenceOutput>, PcnError> {
-        self.infer_batch_using(clouds, gatherers, policies, self.stages)
+        self.infer_batch_using(clouds, gatherers, policies, StageBackends::active())
     }
 
     /// [`PointNet::infer_batch`] with an explicit per-call stage-backend

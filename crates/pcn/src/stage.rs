@@ -19,9 +19,10 @@
 //! byte-for-byte), and every optimized backend is **bit-identical** to
 //! its anchor — same outputs, same modeled operation counts — so a
 //! selection can change host speed only, never results or committed
-//! latency quantiles. The default selection is a constant (each stage's
-//! `Default`); tests and yardsticks pin [`StageBackends::anchor`]
-//! programmatically. See `ARCHITECTURE.md` for the full seam table.
+//! latency quantiles. The served selection is a constant,
+//! [`StageBackends::active`] (each stage's `Default`); tests and the
+//! benchmark's replay pass another one to the `*_with` / `*_using`
+//! entry points. See `ARCHITECTURE.md` for the full seam table.
 
 use std::cmp::Ordering;
 
@@ -144,21 +145,17 @@ fn accumulate_row(best: &[(f32, usize); 3], blen: usize, coarse_feats: &Matrix, 
     }
 }
 
-/// One backend selection per pipeline stage — the unit the runtime
-/// resolves once per run, threads through every engine call, and
-/// reports in `RuntimeReport::stage_backends`.
+/// One backend selection per pipeline stage — the unit every engine
+/// call threads through, reported in `RuntimeReport::stage_backends`.
 ///
 /// ```
 /// use hgpcn_pcn::stage::StageBackends;
 ///
-/// let anchor = StageBackends::anchor();
-/// assert_eq!(anchor.sampling.name(), "scalar");
-/// assert_eq!(anchor.gather.name(), "scalar");
-/// assert_eq!(anchor.interpolate.name(), "scalar");
-/// // The default selection is each stage's optimized backend.
+/// // The served selection is each stage's optimized backend.
 /// let active = StageBackends::active();
 /// assert_eq!(active.sampling.name(), "batched");
 /// assert_eq!(active.gather.name(), "blocked");
+/// assert_eq!(active.interpolate.name(), "scalar");
 /// ```
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct StageBackends {
@@ -171,21 +168,10 @@ pub struct StageBackends {
 }
 
 impl StageBackends {
-    /// The selection every engine uses unless pinned: each stage's
-    /// `Default` backend (the same value as `StageBackends::default()`).
+    /// The selection every engine serves: each stage's `Default`
+    /// backend (the same value as `StageBackends::default()`).
     pub fn active() -> StageBackends {
         StageBackends::default()
-    }
-
-    /// Every stage pinned to its portable scalar anchor — the
-    /// yardstick configuration equivalence tests compare optimized
-    /// backends against.
-    pub fn anchor() -> StageBackends {
-        StageBackends {
-            sampling: SamplingKernel::Scalar,
-            gather: GatherKernel::Scalar,
-            interpolate: InterpolateKernel::Scalar,
-        }
     }
 }
 
@@ -195,12 +181,10 @@ mod tests {
 
     #[test]
     fn registry_bundles_all_three_stages() {
-        let anchor = StageBackends::anchor();
-        assert_eq!(anchor.sampling, SamplingKernel::Scalar);
-        assert_eq!(anchor.gather, GatherKernel::Scalar);
-        assert_eq!(anchor.interpolate, InterpolateKernel::Scalar);
         let active = StageBackends::active();
         assert_eq!(active, StageBackends::default());
-        assert_ne!(active, anchor, "the default selection is the optimized set");
+        assert_eq!(active.sampling, SamplingKernel::Batched);
+        assert_eq!(active.gather, GatherKernel::Blocked);
+        assert_eq!(active.interpolate, InterpolateKernel::Scalar);
     }
 }

@@ -1,7 +1,5 @@
 //! Runtime configuration: worker pools, queue sizing and policies.
 
-use hgpcn_pcn::StageBackends;
-use hgpcn_system::PreprocReuse;
 use hgpcn_telemetry::TelemetryMode;
 
 use crate::RuntimeError;
@@ -34,7 +32,14 @@ pub enum ArrivalModel {
     Backlogged,
 }
 
-/// Configuration of a [`Runtime`](crate::Runtime).
+/// Configuration of a [`Runtime`](crate::Runtime): pool and queue
+/// sizes, admission policies, sampling target, seed and telemetry.
+///
+/// The pipeline a frame runs through is not configurable. Every run
+/// dispatches to [`StageBackends::active`](hgpcn_pcn::StageBackends::active),
+/// and every stream keeps its previous frame, so a frame on that frame's
+/// root grid is priced as the §V-A delta pass
+/// ([`hgpcn_system::reuse`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct RuntimeConfig {
     /// Workers in the pre-processing stage pool.
@@ -68,27 +73,6 @@ pub struct RuntimeConfig {
     /// `HGPCN_TELEMETRY` environment variable; when resolved off the
     /// recorders are no-op sinks and the hot path never touches them.
     pub telemetry: TelemetryMode,
-    /// Preproc-stage backend selection (sampling / gather / FP
-    /// interpolation) for every worker of the run. `None` (the default)
-    /// defers to the served network's pinned
-    /// [`stage_backends`](hgpcn_pcn::PointNet::stage_backends) — which
-    /// itself defaults to [`StageBackends::default`].
-    /// Every backend is bit-identical to its scalar anchor, so this knob
-    /// moves host speed only, never results or modeled latencies; the
-    /// resolved selection is reported in
-    /// [`RuntimeReport::stage_backends`](crate::RuntimeReport::stage_backends).
-    pub stage_backends: Option<StageBackends>,
-    /// Preprocessing state policy for every stream of the run. `None`
-    /// (the default) means [`PreprocReuse::default`], i.e. `On`. With
-    /// [`PreprocReuse::On`] each stream keeps its
-    /// [`PreviousFrame`](hgpcn_system::PreviousFrame), and consecutive
-    /// frames sharing a root AABB are priced as a §V-A delta pass. Either
-    /// way each pre-processing worker runs every frame through its own
-    /// working set. Results are **bit-identical** either way and the host
-    /// runs the same build; what changes is the *modeled* preprocessing
-    /// cost of warm frames. The resolved policy is reported in
-    /// [`RuntimeReport::preproc_reuse`](crate::RuntimeReport::preproc_reuse).
-    pub preproc_reuse: Option<PreprocReuse>,
 }
 
 impl Default for RuntimeConfig {
@@ -103,8 +87,6 @@ impl Default for RuntimeConfig {
             seed: 0x5EED,
             max_batch: 1,
             telemetry: TelemetryMode::Auto,
-            stage_backends: None,
-            preproc_reuse: None,
         }
     }
 }
@@ -164,21 +146,6 @@ impl RuntimeConfig {
         self
     }
 
-    /// Pins the preproc-stage backends for every worker of the run
-    /// (bit-identical to the anchors — a host-speed knob only).
-    pub fn stage_backends(mut self, stages: StageBackends) -> Self {
-        self.stage_backends = Some(stages);
-        self
-    }
-
-    /// Pins the preprocessing state policy for the run instead of the
-    /// default `On` (bit-identical results either way — a modeled-cost
-    /// and host-speed knob).
-    pub fn preproc_reuse(mut self, policy: PreprocReuse) -> Self {
-        self.preproc_reuse = Some(policy);
-        self
-    }
-
     /// Checks the configuration is runnable.
     ///
     /// # Errors
@@ -233,9 +200,7 @@ mod tests {
             .target_points(256)
             .seed(42)
             .max_batch(8)
-            .telemetry(TelemetryMode::On)
-            .stage_backends(StageBackends::anchor())
-            .preproc_reuse(PreprocReuse::Off);
+            .telemetry(TelemetryMode::On);
         assert_eq!(cfg.preproc_workers, 3);
         assert_eq!(cfg.inference_workers, 2);
         assert_eq!(cfg.queue_capacity, 5);
@@ -245,10 +210,6 @@ mod tests {
         assert_eq!(cfg.seed, 42);
         assert_eq!(cfg.max_batch, 8);
         assert_eq!(cfg.telemetry, TelemetryMode::On);
-        assert_eq!(cfg.stage_backends, Some(StageBackends::anchor()));
-        assert_eq!(cfg.preproc_reuse, Some(PreprocReuse::Off));
-        assert_eq!(RuntimeConfig::default().stage_backends, None);
-        assert_eq!(RuntimeConfig::default().preproc_reuse, None);
         assert_eq!(RuntimeConfig::default().telemetry, TelemetryMode::Auto);
     }
 

@@ -96,14 +96,6 @@ pub use stream::{
     FrameSource, KittiSource, StreamProfile, StreamSpec, SyntheticSource, TimedFrame,
 };
 
-// Re-exported so serving code can pin preproc-stage backends without a
-// direct `hgpcn_pcn` dependency.
-pub use hgpcn_pcn::StageBackends;
-
-// Re-exported so serving code can pin the preprocessing state policy
-// without a direct `hgpcn_system` dependency.
-pub use hgpcn_system::PreprocReuse;
-
 // Re-exported so serving code can configure and consume telemetry
 // without a direct `hgpcn_telemetry` dependency.
 pub use hgpcn_telemetry::{Registry, TelemetryMode, Trace};

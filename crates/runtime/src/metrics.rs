@@ -34,7 +34,7 @@ pub struct StageBackendNames {
 
 impl StageBackendNames {
     /// `(stage, backend)` pairs in pipeline order — the iteration the
-    /// `/metrics` info series and the report renderers share.
+    /// report renderers share.
     pub fn as_pairs(&self) -> [(&'static str, &'static str); 3] {
         [
             ("sampling", self.sampling),
@@ -100,8 +100,7 @@ pub struct FrameRecord {
     /// Wall-clock instant (relative to run start) the frame completed.
     pub wall_done: Duration,
     /// Whether preprocessing landed on the stream's previous root grid
-    /// and was priced as the temporal-coherence delta pass. Always
-    /// `false` when the run's reuse policy is `off`. Modeled-cost
+    /// and was priced as the temporal-coherence delta pass. Modeled-cost
     /// provenance only: the host build is the same, and warm and cold
     /// frames carry bit-identical sampled clouds and logits.
     pub preproc_reused: bool,
@@ -186,23 +185,20 @@ pub struct StreamReport {
     pub dropped: usize,
     /// The sensor's nominal generation rate.
     pub sensor_fps: f64,
-    /// The preproc-stage backends that served this stream — always the
-    /// session-wide selection (stage backends are resolved once per
-    /// run, never per stream), repeated here so a per-stream consumer
+    /// The preproc-stage backends that served this stream — always
+    /// [`StageBackends::active`], repeated here so a per-stream consumer
     /// need not join against the run report.
     pub stage_backends: StageBackendNames,
-    /// The preprocessing state policy that served this stream
-    /// (`hgpcn_system::PreprocReuse::name`: `off` or `on`) — the
-    /// session-wide resolution, repeated per stream like
-    /// `stage_backends`. Identity provenance, not a result qualifier:
-    /// both policies produce bit-identical outputs.
+    /// Always `"on"`: every stream keeps its previous frame. Kept only
+    /// because `benchmark/` checks it; it goes with the next benchmark
+    /// change (ROADMAP item 5).
     pub preproc_reuse: &'static str,
     /// Frames of this stream whose preprocessing was priced as the
-    /// temporal-coherence delta pass. Zero under the `off` policy.
+    /// temporal-coherence delta pass.
     pub preproc_reuse_hits: u64,
     /// Frames priced as a full build (first frame, root-AABB drift).
-    /// With reuse `on`, hits staying at zero while frames flow means
-    /// warm pricing never engages — the silent-fallback diagnostic.
+    /// Hits staying at zero while frames flow means warm pricing never
+    /// engages — the silent-fallback diagnostic.
     pub preproc_reuse_misses: u64,
     /// Completed frames per virtual second, over this stream's span of
     /// virtual time (arrival of first frame to completion of last).
@@ -554,14 +550,13 @@ pub struct RuntimeReport {
     /// across backends, so this is host-speed provenance, not a result
     /// qualifier.
     pub kernel_backend: &'static str,
-    /// The preproc-stage backends every worker of the run dispatched to
-    /// (the config override if set, else the served network's pinned
-    /// selection). Host-speed provenance like `kernel_backend`.
+    /// The preproc-stage backends every worker of the run dispatched to:
+    /// always [`StageBackends::active`]. Host-speed provenance like
+    /// `kernel_backend`.
     pub stage_backends: StageBackendNames,
-    /// The preprocessing state policy of the run
-    /// (`hgpcn_system::PreprocReuse::name`: `off` or `on`). Like
-    /// `kernel_backend` this is provenance, not a result qualifier —
-    /// warm and cold preprocessing are bit-identical.
+    /// Always `"on"`: every stream keeps its previous frame. Kept only
+    /// because `benchmark/` checks it; it goes with the next benchmark
+    /// change (ROADMAP item 5).
     pub preproc_reuse: &'static str,
     /// Frames across all streams whose preprocessing was priced as the
     /// temporal-coherence delta pass.
@@ -710,22 +705,6 @@ impl RuntimeReport {
                 self.batching.mean_batch_size,
             );
         }
-        // Info-style identity series (value always 1; the labels carry
-        // the payload): which backend served each preproc stage.
-        for (stage, backend) in self.stage_backends.as_pairs() {
-            reg.gauge_set(
-                "hgpcn_stage_backend_info",
-                "Preproc-stage backend identity (info-style; value is always 1)",
-                &[("stage", stage), ("backend", backend)],
-                1.0,
-            );
-        }
-        reg.gauge_set(
-            "hgpcn_preproc_reuse_info",
-            "Preprocessing state policy identity (info-style; value is always 1)",
-            &[("policy", self.preproc_reuse)],
-            1.0,
-        );
         for r in &self.records {
             reg.histogram_record(
                 "hgpcn_stage_service_seconds",

@@ -31,8 +31,8 @@ use std::time::Instant;
 use hgpcn_geometry::PointCloud;
 use hgpcn_pcn::{InferenceOutput, PointNet, StageBackends};
 use hgpcn_system::{
-    E2ePipeline, E2eReport, InferenceEngine, InferenceReport, PhaseReport, PreprocReuse,
-    PreviousFrame, StreamPreprocContext, SystemError,
+    E2ePipeline, E2eReport, InferenceEngine, InferenceReport, PhaseReport, PreviousFrame,
+    StreamPreprocContext, SystemError,
 };
 use hgpcn_telemetry::{EventKind, SpanRecorder, TraceCollector, WorkerId};
 
@@ -66,12 +66,12 @@ struct StageJob {
     sampled: PointCloud,
     pre_phase: PhaseReport,
     /// Whether preprocessing was priced as the temporal-coherence delta
-    /// pass (always `false` under [`PreprocReuse::Off`]).
+    /// pass.
     preproc_reused: bool,
 }
 
 // ---------------------------------------------------------------------
-// Stream-scoped previous frames (`PreprocReuse::On`).
+// Stream-scoped previous frames.
 //
 // Each pre-processing worker owns one working set (`StreamPreprocContext`)
 // and a stream owns only its previous frame, which the worker swaps into
@@ -137,8 +137,7 @@ impl CtxSlot {
 }
 
 /// The session's registry of per-stream context slots, indexed by
-/// stream id (slots are opened alongside streams). Unused under
-/// [`PreprocReuse::Off`] beyond the (cheap, empty) slot allocation.
+/// stream id (slots are opened alongside streams).
 struct CtxRegistry {
     slots: Mutex<Vec<Arc<CtxSlot>>>,
     /// Set on teardown (panic unwind, shutdown-less drop): waiters
@@ -280,18 +279,11 @@ struct StreamState {
 struct SessionCore {
     config: RuntimeConfig,
     kernel_backend: &'static str,
-    /// Resolved once per session: the config override if set, else the
-    /// served network's pinned selection. Workers thread this into every
-    /// engine call, so one session never mixes stage backends.
-    stages: StageBackends,
     /// Resolved once per session: how many sub-batches (threads) one
     /// inference call may spread a micro-batch over ([`infer_parts`]).
     infer_parts: usize,
     started: Instant,
     traced: bool,
-    /// Resolved once per session: the config pin if set, else the
-    /// default policy (`On`).
-    reuse: PreprocReuse,
     /// Per-stream previous frames, warm/cold tallies and turn state.
     contexts: CtxRegistry,
     ingress: BoundedQueue<PreprocJob>,
@@ -325,11 +317,9 @@ impl SessionCore {
         let traced = config.telemetry.is_enabled();
         SessionCore {
             kernel_backend: net.kernel().name(),
-            stages: config.stage_backends.unwrap_or(net.stage_backends()),
             infer_parts: infer_parts(InferenceEngine::host_cores(), config.inference_workers),
             started,
             traced,
-            reuse: config.preproc_reuse.unwrap_or_default(),
             contexts: CtxRegistry::new(),
             ingress: BoundedQueue::new(config.queue_capacity),
             stage: BoundedQueue::new(config.queue_capacity),
@@ -348,9 +338,7 @@ impl SessionCore {
     fn open_stream(&self, profile: StreamProfile) -> usize {
         let mut streams = self.streams.lock().expect("stream registry poisoned");
         let id = streams.len();
-        // One context slot per stream, opened unconditionally (a fresh
-        // slot allocates nothing heavy) so stream ids always index the
-        // registry regardless of the reuse policy.
+        // One context slot per stream, so stream ids index the registry.
         self.contexts.open();
         streams.push(StreamState {
             name: profile.name,
@@ -440,11 +428,9 @@ impl SessionCore {
     fn evicted(&self, recorder: &mut SpanRecorder, job: PreprocJob) {
         let (stream_id, frame_index) = (job.frame.stream_id, job.frame.frame_index);
         self.streams.lock().expect("stream registry poisoned")[stream_id].dropped += 1;
-        if self.reuse == PreprocReuse::On {
-            // The evicted frame will never reach a preproc worker: pass
-            // its context turn so successors don't wait for it.
-            self.contexts.skip(stream_id, frame_index);
-        }
+        // The evicted frame will never reach a preproc worker: pass its
+        // context turn so successors don't wait for it.
+        self.contexts.skip(stream_id, frame_index);
         recorder.record(
             EventKind::Drop,
             stream_id,
@@ -602,7 +588,7 @@ impl SessionCore {
             .lock()
             .expect("stream registry poisoned")
             .clone();
-        let stage_backends = StageBackendNames::from(self.stages);
+        let stage_backends = StageBackendNames::from(StageBackends::active());
         let reuse_counts = self.contexts.counts();
         let mut reports = Vec::with_capacity(streams.len());
         for (id, state) in streams.iter().enumerate() {
@@ -635,7 +621,7 @@ impl SessionCore {
                 dropped: state.dropped,
                 sensor_fps: state.nominal_fps,
                 stage_backends,
-                preproc_reuse: self.reuse.name(),
+                preproc_reuse: "on",
                 preproc_reuse_hits: reuse_counts.get(id).map_or(0, |c| c.0),
                 preproc_reuse_misses: reuse_counts.get(id).map_or(0, |c| c.1),
                 achieved_fps,
@@ -670,7 +656,7 @@ impl SessionCore {
             wall_elapsed: self.started.elapsed(),
             kernel_backend: self.kernel_backend,
             stage_backends,
-            preproc_reuse: self.reuse.name(),
+            preproc_reuse: "on",
             preproc_reuse_hits: reuse_counts.iter().map(|c| c.0).sum(),
             preproc_reuse_misses: reuse_counts.iter().map(|c| c.1).sum(),
             batching: BatchingStats::from_sizes(self.config.max_batch, batch_sizes),
@@ -696,8 +682,6 @@ fn preproc_worker(core: &SessionCore, pipeline: &E2ePipeline, w: usize) {
     let mut vclock = 0.0f64;
     // The worker's working set, shared by every stream it serves.
     let mut ctx = StreamPreprocContext::new();
-    // `Off`: the previous frame every frame runs against, forgotten first.
-    let mut cold = PreviousFrame::new();
     while let Some((job, ticket)) = core.ingress.pop() {
         let PreprocJob {
             frame,
@@ -710,27 +694,15 @@ fn preproc_worker(core: &SessionCore, pipeline: &E2ePipeline, w: usize) {
             virtual_arrival_s,
         );
         let seed = frame_seed(core.config.seed, frame.stream_id, frame.frame_index);
-        // `On`: the frame runs against its stream's previous frame under
-        // the stream's turn, so cache state — and therefore modeled cost —
-        // is a pure function of submission order at any worker count.
-        // `Off`: an empty previous frame outside the turn discipline (the
-        // anchor pricing).
+        // The frame runs against its stream's previous frame under the
+        // stream's turn, so cache state — and therefore modeled cost — is
+        // a pure function of submission order at any worker count.
         let slot = core.contexts.slot(frame.stream_id);
-        let mut turn = (core.reuse == PreprocReuse::On).then(|| {
-            let mut inner = slot.inner.lock().expect("preproc context poisoned");
-            while inner.next != frame.frame_index && !core.contexts.is_aborted() {
-                inner = slot.turn.wait(inner).expect("preproc context poisoned");
-            }
-            inner
-        });
-        let prev = match &mut turn {
-            Some(inner) => &mut inner.prev,
-            None => {
-                cold.forget();
-                &mut cold
-            }
-        };
-        ctx.swap_previous(prev);
+        let mut turn = slot.inner.lock().expect("preproc context poisoned");
+        while turn.next != frame.frame_index && !core.contexts.is_aborted() {
+            turn = slot.turn.wait(turn).expect("preproc context poisoned");
+        }
+        ctx.swap_previous(&mut turn.prev);
         // Wall time is measured around the engine call only, excluding
         // the turn wait.
         let wall0 = Instant::now();
@@ -740,7 +712,7 @@ fn preproc_worker(core: &SessionCore, pipeline: &E2ePipeline, w: usize) {
                 &frame.cloud,
                 core.config.target_points,
                 seed,
-                core.stages.sampling,
+                StageBackends::active().sampling,
                 &mut ctx,
             )
             .map(|mut out| {
@@ -757,17 +729,15 @@ fn preproc_worker(core: &SessionCore, pipeline: &E2ePipeline, w: usize) {
                     wall0.elapsed().as_secs_f64(),
                 )
             });
-        ctx.swap_previous(prev);
-        if let Some(inner) = &mut turn {
-            match &processed {
-                Ok((.., true, _)) => inner.hits += 1,
-                Ok(_) => inner.misses += 1,
-                Err(_) => {}
-            }
-            // Pass the turn whether the frame succeeded or failed;
-            // successors must not wait on a frame that already resolved.
-            slot.advance_locked(inner, frame.frame_index);
+        ctx.swap_previous(&mut turn.prev);
+        match &processed {
+            Ok((.., true, _)) => turn.hits += 1,
+            Ok(_) => turn.misses += 1,
+            Err(_) => {}
         }
+        // Pass the turn whether the frame succeeded or failed; successors
+        // must not wait on a frame that already resolved.
+        slot.advance_locked(&mut turn, frame.frame_index);
         drop(turn);
         match processed {
             Ok((sampled, latency, counts, preproc_reused, wall_preproc_s)) => {
@@ -871,10 +841,13 @@ fn infer_batch(
         .map(|(job, _)| frame_seed(core.config.seed, job.stream_id, job.frame_index))
         .collect();
     let wall0 = Instant::now();
-    match pipeline
-        .inference
-        .run_batch_in_parts(&inputs, net, &seeds, core.stages, core.infer_parts)
-    {
+    match pipeline.inference.run_batch_in_parts(
+        &inputs,
+        net,
+        &seeds,
+        StageBackends::active(),
+        core.infer_parts,
+    ) {
         Ok(reports) => {
             // Per-frame share of the call's host wall time, split evenly:
             // the call's sub-batches may run in parallel on the host's cores,

@@ -18,8 +18,9 @@
 //! (§VII-C): like FPS, a region stops being "far" the moment a sample
 //! lands in it. A plain greedy farthest-from-`||S||2` descent (the
 //! simplest reading of Algorithm 2) degenerates — it keeps drawing from
-//! the single region opposite the centroid; `EXPERIMENTS.md` documents
-//! the comparison.
+//! the single region opposite the centroid. `tests/equivalence.rs`
+//! (`ois_quality_matches_fps_class_and_beats_random`) holds the max-min
+//! scoreboard's coverage to FPS class.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -356,7 +357,7 @@ impl Scoreboard {
     /// every bit), so we evaluate the Chebyshev grid distance of the
     /// de-interleaved coordinates — the same single-cycle combinational
     /// evaluation in hardware, and the interpretation that preserves the
-    /// paper's FPS-accuracy claim (see EXPERIMENTS.md).
+    /// paper's FPS-accuracy claim (see the module docs).
     fn update(&mut self, kernel: SamplingKernel, picked: MortonCode, counts: &mut OpCounts) {
         match kernel {
             SamplingKernel::Scalar => self.update_scalar(picked, counts),

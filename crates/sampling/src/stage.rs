@@ -47,13 +47,6 @@ impl SamplingKernel {
         }
     }
 
-    /// Whether the running CPU can execute this backend — always `true`
-    /// (both backends are portable scalar code); kept for congruence
-    /// with the `LinearKernel` surface.
-    pub fn is_supported(&self) -> bool {
-        true
-    }
-
     /// Every backend compiled into this build, fastest-last.
     pub fn all() -> &'static [SamplingKernel] {
         &[SamplingKernel::Scalar, SamplingKernel::Batched]

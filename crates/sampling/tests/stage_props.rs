@@ -48,7 +48,7 @@ fn backends_under_test() -> Vec<SamplingKernel> {
     SamplingKernel::all()
         .iter()
         .copied()
-        .filter(|k| *k != SamplingKernel::Scalar && k.is_supported())
+        .filter(|k| *k != SamplingKernel::Scalar)
         .collect()
 }
 

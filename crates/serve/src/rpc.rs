@@ -359,12 +359,12 @@ fn stream_stats(runtime: &ServingRuntime, id: Json, params: &Json) -> Response {
     }
 }
 
-/// The preprocessing-state-policy identity the aggregate view exposes:
-/// the resolved policy plus the warm-hit/cold-miss tally and the warm
-/// ratio (`hits / (hits + misses)`). Identity provenance like
-/// `stage_backends` — warm and cold frames are bit-identical — but a
-/// ratio pinned near 0.0 under policy `on` is the silent-fallback
-/// diagnostic (the AABB drifts every frame, so reuse never engages).
+/// The previous-frame reuse tally the aggregate view exposes: warm
+/// hits, cold misses and the warm ratio (`hits / (hits + misses)`).
+/// Warm and cold frames are bit-identical, but a ratio pinned near 0.0
+/// is the silent-fallback diagnostic (the AABB drifts every frame, so
+/// reuse never engages). `policy` is always `on`; it stays on the wire
+/// only because `benchmark/` checks it (ROADMAP item 5).
 fn preproc_reuse_json(report: &RuntimeReport) -> Json {
     Json::obj([
         ("policy", Json::str(report.preproc_reuse)),

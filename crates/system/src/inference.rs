@@ -93,13 +93,13 @@ impl InferenceEngine {
         net: &PointNet,
         seed: u64,
     ) -> Result<InferenceReport, SystemError> {
-        self.run_with_precision_using(input, net, seed, Precision::F32, net.stage_backends())
+        self.run_with_precision_using(input, net, seed, Precision::F32, StageBackends::active())
     }
 
     /// [`InferenceEngine::run`] with an explicit stage-backend
     /// selection: the gather backend is pinned into the frame's VEG
     /// gatherer and the interpolate backend into the forward pass,
-    /// overriding the network-pinned choice. Bit-identity across
+    /// instead of [`StageBackends::active`]. Bit-identity across
     /// backends makes `stages` a host-speed knob only. `precision` is
     /// always [`Precision::F32`] (see [`Precision`]). This is
     /// [`InferenceEngine::run_batch_with_precision_using`] with one frame.
@@ -343,7 +343,7 @@ mod tests {
             net,
             seeds,
             precision,
-            net.stage_backends(),
+            StageBackends::active(),
         )
     }
 
@@ -432,7 +432,7 @@ mod tests {
                 frames,
                 &net,
                 &seeds[..frames.len()],
-                net.stage_backends(),
+                StageBackends::active(),
                 parts,
             )
         };

@@ -39,7 +39,7 @@ pub use error::SystemError;
 pub use inference::{InferenceEngine, InferenceReport};
 pub use preproc::{build_counts, warm_build_counts, PreprocessOutput, PreprocessingEngine};
 pub use report::{E2eReport, PhaseReport};
-pub use reuse::{PreprocReuse, PreviousFrame, StreamPreprocContext};
+pub use reuse::{PreviousFrame, StreamPreprocContext};
 pub use veg_gatherer::VegGatherer;
 
 /// End-to-end pipeline: Pre-processing Engine then Inference Engine.

@@ -1,14 +1,14 @@
-//! The preprocessing-reuse dispatch seam and the context it selects.
+//! Stream-scoped pre-processing: the working set and the previous frame
+//! it diffs against.
 //!
-//! PR 8 made the preprocessing *stages* swappable kernels; this seam makes
-//! the preprocessing *state policy* swappable the same way. With reuse
-//! [`PreprocReuse::On`], a frame runs through
-//! [`PreprocessingEngine::run_with_context`] against its stream's
-//! [`PreviousFrame`] (root grid plus m-codes, 16 bytes per point), and a
-//! frame sharing that root AABB is *priced* as the §V-A delta pass over
-//! the points and table rows that changed. With [`PreprocReuse::Off`] (the
-//! anchor), every frame runs against an empty previous frame and every
-//! build is priced in full.
+//! A frame runs through [`PreprocessingEngine::run_with_context`] against
+//! its stream's [`PreviousFrame`] (root grid plus m-codes, 16 bytes per
+//! point), and a frame sharing that root AABB is *priced* as the §V-A
+//! delta pass over the points and table rows that changed. A stream's
+//! first frame, and any frame whose root AABB moved, is priced as a full
+//! build. The stateless entry points
+//! ([`PreprocessingEngine::run`]) run the same body through a throwaway
+//! context, so they price every frame as a cold build.
 //!
 //! The working set is a separate thing. A [`StreamPreprocContext`] holds
 //! the scratch buffers (octree arena, Morton/sort workspace, sampling
@@ -26,47 +26,20 @@
 //! bit-identical repeated frame reached 1.3×, because the sort is ≈25 %
 //! of a build.
 //!
-//! Either way the outputs are **bit-identical** — by construction, and
-//! proptested against [`Octree::build`](hgpcn_octree::Octree::build) — so,
-//! like the stage kernels, this knob trades modeled cost, never results.
+//! Warm or cold, the outputs are **bit-identical** — by construction, and
+//! proptested against [`Octree::build`](hgpcn_octree::Octree::build) — so
+//! the previous frame moves modeled cost, never results. Reuse is not a
+//! setting: like the paper's delta pass, the runtime applies it to every
+//! stream, and reports each stream's warm/cold tally in
+//! `RuntimeReport`/`StreamReport`.
 //!
-//! The default policy is a constant ([`PreprocReuse::default`] is `on`);
-//! a `RuntimeConfig::preproc_reuse` pin selects the stateless anchor for
-//! tests and yardsticks. The session's policy is surfaced in
-//! `RuntimeReport`/`StreamReport` and the `hgpcn_preproc_reuse_info`
-//! metric.
-//!
+//! [`PreprocessingEngine::run`]: crate::PreprocessingEngine::run
 //! [`PreprocessingEngine::run_with_context`]: crate::PreprocessingEngine::run_with_context
 
 use hgpcn_memsim::HostMemory;
 use hgpcn_octree::OctreeScratch;
 pub use hgpcn_octree::PreviousFrame;
 use hgpcn_sampling::ois::OisScratch;
-
-/// The preprocessing state policy: stateless per frame, or stream-scoped
-/// with temporal-coherence pricing. Both produce bit-identical outputs; see
-/// the [module docs](self).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-#[non_exhaustive]
-pub enum PreprocReuse {
-    /// The anchor: no previous frame, so every octree build is priced in
-    /// full.
-    Off,
-    /// Each stream keeps its previous frame, and a frame on that frame's
-    /// root grid is priced as the §V-A delta pass.
-    #[default]
-    On,
-}
-
-impl PreprocReuse {
-    /// Stable lower-case name, as reported in `RuntimeReport`.
-    pub fn name(&self) -> &'static str {
-        match self {
-            PreprocReuse::Off => "off",
-            PreprocReuse::On => "on",
-        }
-    }
-}
 
 /// The preprocessing working set: the buffers one frame in flight uses,
 /// plus the previous frame that frame is diffed against.

@@ -39,8 +39,8 @@ impl VegGatherer {
 
     /// Pins the top-K selection backend for every index this gatherer
     /// builds, overriding the default. All backends are
-    /// bit-identical, so this is a host-speed knob only — the runtime
-    /// uses it to honor a per-run `StageBackends` selection.
+    /// bit-identical, so this is a host-speed knob only — the inference
+    /// engine uses it to apply a `StageBackends` selection.
     #[must_use]
     pub fn with_kernel(mut self, kernel: GatherKernel) -> VegGatherer {
         self.kernel = kernel;
