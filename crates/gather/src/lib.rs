@@ -19,11 +19,9 @@
 //!   Fig. 16;
 //! * [`sorter`] — bitonic-sorter cost helpers shared with the PointACC
 //!   mapping-unit model;
-//! * [`kdtree`] — the exact/approximate k-d tree gatherer behind the
-//!   tree-based accelerator class the paper surveys (§II-B);
-//! * [`index`] — per-cloud [`NeighborIndex`] structures (brute, k-d tree,
-//!   VEG/octree) built **once** per cloud and shared by every center
-//!   query, amortizing the build the way §VII-B amortizes the octree;
+//! * [`index`] — the per-cloud [`VegIndex`] (octree + SFC order) built
+//!   **once** per cloud and shared by every center query, amortizing the
+//!   build the way §VII-B amortizes the octree;
 //! * [`stage`] — the [`GatherKernel`] dispatch seam: interchangeable,
 //!   bit-identical top-K selection backends.
 
@@ -34,7 +32,6 @@ pub mod ball;
 pub mod dsu;
 mod error;
 pub mod index;
-pub mod kdtree;
 pub mod knn;
 mod result;
 pub mod sorter;
@@ -42,6 +39,6 @@ pub mod stage;
 pub mod veg;
 
 pub use error::GatherError;
-pub use index::{BruteIndex, IndexKind, KdTreeIndex, NeighborIndex, VegIndex};
+pub use index::VegIndex;
 pub use result::{GatherResult, VegStats};
 pub use stage::GatherKernel;

@@ -1,11 +1,12 @@
-//! Equivalence of the once-per-cloud [`NeighborIndex`] implementations to
-//! the existing per-call gather functions, on random clouds.
+//! Equivalence of the once-per-cloud [`VegIndex`] to the per-call gather
+//! functions, on random clouds.
+//!
+//! [`VegIndex`]: hgpcn_gather::VegIndex
 
 use proptest::prelude::*;
 
-use hgpcn_gather::index::{self, IndexKind};
 use hgpcn_gather::veg::{self, VegConfig, VegMode};
-use hgpcn_gather::{knn, BruteIndex, KdTreeIndex, NeighborIndex, VegIndex};
+use hgpcn_gather::{knn, VegIndex};
 use hgpcn_geometry::{Point3, PointCloud};
 use hgpcn_octree::{Octree, OctreeConfig};
 
@@ -34,42 +35,6 @@ fn sorted(mut v: Vec<usize>) -> Vec<usize> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// BruteIndex answers exactly like the per-call brute KNN.
-    #[test]
-    fn brute_index_equals_per_call_knn(
-        n in 50usize..400,
-        salt in 0u64..5000,
-        k in 1usize..24,
-        center_salt in 0usize..97,
-    ) {
-        let c = cloud(n, salt);
-        let index = BruteIndex::build(&c);
-        let center = center_salt % n;
-        let a = index.query(center, k).unwrap();
-        let b = knn::gather(&c, center, k).unwrap();
-        prop_assert_eq!(a, b);
-    }
-
-    /// KdTreeIndex finds the same neighbor set (same distances, exact
-    /// search) as brute-force KNN.
-    #[test]
-    fn kdtree_index_matches_brute_distances(
-        n in 50usize..400,
-        salt in 0u64..5000,
-        k in 1usize..24,
-        center_salt in 0usize..97,
-    ) {
-        let c = cloud(n, salt);
-        let index = KdTreeIndex::build(&c, 8);
-        let center = center_salt % n;
-        let a = index.query(center, k).unwrap();
-        let b = knn::gather(&c, center, k).unwrap();
-        let p = c.point(center);
-        let da: Vec<u32> = a.neighbors.iter().map(|&i| c.point(i).distance_sq(p).to_bits()).collect();
-        let db: Vec<u32> = b.neighbors.iter().map(|&i| c.point(i).distance_sq(p).to_bits()).collect();
-        prop_assert_eq!(da, db);
-    }
 
     /// VegIndex in Exact mode returns the same neighbor *set* as brute
     /// KNN (VEG's exactness guarantee), through the amortized index.
@@ -114,31 +79,5 @@ proptest! {
         let mapped: Vec<usize> = direct.neighbors.iter().map(|&s| perm[s]).collect();
         prop_assert_eq!(a.neighbors, mapped);
         prop_assert_eq!(a.counts, direct.counts);
-    }
-
-    /// `query_all` from one build equals independent per-call gathers for
-    /// every kind the factory can produce.
-    #[test]
-    fn one_build_answers_like_many_calls(
-        n in 80usize..300,
-        salt in 0u64..5000,
-        k in 1usize..12,
-    ) {
-        let c = cloud(n, salt);
-        let centers: Vec<usize> = (0..10).map(|i| (i * 37) % n).collect();
-        for kind in [
-            IndexKind::Brute,
-            IndexKind::KdTree { leaf_capacity: 8 },
-            IndexKind::default(),
-        ] {
-            let index = index::build(&c, kind).unwrap();
-            let (all, _) = index.query_all(&centers, k).unwrap();
-            for (r, &ctr) in all.iter().zip(&centers) {
-                let single = index.query(ctr, k).unwrap();
-                prop_assert_eq!(&r.neighbors, &single.neighbors, "{}", index.method());
-                prop_assert_eq!(r.len(), k);
-                prop_assert!(!r.neighbors.contains(&ctr));
-            }
-        }
     }
 }

@@ -2,7 +2,6 @@
 
 use proptest::prelude::*;
 
-use hgpcn_gather::kdtree::KdTree;
 use hgpcn_gather::{ball, knn, sorter};
 use hgpcn_geometry::{Point3, PointCloud};
 
@@ -40,22 +39,6 @@ proptest! {
                 prop_assert!(cloud.point(i).distance_sq(c) >= worst);
             }
         }
-    }
-
-    /// The k-d tree's exact query returns the same distance multiset as
-    /// brute force, while visiting at most as many candidates.
-    #[test]
-    fn kdtree_matches_brute(cloud in arb_cloud(), center_frac in 0.0f64..1.0, k in 1usize..10, cap in 1usize..16) {
-        prop_assume!(cloud.len() > k);
-        let center = ((cloud.len() - 1) as f64 * center_frac) as usize;
-        let tree = KdTree::build(&cloud, cap);
-        let a = tree.knn(&cloud, center, k).unwrap();
-        let b = knn::gather(&cloud, center, k).unwrap();
-        let c = cloud.point(center);
-        let da: Vec<u32> = a.neighbors.iter().map(|&i| cloud.point(i).distance_sq(c).to_bits()).collect();
-        let db: Vec<u32> = b.neighbors.iter().map(|&i| cloud.point(i).distance_sq(c).to_bits()).collect();
-        prop_assert_eq!(da, db);
-        prop_assert!(a.counts.distance_computations <= (cloud.len() - 1) as u64);
     }
 
     /// Ball query returns only in-ball points, padded to k when non-empty.

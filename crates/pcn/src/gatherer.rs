@@ -1,4 +1,3 @@
-use hgpcn_gather::index::{self, IndexKind};
 use hgpcn_geometry::PointCloud;
 use hgpcn_memsim::OpCounts;
 
@@ -61,104 +60,10 @@ impl Gatherer for BruteKnnGatherer {
     }
 }
 
-/// A [`Gatherer`] backed by a per-cloud [`NeighborIndex`]: each `gather`
-/// call builds the configured index **once** for the level it is handed
-/// and answers every center from it, replacing the per-call candidate
-/// rebuild of the traditional path. The one-time build cost is charged to
-/// the counts once per cloud, then amortized over all centers.
-///
-/// [`NeighborIndex`]: hgpcn_gather::NeighborIndex
-#[derive(Debug, Default)]
-pub struct IndexedGatherer {
-    kind: IndexKind,
-    counts: OpCounts,
-    builds: usize,
-}
-
-impl IndexedGatherer {
-    /// Creates a gatherer that builds `kind` indices.
-    pub fn new(kind: IndexKind) -> IndexedGatherer {
-        IndexedGatherer {
-            kind,
-            counts: OpCounts::default(),
-            builds: 0,
-        }
-    }
-
-    /// The index kind this gatherer builds.
-    pub fn kind(&self) -> IndexKind {
-        self.kind
-    }
-
-    /// Indices built so far (one per cloud/level gathered).
-    pub fn builds(&self) -> usize {
-        self.builds
-    }
-}
-
-impl Gatherer for IndexedGatherer {
-    fn gather(
-        &mut self,
-        cloud: &PointCloud,
-        centers: &[usize],
-        k: usize,
-    ) -> Result<Vec<Vec<usize>>, PcnError> {
-        let index = index::build(cloud, self.kind)?;
-        self.builds += 1;
-        self.counts += index.build_counts();
-        let (results, total) = index.query_all(centers, k)?;
-        self.counts += total;
-        Ok(results.into_iter().map(|r| r.neighbors).collect())
-    }
-
-    fn counts(&self) -> OpCounts {
-        self.counts
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use hgpcn_geometry::Point3;
-
-    fn cloud(n: usize) -> PointCloud {
-        (0..n)
-            .map(|i| {
-                let f = i as f32;
-                Point3::new(
-                    (f * 0.618).fract(),
-                    (f * 0.414).fract(),
-                    (f * 0.732).fract(),
-                )
-            })
-            .collect()
-    }
-
-    #[test]
-    fn indexed_brute_matches_brute_gatherer() {
-        let c = cloud(120);
-        let centers = [0usize, 50, 119];
-        let mut indexed = IndexedGatherer::new(IndexKind::Brute);
-        let mut brute = BruteKnnGatherer::new();
-        let a = indexed.gather(&c, &centers, 6).unwrap();
-        let b = brute.gather(&c, &centers, 6).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(indexed.builds(), 1);
-        // Query costs agree; the indexed path may charge a build on top.
-        assert!(indexed.counts().distance_computations >= brute.counts().distance_computations);
-    }
-
-    #[test]
-    fn one_build_answers_all_centers() {
-        let c = cloud(300);
-        let mut g = IndexedGatherer::new(IndexKind::default());
-        let centers: Vec<usize> = (0..40).map(|i| i * 7).collect();
-        let sets = g.gather(&c, &centers, 8).unwrap();
-        assert_eq!(sets.len(), 40);
-        assert_eq!(g.builds(), 1, "one octree build for the whole level");
-        let _ = g.gather(&c, &centers, 8).unwrap();
-        assert_eq!(g.builds(), 2, "each call indexes the level it is given");
-    }
 
     #[test]
     fn brute_gatherer_collects_counts() {

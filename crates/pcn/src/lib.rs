@@ -48,7 +48,7 @@ mod tensor;
 
 pub use config::{PointNetConfig, Stage, StageWorkload, TaskKind};
 pub use error::PcnError;
-pub use gatherer::{BruteKnnGatherer, Gatherer, IndexedGatherer};
+pub use gatherer::{BruteKnnGatherer, Gatherer};
 pub use kernel::LinearKernel;
 pub use network::{CenterPolicy, InferenceOutput, PointNet, Precision};
 pub use stage::{InterpolateKernel, StageBackends};

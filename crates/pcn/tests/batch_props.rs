@@ -9,9 +9,7 @@
 use proptest::prelude::*;
 
 use hgpcn_geometry::{Point3, PointCloud};
-use hgpcn_pcn::{
-    BruteKnnGatherer, CenterPolicy, Gatherer, IndexedGatherer, PointNet, PointNetConfig,
-};
+use hgpcn_pcn::{BruteKnnGatherer, CenterPolicy, Gatherer, PointNet, PointNetConfig};
 
 /// A well-spread, duplicate-free cloud: golden-ratio strides plus a
 /// salt-derived offset (large multiplicative salts lose all precision
@@ -103,37 +101,6 @@ fn empty_batch_returns_empty() {
     let net = PointNet::new(PointNetConfig::classification(), 2);
     let outs = net.infer_batch(&[], &mut [], &[]).unwrap();
     assert!(outs.is_empty());
-}
-
-#[test]
-fn indexed_gatherers_batch_of_n_equals_batches_of_one() {
-    // The batched path composes with any Gatherer, including the
-    // NeighborIndex-backed one.
-    let net = PointNet::new(PointNetConfig::semantic_segmentation(512), 6);
-    let clouds = [cloud(512, 19), cloud(550, 23)];
-    let policies = [
-        CenterPolicy::Random { seed: 31 },
-        CenterPolicy::Random { seed: 32 },
-    ];
-
-    let singles: Vec<_> = clouds
-        .iter()
-        .zip(&policies)
-        .map(|(c, &p)| {
-            let mut g = IndexedGatherer::default();
-            net.infer(c, &mut g, p).expect("batch of one")
-        })
-        .collect();
-
-    let refs: Vec<&PointCloud> = clouds.iter().collect();
-    let mut gs: Vec<IndexedGatherer> = clouds.iter().map(|_| IndexedGatherer::default()).collect();
-    let mut grefs: Vec<&mut dyn Gatherer> = gs.iter_mut().map(|g| g as &mut dyn Gatherer).collect();
-    let batched = net.infer_batch(&refs, &mut grefs, &policies).unwrap();
-
-    for (b, s) in batched.iter().zip(&singles) {
-        assert_eq!(b.logits, s.logits);
-        assert_eq!(b.macs, s.macs);
-    }
 }
 
 proptest! {

@@ -1,5 +1,5 @@
 use hgpcn_gather::veg::VegConfig;
-use hgpcn_gather::{GatherKernel, GatherResult, NeighborIndex, VegIndex};
+use hgpcn_gather::{GatherKernel, GatherResult, VegIndex};
 use hgpcn_geometry::PointCloud;
 use hgpcn_memsim::OpCounts;
 use hgpcn_octree::OctreeConfig;
@@ -47,20 +47,10 @@ impl VegGatherer {
         self
     }
 
-    /// The top-K selection backend in use.
-    pub fn kernel(&self) -> GatherKernel {
-        self.kernel
-    }
-
     /// All per-center gather results so far (the DSU pipeline model
     /// consumes their [`hgpcn_gather::VegStats`]).
     pub fn results(&self) -> &[GatherResult] {
         &self.results
-    }
-
-    /// The VEG configuration in use.
-    pub fn config(&self) -> &VegConfig {
-        &self.config
     }
 }
 

@@ -7,15 +7,16 @@
 //! * spatial-database range queries over the SFC-organized frame;
 //! * voxel-grid decimation for rendering level-of-detail;
 //! * approximate OIS for latency-critical AR down-sampling;
-//! * k-d tree neighbor search (the classic alternative) vs VEG.
+//! * brute-force KNN (the paper's traditional baseline) vs VEG through a
+//!   per-cloud `VegIndex`.
 //!
 //! ```text
 //! cargo run --release --example spatial_queries
 //! ```
 
 use hgpcn::datasets::kitti::{generate_frame, KittiConfig};
-use hgpcn::gather::kdtree::KdTree;
-use hgpcn::gather::veg::{self, VegConfig};
+use hgpcn::gather::veg::VegConfig;
+use hgpcn::gather::{knn, VegIndex};
 use hgpcn::memsim::HostMemory;
 use hgpcn::prelude::*;
 use hgpcn::sampling::{ois, voxelgrid};
@@ -58,22 +59,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         approx.counts.table_lookups + approx.counts.hamming_ops
     );
 
-    // --- Neighbor gathering: k-d tree vs VEG ----------------------------
+    // --- Neighbor gathering: brute-force KNN vs VEG ---------------------
     let sampled = tree.points().gather(&exact.indices);
-    let gather_tree = Octree::build(&sampled, OctreeConfig::default())?;
-    let kd = KdTree::build(&sampled, 16);
     let center = sampled.len() / 2;
-    let kd_r = kd.knn(&sampled, center, 16)?;
-    // VEG works in SFC space of its own octree.
-    let perm = gather_tree.permutation();
-    let mut inverse = vec![0usize; perm.len()];
-    for (sfc, &raw) in perm.iter().enumerate() {
-        inverse[raw] = sfc;
-    }
-    let veg_r = veg::gather(&gather_tree, inverse[center], 16, &VegConfig::default())?;
+    let brute_r = knn::gather(&sampled, center, 16)?;
+    let veg_r = VegIndex::build(&sampled, VegConfig::default(), OctreeConfig::default())?
+        .query(center, 16)?;
     println!(
-        "\n16-NN of a central return: k-d tree visited {} candidates, VEG sorted {}",
-        kd_r.counts.distance_computations, veg_r.stats.candidates_sorted
+        "\n16-NN of a central return: brute force computed {} distances, VEG sorted {}",
+        brute_r.counts.distance_computations, veg_r.stats.candidates_sorted
     );
     println!("done.");
     Ok(())

@@ -11,8 +11,8 @@
 //! * [`sampling`] — FPS, RS, RS+reinforce, Octree-Indexed Sampling (OIS)
 //!   and the FPGA Down-sampling Unit model;
 //! * [`gather`] — brute KNN, ball query, Voxel-Expanded Gathering (VEG),
-//!   the six-stage Data Structuring Unit model, and per-cloud
-//!   `NeighborIndex` structures built once and queried per center;
+//!   the six-stage Data Structuring Unit model, and the per-cloud
+//!   `VegIndex` built once and queried per center;
 //! * [`dla`] — the 16×16 systolic Feature Computation Unit;
 //! * [`pcn`] — a real PointNet++ forward pass with pluggable gathering,
 //!   and `infer_batch` (B clouds per call, streamed through each MLP in
@@ -77,11 +77,10 @@ pub use hgpcn_telemetry as telemetry;
 
 /// The most commonly used items, importable in one line.
 pub mod prelude {
-    pub use hgpcn_gather::{IndexKind, NeighborIndex};
     pub use hgpcn_geometry::{Aabb, MortonCode, Point3, PointCloud};
     pub use hgpcn_memsim::{DeviceProfile, HostMemory, Latency, OnChipMemory, OpCounts};
     pub use hgpcn_octree::{Octree, OctreeConfig, OctreeTable};
-    pub use hgpcn_pcn::{CenterPolicy, IndexedGatherer, PointNet, PointNetConfig};
+    pub use hgpcn_pcn::{CenterPolicy, PointNet, PointNetConfig};
     pub use hgpcn_runtime::{
         ArrivalModel, BackpressurePolicy, BatchingStats, ErrorCode, FrameStatus, FrameTicket,
         KittiSource, Runtime, RuntimeConfig, RuntimeError, RuntimeReport, ServingRuntime,
