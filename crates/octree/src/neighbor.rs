@@ -66,12 +66,6 @@ pub fn shell_codes(center: MortonCode, shell: u32) -> Vec<MortonCode> {
     out
 }
 
-/// The voxels touching `center` (faces, edges and corners): shell 1.
-#[inline]
-pub fn touching_neighbors(center: MortonCode) -> Vec<MortonCode> {
-    shell_codes(center, 1)
-}
-
 /// Enumerates all voxels with Chebyshev distance at most `max_shell`
 /// (the union of shells `0..=max_shell`), clipped to the grid.
 pub fn ball_codes(center: MortonCode, max_shell: u32) -> Vec<MortonCode> {

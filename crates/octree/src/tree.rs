@@ -280,11 +280,6 @@ impl Octree {
         self.nodes.len()
     }
 
-    /// Number of leaf nodes.
-    pub fn leaf_count(&self) -> usize {
-        self.nodes.iter().filter(|n| n.is_leaf()).count()
-    }
-
     /// Depth of the deepest leaf.
     #[inline]
     pub fn depth(&self) -> u8 {

@@ -67,11 +67,10 @@ pub struct RuntimeConfig {
     /// is a batch of one, and per-frame results are bit-identical at
     /// every value.
     pub max_batch: usize,
-    /// Whether the run records frame-lifecycle telemetry (trace +
-    /// metrics registry into [`RuntimeReport::telemetry`](crate::RuntimeReport::telemetry)).
-    /// The default, [`TelemetryMode::Auto`], defers to the
-    /// `HGPCN_TELEMETRY` environment variable; when resolved off the
-    /// recorders are no-op sinks and the hot path never touches them.
+    /// Whether the final report carries the lifecycle trace and metrics
+    /// registry ([`RuntimeReport::telemetry`](crate::RuntimeReport::telemetry)),
+    /// both derived from its frame records at shutdown. Default `Off`;
+    /// serving does the same work either way.
     pub telemetry: TelemetryMode,
 }
 
@@ -86,7 +85,7 @@ impl Default for RuntimeConfig {
             target_points: 1024,
             seed: 0x5EED,
             max_batch: 1,
-            telemetry: TelemetryMode::Auto,
+            telemetry: TelemetryMode::Off,
         }
     }
 }
@@ -140,7 +139,7 @@ impl RuntimeConfig {
         self
     }
 
-    /// Sets whether the run records telemetry.
+    /// Sets whether the final report carries telemetry.
     pub fn telemetry(mut self, mode: TelemetryMode) -> Self {
         self.telemetry = mode;
         self
@@ -210,7 +209,7 @@ mod tests {
         assert_eq!(cfg.seed, 42);
         assert_eq!(cfg.max_batch, 8);
         assert_eq!(cfg.telemetry, TelemetryMode::On);
-        assert_eq!(RuntimeConfig::default().telemetry, TelemetryMode::Auto);
+        assert_eq!(RuntimeConfig::default().telemetry, TelemetryMode::Off);
     }
 
     #[test]

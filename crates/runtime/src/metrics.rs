@@ -14,6 +14,7 @@ use hgpcn_memsim::Latency;
 use hgpcn_pcn::StageBackends;
 use hgpcn_system::realtime::RealtimeReport;
 use hgpcn_system::E2eReport;
+use hgpcn_telemetry::{EventKind, Registry, Trace, TraceEvent, WorkerId};
 
 /// The resolved preproc-stage backend names of a run — one entry per
 /// dispatch seam of the frame pipeline (sampling scoreboard scan,
@@ -65,6 +66,10 @@ impl fmt::Display for StageBackendNames {
 }
 
 /// One frame's complete journey, recorded by the worker that finished it.
+///
+/// This is the runtime's only per-frame account: the run's statistics,
+/// its batching figures and its lifecycle trace are all derived from
+/// these records.
 #[derive(Clone, Debug)]
 pub struct FrameRecord {
     /// Owning stream.
@@ -91,12 +96,27 @@ pub struct FrameRecord {
     pub preproc_ticket: u64,
     /// Stage-queue dequeue ticket.
     pub inference_ticket: u64,
+    /// Index of the pre-processing worker that served the frame.
+    pub preproc_worker: usize,
+    /// Index of the inference worker that served the frame.
+    pub inference_worker: usize,
+    /// Frames in the micro-batch (one engine call) the frame ran in.
+    pub batch_size: usize,
+    /// Whether the frame headed its micro-batch: exactly one frame of
+    /// every batch does, the first one dequeued.
+    pub batch_head: bool,
+    /// Wall-clock instant (relative to run start) the frame's
+    /// pre-processing engine call began.
+    pub wall_preproc_start: Duration,
     /// Host wall-clock seconds the pre-processing engine call took.
     pub wall_preproc_s: f64,
     /// Host wall-clock seconds of this frame's share of its inference
     /// engine call: the call's wall time split evenly over its frames,
     /// whose sub-batches may have run in parallel on the host's cores.
     pub wall_infer_s: f64,
+    /// Wall-clock instant (relative to run start) the inference engine
+    /// call the frame ran in began.
+    pub wall_infer_start: Duration,
     /// Wall-clock instant (relative to run start) the frame completed.
     pub wall_done: Duration,
     /// Whether preprocessing landed on the stream's previous root grid
@@ -466,18 +486,90 @@ impl RunSummary {
     }
 }
 
-/// The optional telemetry payload of a traced run: the merged frame
-/// lifecycle trace and the populated metrics registry.
+/// The optional telemetry payload of a final report: the frame
+/// lifecycle trace and the populated metrics registry, both derived
+/// from the report's records.
 #[derive(Clone, Debug)]
 pub struct TelemetrySnapshot {
-    /// Merged, time-ordered lifecycle events
-    /// ([`Trace::chrome_trace_json`](hgpcn_telemetry::Trace::chrome_trace_json)
-    /// exports them for `chrome://tracing` / Perfetto).
-    pub trace: hgpcn_telemetry::Trace,
+    /// Time-ordered lifecycle events, a pure function of the report's
+    /// records ([`Trace::chrome_trace_json`] exports them for
+    /// `chrome://tracing` / Perfetto).
+    pub trace: Trace,
     /// Counters, gauges and histograms
-    /// ([`Registry::prometheus_text`](hgpcn_telemetry::Registry::prometheus_text)
-    /// is the `/metrics` payload).
-    pub metrics: hgpcn_telemetry::Registry,
+    /// ([`Registry::prometheus_text`] is the `/metrics` payload).
+    pub metrics: Registry,
+}
+
+/// The frame-lifecycle trace of `records`, a pure function of them.
+///
+/// Per frame: admit and enqueue on the `admission-0` row; dequeue,
+/// preproc start/end and enqueue on its pre-processing worker's row;
+/// dequeue, infer start/end and complete on its inference worker's row,
+/// each at the record's virtual time. The head frame of each micro-batch
+/// also gets a batch-coalesce instant carrying the batch size. The two
+/// stage spans carry the wall instants of their engine calls.
+///
+/// Events are ordered by virtual time, then worker, then the dequeue
+/// ticket of the event's row (`preproc_ticket` on the admission and
+/// pre-processing rows, `inference_ticket` on inference rows), then
+/// lifecycle position — each worker's own serving order, so
+/// back-to-back spans at equal timestamps stay paired.
+pub(crate) fn lifecycle_trace(records: &[FrameRecord]) -> Trace {
+    // (event, row ticket, lifecycle position)
+    let mut keyed: Vec<(TraceEvent, u64, usize)> = Vec::with_capacity(records.len() * 11);
+    for r in records {
+        let admission = (WorkerId::admission(), r.preproc_ticket);
+        let pre = (WorkerId::preproc(r.preproc_worker), r.preproc_ticket);
+        let inf = (WorkerId::inference(r.inference_worker), r.inference_ticket);
+        let wall_pre = r.wall_preproc_start.as_secs_f64();
+        let wall_inf = r.wall_infer_start.as_secs_f64();
+        let (pre_end, inf_end) = (wall_pre + r.wall_preproc_s, wall_inf + r.wall_infer_s);
+        let (arrival, pre_start, pre_done) = (
+            r.virtual_arrival_s,
+            r.virtual_preproc_start_s,
+            r.virtual_preproc_done_s,
+        );
+        let (inf_start, done) = (r.virtual_infer_start_s, r.virtual_done_s);
+        let events = [
+            (EventKind::Admit, admission, arrival, None),
+            (EventKind::Enqueue, admission, arrival, None),
+            (EventKind::Dequeue, pre, arrival, None),
+            (EventKind::PreprocStart, pre, pre_start, Some(wall_pre)),
+            (EventKind::PreprocEnd, pre, pre_done, Some(pre_end)),
+            (EventKind::Enqueue, pre, pre_done, None),
+            (EventKind::Dequeue, inf, pre_done, None),
+            (EventKind::BatchCoalesce, inf, pre_done, None),
+            (EventKind::InferStart, inf, inf_start, Some(wall_inf)),
+            (EventKind::InferEnd, inf, done, Some(inf_end)),
+            (EventKind::Complete, inf, done, None),
+        ];
+        for (position, (kind, (worker, ticket), virtual_ts_s, wall_ts_s)) in
+            events.into_iter().enumerate()
+        {
+            let coalesce = kind == EventKind::BatchCoalesce;
+            if coalesce && !r.batch_head {
+                continue;
+            }
+            let event = TraceEvent {
+                kind,
+                worker,
+                stream_id: r.stream_id as u32,
+                frame_index: r.frame_index as u32,
+                virtual_ts_s,
+                wall_ts_s,
+                detail: if coalesce { r.batch_size as u32 } else { 0 },
+            };
+            keyed.push((event, ticket, position));
+        }
+    }
+    keyed.sort_by(|(a, ta, pa), (b, tb, pb)| {
+        a.virtual_ts_s
+            .total_cmp(&b.virtual_ts_s)
+            .then_with(|| a.worker.cmp(&b.worker))
+            .then_with(|| ta.cmp(tb))
+            .then_with(|| pa.cmp(pb))
+    });
+    Trace::new(keyed.into_iter().map(|(event, ..)| event).collect())
 }
 
 /// Micro-batching behaviour of one run's inference stage.
@@ -502,21 +594,32 @@ pub struct BatchingStats {
 }
 
 impl BatchingStats {
-    /// Summarizes the batch sizes one run produced.
-    pub fn from_sizes(max_batch: usize, sizes: &[usize]) -> BatchingStats {
-        let batches = sizes.len();
-        let frames: usize = sizes.iter().sum();
-        BatchingStats {
+    /// Summarizes the micro-batches `records` ran in: one per head
+    /// record, of that record's batch size.
+    pub fn from_records(max_batch: usize, records: &[FrameRecord]) -> BatchingStats {
+        let mut stats = BatchingStats {
             max_batch,
-            batches,
-            largest_batch: sizes.iter().copied().max().unwrap_or(0),
-            mean_batch_size: if batches == 0 {
-                1.0
-            } else {
-                frames as f64 / batches as f64
-            },
-            coalesced_frames: sizes.iter().filter(|&&s| s > 1).sum(),
+            ..BatchingStats::default()
+        };
+        let mut frames = 0;
+        for size in records
+            .iter()
+            .filter(|r| r.batch_head)
+            .map(|r| r.batch_size)
+        {
+            stats.batches += 1;
+            frames += size;
+            stats.largest_batch = stats.largest_batch.max(size);
+            if size > 1 {
+                stats.coalesced_frames += size;
+            }
         }
+        stats.mean_batch_size = if stats.batches == 0 {
+            1.0
+        } else {
+            frames as f64 / stats.batches as f64
+        };
+        stats
     }
 }
 
@@ -573,9 +676,10 @@ pub struct RuntimeReport {
     pub ingress_depth: QueueDepthStats,
     /// Modeled stage-queue occupancy time series (virtual clock).
     pub stage_depth: QueueDepthStats,
-    /// Trace and metrics of the run, when telemetry was enabled
+    /// Trace and metrics of the run, derived from `records` when the
+    /// final report is asked for them
     /// ([`RuntimeConfig::telemetry`](crate::RuntimeConfig::telemetry));
-    /// `None` for an untraced run.
+    /// `None` otherwise, and always `None` in live snapshots.
     pub telemetry: Option<TelemetrySnapshot>,
     /// Every completed frame's journey, sorted by `(stream, frame)`.
     pub records: Vec<FrameRecord>,
@@ -617,10 +721,9 @@ impl RuntimeReport {
     ///
     /// This is what a traced run stores in
     /// [`TelemetrySnapshot::metrics`], and what the HTTP front end
-    /// renders on `/metrics`
-    /// ([`Registry::prometheus_text`](hgpcn_telemetry::Registry::prometheus_text)).
-    pub fn build_metrics(&self) -> hgpcn_telemetry::Registry {
-        let mut reg = hgpcn_telemetry::Registry::new();
+    /// renders on `/metrics` ([`Registry::prometheus_text`]).
+    pub fn build_metrics(&self) -> Registry {
+        let mut reg = Registry::new();
         for s in &self.streams {
             let labels = [("stream", s.name.as_str())];
             reg.counter_add(
@@ -994,8 +1097,14 @@ mod tests {
             },
             preproc_ticket: 0,
             inference_ticket: 0,
+            preproc_worker: 0,
+            inference_worker: 0,
+            batch_size: 1,
+            batch_head: true,
+            wall_preproc_start: Duration::ZERO,
             wall_preproc_s: 0.0,
             wall_infer_s: 0.0,
+            wall_infer_start: Duration::ZERO,
             wall_done: Duration::ZERO,
             preproc_reused: false,
         }
@@ -1024,14 +1133,24 @@ mod tests {
     }
 
     #[test]
-    fn batching_stats_from_sizes() {
-        let s = BatchingStats::from_sizes(8, &[8, 8, 3, 1]);
+    fn batching_stats_from_records() {
+        let records: Vec<FrameRecord> = [8, 8, 3, 1]
+            .into_iter()
+            .flat_map(|size| {
+                (0..size).map(move |i| FrameRecord {
+                    batch_size: size,
+                    batch_head: i == 0,
+                    ..record(0.0, [0.0; 2], [0.1; 2])
+                })
+            })
+            .collect();
+        let s = BatchingStats::from_records(8, &records);
         assert_eq!(s.batches, 4);
         assert_eq!(s.largest_batch, 8);
         assert_eq!(s.coalesced_frames, 19);
         assert!((s.mean_batch_size - 5.0).abs() < 1e-12);
 
-        let serial = BatchingStats::from_sizes(1, &[]);
+        let serial = BatchingStats::from_records(1, &[]);
         assert_eq!(serial.batches, 0);
         assert_eq!(serial.largest_batch, 0);
         assert_eq!(serial.coalesced_frames, 0);

@@ -42,11 +42,6 @@ impl Scheduler {
         Scheduler { entries, cursor: 0 }
     }
 
-    /// Number of streams (exhausted or not).
-    pub fn stream_count(&self) -> usize {
-        self.entries.len()
-    }
-
     /// The next admitted frame, or `None` when every stream is done.
     pub fn next_frame(&mut self) -> Option<TimedFrame> {
         let n = self.entries.len();

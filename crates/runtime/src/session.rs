@@ -26,7 +26,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::thread;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use hgpcn_geometry::PointCloud;
 use hgpcn_pcn::{InferenceOutput, PointNet, StageBackends};
@@ -34,12 +34,12 @@ use hgpcn_system::{
     E2ePipeline, E2eReport, InferenceEngine, InferenceReport, PhaseReport, PreviousFrame,
     StreamPreprocContext, SystemError,
 };
-use hgpcn_telemetry::{EventKind, SpanRecorder, TraceCollector, WorkerId};
+use hgpcn_telemetry::TelemetryMode;
 
 use crate::config::{ArrivalModel, BackpressurePolicy, RuntimeConfig};
 use crate::metrics::{
-    BatchingStats, FrameRecord, LatencySummary, QueueStats, RunSummary, RuntimeReport,
-    StageBackendNames, StageBreakdown, StreamReport, TelemetrySnapshot,
+    lifecycle_trace, BatchingStats, FrameRecord, LatencySummary, QueueStats, RunSummary,
+    RuntimeReport, StageBackendNames, StageBreakdown, StreamReport, TelemetrySnapshot,
 };
 use crate::queue::BoundedQueue;
 use crate::stream::{StreamProfile, TimedFrame};
@@ -62,6 +62,8 @@ struct StageJob {
     virtual_preproc_start_s: f64,
     virtual_preproc_done_s: f64,
     preproc_ticket: u64,
+    preproc_worker: usize,
+    wall_preproc_start: Duration,
     wall_preproc_s: f64,
     sampled: PointCloud,
     pre_phase: PhaseReport,
@@ -283,20 +285,19 @@ struct SessionCore {
     /// inference call may spread a micro-batch over ([`infer_parts`]).
     infer_parts: usize,
     started: Instant,
-    traced: bool,
     /// Per-stream previous frames, warm/cold tallies and turn state.
     contexts: CtxRegistry,
     ingress: BoundedQueue<PreprocJob>,
     stage: BoundedQueue<StageJob>,
     streams: Mutex<Vec<StreamState>>,
-    admission: Mutex<SpanRecorder>,
+    /// Held across index assignment and enqueue, so concurrent
+    /// submitters cannot reorder a stream's frames.
+    admission: Mutex<()>,
     /// Ticket → status, from admission until a poll consumes it.
     results: Mutex<HashMap<(usize, usize), FrameStatus>>,
     results_ready: Condvar,
     records: Mutex<Vec<FrameRecord>>,
-    batch_sizes: Mutex<Vec<usize>>,
     preproc_live: AtomicUsize,
-    collector: Mutex<Option<TraceCollector>>,
 }
 
 /// Sub-batches per inference call: the host's cores shared out over the
@@ -311,31 +312,29 @@ fn infer_parts(cores: usize, inference_workers: usize) -> usize {
 
 impl SessionCore {
     fn new(config: RuntimeConfig, net: &PointNet) -> SessionCore {
-        let started = Instant::now();
-        // Resolved once per session: `Auto` reads the environment here,
-        // not per event. When off, every SpanRecorder is a no-op sink.
-        let traced = config.telemetry.is_enabled();
         SessionCore {
             kernel_backend: net.kernel().name(),
             infer_parts: infer_parts(InferenceEngine::host_cores(), config.inference_workers),
-            started,
-            traced,
+            started: Instant::now(),
             contexts: CtxRegistry::new(),
             ingress: BoundedQueue::new(config.queue_capacity),
             stage: BoundedQueue::new(config.queue_capacity),
             streams: Mutex::new(Vec::new()),
-            admission: Mutex::new(SpanRecorder::new(WorkerId::admission(), started, traced)),
+            admission: Mutex::new(()),
             results: Mutex::new(HashMap::new()),
             results_ready: Condvar::new(),
             records: Mutex::new(Vec::new()),
-            batch_sizes: Mutex::new(Vec::new()),
             preproc_live: AtomicUsize::new(config.preproc_workers),
-            collector: Mutex::new(Some(TraceCollector::new())),
             config,
         }
     }
 
-    fn open_stream(&self, profile: StreamProfile) -> usize {
+    /// Registers a stream; refused once the session is torn down, since
+    /// no frame of it could ever be served.
+    fn open_stream(&self, profile: StreamProfile) -> Result<usize, RuntimeError> {
+        if self.torn_down() {
+            return Err(RuntimeError::ShuttingDown);
+        }
         let mut streams = self.streams.lock().expect("stream registry poisoned");
         let id = streams.len();
         // One context slot per stream, so stream ids index the registry.
@@ -347,7 +346,7 @@ impl SessionCore {
             dropped: 0,
             next_index: 0,
         });
-        id
+        Ok(id)
     }
 
     /// Assigns the stream's next frame index and admits the frame.
@@ -361,7 +360,7 @@ impl SessionCore {
         // concurrent submitters cannot reorder a stream's indices; a
         // full ingress queue under `Block` therefore backpressures every
         // submitter, not just this one.
-        let mut recorder = self.admission.lock().expect("admission recorder poisoned");
+        let _admission = self.admission.lock().expect("admission lock poisoned");
         let frame_index = {
             let mut streams = self.streams.lock().expect("stream registry poisoned");
             let state = streams
@@ -383,7 +382,6 @@ impl SessionCore {
             .lock()
             .expect("result table poisoned")
             .insert(key, FrameStatus::Pending);
-        recorder.record(EventKind::Admit, stream_id, frame_index, virtual_arrival_s);
         let job = PreprocJob {
             frame: TimedFrame {
                 stream_id,
@@ -400,14 +398,8 @@ impl SessionCore {
         match pushed {
             Ok(evicted) => {
                 if let Some(evicted) = evicted {
-                    self.evicted(&mut recorder, evicted);
+                    self.evicted(evicted);
                 }
-                recorder.record(
-                    EventKind::Enqueue,
-                    stream_id,
-                    frame_index,
-                    virtual_arrival_s,
-                );
                 Ok(FrameTicket {
                     stream_id,
                     frame_index,
@@ -425,18 +417,12 @@ impl SessionCore {
 
     /// Accounts a frame `DropOldest` evicted from the ingress queue and
     /// resolves its ticket.
-    fn evicted(&self, recorder: &mut SpanRecorder, job: PreprocJob) {
+    fn evicted(&self, job: PreprocJob) {
         let (stream_id, frame_index) = (job.frame.stream_id, job.frame.frame_index);
         self.streams.lock().expect("stream registry poisoned")[stream_id].dropped += 1;
         // The evicted frame will never reach a preproc worker: pass its
         // context turn so successors don't wait for it.
         self.contexts.skip(stream_id, frame_index);
-        recorder.record(
-            EventKind::Drop,
-            stream_id,
-            frame_index,
-            job.virtual_arrival_s,
-        );
         self.publish(
             (stream_id, frame_index),
             FrameStatus::Failed(RuntimeError::Dropped {
@@ -526,60 +512,30 @@ impl SessionCore {
         self.publish((stream_id, frame_index), FrameStatus::Failed(err));
     }
 
-    fn submit_recorder(&self, recorder: SpanRecorder) {
-        if let Some(collector) = self
-            .collector
-            .lock()
-            .expect("trace collector poisoned")
-            .as_ref()
-        {
-            collector.submit(recorder);
-        }
-    }
-
-    /// A live snapshot report over everything completed so far. The
-    /// `telemetry` field stays `None` — the trace is only merged once,
-    /// at shutdown.
+    /// A live snapshot report over everything completed so far; its
+    /// `telemetry` stays `None`.
     fn snapshot(&self) -> RuntimeReport {
         let records = self.records.lock().expect("record sink poisoned").clone();
-        let sizes = self
-            .batch_sizes
-            .lock()
-            .expect("batch stats poisoned")
-            .clone();
-        self.report(records, &sizes)
+        self.report(records)
     }
 
-    /// Assembles the final report after every worker has exited. Called
-    /// exactly once per session.
+    /// Assembles the final report after every worker has exited, with
+    /// the trace and metrics derived from its records when the config
+    /// asks for them. Called exactly once per session.
     fn finalize(&self) -> RuntimeReport {
-        let recorder = {
-            let mut guard = self.admission.lock().expect("admission recorder poisoned");
-            std::mem::replace(
-                &mut *guard,
-                SpanRecorder::new(WorkerId::admission(), self.started, false),
-            )
-        };
-        self.submit_recorder(recorder);
         let records = std::mem::take(&mut *self.records.lock().expect("record sink poisoned"));
-        let sizes = std::mem::take(&mut *self.batch_sizes.lock().expect("batch stats poisoned"));
-        let mut report = self.report(records, &sizes);
-        if self.traced {
-            let collector = self
-                .collector
-                .lock()
-                .expect("trace collector poisoned")
-                .take()
-                .expect("finalize runs once");
-            let trace = collector.finish();
-            let metrics = report.build_metrics();
-            report.telemetry = Some(TelemetrySnapshot { trace, metrics });
+        let mut report = self.report(records);
+        if self.config.telemetry == TelemetryMode::On {
+            report.telemetry = Some(TelemetrySnapshot {
+                trace: lifecycle_trace(&report.records),
+                metrics: report.build_metrics(),
+            });
         }
         report
     }
 
     /// Report assembly, shared by live snapshots and the final report.
-    fn report(&self, mut records: Vec<FrameRecord>, batch_sizes: &[usize]) -> RuntimeReport {
+    fn report(&self, mut records: Vec<FrameRecord>) -> RuntimeReport {
         use hgpcn_memsim::Latency;
 
         records.sort_by_key(|r| (r.stream_id, r.frame_index));
@@ -659,7 +615,7 @@ impl SessionCore {
             preproc_reuse: "on",
             preproc_reuse_hits: reuse_counts.iter().map(|c| c.0).sum(),
             preproc_reuse_misses: reuse_counts.iter().map(|c| c.1).sum(),
-            batching: BatchingStats::from_sizes(self.config.max_batch, batch_sizes),
+            batching: BatchingStats::from_records(self.config.max_batch, &records),
             breakdown: run.breakdown,
             utilization: run.utilization,
             ingress_depth: run.ingress_depth,
@@ -678,7 +634,6 @@ impl SessionCore {
 
 fn preproc_worker(core: &SessionCore, pipeline: &E2ePipeline, w: usize) {
     let _guard = PanicGuard(core);
-    let mut recorder = SpanRecorder::new(WorkerId::preproc(w), core.started, core.traced);
     let mut vclock = 0.0f64;
     // The worker's working set, shared by every stream it serves.
     let mut ctx = StreamPreprocContext::new();
@@ -687,12 +642,6 @@ fn preproc_worker(core: &SessionCore, pipeline: &E2ePipeline, w: usize) {
             frame,
             virtual_arrival_s,
         } = job;
-        recorder.record(
-            EventKind::Dequeue,
-            frame.stream_id,
-            frame.frame_index,
-            virtual_arrival_s,
-        );
         let seed = frame_seed(core.config.seed, frame.stream_id, frame.frame_index);
         // The frame runs against its stream's previous frame under the
         // stream's turn, so cache state — and therefore modeled cost — is
@@ -706,6 +655,7 @@ fn preproc_worker(core: &SessionCore, pipeline: &E2ePipeline, w: usize) {
         // Wall time is measured around the engine call only, excluding
         // the turn wait.
         let wall0 = Instant::now();
+        let wall_preproc_start = wall0.duration_since(core.started);
         let processed = pipeline
             .preproc
             .run_with_context(
@@ -744,18 +694,6 @@ fn preproc_worker(core: &SessionCore, pipeline: &E2ePipeline, w: usize) {
                 let start = vclock.max(virtual_arrival_s);
                 let done = start + latency.secs();
                 vclock = done;
-                recorder.record(
-                    EventKind::PreprocStart,
-                    frame.stream_id,
-                    frame.frame_index,
-                    start,
-                );
-                recorder.record(
-                    EventKind::PreprocEnd,
-                    frame.stream_id,
-                    frame.frame_index,
-                    done,
-                );
                 let stage_job = StageJob {
                     stream_id: frame.stream_id,
                     frame_index: frame.frame_index,
@@ -764,16 +702,16 @@ fn preproc_worker(core: &SessionCore, pipeline: &E2ePipeline, w: usize) {
                     virtual_preproc_start_s: start,
                     virtual_preproc_done_s: done,
                     preproc_ticket: ticket,
+                    preproc_worker: w,
+                    wall_preproc_start,
                     wall_preproc_s,
                     sampled,
                     pre_phase: PhaseReport { latency, counts },
                     preproc_reused,
                 };
-                let (sid, fidx) = (frame.stream_id, frame.frame_index);
                 if core.stage.push_blocking(stage_job).is_err() {
                     break; // shutdown under way
                 }
-                recorder.record(EventKind::Enqueue, sid, fidx, done);
             }
             Err(err) => core.frame_failed(frame.stream_id, frame.frame_index, err),
         }
@@ -781,7 +719,6 @@ fn preproc_worker(core: &SessionCore, pipeline: &E2ePipeline, w: usize) {
     if core.preproc_live.fetch_sub(1, Ordering::AcqRel) == 1 {
         core.stage.close();
     }
-    core.submit_recorder(recorder);
 }
 
 // One loop at every `max_batch`: a frame dequeued with nothing else
@@ -789,7 +726,6 @@ fn preproc_worker(core: &SessionCore, pipeline: &E2ePipeline, w: usize) {
 // larger batch by construction.
 fn inference_worker(core: &SessionCore, pipeline: &E2ePipeline, net: &PointNet, w: usize) {
     let _guard = PanicGuard(core);
-    let mut recorder = SpanRecorder::new(WorkerId::inference(w), core.started, core.traced);
     let mut vclock = 0.0f64;
     while let Some(first) = core.stage.pop() {
         // The first frame is taken blocking; the rest of the micro-batch
@@ -802,38 +738,34 @@ fn inference_worker(core: &SessionCore, pipeline: &E2ePipeline, net: &PointNet, 
                 None => break,
             }
         }
-        for (job, _) in &batch {
-            recorder.record(
-                EventKind::Dequeue,
-                job.stream_id,
-                job.frame_index,
-                job.virtual_preproc_done_s,
-            );
-        }
-        recorder.record_detail(
-            EventKind::BatchCoalesce,
-            batch[0].0.stream_id,
-            batch[0].0.frame_index,
-            batch[0].0.virtual_preproc_done_s,
-            batch.len() as u32,
-        );
-        infer_batch(core, pipeline, net, batch, &mut vclock, &mut recorder);
+        infer_batch(core, pipeline, net, w, batch, &mut vclock);
     }
-    core.submit_recorder(recorder);
 }
 
-/// Runs one micro-batch through the batched engine call and completes
-/// its frames in dequeue order. A failed call is attributed by re-running
-/// the batch one frame at a time through this same function
-/// (deterministic, so healthy frames reproduce exactly); a failing batch
-/// of one is its own culprit.
+/// What one inference engine call shares with every frame it ran.
+struct InferCall {
+    /// The inference worker that made the call.
+    worker: usize,
+    /// Frames in the call's micro-batch.
+    batch_size: usize,
+    /// Wall-clock instant (relative to run start) the call began.
+    wall_start: Duration,
+    /// Each frame's even share of the call's wall time.
+    wall_share_s: f64,
+}
+
+/// Runs one micro-batch through the batched engine call on inference
+/// worker `worker` and completes its frames in dequeue order. A failed
+/// call is attributed by re-running the batch one frame at a time through
+/// this same function (deterministic, so healthy frames reproduce
+/// exactly); a failing batch of one is its own culprit.
 fn infer_batch(
     core: &SessionCore,
     pipeline: &E2ePipeline,
     net: &PointNet,
+    worker: usize,
     batch: Vec<(StageJob, u64)>,
     vclock: &mut f64,
-    recorder: &mut SpanRecorder,
 ) {
     let inputs: Vec<&PointCloud> = batch.iter().map(|(job, _)| &job.sampled).collect();
     let seeds: Vec<u64> = batch
@@ -851,16 +783,17 @@ fn infer_batch(
         Ok(reports) => {
             // Per-frame share of the call's host wall time, split evenly:
             // the call's sub-batches may run in parallel on the host's cores,
-            // so no one frame's own time can be read off it.
-            let wall_infer_s = wall0.elapsed().as_secs_f64() / batch.len() as f64;
-            // Counted only on success: the frames of a failed batch are
-            // counted by their one-frame re-runs instead.
-            core.batch_sizes
-                .lock()
-                .expect("batch stats poisoned")
-                .push(batch.len());
-            for ((job, ticket), inf) in batch.into_iter().zip(&reports) {
-                complete_frame(core, job, ticket, inf, vclock, wall_infer_s, recorder);
+            // so no one frame's own time can be read off it. Only a call
+            // that succeeds forms a batch: the frames of a failed one are
+            // batched by their one-frame re-runs instead.
+            let call = InferCall {
+                worker,
+                batch_size: batch.len(),
+                wall_start: wall0.duration_since(core.started),
+                wall_share_s: wall0.elapsed().as_secs_f64() / batch.len() as f64,
+            };
+            for (i, ((job, ticket), inf)) in batch.into_iter().zip(&reports).enumerate() {
+                complete_frame(core, job, ticket, inf, vclock, &call, i == 0);
             }
         }
         Err(err) if batch.len() == 1 => {
@@ -869,7 +802,7 @@ fn infer_batch(
         }
         Err(_) => {
             for frame in batch {
-                infer_batch(core, pipeline, net, vec![frame], vclock, recorder);
+                infer_batch(core, pipeline, net, worker, vec![frame], vclock);
             }
         }
     }
@@ -878,24 +811,21 @@ fn infer_batch(
 /// Advances the worker's virtual clock past `job`, records its journey,
 /// and resolves its ticket with the output. Within a micro-batch, frames
 /// advance the clock in dequeue order, so the modeled timeline is the
-/// same at every `max_batch`.
+/// same at every `max_batch`. `batch_head` marks the batch's first frame.
 fn complete_frame(
     core: &SessionCore,
     job: StageJob,
     inference_ticket: u64,
     inf: &InferenceReport,
     vclock: &mut f64,
-    wall_infer_s: f64,
-    recorder: &mut SpanRecorder,
+    call: &InferCall,
+    batch_head: bool,
 ) {
     let key = (job.stream_id, job.frame_index);
     let latency = inf.total_latency();
     let start = vclock.max(job.virtual_preproc_done_s);
     let done = start + latency.secs();
     *vclock = done;
-    recorder.record(EventKind::InferStart, job.stream_id, job.frame_index, start);
-    recorder.record(EventKind::InferEnd, job.stream_id, job.frame_index, done);
-    recorder.record(EventKind::Complete, job.stream_id, job.frame_index, done);
     let record = FrameRecord {
         stream_id: job.stream_id,
         frame_index: job.frame_index,
@@ -914,8 +844,14 @@ fn complete_frame(
         },
         preproc_ticket: job.preproc_ticket,
         inference_ticket,
+        preproc_worker: job.preproc_worker,
+        inference_worker: call.worker,
+        batch_size: call.batch_size,
+        batch_head,
+        wall_preproc_start: job.wall_preproc_start,
         wall_preproc_s: job.wall_preproc_s,
-        wall_infer_s,
+        wall_infer_s: call.wall_share_s,
+        wall_infer_start: call.wall_start,
         wall_done: core.started.elapsed(),
         preproc_reused: job.preproc_reused,
     };
@@ -1050,15 +986,22 @@ impl ServingRuntime {
     ///
     /// # Errors
     ///
-    /// Currently infallible in practice; the `Result` reserves room for
-    /// admission-control refusals.
+    /// [`RuntimeError::ShuttingDown`] once a worker panic has torn the
+    /// session down ([`ServingRuntime::is_live`] is then `false`).
     pub fn open_stream(&self, profile: StreamProfile) -> Result<StreamHandle, RuntimeError> {
         let core = self.core();
-        let stream_id = core.open_stream(profile);
+        let stream_id = core.open_stream(profile)?;
         Ok(StreamHandle {
             stream_id,
             core: Arc::downgrade(core),
         })
+    }
+
+    /// Whether the session still serves: `false` once a worker panic has
+    /// torn it down, after which every pending ticket, submission and
+    /// stream opening is refused with [`RuntimeError::ShuttingDown`].
+    pub fn is_live(&self) -> bool {
+        !self.core().torn_down()
     }
 
     /// A handle to an already-open stream, or `None` for an unknown id.
@@ -1128,8 +1071,10 @@ impl ServingRuntime {
     }
 
     /// Graceful shutdown: refuses new submissions, drains every queued
-    /// frame, joins the pools and returns the final report (with
-    /// telemetry, when enabled).
+    /// frame, joins the pools and returns the final report (with its
+    /// trace and metrics when
+    /// [`RuntimeConfig::telemetry`](crate::RuntimeConfig::telemetry) is
+    /// `On`).
     ///
     /// # Errors
     ///

@@ -1,6 +1,7 @@
 //! A worker panic ends the session instead of stranding its clients: a
-//! ticket still pending resolves to `ShuttingDown`, `shutdown` re-raises
-//! the panic, and a batch run panics out rather than hanging.
+//! ticket still pending resolves to `ShuttingDown`, the dead session
+//! refuses new streams and says it is not live, `shutdown` re-raises the
+//! panic, and a batch run panics out rather than hanging.
 //!
 //! The pipeline is broken on purpose: a systolic array with zero PE rows
 //! divides by zero when it prices the first layer, so the inference
@@ -48,10 +49,14 @@ fn wait_fails_instead_of_hanging_after_a_worker_panic() {
         let ticket = stream.submit(0.0, source().frame_cloud(0)).unwrap();
         let waited = serving.wait(ticket);
         let polled = serving.poll(ticket);
+        let opened = serving
+            .open_stream(StreamProfile::new("late"))
+            .map(|s| s.id());
+        let live = serving.is_live();
         let shutdown = catch_unwind(AssertUnwindSafe(|| serving.shutdown()));
-        let _ = tx.send((waited, polled, shutdown.is_err()));
+        let _ = tx.send((waited, polled, opened, live, shutdown.is_err()));
     });
-    let (waited, polled, shutdown_panicked) = rx
+    let (waited, polled, opened, live, shutdown_panicked) = rx
         .recv_timeout(DEADLINE)
         .expect("wait must return once a worker has panicked");
     assert!(
@@ -62,6 +67,12 @@ fn wait_fails_instead_of_hanging_after_a_worker_panic() {
         matches!(polled, Err(RuntimeError::ShuttingDown)),
         "poll resolved {polled:?}"
     );
+    assert_eq!(
+        opened,
+        Err(RuntimeError::ShuttingDown),
+        "a dead session opens no stream"
+    );
+    assert!(!live, "a dead session is not live");
     assert!(shutdown_panicked, "shutdown re-raises the worker's panic");
 }
 

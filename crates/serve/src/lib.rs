@@ -10,7 +10,7 @@
 //! | Endpoint | Purpose |
 //! |---|---|
 //! | `POST /rpc` | JSON-RPC 2.0: `open_stream`, `submit_cloud`, `poll_result`, `stream_stats` |
-//! | `GET /health` | liveness probe (`{"status":"ok"}`) |
+//! | `GET /health` | liveness probe: `{"status":"ok"}`, or 503 `{"status":"shutting_down"}` once a worker panic has ended the session |
 //! | `GET /metrics` | Prometheus text format, from the live stats snapshot |
 //!
 //! A process serves one [`ServingRuntime`] ([`App::new`]); more
@@ -72,7 +72,8 @@ impl App {
     /// drives it from sockets; both see identical responses.
     pub fn handle(&self, req: &Request) -> Response {
         match (req.method.as_str(), req.path.as_str()) {
-            ("GET", "/health") => Response::json("{\"status\":\"ok\"}"),
+            ("GET", "/health") if self.runtime.is_live() => Response::json("{\"status\":\"ok\"}"),
+            ("GET", "/health") => Response::json_status(503, "{\"status\":\"shutting_down\"}"),
             ("GET", "/metrics") => {
                 let text = self.runtime.stats().build_metrics().prometheus_text();
                 Response {

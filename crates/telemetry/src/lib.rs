@@ -1,26 +1,24 @@
 //! `hgpcn-telemetry` — observability primitives for the serving stack.
 //!
-//! Three std-only layers, designed as a first-class seam every backend
+//! Two std-only layers, designed as a first-class seam every backend
 //! and pipeline stage reports through (the microkernel separation:
-//! instrumentation mechanism here, recording policy in the runtime):
+//! representation and export here, what a frame did in the runtime):
 //!
-//! * **Frame-lifecycle tracing** ([`trace`]): per-worker
-//!   [`SpanRecorder`]s capture admit / enqueue / dequeue / preproc /
-//!   batch-coalesce / infer / complete / drop events on both the
-//!   *virtual* (modeled) and *wall* clocks. The hot path is mutex-free —
-//!   each worker owns its buffer — and buffers are merged into one
-//!   [`Trace`] at run end, exportable as Chrome trace-event JSON
-//!   loadable in `chrome://tracing` or [Perfetto](https://ui.perfetto.dev).
+//! * **Frame-lifecycle traces** ([`trace`]): a [`Trace`] is an ordered
+//!   list of admit / enqueue / dequeue / preproc / batch-coalesce /
+//!   infer / complete events on the *virtual* (modeled) clock, with the
+//!   host's wall clock on the stage spans, exportable as Chrome
+//!   trace-event JSON loadable in `chrome://tracing` or
+//!   [Perfetto](https://ui.perfetto.dev). Nothing records events while
+//!   frames are served: the runtime derives a trace after the fact from
+//!   the one per-frame record it keeps.
 //! * **Metrics** ([`registry`], [`histogram`]): a [`Registry`] of named
 //!   counters, gauges and log-bucketed streaming [`LogHistogram`]s with
 //!   Prometheus text-format and JSON snapshot exporters — the payload a
 //!   `/metrics` endpoint serves.
-//! * **Selection** ([`TelemetryMode`]): a zero-cost-when-off switch.
-//!   `Off` recorders drop every event before touching the wall clock;
-//!   `Auto` defers to the `HGPCN_TELEMETRY` environment variable.
 //!
-//! Everything recorded on the virtual clock is deterministic: two runs
-//! of the same deterministic workload with one worker per stage produce
+//! A trace's virtual-clock half is deterministic: two runs of the same
+//! deterministic workload with one worker per stage produce
 //! byte-identical virtual-clock trace JSON (see
 //! [`Trace::chrome_trace_json`]).
 
@@ -33,52 +31,18 @@ pub mod trace;
 
 pub use histogram::LogHistogram;
 pub use registry::{MetricKind, Registry};
-pub use trace::{EventKind, SpanRecorder, StageId, Trace, TraceCollector, TraceEvent, WorkerId};
+pub use trace::{EventKind, StageId, Trace, TraceEvent, WorkerId};
 
-/// Whether the runtime records telemetry for a run.
+/// Whether a run's final report carries its trace and metrics registry.
 ///
-/// `Auto` (the default) defers to the `HGPCN_TELEMETRY` environment
-/// variable: `1`, `on` or `true` (case-insensitive) enable recording,
-/// anything else — including an unset variable — disables it. `Off`
-/// and `On` pin the decision in config, overriding the environment.
+/// `Off` (the default) leaves the report's telemetry empty; `On`
+/// derives both from the run's frame records at shutdown. Serving does
+/// the same work either way.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum TelemetryMode {
-    /// Read `HGPCN_TELEMETRY` at run start.
+    /// The final report carries no telemetry.
     #[default]
-    Auto,
-    /// Never record (the no-op sink; zero cost on the hot path).
     Off,
-    /// Always record.
+    /// The final report carries the trace and the metrics registry.
     On,
-}
-
-/// Name of the environment variable [`TelemetryMode::Auto`] reads.
-pub const TELEMETRY_ENV: &str = "HGPCN_TELEMETRY";
-
-impl TelemetryMode {
-    /// Resolves the mode to a concrete on/off decision.
-    pub fn is_enabled(self) -> bool {
-        match self {
-            TelemetryMode::Off => false,
-            TelemetryMode::On => true,
-            TelemetryMode::Auto => match std::env::var(TELEMETRY_ENV) {
-                Ok(v) => {
-                    let v = v.trim().to_ascii_lowercase();
-                    v == "1" || v == "on" || v == "true"
-                }
-                Err(_) => false,
-            },
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn pinned_modes_ignore_environment() {
-        assert!(TelemetryMode::On.is_enabled());
-        assert!(!TelemetryMode::Off.is_enabled());
-    }
 }

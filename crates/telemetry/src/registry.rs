@@ -168,14 +168,6 @@ impl Registry {
         }
     }
 
-    /// The gauge's current value, if registered.
-    pub fn gauge_value(&self, name: &str, labels: &[(&str, &str)]) -> Option<f64> {
-        match self.families.get(name)?.series.get(&labels_of(labels))? {
-            Series::Gauge(v) => Some(*v),
-            _ => None,
-        }
-    }
-
     /// The histogram series, if registered.
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Option<&LogHistogram> {
         match self.families.get(name)?.series.get(&labels_of(labels))? {

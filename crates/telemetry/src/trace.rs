@@ -1,18 +1,13 @@
-//! Frame-lifecycle tracing: per-worker span recorders and the merged
-//! run trace, exportable as Chrome trace-event JSON.
+//! Frame-lifecycle traces and their Chrome trace-event JSON export.
 //!
-//! Recording is mutex-free on the hot path: every pipeline worker owns
-//! a [`SpanRecorder`] (a plain `Vec` push per event), and buffers are
-//! merged into one [`Trace`] through a [`TraceCollector`] only at run
-//! end. Every event carries both clocks — the *virtual* timestamp from
-//! the workspace's deterministic cost models and the *wall* timestamp
-//! of the recording host — so the virtual timeline stays
-//! bit-reproducible while wall time remains available for host-side
-//! profiling.
+//! A [`Trace`] is the ordered event timeline of a run: what happened to
+//! each frame, on which worker's row, at which *virtual* timestamp (the
+//! workspace's deterministic cost models). The two stage spans also
+//! carry the *wall* instants of the host's engine calls, so the virtual
+//! timeline stays bit-reproducible while wall time remains available for
+//! host-side profiling.
 
 use std::fmt::Write as _;
-use std::sync::Mutex;
-use std::time::Instant;
 
 /// Pipeline stage a worker belongs to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -98,8 +93,6 @@ pub enum EventKind {
     InferEnd,
     /// The frame completed its journey.
     Complete,
-    /// The frame was evicted by backpressure.
-    Drop,
 }
 
 impl EventKind {
@@ -115,17 +108,16 @@ impl EventKind {
             EventKind::InferStart => "infer_start",
             EventKind::InferEnd => "infer_end",
             EventKind::Complete => "complete",
-            EventKind::Drop => "drop",
         }
     }
 }
 
-/// One recorded lifecycle event.
+/// One lifecycle event.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TraceEvent {
     /// What happened.
     pub kind: EventKind,
-    /// Recording worker.
+    /// The worker whose row the event belongs on.
     pub worker: WorkerId,
     /// Owning stream.
     pub stream_id: u32,
@@ -133,147 +125,40 @@ pub struct TraceEvent {
     pub frame_index: u32,
     /// Virtual (modeled-clock) timestamp in seconds.
     pub virtual_ts_s: f64,
-    /// Wall-clock seconds since run start, at recording time.
-    pub wall_ts_s: f64,
+    /// Wall-clock seconds since run start at which the host's engine call
+    /// began or ended, on the events that bound a stage span; `None` on
+    /// the lifecycle instants.
+    pub wall_ts_s: Option<f64>,
     /// Kind-specific payload ([`EventKind::BatchCoalesce`]: batch size).
     pub detail: u32,
 }
 
-/// A worker-owned event buffer. Appending is a plain `Vec` push — no
-/// locks, no allocation beyond amortized growth — and a disabled
-/// recorder returns before even reading the wall clock, which is what
-/// makes telemetry zero-cost when off.
-#[derive(Debug)]
-pub struct SpanRecorder {
-    enabled: bool,
-    worker: WorkerId,
-    origin: Instant,
-    events: Vec<TraceEvent>,
-}
-
-impl SpanRecorder {
-    /// A recorder for `worker`. `origin` anchors wall timestamps (pass
-    /// the run's start instant so all workers share one epoch);
-    /// `enabled: false` yields the no-op sink.
-    pub fn new(worker: WorkerId, origin: Instant, enabled: bool) -> SpanRecorder {
-        SpanRecorder {
-            enabled,
-            worker,
-            origin,
-            events: Vec::new(),
-        }
-    }
-
-    /// Whether this recorder keeps events.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Records `kind` for frame `(stream_id, frame_index)` at virtual
-    /// time `virtual_ts_s`. No-op when disabled.
-    #[inline]
-    pub fn record(&mut self, kind: EventKind, stream_id: usize, frame_index: usize, vts_s: f64) {
-        self.record_detail(kind, stream_id, frame_index, vts_s, 0);
-    }
-
-    /// [`record`](SpanRecorder::record) with a kind-specific `detail`
-    /// payload (batch size for [`EventKind::BatchCoalesce`]).
-    #[inline]
-    pub fn record_detail(
-        &mut self,
-        kind: EventKind,
-        stream_id: usize,
-        frame_index: usize,
-        vts_s: f64,
-        detail: u32,
-    ) {
-        if !self.enabled {
-            return;
-        }
-        self.events.push(TraceEvent {
-            kind,
-            worker: self.worker,
-            stream_id: stream_id as u32,
-            frame_index: frame_index as u32,
-            virtual_ts_s: vts_s,
-            wall_ts_s: self.origin.elapsed().as_secs_f64(),
-            detail,
-        });
-    }
-
-    /// Consumes the recorder, yielding its buffer in recording order.
-    pub fn into_events(self) -> Vec<TraceEvent> {
-        self.events
-    }
-}
-
-/// Collects worker buffers at run end. The only synchronized piece of
-/// the tracing path — and it is touched once per worker per run, not
-/// per event.
-#[derive(Debug, Default)]
-pub struct TraceCollector {
-    buffers: Mutex<Vec<Vec<TraceEvent>>>,
-}
-
-impl TraceCollector {
-    /// An empty collector.
-    pub fn new() -> TraceCollector {
-        TraceCollector::default()
-    }
-
-    /// Absorbs a finished worker's recorder (no-op if it was disabled
-    /// and empty).
-    pub fn submit(&self, recorder: SpanRecorder) {
-        let events = recorder.into_events();
-        if events.is_empty() {
-            return;
-        }
-        self.buffers
-            .lock()
-            .expect("trace collector poisoned")
-            .push(events);
-    }
-
-    /// Merges every submitted buffer into one deterministic [`Trace`].
-    ///
-    /// Events are ordered by virtual timestamp, ties broken by worker
-    /// identity; each worker's own events keep their recording order
-    /// (the per-worker virtual clock is monotone, so this is also
-    /// virtual-time order). The result is independent of thread exit
-    /// order — the foundation of byte-identical trace exports.
-    pub fn finish(self) -> Trace {
-        let mut buffers = self.buffers.into_inner().expect("trace collector poisoned");
-        // Concatenate in worker order so the stable sort below sees a
-        // deterministic input regardless of submission order.
-        buffers.sort_by_key(|b| b.first().map(|e| e.worker));
-        let mut events: Vec<TraceEvent> = buffers.into_iter().flatten().collect();
-        events.sort_by(|a, b| {
-            a.virtual_ts_s
-                .total_cmp(&b.virtual_ts_s)
-                .then_with(|| a.worker.cmp(&b.worker))
-        });
-        Trace { events }
-    }
-}
-
-/// The merged, ordered event timeline of one run.
+/// The ordered event timeline of one run.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Trace {
     events: Vec<TraceEvent>,
 }
 
 impl Trace {
+    /// A trace of `events`, which must already be in timeline order:
+    /// by virtual time, and on each worker's row a stage's start before
+    /// its end, so [`chrome_trace_json`](Trace::chrome_trace_json) can
+    /// pair every span.
+    pub fn new(events: Vec<TraceEvent>) -> Trace {
+        Trace { events }
+    }
+
     /// The ordered events.
     pub fn events(&self) -> &[TraceEvent] {
         &self.events
     }
 
-    /// Number of recorded events.
+    /// Number of events.
     pub fn len(&self) -> usize {
         self.events.len()
     }
 
-    /// Whether nothing was recorded.
+    /// Whether the trace has no events.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
@@ -282,7 +167,7 @@ impl Trace {
     /// `chrome://tracing` and Perfetto load).
     ///
     /// * Preproc and infer stage work becomes complete (`"ph": "X"`)
-    ///   spans on the recording worker's row, with `ts`/`dur` on the
+    ///   spans on the serving worker's row, with `ts`/`dur` on the
     ///   **virtual** clock in microseconds.
     /// * Every other lifecycle event becomes a thread-scoped instant
     ///   (`"ph": "i"`).
@@ -291,9 +176,9 @@ impl Trace {
     /// With `include_wall: false` the output is a pure function of the
     /// virtual timeline — two identical deterministic runs (one worker
     /// per stage) render byte-identical JSON. With `include_wall: true`
-    /// each event's `args` additionally carries its wall-clock
-    /// timestamp (and spans their wall duration), which is
-    /// host-dependent and therefore not reproducible.
+    /// each stage span whose ends carry wall timestamps adds its wall
+    /// start and duration to its `args`, which are host-dependent and
+    /// therefore not reproducible.
     pub fn chrome_trace_json(&self, include_wall: bool) -> String {
         let mut workers: Vec<WorkerId> = self.events.iter().map(|e| e.worker).collect();
         workers.sort();
@@ -343,12 +228,13 @@ impl Trace {
                     };
                     let mut args =
                         format!("\"stream\":{},\"frame\":{}", e.stream_id, e.frame_index);
-                    if include_wall {
+                    if let (true, Some(w0), Some(w1)) = (include_wall, start.wall_ts_s, e.wall_ts_s)
+                    {
                         let _ = write!(
                             args,
                             ",\"wall_ts_us\":{:.3},\"wall_dur_us\":{:.3}",
-                            start.wall_ts_s * 1e6,
-                            (e.wall_ts_s - start.wall_ts_s).max(0.0) * 1e6
+                            w0 * 1e6,
+                            (w1 - w0).max(0.0) * 1e6
                         );
                     }
                     push(
@@ -367,9 +253,6 @@ impl Trace {
                         format!("\"stream\":{},\"frame\":{}", e.stream_id, e.frame_index);
                     if e.kind == EventKind::BatchCoalesce {
                         let _ = write!(args, ",\"batch_size\":{}", e.detail);
-                    }
-                    if include_wall {
-                        let _ = write!(args, ",\"wall_ts_us\":{:.3}", e.wall_ts_s * 1e6);
                     }
                     push(
                         format!(
@@ -392,60 +275,33 @@ impl Trace {
 mod tests {
     use super::*;
 
-    fn recorder(worker: WorkerId, enabled: bool) -> SpanRecorder {
-        SpanRecorder::new(worker, Instant::now(), enabled)
-    }
-
-    #[test]
-    fn disabled_recorder_keeps_nothing() {
-        let mut r = recorder(WorkerId::preproc(0), false);
-        r.record(EventKind::Admit, 0, 0, 0.0);
-        assert!(r.into_events().is_empty());
-    }
-
-    #[test]
-    fn merge_is_independent_of_submission_order() {
-        let build = |order_flip: bool| {
-            let collector = TraceCollector::new();
-            let mut a = recorder(WorkerId::preproc(0), true);
-            a.record(EventKind::PreprocStart, 0, 0, 1.0);
-            a.record(EventKind::PreprocEnd, 0, 0, 2.0);
-            let mut b = recorder(WorkerId::inference(0), true);
-            b.record(EventKind::InferStart, 0, 0, 2.0);
-            b.record(EventKind::InferEnd, 0, 0, 3.0);
-            if order_flip {
-                collector.submit(b);
-                collector.submit(a);
+    fn event(kind: EventKind, worker: WorkerId, vts: f64, wall: Option<f64>) -> TraceEvent {
+        TraceEvent {
+            kind,
+            worker,
+            stream_id: 2,
+            frame_index: 5,
+            virtual_ts_s: vts,
+            wall_ts_s: wall,
+            detail: if kind == EventKind::BatchCoalesce {
+                4
             } else {
-                collector.submit(a);
-                collector.submit(b);
-            }
-            collector.finish()
-        };
-        let x = build(false);
-        let y = build(true);
-        // Wall timestamps differ run to run; the virtual view must not.
-        let virtual_view = |t: &Trace| {
-            t.events()
-                .iter()
-                .map(|e| (e.kind, e.worker, e.stream_id, e.frame_index, e.virtual_ts_s))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(virtual_view(&x), virtual_view(&y));
-        assert_eq!(x.chrome_trace_json(false), y.chrome_trace_json(false));
+                0
+            },
+        }
     }
 
     #[test]
     fn chrome_export_pairs_spans() {
-        let collector = TraceCollector::new();
-        let mut r = recorder(WorkerId::inference(1), true);
-        r.record(EventKind::Dequeue, 2, 5, 1.5);
-        r.record_detail(EventKind::BatchCoalesce, 2, 5, 1.5, 4);
-        r.record(EventKind::InferStart, 2, 5, 1.5);
-        r.record(EventKind::InferEnd, 2, 5, 2.5);
-        r.record(EventKind::Complete, 2, 5, 2.5);
-        collector.submit(r);
-        let json = collector.finish().chrome_trace_json(false);
+        let w = WorkerId::inference(1);
+        let trace = Trace::new(vec![
+            event(EventKind::Dequeue, w, 1.5, None),
+            event(EventKind::BatchCoalesce, w, 1.5, None),
+            event(EventKind::InferStart, w, 1.5, Some(0.25)),
+            event(EventKind::InferEnd, w, 2.5, Some(0.5)),
+            event(EventKind::Complete, w, 2.5, None),
+        ]);
+        let json = trace.chrome_trace_json(false);
         assert!(json.contains("\"name\":\"infer\""));
         assert!(json.contains("\"dur\":1000000.000"));
         assert!(json.contains("\"batch_size\":4"));
@@ -458,14 +314,15 @@ mod tests {
     }
 
     #[test]
-    fn wall_export_adds_args() {
-        let collector = TraceCollector::new();
-        let mut r = recorder(WorkerId::preproc(0), true);
-        r.record(EventKind::PreprocStart, 0, 0, 0.0);
-        r.record(EventKind::PreprocEnd, 0, 0, 1.0);
-        collector.submit(r);
-        let json = collector.finish().chrome_trace_json(true);
-        assert!(json.contains("wall_ts_us"));
-        assert!(json.contains("wall_dur_us"));
+    fn wall_export_adds_args_to_spans_only() {
+        let w = WorkerId::preproc(0);
+        let json = Trace::new(vec![
+            event(EventKind::Dequeue, w, 0.0, None),
+            event(EventKind::PreprocStart, w, 0.0, Some(0.001)),
+            event(EventKind::PreprocEnd, w, 1.0, Some(0.003)),
+        ])
+        .chrome_trace_json(true);
+        assert!(json.contains("\"wall_ts_us\":1000.000,\"wall_dur_us\":2000.000"));
+        assert_eq!(json.matches("wall_ts_us").count(), 1, "{json}");
     }
 }

@@ -1,9 +1,8 @@
-//! Observability end-to-end: serve a three-stream fleet with
-//! telemetry pinned on, export the frame-lifecycle trace as Chrome
-//! trace-event JSON (load it at <https://ui.perfetto.dev> or
-//! `chrome://tracing`) and the metrics registry as Prometheus text,
-//! and print the per-stage attribution the runtime now computes for
-//! every run.
+//! Observability end-to-end: serve a three-stream fleet, export the
+//! frame-lifecycle trace the final report derives from its frame records
+//! as Chrome trace-event JSON (load it at <https://ui.perfetto.dev> or
+//! `chrome://tracing`) and the metrics registry as Prometheus text, and
+//! print the per-stage attribution the runtime computes for every run.
 //!
 //! ```bash
 //! cargo run --release --example traced_serving [output-dir]
@@ -36,7 +35,8 @@ fn main() {
             .arrival(ArrivalModel::Backlogged)
             .target_points(TARGET)
             .max_batch(4)
-            // Pinned on: this run records regardless of HGPCN_TELEMETRY.
+            // On: the final report carries the trace and the metrics
+            // registry, both derived from its frame records at shutdown.
             .telemetry(TelemetryMode::On),
     )
     .expect("valid config");
@@ -80,7 +80,7 @@ fn main() {
         "aggregate wait+service vs sojourn total",
     );
 
-    let snapshot = report.telemetry.as_ref().expect("telemetry pinned on");
+    let snapshot = report.telemetry.as_ref().expect("telemetry on");
     assert!(!snapshot.trace.is_empty());
 
     let trace_path = out_dir.join("trace.json");
