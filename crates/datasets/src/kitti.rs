@@ -41,19 +41,6 @@ impl KittiConfig {
             spin_hz: 10.0,
         }
     }
-
-    /// A dense scanner approaching the paper's ~10^6-point frames. Use for
-    /// the analytic large-frame sweeps; executing full pipelines on it is
-    /// slow.
-    pub fn dense() -> KittiConfig {
-        KittiConfig {
-            beams: 128,
-            azimuth_steps: 8192,
-            max_range: 80.0,
-            dropout: 0.05,
-            spin_hz: 10.0,
-        }
-    }
 }
 
 impl Default for KittiConfig {

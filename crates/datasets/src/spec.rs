@@ -95,44 +95,26 @@ pub const TABLE_I: [BenchmarkSpec; 4] = [
     },
 ];
 
-impl BenchmarkSpec {
-    /// Looks up the Table I row for a dataset.
-    pub fn for_dataset(dataset: DatasetKind) -> BenchmarkSpec {
-        *TABLE_I
-            .iter()
-            .find(|s| s.dataset == dataset)
-            .expect("all datasets are in TABLE_I")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn row(dataset: DatasetKind) -> BenchmarkSpec {
+        *TABLE_I.iter().find(|s| s.dataset == dataset).unwrap()
+    }
+
     #[test]
     fn table_matches_paper_sizes() {
-        assert_eq!(
-            BenchmarkSpec::for_dataset(DatasetKind::ModelNet40).input_size,
-            1024
-        );
-        assert_eq!(
-            BenchmarkSpec::for_dataset(DatasetKind::ShapeNet).input_size,
-            2048
-        );
-        assert_eq!(
-            BenchmarkSpec::for_dataset(DatasetKind::S3dis).input_size,
-            4096
-        );
-        assert_eq!(
-            BenchmarkSpec::for_dataset(DatasetKind::Kitti).input_size,
-            16384
-        );
+        assert_eq!(row(DatasetKind::ModelNet40).input_size, 1024);
+        assert_eq!(row(DatasetKind::ShapeNet).input_size, 2048);
+        assert_eq!(row(DatasetKind::S3dis).input_size, 4096);
+        assert_eq!(row(DatasetKind::Kitti).input_size, 16384);
     }
 
     #[test]
     fn shapenet_raw_is_below_4096() {
         // §VII-B: "for Shapenet, the raw data size is smaller than 4096".
-        assert!(BenchmarkSpec::for_dataset(DatasetKind::ShapeNet).raw_points < 4096);
+        assert!(row(DatasetKind::ShapeNet).raw_points < 4096);
     }
 
     #[test]

@@ -10,7 +10,6 @@
 //!
 //! * [`knn`] — brute-force K-nearest-neighbors (the traditional method and
 //!   the basis of the PointACC/GPU baselines);
-//! * [`ball`] — brute-force ball query (the other common DS method);
 //! * [`veg`] — Voxel-Expanded Gathering with three modes: the paper's
 //!   shell rule, a guaranteed-exact variant, and the semi-approximate
 //!   future-work variant (§VIII);
@@ -28,7 +27,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod ball;
 pub mod dsu;
 mod error;
 pub mod index;

@@ -273,124 +273,6 @@ pub fn gather_with(
     })
 }
 
-/// VEG-accelerated ball query (§VI: "the VEG method can efficiently
-/// support commonly used DS methods, e.g., KNN and BQ").
-///
-/// Expands voxel shells around the center at a level whose voxel edge
-/// matches the query radius. Voxels entirely inside the ball contribute
-/// their points **for free** (one voxel test instead of per-point
-/// distances); only boundary voxels' points are distance-checked. Returns
-/// up to `k` in-ball neighbors, padded PointNet++-style by repeating the
-/// first hit, like [`crate::ball::gather`].
-///
-/// # Errors
-///
-/// Rejects the same inputs as [`crate::ball::gather`].
-pub fn gather_ball(
-    octree: &Octree,
-    center: usize,
-    radius: f32,
-    k: usize,
-) -> Result<GatherResult, GatherError> {
-    let n = octree.points().len();
-    if n == 0 {
-        return Err(GatherError::EmptyCloud);
-    }
-    if center >= n {
-        return Err(GatherError::CenterOutOfRange { center, len: n });
-    }
-    let mut counts = OpCounts::default();
-    let mut stats = VegStats::default();
-    let center_point = octree.points().point(center);
-    let center_code = octree.point_codes()[center];
-    counts.mem_reads += 1;
-    counts.bytes_read += 12;
-
-    // LV: pick the deepest level whose voxel edge is at least the radius,
-    // so the ball spans at most one shell of neighbors.
-    let max_depth = octree.config().max_depth_value();
-    let root_edge = octree.root_bounds().extent().x;
-    let mut level = 1u8;
-    while level < max_depth && root_edge / (1u64 << (level + 1)) as f32 >= radius {
-        level += 1;
-        stats.locate_lookups += 1;
-        counts.table_lookups += 1;
-    }
-    let seed = center_code.ancestor_at(level);
-    let r2 = radius * radius;
-    let root = octree.root_bounds();
-
-    let mut neighbors = Vec::new();
-    'shells: for shell in 0..=1u32 {
-        let codes = if shell == 0 {
-            vec![seed]
-        } else {
-            hgpcn_octree::neighbor::shell_codes(seed, shell)
-        };
-        stats.shells_expanded = shell;
-        for code in codes {
-            stats.expand_lookups += 1;
-            counts.table_lookups += 1;
-            let bounds = code.decode_bounds(&root);
-            // Voxel-level classification: one distance test per voxel.
-            counts.distance_computations += 1;
-            if bounds.distance_sq_to(center_point) > r2 {
-                continue;
-            }
-            let far = {
-                let (lo, hi) = (bounds.min(), bounds.max());
-                let axis = |c: f32, l: f32, h: f32| (c - l).abs().max((h - c).abs());
-                let dx = axis(center_point.x, lo.x, hi.x);
-                let dy = axis(center_point.y, lo.y, hi.y);
-                let dz = axis(center_point.z, lo.z, hi.z);
-                dx * dx + dy * dy + dz * dz
-            };
-            let range = octree.voxel_range(code);
-            if far <= r2 {
-                // Fully inside: gather the whole contiguous run for free.
-                stats.gathered_free += range.len();
-                for i in range {
-                    if i != center {
-                        neighbors.push(i);
-                        if neighbors.len() == k {
-                            break 'shells;
-                        }
-                    }
-                }
-            } else {
-                // Boundary voxel: per-point distance checks.
-                for i in range {
-                    if i == center {
-                        continue;
-                    }
-                    counts.distance_computations += 1;
-                    counts.mem_reads += 1;
-                    counts.bytes_read += 12;
-                    if octree.points().point(i).distance_sq(center_point) <= r2 {
-                        neighbors.push(i);
-                        if neighbors.len() == k {
-                            break 'shells;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    if let Some(&first) = neighbors.first() {
-        while neighbors.len() < k {
-            neighbors.push(first);
-        }
-    }
-    counts.mem_writes += neighbors.len() as u64;
-    counts.bytes_written += neighbors.len() as u64 * 12;
-    Ok(GatherResult {
-        neighbors,
-        counts,
-        stats,
-    })
-}
-
 /// VEG for a batch of central points, summing costs and statistics.
 ///
 /// # Errors
@@ -546,52 +428,6 @@ mod tests {
         assert_eq!(results.len(), 3);
         let sum: u64 = results.iter().map(|r| r.counts.table_lookups).sum();
         assert_eq!(total.table_lookups, sum);
-    }
-
-    #[test]
-    fn ball_query_matches_brute_force_as_a_set() {
-        let tree = setup(600);
-        let radius = 0.35;
-        for center in [10usize, 200, 599] {
-            let veg_r = gather_ball(&tree, center, radius, 64).unwrap();
-            let brute = crate::ball::gather(tree.points(), center, radius, 64).unwrap();
-            let mut a: Vec<usize> = veg_r.neighbors.clone();
-            a.sort_unstable();
-            a.dedup();
-            let mut b: Vec<usize> = brute.neighbors.clone();
-            b.sort_unstable();
-            b.dedup();
-            if a.len() < 64 && b.len() < 64 {
-                assert_eq!(a, b, "center {center}");
-            }
-            // Every returned point is in the ball.
-            let c = tree.points().point(center);
-            for &i in &veg_r.neighbors {
-                assert!(tree.points().point(i).distance(c) <= radius * 1.0001);
-            }
-        }
-    }
-
-    #[test]
-    fn ball_query_checks_fewer_points_than_brute() {
-        let tree = setup(1000);
-        let veg_r = gather_ball(&tree, 500, 0.3, 32).unwrap();
-        let brute = crate::ball::gather(tree.points(), 500, 0.3, 32).unwrap();
-        assert!(
-            veg_r.counts.distance_computations < brute.counts.distance_computations,
-            "veg {} vs brute {}",
-            veg_r.counts.distance_computations,
-            brute.counts.distance_computations
-        );
-    }
-
-    #[test]
-    fn ball_query_rejects_invalid_inputs() {
-        let tree = setup(20);
-        assert!(matches!(
-            gather_ball(&tree, 99, 0.5, 4),
-            Err(GatherError::CenterOutOfRange { .. })
-        ));
     }
 
     #[test]

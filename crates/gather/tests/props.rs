@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use hgpcn_gather::{ball, knn, sorter};
+use hgpcn_gather::{knn, sorter};
 use hgpcn_geometry::{Point3, PointCloud};
 
 fn arb_cloud() -> impl Strategy<Value = PointCloud> {
@@ -38,20 +38,6 @@ proptest! {
             if i != center && !r.neighbors.contains(&i) {
                 prop_assert!(cloud.point(i).distance_sq(c) >= worst);
             }
-        }
-    }
-
-    /// Ball query returns only in-ball points, padded to k when non-empty.
-    #[test]
-    fn ball_query_invariants(cloud in arb_cloud(), radius in 0.1f32..30.0, k in 1usize..16) {
-        let r = ball::gather(&cloud, 0, radius, k).unwrap();
-        let c = cloud.point(0);
-        for &i in &r.neighbors {
-            prop_assert!(i != 0);
-            prop_assert!(cloud.point(i).distance(c) <= radius * 1.0001);
-        }
-        if !r.neighbors.is_empty() {
-            prop_assert_eq!(r.neighbors.len(), k);
         }
     }
 

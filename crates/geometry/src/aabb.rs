@@ -181,12 +181,6 @@ impl Aabb {
             && self.max.z >= other.min.z
     }
 
-    /// The smallest box containing both `self` and `other`.
-    #[inline]
-    pub fn union(&self, other: &Aabb) -> Aabb {
-        Aabb::new(self.min.min(other.min), self.max.max(other.max))
-    }
-
     /// Grows the box by `margin` on every face.
     ///
     /// # Panics
@@ -253,12 +247,6 @@ impl Aabb {
             Point3::new(min_x, min_y, min_z),
             Point3::new(max_x, max_y, max_z),
         )
-    }
-
-    /// Squared distance from `p` to the closest point of the box (0 inside).
-    pub fn distance_sq_to(&self, p: Point3) -> f32 {
-        let clamped = p.max(self.min).min(self.max);
-        p.distance_sq(clamped)
     }
 }
 
@@ -349,24 +337,8 @@ mod tests {
     }
 
     #[test]
-    fn distance_sq_inside_is_zero() {
-        let b = Aabb::unit();
-        assert_eq!(b.distance_sq_to(Point3::splat(0.5)), 0.0);
-        assert_eq!(b.distance_sq_to(Point3::new(2.0, 0.5, 0.5)), 1.0);
-    }
-
-    #[test]
     #[should_panic(expected = "must not exceed")]
     fn inverted_bounds_panic() {
         let _ = Aabb::new(Point3::splat(1.0), Point3::ORIGIN);
-    }
-
-    #[test]
-    fn union_covers_both() {
-        let a = Aabb::new(Point3::ORIGIN, Point3::splat(1.0));
-        let b = Aabb::new(Point3::splat(2.0), Point3::splat(3.0));
-        let u = a.union(&b);
-        assert!(u.contains(Point3::ORIGIN));
-        assert!(u.contains(Point3::splat(3.0)));
     }
 }

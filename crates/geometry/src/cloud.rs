@@ -217,18 +217,6 @@ impl PointCloud {
         }
     }
 
-    /// Reorders the cloud by `permutation`, returning a new cloud where the
-    /// `k`-th point is `self.point(permutation[k])`. Used by the octree
-    /// host-memory pre-configuration step (§V-A).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `permutation.len() != len()` or any index is out of range.
-    pub fn permuted(&self, permutation: &[usize]) -> PointCloud {
-        assert_eq!(permutation.len(), self.len(), "permutation length mismatch");
-        self.gather(permutation)
-    }
-
     /// Returns a copy translated and uniformly scaled into the unit cube
     /// `[0, 1]^3` (longest frame edge maps to 1). Down-sampling methods in
     /// the paper normalize frames before sampling (§V).
@@ -281,13 +269,6 @@ impl PointCloud {
         }
         let sum = self.iter().fold(Point3::ORIGIN, |acc, p| acc + p);
         Some(sum / self.len() as f32)
-    }
-
-    /// Bytes this cloud occupies in host memory (coordinates + features),
-    /// used by the memory simulator to size transfers.
-    #[inline]
-    pub fn byte_size(&self) -> usize {
-        self.points.len() * 3 * 4 + self.features.len() * 4
     }
 }
 
@@ -371,15 +352,6 @@ mod tests {
     }
 
     #[test]
-    fn permuted_round_trip() {
-        let cloud = sample_cloud();
-        let perm = vec![3, 2, 1, 0];
-        let p = cloud.permuted(&perm);
-        assert_eq!(p.point(0), cloud.point(3));
-        assert_eq!(p.point(3), cloud.point(0));
-    }
-
-    #[test]
     fn normalized_fits_unit_cube() {
         let norm = sample_cloud().normalized_unit_cube().unwrap();
         let unit = Aabb::unit();
@@ -412,13 +384,6 @@ mod tests {
             cloud.validate_finite().unwrap_err(),
             GeometryError::NonFinitePoint { index: 4 }
         );
-    }
-
-    #[test]
-    fn byte_size_counts_coords_and_features() {
-        let pts = vec![Point3::ORIGIN; 10];
-        let cloud = PointCloud::from_parts(pts, vec![0.0; 20], 2).unwrap();
-        assert_eq!(cloud.byte_size(), 10 * 12 + 20 * 4);
     }
 
     #[test]

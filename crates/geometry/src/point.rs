@@ -108,12 +108,6 @@ impl Point3 {
         self.x.is_finite() && self.y.is_finite() && self.z.is_finite()
     }
 
-    /// Linear interpolation between `self` (at `t = 0`) and `other` (at `t = 1`).
-    #[inline]
-    pub fn lerp(self, other: Point3, t: f32) -> Point3 {
-        self + (other - self) * t
-    }
-
     /// Coordinates as a `[x, y, z]` array.
     #[inline]
     pub fn to_array(self) -> [f32; 3] {
@@ -259,15 +253,6 @@ mod tests {
         let b = Point3::new(2.0, 3.0, -1.0);
         assert_eq!(a.min(b), Point3::new(1.0, 3.0, -2.0));
         assert_eq!(a.max(b), Point3::new(2.0, 5.0, -1.0));
-    }
-
-    #[test]
-    fn lerp_endpoints_and_midpoint() {
-        let a = Point3::ORIGIN;
-        let b = Point3::splat(2.0);
-        assert_eq!(a.lerp(b, 0.0), a);
-        assert_eq!(a.lerp(b, 1.0), b);
-        assert_eq!(a.lerp(b, 0.5), Point3::splat(1.0));
     }
 
     #[test]

@@ -68,16 +68,6 @@ impl OpCounts {
         self.bytes_read + self.bytes_written
     }
 
-    /// Total compute operations (everything that is not a memory access).
-    #[inline]
-    pub fn compute_ops(&self) -> u64 {
-        self.table_lookups
-            + self.distance_computations
-            + self.comparisons
-            + self.hamming_ops
-            + self.macs
-    }
-
     /// Scales every field by `n` — e.g. to extrapolate one central point's
     /// gather cost to all central points.
     pub fn scaled(&self, n: u64) -> OpCounts {
@@ -154,7 +144,6 @@ mod tests {
         let c = a + b;
         assert_eq!(c.mem_reads, 4);
         assert_eq!(c.memory_accesses(), 6);
-        assert_eq!(c.compute_ops(), 12);
     }
 
     #[test]

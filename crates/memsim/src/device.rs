@@ -70,26 +70,6 @@ impl DeviceProfile {
         }
     }
 
-    /// Nvidia Jetson Xavier NX (the paper's edge GPU): 384 Volta cores and
-    /// ~51 GB/s LPDDR4x on paper, but point-cloud kernels on it are
-    /// latency-bound at these batch sizes — the effective per-operation
-    /// costs below reflect measured-style efficiency on small unbatched
-    /// layers and divergent neighbor searches, not peak TOPS.
-    pub fn jetson_nx() -> DeviceProfile {
-        DeviceProfile {
-            name: "Jetson Xavier NX",
-            ns_per_byte: 0.02,
-            ns_per_access: 0.02,
-            ns_per_lookup: 3.0,
-            ns_per_distance: 16.0,
-            ns_per_comparison: 2.0,
-            ns_per_hamming: 2.0,
-            ns_per_mac: 0.06,
-            parallel_lanes: 1.0,
-            overhead_ns: 20_000.0,
-        }
-    }
-
     /// Nvidia RTX 4060 Ti (the paper's desktop GPU): 288 GB/s GDDR6,
     /// ~22 TFLOPS fp32.
     pub fn rtx_4060ti() -> DeviceProfile {
@@ -123,42 +103,6 @@ impl DeviceProfile {
             ns_per_mac: 5.0,
             parallel_lanes: 8.0,
             overhead_ns: 2_000.0, // MMIO table transfer doorbell
-        }
-    }
-
-    /// The HgPCN Data Structuring Unit on the Arria 10 (§VI): 200 MHz,
-    /// six-stage pipeline, parallel octree neighbor-search walkers and a
-    /// bitonic sorter for the final shell.
-    pub fn hgpcn_dsu() -> DeviceProfile {
-        DeviceProfile {
-            name: "HgPCN Data Structuring Unit (FPGA)",
-            ns_per_byte: 0.0625,
-            ns_per_access: 0.5,
-            ns_per_lookup: 5.0,
-            ns_per_distance: 5.0,
-            ns_per_comparison: 0.7,
-            ns_per_hamming: 5.0,
-            ns_per_mac: 5.0,
-            parallel_lanes: 8.0,
-            overhead_ns: 0.0,
-        }
-    }
-
-    /// A 16×16 weight-stationary systolic array at 200 MHz — the Feature
-    /// Computation Unit shared (per the paper's methodology) by HgPCN,
-    /// PointACC and Mesorasi.
-    pub fn systolic_16x16() -> DeviceProfile {
-        DeviceProfile {
-            name: "16x16 systolic array (FPGA)",
-            ns_per_byte: 0.0625,
-            ns_per_access: 0.5,
-            ns_per_lookup: 5.0,
-            ns_per_distance: 5.0,
-            ns_per_comparison: 5.0,
-            ns_per_mac: 5.0 / 256.0, // 256 MACs per 5 ns cycle
-            ns_per_hamming: 5.0,
-            parallel_lanes: 1.0,
-            overhead_ns: 0.0,
         }
     }
 
@@ -235,11 +179,8 @@ mod tests {
     fn presets_have_distinct_names() {
         let names = [
             DeviceProfile::xeon_w2255().name,
-            DeviceProfile::jetson_nx().name,
             DeviceProfile::rtx_4060ti().name,
             DeviceProfile::hgpcn_downsampling_unit().name,
-            DeviceProfile::hgpcn_dsu().name,
-            DeviceProfile::systolic_16x16().name,
         ];
         let set: std::collections::HashSet<_> = names.iter().collect();
         assert_eq!(set.len(), names.len());

@@ -81,28 +81,6 @@ impl HostMemory {
         self.points[addr]
     }
 
-    /// Writes a point at `addr`, charging one record write of 12 bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `addr` is out of range.
-    #[inline]
-    pub fn write_point(&mut self, addr: usize, p: Point3) {
-        self.counts.mem_writes += 1;
-        self.counts.bytes_written += POINT_BYTES as u64;
-        self.points[addr] = p;
-    }
-
-    /// Appends a point (e.g. building the reorganized SFC copy), charging
-    /// one record write.
-    #[inline]
-    pub fn append_point(&mut self, p: Point3) -> usize {
-        self.counts.mem_writes += 1;
-        self.counts.bytes_written += POINT_BYTES as u64;
-        self.points.push(p);
-        self.points.len() - 1
-    }
-
     /// Charges one scalar (f32) read of intermediate data.
     #[inline]
     pub fn read_scalar(&mut self) {
@@ -128,12 +106,6 @@ impl HostMemory {
     pub fn reset_counts(&mut self) -> OpCounts {
         std::mem::take(&mut self.counts)
     }
-
-    /// Uncounted view of the resident points, for verification only.
-    #[inline]
-    pub fn points_uncounted(&self) -> &[Point3] {
-        &self.points
-    }
 }
 
 #[cfg(test)]
@@ -145,17 +117,15 @@ mod tests {
     }
 
     #[test]
-    fn reads_and_writes_are_counted() {
+    fn reads_are_counted() {
         let mut mem = memory();
+        assert_eq!(mem.read_point(5), Point3::splat(5.0));
         let _ = mem.read_point(0);
-        let _ = mem.read_point(5);
-        mem.write_point(1, Point3::ORIGIN);
         let c = mem.counts();
         assert_eq!(c.mem_reads, 2);
-        assert_eq!(c.mem_writes, 1);
+        assert_eq!(c.mem_writes, 0);
         assert_eq!(c.bytes_read, 24);
-        assert_eq!(c.bytes_written, 12);
-        assert_eq!(mem.points_uncounted()[1], Point3::ORIGIN);
+        assert_eq!(c.bytes_written, 0);
     }
 
     #[test]
@@ -164,15 +134,6 @@ mod tests {
         mem.write_scalar();
         mem.read_scalar();
         assert_eq!(mem.counts().bytes_moved(), 8);
-    }
-
-    #[test]
-    fn append_extends_and_counts() {
-        let mut mem = memory();
-        let addr = mem.append_point(Point3::splat(99.0));
-        assert_eq!(addr, 10);
-        assert_eq!(mem.len(), 11);
-        assert_eq!(mem.counts().mem_writes, 1);
     }
 
     #[test]

@@ -40,9 +40,8 @@ proptest! {
     fn latency_is_monotone(a in arb_counts(), extra in arb_counts()) {
         for dev in [
             DeviceProfile::xeon_w2255(),
-            DeviceProfile::jetson_nx(),
             DeviceProfile::rtx_4060ti(),
-            DeviceProfile::systolic_16x16(),
+            DeviceProfile::hgpcn_downsampling_unit(),
         ] {
             let base = dev.latency(&a);
             let more = dev.latency(&(a + extra));

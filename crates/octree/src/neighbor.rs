@@ -66,14 +66,6 @@ pub fn shell_codes(center: MortonCode, shell: u32) -> Vec<MortonCode> {
     out
 }
 
-/// Enumerates all voxels with Chebyshev distance at most `max_shell`
-/// (the union of shells `0..=max_shell`), clipped to the grid.
-pub fn ball_codes(center: MortonCode, max_shell: u32) -> Vec<MortonCode> {
-    (0..=max_shell)
-        .flat_map(|s| shell_codes(center, s))
-        .collect()
-}
-
 /// The largest shell index that can contain any voxel at `center`'s level
 /// (after which expansion has swallowed the whole grid).
 pub fn max_shell(center: MortonCode) -> u32 {
@@ -117,7 +109,7 @@ mod tests {
     #[test]
     fn shells_are_disjoint_and_cover_ball() {
         let c = MortonCode::from_grid_coords(4, 4, 4, 4);
-        let ball = ball_codes(c, 3);
+        let ball: Vec<_> = (0..=3).flat_map(|s| shell_codes(c, s)).collect();
         let mut seen = std::collections::HashSet::new();
         for v in &ball {
             assert!(seen.insert(*v), "shells must not repeat voxels");
@@ -132,7 +124,7 @@ mod tests {
         let center = MortonCode::from_grid_coords(4, 4, 4, 3);
         assert_eq!(max_shell(center), 4);
         // Expanding to max_shell covers every voxel of the grid.
-        let all = ball_codes(c, max_shell(c));
+        let all: Vec<_> = (0..=max_shell(c)).flat_map(|s| shell_codes(c, s)).collect();
         assert_eq!(all.len(), 8 * 8 * 8);
     }
 

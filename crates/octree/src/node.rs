@@ -79,12 +79,6 @@ impl Node {
     pub fn children(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.children.iter().flatten().copied()
     }
-
-    /// Number of non-empty children.
-    #[inline]
-    pub fn child_count(&self) -> usize {
-        self.children.iter().flatten().count()
-    }
 }
 
 #[cfg(test)]
@@ -106,7 +100,7 @@ mod tests {
         assert_eq!(n.point_range(), 3..9);
         assert_eq!(n.point_count(), 6);
         assert!(n.is_leaf());
-        assert_eq!(n.child_count(), 0);
+        assert_eq!(n.children().count(), 0);
     }
 
     #[test]
@@ -117,6 +111,6 @@ mod tests {
         n.children[1] = Some(NodeId(1));
         let kids: Vec<NodeId> = n.children().collect();
         assert_eq!(kids, vec![NodeId(1), NodeId(2)]);
-        assert_eq!(n.child_count(), 2);
+        assert_eq!(n.children().count(), 2);
     }
 }

@@ -338,26 +338,6 @@ impl Octree {
         }
     }
 
-    /// Finds the node with exactly this m-code, descending by octant path.
-    ///
-    /// Returns `None` if the path leads through an empty sub-voxel or stops
-    /// at a shallower leaf.
-    pub fn node_at(&self, code: MortonCode) -> Option<NodeId> {
-        let mut id = self.root;
-        for level in 1..=code.level() {
-            let step = code
-                .ancestor_at(level)
-                .octant_in_parent()
-                .expect("level >= 1");
-            let node = self.node(id);
-            if node.is_leaf() {
-                return None;
-            }
-            id = node.child(step)?;
-        }
-        Some(id)
-    }
-
     /// The SFC-position range of all points inside the voxel `code`, whether
     /// or not the tree has a node at that exact level.
     ///
@@ -857,16 +837,6 @@ mod tests {
             Octree::build(&cloud, OctreeConfig::new().max_depth(4).leaf_capacity(1)).unwrap();
         for node in tree.nodes() {
             assert_eq!(tree.voxel_range(node.code()), node.point_range());
-        }
-    }
-
-    #[test]
-    fn node_at_finds_every_node() {
-        let cloud = grid_cloud(3);
-        let tree =
-            Octree::build(&cloud, OctreeConfig::new().max_depth(4).leaf_capacity(1)).unwrap();
-        for (i, node) in tree.nodes().iter().enumerate() {
-            assert_eq!(tree.node_at(node.code()), Some(NodeId(i as u32)));
         }
     }
 

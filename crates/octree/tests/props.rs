@@ -93,8 +93,9 @@ proptest! {
                 prop_assert!(seen.insert(v), "duplicate voxel across shells");
             }
         }
-        let ball = neighbor::ball_codes(center, s);
-        prop_assert_eq!(ball.len(), seen.len());
+        // The clipped Chebyshev ball: a (2s + 1)-wide box cut to the grid.
+        let span = |c: u32| (c + s).min(15) - c.saturating_sub(s) + 1;
+        prop_assert_eq!(seen.len() as u32, span(x) * span(y) * span(z));
     }
 
     /// Depth never exceeds the cap and the build is deterministic.

@@ -158,19 +158,6 @@ impl Matrix {
         Matrix::from_vec(1, self.cols, out)
     }
 
-    /// Stacks rows gathered from `self` by index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of range.
-    pub fn gather_rows(&self, indices: &[usize]) -> Matrix {
-        let mut out = Matrix::zeros(indices.len(), self.cols);
-        for (r, &i) in indices.iter().enumerate() {
-            out.row_mut(r).copy_from_slice(self.row(i));
-        }
-        out
-    }
-
     /// Horizontal concatenation `[self | other]`.
     ///
     /// # Panics
@@ -221,10 +208,8 @@ mod tests {
     }
 
     #[test]
-    fn gather_and_hcat() {
-        let m = Matrix::from_vec(3, 1, vec![10.0, 20.0, 30.0]);
-        let g = m.gather_rows(&[2, 0]);
-        assert_eq!(g.row(0), &[30.0]);
+    fn hcat_joins_rows() {
+        let g = Matrix::from_vec(2, 1, vec![30.0, 10.0]);
         let h = g.hcat(&Matrix::from_vec(2, 1, vec![1.0, 2.0]));
         assert_eq!(h.row(0), &[30.0, 1.0]);
         assert_eq!(h.row(1), &[10.0, 2.0]);

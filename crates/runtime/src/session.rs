@@ -4,7 +4,7 @@
 //! pre-processing and inference worker pools, per-frame accounting —
 //! behind [`ServingRuntime`], a **live** runtime. Streams are opened
 //! while the pools run ([`ServingRuntime::open_stream`]), frames are
-//! pushed one at a time ([`StreamHandle::submit`] returns a
+//! pushed one at a time ([`ServingRuntime::submit`] returns a
 //! [`FrameTicket`]), results are retrieved by polling
 //! ([`ServingRuntime::poll`]), stats are snapshotted mid-flight
 //! ([`ServingRuntime::stats`]), and a graceful
@@ -24,7 +24,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, Weak};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -896,7 +896,7 @@ fn complete_frame(
 ///         Point3::new((f * 0.618).fract(), (f * 0.414).fract(), (f * 0.732).fract())
 ///     })
 ///     .collect();
-/// let ticket = stream.submit(0.0, cloud)?;
+/// let ticket = rt.submit(stream.id(), 0.0, cloud)?;
 /// match rt.wait(ticket)? {
 ///     FrameStatus::Done(result) => assert!(result.output.logits.rows() > 0),
 ///     other => panic!("expected completion, got {other:?}"),
@@ -982,19 +982,15 @@ impl ServingRuntime {
         self.core.as_ref().expect("core present until shutdown")
     }
 
-    /// Opens a stream session and returns its handle.
+    /// Opens a stream session and returns its handle, the stream's id.
     ///
     /// # Errors
     ///
     /// [`RuntimeError::ShuttingDown`] once a worker panic has torn the
     /// session down ([`ServingRuntime::is_live`] is then `false`).
     pub fn open_stream(&self, profile: StreamProfile) -> Result<StreamHandle, RuntimeError> {
-        let core = self.core();
-        let stream_id = core.open_stream(profile)?;
-        Ok(StreamHandle {
-            stream_id,
-            core: Arc::downgrade(core),
-        })
+        let stream_id = self.core().open_stream(profile)?;
+        Ok(StreamHandle { stream_id })
     }
 
     /// Whether the session still serves: `false` once a worker panic has
@@ -1002,16 +998,6 @@ impl ServingRuntime {
     /// stream opening is refused with [`RuntimeError::ShuttingDown`].
     pub fn is_live(&self) -> bool {
         !self.core().torn_down()
-    }
-
-    /// A handle to an already-open stream, or `None` for an unknown id.
-    pub fn stream(&self, stream_id: usize) -> Option<StreamHandle> {
-        let core = self.core();
-        let known = stream_id < core.streams.lock().expect("stream registry poisoned").len();
-        known.then(|| StreamHandle {
-            stream_id,
-            core: Arc::downgrade(core),
-        })
     }
 
     /// Submits one frame to `stream_id`.
@@ -1108,66 +1094,17 @@ impl Drop for ServingRuntime {
     }
 }
 
-/// A cheap, cloneable handle to one open stream. Holds a weak reference:
-/// once the owning [`ServingRuntime`] shuts down, every operation
-/// returns [`RuntimeError::ShuttingDown`].
-#[derive(Clone)]
+/// The id of an open stream, as [`ServingRuntime::open_stream`] returns
+/// it; pass [`StreamHandle::id`] to the runtime's per-stream methods.
+#[derive(Clone, Debug)]
 pub struct StreamHandle {
     stream_id: usize,
-    core: Weak<SessionCore>,
-}
-
-impl std::fmt::Debug for StreamHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StreamHandle")
-            .field("stream_id", &self.stream_id)
-            .finish_non_exhaustive()
-    }
 }
 
 impl StreamHandle {
     /// The stream's id (its index in report stream lists).
     pub fn id(&self) -> usize {
         self.stream_id
-    }
-
-    fn core(&self) -> Result<Arc<SessionCore>, RuntimeError> {
-        self.core.upgrade().ok_or(RuntimeError::ShuttingDown)
-    }
-
-    /// Submits one frame; see [`ServingRuntime::submit`].
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::ShuttingDown`] once the runtime is gone.
-    pub fn submit(&self, sensor_ts_s: f64, cloud: PointCloud) -> Result<FrameTicket, RuntimeError> {
-        self.core()?.submit(self.stream_id, sensor_ts_s, cloud)
-    }
-
-    /// Polls a ticket; see [`ServingRuntime::poll`].
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::UnknownTicket`] / [`RuntimeError::ShuttingDown`].
-    pub fn poll(&self, ticket: FrameTicket) -> Result<FrameStatus, RuntimeError> {
-        self.core()?.poll(ticket)
-    }
-
-    /// This stream's live report slice; see
-    /// [`ServingRuntime::stream_stats`].
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::ShuttingDown`] once the runtime is gone.
-    pub fn stats(&self) -> Result<StreamReport, RuntimeError> {
-        self.core()?
-            .snapshot()
-            .streams
-            .into_iter()
-            .find(|s| s.stream_id == self.stream_id)
-            .ok_or(RuntimeError::UnknownStream {
-                stream_id: self.stream_id,
-            })
     }
 }
 

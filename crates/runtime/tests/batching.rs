@@ -187,8 +187,8 @@ fn serve_starved_frames(max_batch: usize) {
     for i in 0..FRAMES {
         for stream in &streams {
             tickets.push(
-                stream
-                    .submit(i as f64 / 10.0, source.frame_cloud(i))
+                serving
+                    .submit(stream.id(), i as f64 / 10.0, source.frame_cloud(i))
                     .unwrap(),
             );
         }

@@ -98,7 +98,11 @@ fn run(
     let tickets: Vec<_> = frames
         .iter()
         .enumerate()
-        .map(|(i, cloud)| stream.submit(i as f64 / FPS, cloud.clone()).unwrap())
+        .map(|(i, cloud)| {
+            serving
+                .submit(stream.id(), i as f64 / FPS, cloud.clone())
+                .unwrap()
+        })
         .collect();
     let results: Vec<_> = tickets
         .into_iter()
@@ -245,7 +249,11 @@ fn run_two_streams(
     ];
     let tickets: Vec<_> = frames
         .iter()
-        .map(|(s, i, cloud)| streams[*s].submit(*i as f64 / FPS, cloud.clone()).unwrap())
+        .map(|(s, i, cloud)| {
+            serving
+                .submit(streams[*s].id(), *i as f64 / FPS, cloud.clone())
+                .unwrap()
+        })
         .collect();
     let results = tickets
         .into_iter()

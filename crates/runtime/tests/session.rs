@@ -48,8 +48,8 @@ fn submit_poll_is_bit_exact_with_batch_run() {
         .unwrap();
     let mut outputs = Vec::new();
     for i in 0..FRAMES {
-        let ticket = stream
-            .submit(i as f64 / FPS, source.frame_cloud(i))
+        let ticket = serving
+            .submit(stream.id(), i as f64 / FPS, source.frame_cloud(i))
             .unwrap();
         assert_eq!(
             ticket,
@@ -97,12 +97,20 @@ fn frame_failure_isolates_to_its_ticket() {
     let stream = serving.open_stream(StreamProfile::new("s")).unwrap();
     let source = SyntheticSource::new(POINTS, FPS, 2, 9);
 
-    let good_before = stream.submit(0.0, source.frame_cloud(0)).unwrap();
-    // One point cannot be sampled up to TARGET: this frame must fail.
-    let bad = stream
-        .submit(0.1, SyntheticSource::new(1, FPS, 1, 0).frame_cloud(0))
+    let good_before = serving
+        .submit(stream.id(), 0.0, source.frame_cloud(0))
         .unwrap();
-    let good_after = stream.submit(0.2, source.frame_cloud(1)).unwrap();
+    // One point cannot be sampled up to TARGET: this frame must fail.
+    let bad = serving
+        .submit(
+            stream.id(),
+            0.1,
+            SyntheticSource::new(1, FPS, 1, 0).frame_cloud(0),
+        )
+        .unwrap();
+    let good_after = serving
+        .submit(stream.id(), 0.2, source.frame_cloud(1))
+        .unwrap();
 
     match serving.wait(bad).unwrap() {
         FrameStatus::Failed(err) => {
@@ -132,8 +140,12 @@ fn frame_failure_isolates_to_its_ticket() {
 fn results_are_delivered_at_most_once() {
     let serving = ServingRuntime::start(config(), net()).unwrap();
     let stream = serving.open_stream(StreamProfile::new("s")).unwrap();
-    let ticket = stream
-        .submit(0.0, SyntheticSource::new(POINTS, FPS, 1, 4).frame_cloud(0))
+    let ticket = serving
+        .submit(
+            stream.id(),
+            0.0,
+            SyntheticSource::new(POINTS, FPS, 1, 4).frame_cloud(0),
+        )
         .unwrap();
     assert!(matches!(
         serving.wait(ticket).unwrap(),
@@ -167,7 +179,7 @@ fn unknown_stream_and_ticket_have_stable_codes() {
         }
         other => panic!("never-issued ticket polled {other:?}"),
     }
-    assert!(serving.stream(0).is_none(), "no stream was opened");
+    assert!(serving.stream_stats(0).is_err(), "no stream was opened");
     serving.shutdown().unwrap();
 }
 
@@ -184,25 +196,6 @@ fn invalid_config_is_refused_before_any_thread_spawns() {
 }
 
 #[test]
-fn handles_refuse_work_after_shutdown() {
-    let serving = ServingRuntime::start(config(), net()).unwrap();
-    let stream = serving.open_stream(StreamProfile::new("s")).unwrap();
-    let cloud = SyntheticSource::new(POINTS, FPS, 1, 5).frame_cloud(0);
-    let ticket = stream.submit(0.0, cloud.clone()).unwrap();
-    assert!(matches!(
-        serving.wait(ticket).unwrap(),
-        FrameStatus::Done(_)
-    ));
-    let report = serving.shutdown().unwrap();
-    assert_eq!(report.total_frames, 1);
-    // The stream handle outlived the session; it must fail cleanly.
-    match stream.submit(1.0, cloud) {
-        Err(RuntimeError::ShuttingDown) => {}
-        other => panic!("post-shutdown submit returned {other:?}"),
-    }
-}
-
-#[test]
 fn live_stats_track_progress() {
     let serving = ServingRuntime::start(config(), net()).unwrap();
     let stream = serving
@@ -210,14 +203,18 @@ fn live_stats_track_progress() {
         .unwrap();
     let before = serving.stream_stats(stream.id()).unwrap();
     assert_eq!((before.offered, before.completed), (0, 0));
-    let ticket = stream
-        .submit(0.0, SyntheticSource::new(POINTS, FPS, 1, 6).frame_cloud(0))
+    let ticket = serving
+        .submit(
+            stream.id(),
+            0.0,
+            SyntheticSource::new(POINTS, FPS, 1, 6).frame_cloud(0),
+        )
         .unwrap();
     assert!(matches!(
         serving.wait(ticket).unwrap(),
         FrameStatus::Done(_)
     ));
-    let after = stream.stats().unwrap();
+    let after = serving.stream_stats(stream.id()).unwrap();
     assert_eq!((after.offered, after.completed), (1, 1));
     assert_eq!(after.name, "tracked");
     assert!(serving.stream_stats(99).is_err());

@@ -91,8 +91,8 @@ fn peak_live(streams: usize, clouds: &[hgpcn_geometry::PointCloud]) -> usize {
         })
         .collect();
     for (i, cloud) in clouds.iter().enumerate() {
-        let ticket = handles[i % streams]
-            .submit(i as f64 / FPS, cloud.clone())
+        let ticket = serving
+            .submit(handles[i % streams].id(), i as f64 / FPS, cloud.clone())
             .unwrap();
         assert!(matches!(
             serving.wait(ticket).unwrap(),

@@ -46,7 +46,9 @@ fn wait_fails_instead_of_hanging_after_a_worker_panic() {
         let serving = ServingRuntime::start_with_pipeline(config, broken_pipeline(), net())
             .expect("valid config");
         let stream = serving.open_stream(StreamProfile::new("s")).unwrap();
-        let ticket = stream.submit(0.0, source().frame_cloud(0)).unwrap();
+        let ticket = serving
+            .submit(stream.id(), 0.0, source().frame_cloud(0))
+            .unwrap();
         let waited = serving.wait(ticket);
         let polled = serving.poll(ticket);
         let opened = serving

@@ -32,28 +32,6 @@ pub fn coverage_radius(cloud: &PointCloud, sample_indices: &[usize]) -> f32 {
         .sqrt()
 }
 
-/// Mean distance from each original point to its nearest sampled point —
-/// a smoother quality proxy than the max-based coverage radius.
-///
-/// # Panics
-///
-/// Panics if `sample_indices` is empty or contains an out-of-range index.
-pub fn mean_nearest_distance(cloud: &PointCloud, sample_indices: &[usize]) -> f32 {
-    assert!(!sample_indices.is_empty(), "needs at least one sample");
-    let samples: Vec<Point3> = sample_indices.iter().map(|&i| cloud.point(i)).collect();
-    let total: f32 = cloud
-        .iter()
-        .map(|p| {
-            samples
-                .iter()
-                .map(|s| p.distance_sq(*s))
-                .fold(f32::INFINITY, f32::min)
-                .sqrt()
-        })
-        .sum();
-    total / cloud.len() as f32
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -67,7 +45,6 @@ mod tests {
         let cloud = line(10);
         let all: Vec<usize> = (0..10).collect();
         assert_eq!(coverage_radius(&cloud, &all), 0.0);
-        assert_eq!(mean_nearest_distance(&cloud, &all), 0.0);
     }
 
     #[test]
@@ -83,7 +60,6 @@ mod tests {
         let spread = vec![0, 33, 66, 99];
         let clustered = vec![0, 1, 2, 3];
         assert!(coverage_radius(&cloud, &spread) < coverage_radius(&cloud, &clustered));
-        assert!(mean_nearest_distance(&cloud, &spread) < mean_nearest_distance(&cloud, &clustered));
     }
 
     #[test]

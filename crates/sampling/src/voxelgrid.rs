@@ -78,21 +78,6 @@ pub fn occupied_voxels(octree: &Octree, level: u8) -> usize {
     count
 }
 
-/// The finest level whose occupied-voxel count does not exceed `target` —
-/// the closest a voxel-grid can get to a fixed output size from below.
-pub fn level_for_target(octree: &Octree, target: usize) -> u8 {
-    let max = octree.config().max_depth_value();
-    let mut best = 0;
-    for level in 0..=max {
-        if occupied_voxels(octree, level) <= target {
-            best = level;
-        } else {
-            break;
-        }
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,16 +128,6 @@ mod tests {
             prev = occ;
         }
         assert_eq!(occupied_voxels(&tree, 0), 1);
-    }
-
-    #[test]
-    fn level_for_target_is_tight() {
-        let (tree, _) = setup(800);
-        let level = level_for_target(&tree, 100);
-        assert!(occupied_voxels(&tree, level) <= 100);
-        if level < tree.config().max_depth_value() {
-            assert!(occupied_voxels(&tree, level + 1) > 100);
-        }
     }
 
     #[test]

@@ -168,14 +168,6 @@ impl Registry {
         }
     }
 
-    /// The histogram series, if registered.
-    pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Option<&LogHistogram> {
-        match self.families.get(name)?.series.get(&labels_of(labels))? {
-            Series::Histogram(h) => Some(h),
-            _ => None,
-        }
-    }
-
     /// Number of registered families.
     pub fn family_count(&self) -> usize {
         self.families.len()
@@ -223,61 +215,6 @@ impl Registry {
                 }
             }
         }
-        out
-    }
-
-    /// Renders a JSON snapshot: an object keyed by family name;
-    /// histogram series report count/sum/min/max plus p50/p95/p99
-    /// estimates instead of raw buckets.
-    pub fn json_snapshot(&self) -> String {
-        let mut out = String::from("{\n");
-        let mut first_fam = true;
-        for (name, fam) in &self.families {
-            if !std::mem::take(&mut first_fam) {
-                out.push_str(",\n");
-            }
-            let _ = write!(
-                out,
-                "  \"{name}\": {{\"kind\": \"{}\", \"help\": \"{}\", \"series\": [",
-                fam.kind.name(),
-                escape(&fam.help)
-            );
-            let mut first_series = true;
-            for (labels, series) in &fam.series {
-                if !std::mem::take(&mut first_series) {
-                    out.push_str(", ");
-                }
-                let labels_json: Vec<String> = labels
-                    .iter()
-                    .map(|(k, v)| format!("\"{k}\": \"{}\"", escape(v)))
-                    .collect();
-                let _ = write!(out, "{{\"labels\": {{{}}}, ", labels_json.join(", "));
-                match series {
-                    Series::Counter(v) => {
-                        let _ = write!(out, "\"value\": {v}}}");
-                    }
-                    Series::Gauge(v) => {
-                        let _ = write!(out, "\"value\": {v}}}");
-                    }
-                    Series::Histogram(h) => {
-                        let _ = write!(
-                            out,
-                            "\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \
-                             \"p50\": {}, \"p95\": {}, \"p99\": {}}}",
-                            h.count(),
-                            h.sum(),
-                            h.min(),
-                            h.max(),
-                            h.quantile(0.50),
-                            h.quantile(0.95),
-                            h.quantile(0.99),
-                        );
-                    }
-                }
-            }
-            out.push_str("]}");
-        }
-        out.push_str("\n}\n");
         out
     }
 }
@@ -344,14 +281,6 @@ mod tests {
         let a = sample_registry();
         let b = sample_registry();
         assert_eq!(a.prometheus_text(), b.prometheus_text());
-        assert_eq!(a.json_snapshot(), b.json_snapshot());
-    }
-
-    #[test]
-    fn json_snapshot_has_quantiles() {
-        let json = sample_registry().json_snapshot();
-        assert!(json.contains("\"p95\":"));
-        assert!(json.contains("\"hgpcn_service_seconds\""));
     }
 
     #[test]

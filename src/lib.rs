@@ -10,7 +10,7 @@
 //! * [`memsim`] — host/on-chip memory models and device cost profiles;
 //! * [`sampling`] — FPS, RS, RS+reinforce, Octree-Indexed Sampling (OIS)
 //!   and the FPGA Down-sampling Unit model;
-//! * [`gather`] — brute KNN, ball query, Voxel-Expanded Gathering (VEG),
+//! * [`gather`] — brute KNN, Voxel-Expanded Gathering (VEG),
 //!   the six-stage Data Structuring Unit model, and the per-cloud
 //!   `VegIndex` built once and queried per center;
 //! * [`dla`] — the 16×16 systolic Feature Computation Unit;
