@@ -52,7 +52,7 @@ impl VegIndex {
         let perm = octree.permutation();
         let mut inverse = vec![0usize; perm.len()];
         for (sfc, &raw) in perm.iter().enumerate() {
-            inverse[raw] = sfc;
+            inverse[raw as usize] = sfc;
         }
         Ok(VegIndex {
             octree,
@@ -105,7 +105,7 @@ impl VegIndex {
         )?;
         let perm = self.octree.permutation();
         for n in &mut r.neighbors {
-            *n = perm[*n];
+            *n = perm[*n] as usize;
         }
         Ok(r)
     }
@@ -148,12 +148,12 @@ mod tests {
         let perm = octree.permutation();
         let mut inverse = vec![0usize; perm.len()];
         for (sfc, &raw) in perm.iter().enumerate() {
-            inverse[raw] = sfc;
+            inverse[raw as usize] = sfc;
         }
         for center in [5usize, 123, 299] {
             let a = index.query(center, 12).unwrap();
             let direct = veg::gather(&octree, inverse[center], 12, &cfg).unwrap();
-            let mapped: Vec<usize> = direct.neighbors.iter().map(|&s| perm[s]).collect();
+            let mapped: Vec<usize> = direct.neighbors.iter().map(|&s| perm[s] as usize).collect();
             assert_eq!(a.neighbors, mapped, "center {center}");
             assert_eq!(a.counts, direct.counts);
         }

@@ -116,7 +116,7 @@ pub fn gather_with(
     let mut stats = VegStats::default();
 
     // FP: fetch the central point and its m-code.
-    let center_code = octree.point_codes()[center];
+    let center_code = octree.point_code(center);
     let center_point = octree.points().point(center);
     counts.mem_reads += 1;
     counts.bytes_read += 12;

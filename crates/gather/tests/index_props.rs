@@ -71,12 +71,12 @@ proptest! {
         let perm = octree.permutation();
         let mut inverse = vec![0usize; perm.len()];
         for (sfc, &raw) in perm.iter().enumerate() {
-            inverse[raw] = sfc;
+            inverse[raw as usize] = sfc;
         }
         let center = center_salt % n;
         let a = index.query(center, k).unwrap();
         let direct = veg::gather(&octree, inverse[center], k, &cfg).unwrap();
-        let mapped: Vec<usize> = direct.neighbors.iter().map(|&s| perm[s]).collect();
+        let mapped: Vec<usize> = direct.neighbors.iter().map(|&s| perm[s] as usize).collect();
         prop_assert_eq!(a.neighbors, mapped);
         prop_assert_eq!(a.counts, direct.counts);
     }

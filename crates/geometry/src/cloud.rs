@@ -183,33 +183,39 @@ impl PointCloud {
     /// Panics if any index is out of range.
     pub fn gather(&self, indices: &[usize]) -> PointCloud {
         let mut out = PointCloud::with_feature_dim(self.feature_dim);
-        self.gather_into(indices, &mut out);
+        self.gather_with(indices, |i| i, &mut out);
         out
     }
 
-    /// Like [`PointCloud::gather`], but writes into `out`, reusing its
-    /// buffers. `out` is cleared first and adopts this cloud's feature
-    /// dimension; its previous contents only contribute spare capacity.
-    /// Preprocessing contexts use this to gather every frame they build
-    /// without a fresh allocation.
+    /// Like [`PointCloud::gather`], but by `u32` indices (an octree's
+    /// permutation) and into `out`, reusing its buffers. `out` is cleared
+    /// first and adopts this cloud's feature dimension; its previous
+    /// contents only contribute spare capacity. Preprocessing contexts use
+    /// this to gather every frame they build without a fresh allocation.
     ///
     /// # Panics
     ///
     /// Panics if any index is out of range.
-    pub fn gather_into(&self, indices: &[usize], out: &mut PointCloud) {
+    pub fn gather_into(&self, indices: &[u32], out: &mut PointCloud) {
+        self.gather_with(indices, |i| i as usize, out);
+    }
+
+    fn gather_with<I: Copy>(&self, indices: &[I], at: impl Fn(I) -> usize, out: &mut PointCloud) {
         out.points.clear();
         out.features.clear();
         out.feature_dim = self.feature_dim;
-        out.points.extend(indices.iter().map(|&i| self.points[i]));
+        out.points
+            .extend(indices.iter().map(|&i| self.points[at(i)]));
         match self.feature_dim {
             0 => {}
             // One feature per point (S3DIS, KITTI): a straight copy too.
             1 => out
                 .features
-                .extend(indices.iter().map(|&i| self.features[i])),
+                .extend(indices.iter().map(|&i| self.features[at(i)])),
             dim => {
                 out.features.reserve(indices.len() * dim);
                 for &i in indices {
+                    let i = at(i);
                     out.features
                         .extend_from_slice(&self.features[i * dim..(i + 1) * dim]);
                 }
@@ -345,6 +351,7 @@ mod tests {
             assert_eq!(out.len(), dim + 1);
             assert_eq!(out.features().len(), (dim + 1) * dim);
             for (k, &i) in indices[..dim + 1].iter().enumerate() {
+                let i = i as usize;
                 assert_eq!(out.point(k), cloud.point(i), "dim {dim}, point {k}");
                 assert_eq!(out.feature(k), cloud.feature(i), "dim {dim}, point {k}");
             }

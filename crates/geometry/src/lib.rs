@@ -12,6 +12,14 @@
 //!   space-filling-curve (SFC) linear order, and the Hamming-distance voxel
 //!   metric used by the Down-sampling Unit (§V-B).
 //!
+//! # Unsafe code
+//!
+//! The crate denies `unsafe` with one exception: the AVX-512 body of
+//! [`morton::FrameEncoder`] (module `morton::avx512`, `x86_64` only) uses
+//! `std::arch` intrinsics behind a CPUID check, with a `SAFETY:` note on
+//! every load, gather and store. It returns the scalar body's bits
+//! ([`morton::EncodeBody`]).
+//!
 //! # Examples
 //!
 //! ```
@@ -26,7 +34,11 @@
 //! assert_eq!(bounds.diagonal(), 3f32.sqrt());
 //! ```
 
-#![forbid(unsafe_code)]
+// `deny` rather than `forbid`: the AVX-512 body of the Morton frame
+// encoder (`morton::avx512`, compiled into every `x86_64` build) carries a
+// safety-commented `#![allow(unsafe_code)]`; everything else still refuses
+// unsafe code outright.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod aabb;

@@ -14,7 +14,8 @@
 //!
 //! Two encoders produce the same bits: [`MortonCode::encode`] walks one
 //! point down the halvings of the root, and [`FrameEncoder`] tabulates
-//! those halvings once per frame and looks every point up in them.
+//! those halvings once per frame and looks every point up in them, on the
+//! fastest [`EncodeBody`] the CPU supports.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -288,6 +289,56 @@ fn descend_axis(v: f32, mut lo: f32, mut hi: f32, levels: u8) -> u32 {
 /// L1-resident) whatever the requested level.
 const TABLE_LEVELS: u8 = 10;
 
+/// The body a [`FrameEncoder`] runs. Every body returns the bits of
+/// [`MortonCode::encode`] for every point; they differ only in speed.
+/// [`FrameEncoder::new`] takes the fastest the CPU supports, the way the
+/// PCN crate's GEMM kernel is picked.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[non_exhaustive]
+pub enum EncodeBody {
+    /// One point at a time: a quantised guess into the boundary table,
+    /// checked against the table, with a binary search when it is off.
+    /// Runs on every CPU, and runs every frame whose table is not finite.
+    Scalar,
+    /// Sixteen points per step: the scalar body's guess and check in
+    /// AVX-512F vectors, the interleave by BMI2 `pdep`; a lane whose guess
+    /// fails the check takes the scalar lookup. Compiled on `x86_64`; only
+    /// supported when CPUID reports AVX-512F and BMI2.
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+}
+
+impl EncodeBody {
+    /// Every body compiled into this build, fastest last. Sweep this
+    /// (filtered by [`EncodeBody::is_supported`]) in equivalence tests.
+    pub fn all() -> &'static [EncodeBody] {
+        &[
+            EncodeBody::Scalar,
+            #[cfg(target_arch = "x86_64")]
+            EncodeBody::Avx512,
+        ]
+    }
+
+    /// Whether the running CPU can execute this body.
+    pub fn is_supported(self) -> bool {
+        match self {
+            EncodeBody::Scalar => true,
+            #[cfg(target_arch = "x86_64")]
+            EncodeBody::Avx512 => avx512::is_supported(),
+        }
+    }
+
+    /// The fastest body the running CPU supports.
+    pub fn fastest_supported() -> EncodeBody {
+        EncodeBody::all()
+            .iter()
+            .rev()
+            .copied()
+            .find(|body| body.is_supported())
+            .unwrap_or(EncodeBody::Scalar)
+    }
+}
+
 /// Encodes every point of a frame against one root, bit-identical to
 /// calling [`MortonCode::encode`] per point.
 ///
@@ -300,34 +351,57 @@ const TABLE_LEVELS: u8 = 10;
 /// boundaries `<= v`; a quantised guess `(v - min) * cells / extent` lands
 /// on it almost always and is checked against the exact entries, with a
 /// binary search of them when it is off (rounding next to a boundary,
-/// degenerate or denormal extents, points outside the root). Levels past
-/// the table continue with the scalar walk from the cell's two entries.
-/// Same recurrence, same comparisons, therefore the same bits.
+/// degenerate or denormal extents, points outside the root). Any guess
+/// that passes the check is that count, so how the guess is computed
+/// moves only speed. Levels past the table continue with the scalar walk
+/// from the cell's two entries. Same recurrence, same comparisons,
+/// therefore the same bits, from every [`EncodeBody`].
 ///
 /// If any tabulated boundary is not finite the frame is walked from the
-/// root point by point, so a point whose path meets the overflowed
-/// midpoint panics exactly as [`MortonCode::encode`] does and the others
-/// get their codes.
+/// root point by point, on the scalar body, so a point whose path meets
+/// the overflowed midpoint panics exactly as [`MortonCode::encode`] does
+/// and the others get their codes.
 ///
 /// The encoder holds only the table's storage, refilled on every call, so
 /// one instance per stream avoids a per-frame allocation.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct FrameEncoder {
     /// The x, y and z boundary runs back to back, `cells + 1` entries each.
     bounds: Vec<f32>,
+    body: EncodeBody,
+}
+
+impl Default for FrameEncoder {
+    fn default() -> FrameEncoder {
+        FrameEncoder::new()
+    }
 }
 
 impl FrameEncoder {
-    /// Creates an encoder with no table storage yet.
+    /// Creates an encoder on the fastest body the CPU supports, with no
+    /// table storage yet.
     pub fn new() -> FrameEncoder {
-        FrameEncoder::default()
+        FrameEncoder::with_body(EncodeBody::fastest_supported())
+    }
+
+    /// Creates an encoder pinned to `body`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the running CPU does not support `body`.
+    pub fn with_body(body: EncodeBody) -> FrameEncoder {
+        assert!(body.is_supported(), "{body:?} encoder on a CPU without it");
+        FrameEncoder {
+            bounds: Vec::new(),
+            body,
+        }
     }
 
     /// Replaces the contents of `out` with the [bits](MortonCode::bits) of
     /// the code at `level` of every point of `points` inside `root`, in
-    /// iteration order. Every code of a frame is at `level`, so the bits
-    /// alone order the frame along the SFC and
-    /// `MortonCode::from_bits(bits, level)` restores the code.
+    /// order. Every code of a frame is at `level`, so the bits alone order
+    /// the frame along the SFC and `MortonCode::from_bits(bits, level)`
+    /// restores the code.
     ///
     /// # Panics
     ///
@@ -346,35 +420,41 @@ impl FrameEncoder {
     /// assert_eq!(bits[0], MortonCode::encode(frame[0], &root, 12).bits());
     /// assert_eq!(bits[1], MortonCode::encode(frame[1], &root, 12).bits());
     /// ```
-    pub fn encode_frame<I>(&mut self, points: I, root: &Aabb, level: u8, out: &mut Vec<u64>)
-    where
-        I: IntoIterator<Item = Point3>,
-    {
+    pub fn encode_frame(
+        &mut self,
+        points: impl AsRef<[Point3]>,
+        root: &Aabb,
+        level: u8,
+        out: &mut Vec<u64>,
+    ) {
         assert!(
             level <= MAX_LEVEL,
             "level {level} exceeds MAX_LEVEL {MAX_LEVEL}"
         );
+        let points = points.as_ref();
         let mut table_levels = level.min(TABLE_LEVELS);
-        if !self.tabulate(root, table_levels) {
+        let finite = self.tabulate(root, table_levels);
+        if !finite {
             // A table of the root alone: every level is left to the walk.
             table_levels = 0;
             self.tabulate(root, 0);
         }
         let cells = 1usize << table_levels;
-        let tail_levels = level - table_levels;
         let extent = root.extent();
         let n = cells as f32;
-        let scale = [n / extent.x, n / extent.y, n / extent.z];
         let (xs, rest) = self.bounds.split_at(cells + 1);
         let (ys, zs) = rest.split_at(cells + 1);
+        let table = Table {
+            runs: [xs, ys, zs],
+            scale: [n / extent.x, n / extent.y, n / extent.z],
+            tail_levels: level - table_levels,
+        };
         out.clear();
-        out.extend(points.into_iter().map(|p| {
-            interleave_bits(
-                axis_cell(xs, scale[0], tail_levels, p.x),
-                axis_cell(ys, scale[1], tail_levels, p.y),
-                axis_cell(zs, scale[2], tail_levels, p.z),
-            )
-        }));
+        match self.body {
+            #[cfg(target_arch = "x86_64")]
+            EncodeBody::Avx512 if finite => avx512::encode_frame(&table, points, out),
+            _ => out.extend(points.iter().map(|&p| table.code(p))),
+        }
     }
 
     /// Fills `bounds` with each axis's cell boundaries after `levels`
@@ -401,22 +481,54 @@ impl FrameEncoder {
     }
 }
 
-/// The cell of `v` along one axis: the table cell (the count of interior
-/// boundaries of `run` that are `<= v`) extended by `tail_levels` halvings
-/// of that cell.
-#[inline]
-fn axis_cell(run: &[f32], scale: f32, tail_levels: u8, v: f32) -> u32 {
-    let last = run.len() - 2;
-    // The float-to-int cast saturates and sends NaN to 0, so any `scale`
-    // (infinite for a zero extent) still yields an index to check.
-    let guess = (((v - run[0]) * scale) as i64).clamp(0, last as i64) as usize;
-    let cell = if (guess == 0 || run[guess] <= v) && (guess == last || v < run[guess + 1]) {
-        guess
-    } else {
-        run[1..=last].partition_point(|&b| b <= v)
-    };
-    (cell as u32) << tail_levels | descend_axis(v, run[cell], run[cell + 1], tail_levels)
+/// One frame's boundary table, as every [`EncodeBody`] reads it.
+struct Table<'a> {
+    /// Per axis, the `cells + 1` non-decreasing boundaries.
+    runs: [&'a [f32]; 3],
+    /// Per axis, `cells / extent`: the quantised guess's scale.
+    scale: [f32; 3],
+    /// Levels past the table, walked from a cell's two boundaries.
+    tail_levels: u8,
 }
+
+impl Table<'_> {
+    /// The code bits of `p`.
+    #[inline]
+    fn code(&self, p: Point3) -> u64 {
+        interleave_bits(self.cell(0, p.x), self.cell(1, p.y), self.cell(2, p.z))
+    }
+
+    /// The cell of `v` along `axis`: the table cell (the count of interior
+    /// boundaries of the axis's run that are `<= v`) extended by the tail
+    /// levels.
+    #[inline]
+    fn cell(&self, axis: usize, v: f32) -> u32 {
+        let run = self.runs[axis];
+        let last = run.len() - 2;
+        // The float-to-int cast saturates and sends NaN to 0, so any
+        // `scale` (infinite for a zero extent) still yields an index to
+        // check.
+        let guess = (((v - run[0]) * self.scale[axis]) as i64).clamp(0, last as i64) as usize;
+        let cell = if (guess == 0 || run[guess] <= v) && (guess == last || v < run[guess + 1]) {
+            guess
+        } else {
+            run[1..=last].partition_point(|&b| b <= v)
+        };
+        self.descend(axis, v, cell)
+    }
+
+    /// Table cell `cell` of `v` along `axis`, extended by the tail levels'
+    /// halvings of that cell.
+    #[inline]
+    fn descend(&self, axis: usize, v: f32, cell: usize) -> u32 {
+        let run = self.runs[axis];
+        (cell as u32) << self.tail_levels
+            | descend_axis(v, run[cell], run[cell + 1], self.tail_levels)
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+mod avx512;
 
 /// Gathers every third bit of `v` (positions 0, 3, 6, …) into a dense
 /// low-order integer — the Morton de-interleave for one axis, done with
@@ -612,6 +724,18 @@ mod tests {
             .child(Octant::new(0b011).unwrap());
         assert_eq!(code.to_string(), "110011");
         assert_eq!(MortonCode::root().to_string(), "ε");
+    }
+
+    #[test]
+    fn the_fastest_supported_body_is_picked() {
+        let body = EncodeBody::fastest_supported();
+        assert!(body.is_supported());
+        #[cfg(target_arch = "x86_64")]
+        assert_eq!(
+            body == EncodeBody::Avx512,
+            is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("bmi2")
+        );
+        assert_eq!(FrameEncoder::new().body, body);
     }
 
     #[test]

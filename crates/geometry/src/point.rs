@@ -4,6 +4,10 @@ use std::ops::{Add, AddAssign, Div, Index, Mul, Neg, Sub};
 /// A point (or vector) in 3-D space, stored as `f32` like the FPGA fixed/
 /// floating-point datapath in the paper's prototype.
 ///
+/// The layout is three consecutive `f32`s (`repr(C)`), so a `&[Point3]`
+/// is a run of `3 * len` coordinates, x first — what the AVX-512 Morton
+/// encoder loads 16 points at a time.
+///
 /// # Examples
 ///
 /// ```
@@ -14,6 +18,7 @@ use std::ops::{Add, AddAssign, Div, Index, Mul, Neg, Sub};
 /// assert_eq!(a.distance(b), 2.0);
 /// ```
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
+#[repr(C)]
 pub struct Point3 {
     /// X coordinate.
     pub x: f32,

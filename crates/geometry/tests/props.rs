@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use hgpcn_geometry::morton::{FrameEncoder, MAX_LEVEL};
+use hgpcn_geometry::morton::{EncodeBody, FrameEncoder, MAX_LEVEL};
 use hgpcn_geometry::{Aabb, MortonCode, Point3, PointCloud};
 
 fn arb_point() -> impl Strategy<Value = Point3> {
@@ -34,17 +34,18 @@ fn walk(p: Point3, root: &Aabb, level: u8) -> MortonCode {
     code
 }
 
-/// Both encoders agree with the oracle on every point of `frame`.
+/// Both encoders agree with the oracle on every point of `frame`: the
+/// per-point encode, and the frame encoder on every body this CPU runs.
+/// A frame shorter than 40 points is also encoded cycled out to 40 (two
+/// 16-point steps and an 8-point tail), so the AVX-512 body sees the
+/// frame's points in its vector lanes, not only in its scalar tail.
 fn assert_encoders_match_walk(
     frame: &[Point3],
     root: &Aabb,
     level: u8,
 ) -> Result<(), TestCaseError> {
-    let mut bits = Vec::new();
-    FrameEncoder::new().encode_frame(frame.iter().copied(), root, level, &mut bits);
-    prop_assert_eq!(bits.len(), frame.len());
-    for (&p, &bits) in frame.iter().zip(&bits) {
-        let want = walk(p, root, level);
+    let want: Vec<MortonCode> = frame.iter().map(|&p| walk(p, root, level)).collect();
+    for (&p, &want) in frame.iter().zip(&want) {
         prop_assert_eq!(
             MortonCode::encode(p, root, level),
             want,
@@ -53,15 +54,31 @@ fn assert_encoders_match_walk(
             root,
             level
         );
-        // The frame encoder emits bare bits: the level is the frame's.
-        prop_assert_eq!(
-            bits,
-            want.bits(),
-            "frame encoder {} in {} at {}",
-            p,
-            root,
-            level
-        );
+    }
+    let long: Vec<usize> = (0..frame.len().max(40)).map(|i| i % frame.len()).collect();
+    let cycled: Vec<Point3> = long.iter().map(|&i| frame[i]).collect();
+    for &body in EncodeBody::all().iter().filter(|b| b.is_supported()) {
+        let mut encoder = FrameEncoder::with_body(body);
+        for (points, index) in [(frame, None), (&cycled[..], Some(&long))] {
+            let mut bits = Vec::new();
+            encoder.encode_frame(points, root, level, &mut bits);
+            prop_assert_eq!(bits.len(), points.len());
+            for (k, (&p, &bits)) in points.iter().zip(&bits).enumerate() {
+                // The frame encoder emits bare bits: the level is the frame's.
+                let want = want[index.map_or(k, |index| index[k])];
+                prop_assert_eq!(
+                    bits,
+                    want.bits(),
+                    "{:?} frame encoder, point {} of {}: {} in {} at {}",
+                    body,
+                    k,
+                    points.len(),
+                    p,
+                    root,
+                    level
+                );
+            }
+        }
     }
     Ok(())
 }
@@ -182,6 +199,19 @@ proptest! {
         level in 0u8..=MAX_LEVEL,
     ) {
         assert_encoders_match_walk(&frame, &root, level)?;
+    }
+
+    /// Every frame length from 1 to 40: no step, one step and two steps of
+    /// the AVX-512 body, each with every tail length.
+    #[test]
+    fn encoders_match_walk_at_every_frame_length(
+        root in arb_box(),
+        frame in prop::collection::vec(arb_point(), 40),
+        level in 0u8..=MAX_LEVEL,
+    ) {
+        for len in 1..=frame.len() {
+            assert_encoders_match_walk(&frame[..len], &root, level)?;
+        }
     }
 
     /// (ii) Coordinates on the splitting planes themselves and one float to

@@ -26,6 +26,11 @@ pub enum OctreeError {
     },
     /// The input cloud failed geometric validation (e.g. NaN coordinates).
     InvalidGeometry(GeometryError),
+    /// The coordinates are finite but the frame's root voxel is not: its
+    /// margin or a corner overflows `f32` (coordinates about 1e19 apart),
+    /// or a corner lies beyond `±f32::MAX / 2`, where halving the voxel
+    /// could overflow.
+    RootOverflow,
 }
 
 impl fmt::Display for OctreeError {
@@ -45,6 +50,10 @@ impl fmt::Display for OctreeError {
                 )
             }
             OctreeError::InvalidGeometry(e) => write!(f, "invalid input geometry: {e}"),
+            OctreeError::RootOverflow => write!(
+                f,
+                "the frame's root voxel overflows f32: coordinates too far apart or too large"
+            ),
         }
     }
 }

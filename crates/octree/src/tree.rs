@@ -34,8 +34,9 @@ pub struct Octree {
     nodes: Vec<Node>,
     root: NodeId,
     points: PointCloud,
-    permutation: Vec<usize>,
-    codes: Vec<MortonCode>,
+    permutation: Vec<u32>,
+    /// The points' code bits at `config.max_depth`, in SFC order.
+    bits: Vec<u64>,
     config: OctreeConfig,
     stats: BuildStats,
 }
@@ -49,7 +50,9 @@ impl Octree {
     /// * [`OctreeError::TooManyPoints`] if it has more than `u32::MAX`;
     /// * [`OctreeError::DepthTooLarge`] if `config.max_depth` exceeds the
     ///   m-code limit;
-    /// * [`OctreeError::InvalidGeometry`] if any coordinate is non-finite.
+    /// * [`OctreeError::InvalidGeometry`] if any coordinate is non-finite;
+    /// * [`OctreeError::RootOverflow`] if the coordinates are finite but
+    ///   the root voxel cannot be computed or halved in `f32`.
     pub fn build(cloud: &PointCloud, config: OctreeConfig) -> Result<Octree, OctreeError> {
         // Stateless = one build through a throwaway scratch: a fresh
         // scratch has no cached frame, so the stats record a full build.
@@ -80,14 +83,10 @@ impl Octree {
     ) -> Result<Octree, OctreeError> {
         check_frame(cloud.len(), config)?;
         cloud.validate_finite()?;
+        let bounds = cloud.bounds().expect("non-empty cloud has bounds");
+        let root_bounds = root_grid(&bounds).ok_or(OctreeError::RootOverflow)?;
 
         let n = cloud.len();
-        let bounds = cloud.bounds().expect("non-empty cloud has bounds");
-        // Inflate a hair so boundary points never fall outside after f32
-        // rounding, then cubify so each level halves the voxel edge.
-        let margin = (bounds.diagonal() * 1e-6).max(f32::MIN_POSITIVE);
-        let root_bounds = bounds.inflate(margin).cubified();
-
         let mut stats = BuildStats {
             points: n,
             ..BuildStats::default()
@@ -97,10 +96,10 @@ impl Octree {
         // buffer. Every code of the frame is at `max_depth`, so the buffer
         // holds bare bits.
         scratch.encoder.encode_frame(
-            cloud.iter(),
+            cloud.points(),
             &root_bounds,
             config.max_depth,
-            &mut scratch.raw_codes,
+            &mut scratch.raw_bits,
         );
         stats.code_computations = n;
         stats.point_reads = n;
@@ -113,34 +112,33 @@ impl Octree {
         stats.reused = warm;
         stats.dirty_points = if warm {
             (0..n)
-                .filter(|&i| i >= prev.codes.len() || scratch.raw_codes[i] != prev.codes[i])
+                .filter(|&i| prev.raw.differs(i, scratch.raw_bits[i]))
                 .count()
         } else {
             n
         };
 
         // Host-memory pre-configuration: stable sort along the SFC, on one
-        // packed word per point, unpacked into the recycled permutation
-        // buffer taken here and the SFC-order bits. The previous frame's
-        // raw-order bits are dead once diffed, so their buffer takes those.
+        // packed word per point, unpacked into the recycled permutation and
+        // code-bit buffers the tree takes.
         let mut permutation = std::mem::take(&mut scratch.spare_perm);
-        let mut sorted_bits = std::mem::take(&mut scratch.prev.codes);
+        let mut bits = std::mem::take(&mut scratch.spare_bits);
         let key_bits = 3 * u32::from(config.max_depth);
         if key_bits <= u64::KEY_BITS {
             sort_along_sfc(
-                &scratch.raw_codes,
+                &scratch.raw_bits,
                 key_bits,
                 &mut scratch.sort_words,
                 &mut permutation,
-                &mut sorted_bits,
+                &mut bits,
             );
         } else {
             sort_along_sfc(
-                &scratch.raw_codes,
+                &scratch.raw_bits,
                 key_bits,
                 &mut scratch.wide_sort_words,
                 &mut permutation,
-                &mut sorted_bits,
+                &mut bits,
             );
         }
 
@@ -148,21 +146,13 @@ impl Octree {
         cloud.gather_into(&permutation, &mut points);
         stats.point_writes = n;
 
-        let mut codes = std::mem::take(&mut scratch.spare_codes);
-        codes.clear();
-        codes.extend(
-            sorted_bits
-                .iter()
-                .map(|&bits| MortonCode::from_bits(bits, config.max_depth)),
-        );
-
-        // Node construction over the sorted code array; each voxel's points
+        // Node construction over the sorted code bits; each voxel's points
         // are a contiguous range, so children partition the parent range.
         let mut nodes = std::mem::take(&mut scratch.spare_nodes);
         nodes.clear();
         let mut max_level = 0u8;
         let root = Self::build_node(
-            &codes,
+            &bits,
             MortonCode::root(),
             0..n as u32,
             &config,
@@ -174,7 +164,7 @@ impl Octree {
         stats.nodes_dirty = if warm {
             dirty_nodes(
                 &nodes,
-                &sorted_bits,
+                &bits,
                 &scratch.prev.sorted,
                 &mut scratch.dirty_prefix,
             )
@@ -183,13 +173,10 @@ impl Octree {
         };
 
         // Refresh the cache: the next frame is diffed against this one.
-        // Three bit buffers rotate, none copied: this frame's raw-order and
-        // SFC-order bits become the cache, and the cache's dead SFC-order
-        // buffer takes the next frame's encode.
         let prev = &mut scratch.prev;
         prev.grid = Some((root_bounds, config));
-        let dead = std::mem::replace(&mut prev.sorted, sorted_bits);
-        prev.codes = std::mem::replace(&mut scratch.raw_codes, dead);
+        prev.raw.store(&scratch.raw_bits, key_bits);
+        prev.sorted.store(&bits, key_bits);
 
         Ok(Octree {
             root_bounds,
@@ -197,14 +184,14 @@ impl Octree {
             root,
             points,
             permutation,
-            codes,
+            bits,
             config,
             stats,
         })
     }
 
     fn build_node(
-        codes: &[MortonCode],
+        bits: &[u64],
         code: MortonCode,
         range: Range<u32>,
         config: &OctreeConfig,
@@ -230,10 +217,11 @@ impl Octree {
             let child_code = code.child(octant);
             // Points of this child are the prefix-matching run beginning at
             // `start`; binary search for its end within the parent range.
-            let end = range.start + partition_end(codes, range.clone(), child_code) as u32;
+            let end = range.start
+                + partition_end(bits, range.clone(), child_code, config.max_depth) as u32;
             if end > start {
                 let child_id =
-                    Self::build_node(codes, child_code, start..end, config, nodes, max_level);
+                    Self::build_node(bits, child_code, start..end, config, nodes, max_level);
                 children[octant.index() as usize] = Some(child_id);
             }
             start = end;
@@ -293,16 +281,29 @@ impl Octree {
         &self.points
     }
 
-    /// Maps each SFC position to the index of that point in the raw frame.
+    /// Maps each SFC position to the index of that point in the raw frame
+    /// (a frame has at most `u32::MAX` points).
     #[inline]
-    pub fn permutation(&self) -> &[usize] {
+    pub fn permutation(&self) -> &[u32] {
         &self.permutation
     }
 
-    /// The per-point m-codes at `config.max_depth`, in SFC order.
+    /// The [bits](MortonCode::bits) of every point's m-code at
+    /// `config.max_depth`, in SFC order (non-decreasing).
     #[inline]
-    pub fn point_codes(&self) -> &[MortonCode] {
-        &self.codes
+    pub fn point_bits(&self) -> &[u64] {
+        &self.bits
+    }
+
+    /// The m-code at `config.max_depth` of the point at SFC position
+    /// `index`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is out of range.
+    #[inline]
+    pub fn point_code(&self, index: usize) -> MortonCode {
+        MortonCode::from_bits(self.bits[index], self.config.max_depth)
     }
 
     /// The configuration the tree was built with.
@@ -376,9 +377,9 @@ impl Octree {
         let shift = 3 * (self.config.max_depth - code.level()) as u32;
         let lo = code.bits() << shift;
         let hi = lo + (1u64 << shift);
-        let within = &self.codes[node.range.start as usize..node.range.end as usize];
-        let start = node.range.start as usize + within.partition_point(|c| c.bits() < lo);
-        let end = node.range.start as usize + within.partition_point(|c| c.bits() < hi);
+        let within = &self.bits[node.range.start as usize..node.range.end as usize];
+        let start = node.range.start as usize + within.partition_point(|&b| b < lo);
+        let end = node.range.start as usize + within.partition_point(|&b| b < hi);
         start..end
     }
 
@@ -425,13 +426,35 @@ impl Octree {
 }
 
 /// Index (relative to `range.start`) of the first code in `range` that does
-/// not belong to the voxel `child_code`.
-fn partition_end(codes: &[MortonCode], range: Range<u32>, child_code: MortonCode) -> usize {
-    let slice = &codes[range.start as usize..range.end as usize];
-    let max_depth = codes[0].level();
+/// not belong to the voxel `child_code`; `bits` are codes at `max_depth`.
+fn partition_end(bits: &[u64], range: Range<u32>, child_code: MortonCode, max_depth: u8) -> usize {
+    let slice = &bits[range.start as usize..range.end as usize];
     let shift = 3 * (max_depth - child_code.level()) as u32;
     let hi = (child_code.bits() + 1) << shift;
-    slice.partition_point(|c| c.bits() < hi)
+    slice.partition_point(|&b| b < hi)
+}
+
+/// The root voxel of a frame with these bounds: inflated a hair so
+/// boundary points never fall outside after `f32` rounding, then cubified
+/// so each level halves the voxel edge (`bounds.inflate(margin).cubified()`,
+/// operation for operation). `None` when that overflows — coordinates a
+/// few 1e19 apart overflow the margin's diagonal — or when a corner lies
+/// beyond ±`f32::MAX / 2`, where the sum of two voxel corners, and so a
+/// midpoint of the descent, could overflow. Inside that range no midpoint
+/// of any level can, so the encode cannot panic on a frame this accepts.
+fn root_grid(bounds: &Aabb) -> Option<Aabb> {
+    let margin = (bounds.diagonal() * 1e-6).max(f32::MIN_POSITIVE);
+    let (min, max) = (
+        bounds.min() - Point3::splat(margin),
+        bounds.max() + Point3::splat(margin),
+    );
+    let e = max - min;
+    let center = (min + max) * 0.5;
+    let half = Point3::splat(e.x.max(e.y).max(e.z) * 0.5);
+    let (lo, hi) = (center - half, center + half);
+    // False for a NaN or an infinity, which the overflow leaves behind.
+    let halvable = |p: Point3| [p.x, p.y, p.z].iter().all(|c| c.abs() <= f32::MAX / 2.0);
+    (margin.is_finite() && halvable(lo) && halvable(hi)).then(|| Aabb::new(lo, hi))
 }
 
 /// Refuses a frame [`Octree::build_with_scratch`] cannot build, before any
@@ -457,15 +480,20 @@ fn check_frame(len: usize, config: OctreeConfig) -> Result<(), OctreeError> {
     Ok(())
 }
 
-/// Bits per radix digit of the SFC sort: four scatter passes of one 8-byte
-/// word per point over the 30 key bits of the default depth, counted in
-/// 16 KiB of stack. 11-bit digits (three passes) build a 150 000-point frame
-/// ~5 % faster but the 32- to 128-point frames of the gather indices 1.4-2x
-/// slower, their 96 KiB of counts being cleared and summed per build.
-const DIGIT_BITS: u32 = 8;
+/// Bits per radix digit of the SFC sort: three scatter passes over the 30
+/// key bits of the default depth, counted in 12 KiB. Measured on
+/// 150 000-point rooms at depth 10 (2-vCPU AVX-512 host, release build,
+/// instrumented build loop, alternating runs in one session), the sort
+/// with its unpack took 14.5–19.3 ns/point against 22.3–26.2 with four
+/// 8-bit digits and a `usize` permutation. On the gather
+/// indices' small frames (`Octree::build` on a fresh scratch) 8-bit digits
+/// win only at 16 points (≈ 300 against 360 ns/point, one microsecond a
+/// build), tie at 64 and lose from 256 on (41–48 against 45–50, and 23
+/// against 27–35 at 1 024), so one width serves every frame. 11-bit digits
+/// would save no pass at depth 10 and double the counts.
+const DIGIT_BITS: u32 = 10;
 const BUCKETS: usize = 1 << DIGIT_BITS;
-/// Digits of the widest key (`3 * MAX_LEVEL` bits).
-const MAX_DIGITS: usize = (3 * MAX_LEVEL as u32).div_ceil(DIGIT_BITS) as usize;
+
 /// Low bits of a [`SortWord`] that hold the point's raw index.
 const INDEX_BITS: u32 = u32::BITS;
 
@@ -477,7 +505,7 @@ trait SortWord: Copy + Default {
     const KEY_BITS: u32;
     fn pack(bits: u64, index: u32) -> Self;
     fn bits(self) -> u64;
-    fn index(self) -> usize;
+    fn index(self) -> u32;
 }
 
 impl SortWord for u64 {
@@ -491,8 +519,8 @@ impl SortWord for u64 {
         self >> INDEX_BITS
     }
     #[inline]
-    fn index(self) -> usize {
-        self as u32 as usize
+    fn index(self) -> u32 {
+        self as u32
     }
 }
 
@@ -507,8 +535,8 @@ impl SortWord for u128 {
         (self >> INDEX_BITS) as u64
     }
     #[inline]
-    fn index(self) -> usize {
-        self as u32 as usize
+    fn index(self) -> u32 {
+        self as u32
     }
 }
 
@@ -531,24 +559,23 @@ fn sort_along_sfc<W: SortWord>(
     raw: &[u64],
     key_bits: u32,
     words: &mut [Vec<W>; 2],
-    perm: &mut Vec<usize>,
+    perm: &mut Vec<u32>,
     sorted: &mut Vec<u64>,
 ) {
     debug_assert!(key_bits <= W::KEY_BITS && u32::try_from(raw.len()).is_ok());
     let n = raw.len();
-    let digits = key_bits.div_ceil(DIGIT_BITS) as usize;
     let digit = |bits: u64, d: usize| (bits >> (d as u32 * DIGIT_BITS)) as usize % BUCKETS;
-    let mut counts = [[0usize; BUCKETS]; MAX_DIGITS];
+    let mut counts = vec![[0u32; BUCKETS]; key_bits.div_ceil(DIGIT_BITS) as usize];
     for &bits in raw {
-        for (d, count) in counts[..digits].iter_mut().enumerate() {
+        for (d, count) in counts.iter_mut().enumerate() {
             count[digit(bits, d)] += 1;
         }
     }
 
     let [src, dst] = words;
     let mut scattered = false;
-    for (d, count) in counts[..digits].iter_mut().enumerate() {
-        if count.contains(&n) {
+    for (d, count) in counts.iter_mut().enumerate() {
+        if count.contains(&(n as u32)) {
             continue;
         }
         // Counts become each bucket's first target slot.
@@ -560,7 +587,7 @@ fn sort_along_sfc<W: SortWord>(
         dst.resize(n, W::default());
         let mut scatter = |word: W| {
             let slot = &mut count[digit(word.bits(), d)];
-            dst[*slot] = word;
+            dst[*slot as usize] = word;
             *slot += 1;
         };
         if scattered {
@@ -584,9 +611,65 @@ fn sort_along_sfc<W: SortWord>(
         }
     } else {
         perm.clear();
-        perm.extend(0..n);
+        perm.extend(0..n as u32);
         sorted.clear();
         sorted.extend_from_slice(raw);
+    }
+}
+
+/// One frame's code bits, as narrow as its depth allows: `u32` when every
+/// code fits (`3 * max_depth <= 32`, the default depth 10 included), `u64`
+/// otherwise.
+#[derive(Clone, Debug)]
+enum FrameBits {
+    Narrow(Vec<u32>),
+    Wide(Vec<u64>),
+}
+
+impl Default for FrameBits {
+    fn default() -> FrameBits {
+        FrameBits::Narrow(Vec::new())
+    }
+}
+
+impl FrameBits {
+    /// Replaces the contents with `bits`, codes of `key_bits` bits, keeping
+    /// the allocation while the width stays.
+    fn store(&mut self, bits: &[u64], key_bits: u32) {
+        *self = match std::mem::take(self) {
+            FrameBits::Narrow(mut stored) if key_bits <= u32::BITS => {
+                stored.clear();
+                stored.extend(bits.iter().map(|&b| b as u32));
+                FrameBits::Narrow(stored)
+            }
+            _ if key_bits <= u32::BITS => {
+                FrameBits::Narrow(bits.iter().map(|&b| b as u32).collect())
+            }
+            FrameBits::Wide(mut stored) => {
+                stored.clear();
+                stored.extend_from_slice(bits);
+                FrameBits::Wide(stored)
+            }
+            FrameBits::Narrow(_) => FrameBits::Wide(bits.to_vec()),
+        };
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            FrameBits::Narrow(stored) => stored.len(),
+            FrameBits::Wide(stored) => stored.len(),
+        }
+    }
+
+    /// Whether position `i` holds other bits than `bits`; every position
+    /// past the end does. Bits are comparable across two frames on one
+    /// grid because such frames share the config, hence the width.
+    #[inline]
+    fn differs(&self, i: usize, bits: u64) -> bool {
+        match self {
+            FrameBits::Narrow(stored) => stored.get(i).is_none_or(|&b| u64::from(b) != bits),
+            FrameBits::Wide(stored) => stored.get(i).is_none_or(|&b| b != bits),
+        }
     }
 }
 
@@ -599,19 +682,17 @@ fn sort_along_sfc<W: SortWord>(
 /// built. It is the only build state that belongs to a stream: a server
 /// keeps one per open stream and moves it into a worker's
 /// [`OctreeScratch`] for the length of a frame with
-/// [`OctreeScratch::swap_previous`]. It holds 16 bytes per point.
+/// [`OctreeScratch::swap_previous`]. It holds 8 bytes per point at depths
+/// up to 10 (two `u32` codes), 16 deeper.
 #[derive(Clone, Debug, Default)]
 pub struct PreviousFrame {
     /// Root grid of the cached frame; `None` until the first successful
     /// build.
     grid: Option<(Aabb, OctreeConfig)>,
-    /// Code bits in raw point order. Bits are comparable across the two
-    /// frames because a frame on the cached grid has the cached config,
-    /// hence the cached level.
-    codes: Vec<u64>,
-    /// The same bits in SFC order, in the buffer that frame's sort
-    /// unpacked them into.
-    sorted: Vec<u64>,
+    /// Code bits in raw point order.
+    raw: FrameBits,
+    /// The same bits in SFC order.
+    sorted: FrameBits,
 }
 
 impl PreviousFrame {
@@ -628,13 +709,9 @@ impl PreviousFrame {
 /// * **scratch capacity** — every buffer [`Octree::build`] would otherwise
 ///   allocate per frame (the encoder's boundary table, the raw-order code
 ///   bits, the radix sort's two packed-word buffers, and — via
-///   [`OctreeScratch::recycle`] — the permutation, code array, node arena
-///   and reorganized cloud of a consumed tree). The sort unpacks the
-///   SFC-order bits into the previous frame's raw-order buffer once it is
-///   diffed, so the cache is refreshed by moving buffers, not by copying
-///   them. Only the frame in
-///   flight uses it, so one scratch can serve any number of streams in
-///   turn;
+///   [`OctreeScratch::recycle`] — the permutation, code bits, node arena
+///   and reorganized cloud of a consumed tree). Only the frame in flight
+///   uses it, so one scratch can serve any number of streams in turn;
 /// * **the previous frame** — see [`PreviousFrame`]. A scratch serving
 ///   several streams swaps each stream's own in and out around its frame
 ///   ([`OctreeScratch::swap_previous`]).
@@ -647,10 +724,8 @@ impl PreviousFrame {
 pub struct OctreeScratch {
     /// The frame the next build is diffed against.
     prev: PreviousFrame,
-    /// Working buffer: this frame's code bits in raw point order. The sort
-    /// only reads it, so it survives as the next frame's previous codes;
-    /// the previous frame's SFC-order buffer takes its place.
-    raw_codes: Vec<u64>,
+    /// Working buffer: this frame's code bits in raw point order.
+    raw_bits: Vec<u64>,
     /// Working buffers: the radix sort's ping-pong of packed words, 8 bytes
     /// per point at depths up to 10.
     sort_words: [Vec<u64>; 2],
@@ -664,8 +739,8 @@ pub struct OctreeScratch {
     /// dirty-node estimate).
     dirty_prefix: Vec<u32>,
     spare_nodes: Vec<Node>,
-    spare_codes: Vec<MortonCode>,
-    spare_perm: Vec<usize>,
+    spare_bits: Vec<u64>,
+    spare_perm: Vec<u32>,
     spare_points: PointCloud,
 }
 
@@ -684,13 +759,12 @@ impl OctreeScratch {
             nodes,
             points,
             permutation,
-            codes,
+            bits,
             ..
         } = tree;
         self.spare_nodes = nodes;
         self.spare_nodes.clear();
-        self.spare_codes = codes;
-        self.spare_codes.clear();
+        self.spare_bits = bits;
         self.spare_perm = permutation;
         self.spare_points = points;
     }
@@ -721,21 +795,19 @@ impl OctreeScratch {
 fn dirty_nodes(
     nodes: &[Node],
     sorted: &[u64],
-    prev_sorted: &[u64],
+    prev_sorted: &FrameBits,
     prefix: &mut Vec<u32>,
 ) -> usize {
     let n = sorted.len();
-    let prev_n = prev_sorted.len();
     prefix.clear();
     prefix.reserve(n + 1);
     prefix.push(0);
     let mut acc = 0u32;
     for (i, &bits) in sorted.iter().enumerate() {
-        let changed = i >= prev_n || prev_sorted[i] != bits;
-        acc += changed as u32;
+        acc += prev_sorted.differs(i, bits) as u32;
         prefix.push(acc);
     }
-    let tail_changed = n != prev_n;
+    let tail_changed = n != prev_sorted.len();
     nodes
         .iter()
         .filter(|node| {
@@ -788,6 +860,39 @@ mod tests {
             Octree::build(&cloud, OctreeConfig::default()).unwrap_err(),
             OctreeError::InvalidGeometry(_)
         ));
+    }
+
+    #[test]
+    fn build_refuses_a_root_that_overflows() {
+        // A finite point at 3e38 overflows the margin's diagonal; points
+        // 1e20 apart do too; a lone point past f32::MAX / 2 has a finite
+        // root whose halving could overflow. None is built, and the cache
+        // survives all three.
+        let cloud = grid_cloud(3);
+        let cfg = OctreeConfig::default();
+        let mut scratch = OctreeScratch::new();
+        let _ = Octree::build_with_scratch(&cloud, cfg, &mut scratch).unwrap();
+        let mut far = grid_cloud(3);
+        far.push(Point3::splat(3e38));
+        let apart = PointCloud::from_points(vec![Point3::splat(-1e20), Point3::splat(1e20)]);
+        let lone = PointCloud::from_points(vec![Point3::new(0.0, 2e38, 0.0)]);
+        for frame in [&far, &apart, &lone] {
+            assert_eq!(
+                Octree::build_with_scratch(frame, cfg, &mut scratch).unwrap_err(),
+                OctreeError::RootOverflow
+            );
+        }
+        let tree = Octree::build_with_scratch(&cloud, cfg, &mut scratch).unwrap();
+        assert!(tree.build_stats().reused, "cache survived the refusals");
+
+        // Far but halvable: built, on the root `inflate` + `cubified` give.
+        let wide = PointCloud::from_points(vec![Point3::splat(-1e18), Point3::new(1e18, 0.0, 0.0)]);
+        let bounds = wide.bounds().unwrap();
+        let margin = (bounds.diagonal() * 1e-6).max(f32::MIN_POSITIVE);
+        assert_eq!(
+            Octree::build(&wide, cfg).unwrap().root_bounds(),
+            bounds.inflate(margin).cubified()
+        );
     }
 
     #[test]
@@ -846,9 +951,9 @@ mod tests {
         let tree = Octree::build(&cloud, OctreeConfig::default()).unwrap();
         let mut perm = tree.permutation().to_vec();
         perm.sort_unstable();
-        assert_eq!(perm, (0..cloud.len()).collect::<Vec<_>>());
+        assert_eq!(perm, (0..cloud.len() as u32).collect::<Vec<_>>());
         // Codes must be non-decreasing after reorganization.
-        assert!(tree.point_codes().windows(2).all(|w| w[0] <= w[1]));
+        assert!(tree.point_bits().windows(2).all(|w| w[0] <= w[1]));
     }
 
     #[test]
@@ -907,7 +1012,7 @@ mod tests {
         assert_eq!(a.root_bounds(), b.root_bounds());
         assert_eq!(a.nodes(), b.nodes());
         assert_eq!(a.root(), b.root());
-        assert_eq!(a.point_codes(), b.point_codes());
+        assert_eq!(a.point_bits(), b.point_bits());
         assert_eq!(a.permutation(), b.permutation());
         assert_eq!(a.points(), b.points());
         assert_eq!(a.depth(), b.depth());
@@ -1014,6 +1119,28 @@ mod tests {
             }
             let got = Octree::build_with_scratch(&cloud, cfg, &mut scratch).unwrap();
             assert_trees_bit_identical(&got, &Octree::build(&cloud, cfg).unwrap());
+        }
+    }
+
+    #[test]
+    fn previous_frame_narrows_and_widens_with_the_depth() {
+        // `u32` codes up to depth 10, `u64` beyond: a stream whose depth
+        // moves across 10 is priced against the right frame either way.
+        let cloud = grid_cloud(4);
+        let mut scratch = OctreeScratch::new();
+        for depth in [10, 10, 12, 12, 10, 21, 21, 3] {
+            let cfg = OctreeConfig::new().max_depth(depth).leaf_capacity(2);
+            let repeat = scratch.prev.grid.is_some_and(|(_, c)| c == cfg);
+            let tree = Octree::build_with_scratch(&cloud, cfg, &mut scratch).unwrap();
+            assert_eq!(tree.build_stats().reused, repeat, "depth {depth}");
+            if repeat {
+                assert_eq!(tree.build_stats().dirty_points, 0, "depth {depth}");
+                assert_eq!(tree.build_stats().nodes_dirty, 0, "depth {depth}");
+            }
+            assert_trees_bit_identical(&tree, &Octree::build(&cloud, cfg).unwrap());
+            let narrow = matches!(scratch.prev.raw, FrameBits::Narrow(_));
+            assert_eq!(narrow, depth <= 10, "depth {depth}");
+            scratch.recycle(tree);
         }
     }
 
@@ -1182,14 +1309,18 @@ mod tests {
 
             // Keys that differ in one digit only, the others shared (and
             // not zero): one pass, ties in raw order.
-            let shared = 0x7fed_cba9_8765_0021 & mask;
+            let digit_mask = (BUCKETS as u64 - 1) << DIGIT_BITS;
+            let shared = 0x7fed_cba9_8765_0021 & mask & !digit_mask;
             let raw: Vec<u64> = [9u64, 3, 9, 0, 3]
                 .into_iter()
-                .map(|d| shared | d << 8)
+                .map(|d| shared | d << DIGIT_BITS)
                 .collect();
             let (sorted, perm, lens) = sort(&raw, key_bits);
             assert_eq!(perm, [3, 1, 4, 0, 2]);
-            assert_eq!(sorted, perm.iter().map(|&i| raw[i]).collect::<Vec<_>>());
+            assert_eq!(
+                sorted,
+                perm.iter().map(|&i| raw[i as usize]).collect::<Vec<_>>()
+            );
             assert_eq!(lens, [5, 0], "{key_bits} key bits, one digit differs");
         }
         check::<u64>(30);

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 
 use hgpcn_geometry::morton::MAX_LEVEL;
 use hgpcn_geometry::{MortonCode, Point3, PointCloud};
-use hgpcn_octree::{neighbor, Octree, OctreeConfig, OctreeTable};
+use hgpcn_octree::{neighbor, Octree, OctreeConfig, OctreeError, OctreeTable};
 
 fn arb_point() -> impl Strategy<Value = Point3> {
     (-50.0f32..50.0, -50.0f32..50.0, -50.0f32..50.0).prop_map(|(x, y, z)| Point3::new(x, y, z))
@@ -41,12 +41,11 @@ proptest! {
     #[test]
     fn voxel_range_matches_brute_filter(cloud in arb_cloud(), level in 0u8..5) {
         let tree = Octree::build(&cloud, OctreeConfig::new().max_depth(6)).unwrap();
-        let codes = tree.point_codes();
         // Probe the voxel of the first point at the given level.
-        let voxel = codes[0].ancestor_at(level);
+        let voxel = tree.point_code(0).ancestor_at(level);
         let range = tree.voxel_range(voxel);
-        for (i, code) in codes.iter().enumerate() {
-            let inside = code.ancestor_at(level) == voxel;
+        for i in 0..cloud.len() {
+            let inside = tree.point_code(i).ancestor_at(level) == voxel;
             prop_assert_eq!(range.contains(&i), inside, "point {}", i);
         }
     }
@@ -56,12 +55,12 @@ proptest! {
     #[test]
     fn leaf_voxels_group_equal_codes(cloud in arb_cloud()) {
         let tree = Octree::build(&cloud, OctreeConfig::new().max_depth(5).leaf_capacity(1)).unwrap();
-        let codes = tree.point_codes();
-        for (i, code) in codes.iter().enumerate() {
-            let range = tree.voxel_range(*code);
+        for i in 0..cloud.len() {
+            let code = tree.point_code(i);
+            let range = tree.voxel_range(code);
             prop_assert!(range.contains(&i));
             for j in range {
-                prop_assert_eq!(codes[j], *code);
+                prop_assert_eq!(tree.point_code(j), code);
             }
         }
     }
@@ -131,11 +130,11 @@ fn assert_build_equals_walk_and_stable_sort(
             code
         })
         .collect();
-    let mut perm: Vec<usize> = (0..cloud.len()).collect();
-    perm.sort_by_key(|&i| raw[i]);
-    let sorted: Vec<MortonCode> = perm.iter().map(|&i| raw[i]).collect();
+    let mut perm: Vec<u32> = (0..cloud.len() as u32).collect();
+    perm.sort_by_key(|&i| raw[i as usize]);
+    let sorted: Vec<u64> = perm.iter().map(|&i| raw[i as usize].bits()).collect();
     prop_assert_eq!(tree.permutation(), &perm[..], "depth {}", depth);
-    prop_assert_eq!(tree.point_codes(), &sorted[..], "depth {}", depth);
+    prop_assert_eq!(tree.point_bits(), &sorted[..], "depth {}", depth);
     Ok(())
 }
 
@@ -188,8 +187,9 @@ proptest! {
 
     /// A planar frame (constant x) at every depth. The cubified root is
     /// centred on the plane, so every point takes the same x bit at every
-    /// level, and at depths 3, 11 and 19 the keys' top radix digit is the
-    /// level-1 x bit alone: a digit every key shares, which the sort skips.
+    /// level, and at depths 7 and 17 the keys' top radix digit (10 bits) is
+    /// the level-1 x bit alone: a digit every key shares, which the sort
+    /// skips.
     #[test]
     fn build_equals_oracle_when_keys_share_their_high_digit(
         x in -50.0f32..50.0,
@@ -198,6 +198,45 @@ proptest! {
         let cloud: PointCloud = yz.iter().map(|&(y, z)| Point3::new(x, y, z)).collect();
         for depth in 0..=MAX_LEVEL {
             assert_build_equals_walk_and_stable_sort(&cloud, depth)?;
+        }
+    }
+
+    /// Finite coordinates anywhere in `f32`, near ±`f32::MAX` included:
+    /// the build never panics. A frame with a coordinate beyond
+    /// ±`f32::MAX / 2` is refused with `RootOverflow`; a refused frame has
+    /// a coordinate of magnitude 1e18 or more (below that neither the
+    /// margin nor the root can overflow); a built one matches the oracle.
+    #[test]
+    fn build_refuses_or_builds_frames_near_f32_max(
+        ordinary in prop::collection::vec(arb_point(), 0..40),
+        far in prop::collection::vec(
+            (1.0f32..3.4, 1.0f32..3.4, 1.0f32..3.4, 0u8..8, 18i32..=38),
+            1..6,
+        ),
+    ) {
+        let mut points = ordinary;
+        for &(x, y, z, signs, exponent) in &far {
+            let scale = 10f32.powi(exponent);
+            let sign = |bit: u8| if signs >> bit & 1 == 1 { -scale } else { scale };
+            points.push(Point3::new(x * sign(0), y * sign(1), z * sign(2)));
+        }
+        let cloud = PointCloud::from_points(points);
+        let bounds = cloud.bounds().unwrap();
+        let beyond_half = [bounds.min(), bounds.max()]
+            .iter()
+            .any(|p| [p.x, p.y, p.z].iter().any(|c| c.abs() > f32::MAX / 2.0));
+        match Octree::build(&cloud, OctreeConfig::default()) {
+            Ok(_) => {
+                prop_assert!(!beyond_half, "built a root beyond f32::MAX / 2: {}", bounds);
+                assert_build_equals_walk_and_stable_sort(&cloud, 10)?;
+            }
+            Err(err) => {
+                prop_assert_eq!(err, OctreeError::RootOverflow);
+                let far = [bounds.min(), bounds.max()]
+                    .iter()
+                    .any(|p| [p.x, p.y, p.z].iter().any(|c| c.abs() >= 1e18));
+                prop_assert!(far, "refused {}", bounds);
+            }
         }
     }
 }

@@ -61,7 +61,7 @@ fn assert_bit_identical(warm: &Octree, cold: &Octree) {
     assert_eq!(warm.root_bounds(), cold.root_bounds(), "root grid");
     assert_eq!(warm.nodes(), cold.nodes(), "node arena");
     assert_eq!(warm.root(), cold.root(), "root id");
-    assert_eq!(warm.point_codes(), cold.point_codes(), "sorted codes");
+    assert_eq!(warm.point_bits(), cold.point_bits(), "sorted codes");
     assert_eq!(warm.permutation(), cold.permutation(), "permutation");
     assert_eq!(warm.points(), cold.points(), "reorganized cloud");
     let wt = OctreeTable::from_octree(warm);

@@ -632,7 +632,7 @@ fn sample_inner(
     let addr = state.take(&path, rng.gen_bool(0.5));
     let _ = mem.read_point(addr);
     indices.push(addr);
-    scoreboard.update(kernel, octree.point_codes()[addr], &mut state.counts);
+    scoreboard.update(kernel, octree.point_code(addr), &mut state.counts);
 
     for _ in 1..k {
         // 1. Scoreboard: farthest (max-min Hamming) voxel with points left.
@@ -687,7 +687,7 @@ fn sample_inner(
         // 4. Refine the chosen slot and score the new pick against the
         // whole scoreboard in parallel.
         scoreboard.refine(slot, table, &mut state.counts);
-        scoreboard.update(kernel, octree.point_codes()[addr], &mut state.counts);
+        scoreboard.update(kernel, octree.point_code(addr), &mut state.counts);
     }
 
     let counts = state.counts + mem.counts();

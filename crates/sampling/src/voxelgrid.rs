@@ -47,10 +47,9 @@ pub fn sample(
 
     // Points are SFC-sorted, so voxel membership at any level is a run of
     // equal code prefixes: one comparison per point finds the boundaries.
-    let codes = octree.point_codes();
     let mut last: Option<MortonCode> = None;
-    for (sfc, code) in codes.iter().enumerate() {
-        let voxel = code.ancestor_at(level);
+    for sfc in 0..n {
+        let voxel = octree.point_code(sfc).ancestor_at(level);
         counts.comparisons += 1;
         if last != Some(voxel) {
             let _ = mem.read_point(sfc);
@@ -68,8 +67,8 @@ pub fn occupied_voxels(octree: &Octree, level: u8) -> usize {
     let level = level.min(octree.config().max_depth_value());
     let mut count = 0;
     let mut last = None;
-    for code in octree.point_codes() {
-        let voxel = code.ancestor_at(level);
+    for sfc in 0..octree.points().len() {
+        let voxel = octree.point_code(sfc).ancestor_at(level);
         if last != Some(voxel) {
             count += 1;
             last = Some(voxel);
@@ -109,11 +108,10 @@ mod tests {
         assert_eq!(r.len(), occupied_voxels(&tree, level));
         assert!(r.is_valid_sample_of(500));
         // Every pair of kept points lies in distinct voxels.
-        let codes = tree.point_codes();
         let voxels: std::collections::HashSet<_> = r
             .indices
             .iter()
-            .map(|&i| codes[i].ancestor_at(level))
+            .map(|&i| tree.point_code(i).ancestor_at(level))
             .collect();
         assert_eq!(voxels.len(), r.len());
     }

@@ -57,9 +57,15 @@ impl App {
     /// validation — callers turn this into a clean startup failure, not
     /// a worker panic.
     pub fn new(config: RuntimeConfig, net: impl Into<Arc<PointNet>>) -> Result<App, RuntimeError> {
-        Ok(App {
-            runtime: Arc::new(ServingRuntime::start(config, net)?),
-        })
+        Ok(App::from_runtime(ServingRuntime::start(config, net)?))
+    }
+
+    /// Serves an already started runtime, e.g. one over a custom pipeline
+    /// ([`ServingRuntime::start_with_pipeline`]).
+    pub fn from_runtime(runtime: ServingRuntime) -> App {
+        App {
+            runtime: Arc::new(runtime),
+        }
     }
 
     /// The live serving runtime.

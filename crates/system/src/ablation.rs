@@ -95,7 +95,7 @@ pub fn semi_veg_tradeoff(
     let perm = octree.permutation();
     let mut inverse = vec![0usize; perm.len()];
     for (sfc, &raw) in perm.iter().enumerate() {
-        inverse[raw] = sfc;
+        inverse[raw as usize] = sfc;
     }
     let sfc_centers: Vec<usize> = centers.iter().map(|&c| inverse[c]).collect();
     let reference: Vec<Vec<usize>> = sfc_centers

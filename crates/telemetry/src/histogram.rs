@@ -29,7 +29,6 @@ pub struct LogHistogram {
     counts: Vec<u64>,
     count: u64,
     sum: f64,
-    min: f64,
     max: f64,
 }
 
@@ -56,7 +55,6 @@ impl LogHistogram {
             counts: Vec::new(),
             count: 0,
             sum: 0.0,
-            min: f64::INFINITY,
             max: f64::NEG_INFINITY,
         }
     }
@@ -83,7 +81,7 @@ impl LogHistogram {
     }
 
     /// Records one sample. Non-positive and non-finite samples land in
-    /// the underflow bucket and are excluded from `sum`/`min`/`max`.
+    /// the underflow bucket and are excluded from `sum`/`max`.
     pub fn record(&mut self, v: f64) {
         let i = self.bucket_index(v);
         if i >= self.counts.len() {
@@ -93,7 +91,6 @@ impl LogHistogram {
         self.count += 1;
         if v.is_finite() && v > 0.0 {
             self.sum += v;
-            self.min = self.min.min(v);
             self.max = self.max.max(v);
         }
     }
@@ -106,15 +103,6 @@ impl LogHistogram {
     /// Sum of the finite positive samples.
     pub fn sum(&self) -> f64 {
         self.sum
-    }
-
-    /// Smallest finite positive sample, or 0 when none was recorded.
-    pub fn min(&self) -> f64 {
-        if self.min.is_finite() {
-            self.min
-        } else {
-            0.0
-        }
     }
 
     /// Largest finite positive sample, or 0 when none was recorded.
@@ -177,7 +165,6 @@ impl LogHistogram {
         }
         self.count += other.count;
         self.sum += other.sum;
-        self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
 
@@ -242,7 +229,6 @@ mod tests {
     fn empty_histogram_is_zeroed() {
         let h = LogHistogram::default();
         assert_eq!(h.quantile(0.5), 0.0);
-        assert_eq!(h.min(), 0.0);
         assert_eq!(h.max(), 0.0);
         assert_eq!(h.mean(), 0.0);
         assert!(h.cumulative_buckets().is_empty());

@@ -13,9 +13,9 @@
 //!   frames are served: the runtime derives a trace after the fact from
 //!   the one per-frame record it keeps.
 //! * **Metrics** ([`registry`], [`histogram`]): a [`Registry`] of named
-//!   counters, gauges and log-bucketed streaming [`LogHistogram`]s with
-//!   Prometheus text-format and JSON snapshot exporters — the payload a
-//!   `/metrics` endpoint serves.
+//!   counters, gauges and log-bucketed streaming [`LogHistogram`]s with a
+//!   Prometheus text-format exporter — the payload a `/metrics` endpoint
+//!   serves.
 //!
 //! A trace's virtual-clock half is deterministic: two runs of the same
 //! deterministic workload with one worker per stage produce

@@ -1,5 +1,5 @@
 //! A named-metric registry: counters, gauges and streaming histograms
-//! with Prometheus text-format and JSON snapshot exporters.
+//! with a Prometheus text-format exporter.
 //!
 //! The registry is plain owned data (`&mut` to update, no interior
 //! mutability): the runtime assembles one single-threaded at run end

@@ -30,10 +30,11 @@
 //! * [`serve`] — the std-only HTTP/JSON-RPC 2.0 front end over one
 //!   serving runtime (`hgpcn-serve` binary: `POST /rpc`, `GET /health`,
 //!   `GET /metrics`), built on the in-tree `minihttp` compat layer;
-//! * [`telemetry`] — frame-lifecycle tracing (Chrome trace-event JSON
-//!   for Perfetto), a streaming metrics registry with Prometheus and
-//!   JSON exporters, and log-bucketed histograms — wired through the
-//!   runtime behind a zero-cost-when-off switch;
+//! * [`telemetry`] — frame-lifecycle traces (Chrome trace-event JSON
+//!   for Perfetto), a metrics registry with a Prometheus text exporter,
+//!   and log-bucketed histograms; the runtime records nothing for them
+//!   while it serves, and derives a run's trace and metrics from its
+//!   per-frame records when asked;
 //! * [`bench`](mod@bench) — regenerators for every table and figure of
 //!   the paper.
 //!

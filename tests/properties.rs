@@ -32,7 +32,7 @@ proptest! {
         prop_assert_eq!(tree.points().len(), cloud.len());
         let mut perm = tree.permutation().to_vec();
         perm.sort_unstable();
-        prop_assert_eq!(perm, (0..cloud.len()).collect::<Vec<_>>());
+        prop_assert_eq!(perm, (0..cloud.len() as u32).collect::<Vec<_>>());
         // Leaf ranges partition [0, n): total leaf points == n.
         let leaf_total: usize =
             tree.nodes().iter().filter(|n| n.is_leaf()).map(|n| n.point_count()).sum();
